@@ -44,6 +44,10 @@ pub struct BinaryCotree {
 
 impl BinaryCotree {
     /// Binarises a cotree (Step 1 of the paper's algorithm).
+    ///
+    /// Nodes are numbered in the cotree's post-order, each k-ary node's
+    /// chain right after its children's subtrees. The walk is iterative, so
+    /// cotrees of any height binarise on a small stack.
     pub fn from_cotree(t: &Cotree) -> Self {
         let mut b = BinaryCotree {
             kinds: Vec::new(),
@@ -52,9 +56,31 @@ impl BinaryCotree {
             parent: Vec::new(),
             root: NONE,
         };
-        let root = b.build(t, t.root());
-        b.root = root;
-        b.parent[root] = NONE;
+        // The binary node standing for each cotree node: its leaf, or the
+        // top of its chain.
+        let mut top = vec![NONE; t.num_nodes()];
+        for u in t.postorder() {
+            top[u] = match t.kind(u) {
+                CotreeKind::Leaf(v) => b.new_node(BinKind::Leaf(v)),
+                kind => {
+                    let label = if kind == CotreeKind::Union {
+                        BinKind::Zero
+                    } else {
+                        BinKind::One
+                    };
+                    let kids = t.children(u);
+                    assert!(kids.len() >= 2, "cotree internal nodes have >= 2 children");
+                    let mut acc = top[kids[0]];
+                    for &extra in &kids[1..] {
+                        let node = b.new_node(label);
+                        b.attach(node, acc, top[extra]);
+                        acc = node;
+                    }
+                    acc
+                }
+            };
+        }
+        b.root = top[t.root()];
         b
     }
 
@@ -71,32 +97,6 @@ impl BinaryCotree {
         self.right[parent] = right;
         self.parent[left] = parent;
         self.parent[right] = parent;
-    }
-
-    fn build(&mut self, t: &Cotree, u: usize) -> usize {
-        match t.kind(u) {
-            CotreeKind::Leaf(v) => self.new_node(BinKind::Leaf(v)),
-            kind => {
-                let label = if kind == CotreeKind::Union {
-                    BinKind::Zero
-                } else {
-                    BinKind::One
-                };
-                let kids: Vec<usize> = t.children(u).iter().map(|&c| self.build(t, c)).collect();
-                assert!(kids.len() >= 2, "cotree internal nodes have >= 2 children");
-                let mut acc = {
-                    let node = self.new_node(label);
-                    self.attach(node, kids[0], kids[1]);
-                    node
-                };
-                for &extra in &kids[2..] {
-                    let node = self.new_node(label);
-                    self.attach(node, acc, extra);
-                    acc = node;
-                }
-                acc
-            }
-        }
     }
 
     /// Number of cotree nodes.

@@ -149,6 +149,31 @@ impl Cotree {
         tree
     }
 
+    /// Number of edges of the cograph, counted on the cotree without
+    /// materialising it: a 1-node joins every pair of its children, so it
+    /// contributes `L(a) · L(b)` edges for each such pair `a`, `b`, where
+    /// `L` is the leaf count.
+    pub fn num_edges(&self) -> usize {
+        let mut leaves = vec![0usize; self.num_nodes()];
+        let mut edges = 0usize;
+        for u in self.postorder() {
+            leaves[u] = match self.kinds[u] {
+                CotreeKind::Leaf(_) => 1,
+                kind => {
+                    let mut seen = 0usize;
+                    for &c in &self.children[u] {
+                        if kind == CotreeKind::Join {
+                            edges += seen * leaves[c];
+                        }
+                        seen += leaves[c];
+                    }
+                    seen
+                }
+            };
+        }
+        edges
+    }
+
     /// Drops nodes that became unreachable during normalisation.
     fn compact(self) -> Self {
         let n = self.kinds.len();
@@ -388,6 +413,72 @@ impl Cotree {
     }
 }
 
+/// Builds a [`Cotree`] arena in one pass, children before parents.
+///
+/// This is the post-order layout the combining constructors
+/// ([`Cotree::union_of`] and friends) produce, without their
+/// copy-on-combine cost of `O(n · height)`. [`CotreeBuilder::leaf`] and
+/// [`CotreeBuilder::node`] return the index of the node they add; `node`
+/// adopts already-built subtrees as its ordered children, and the last node
+/// added is the root. The caller upholds the invariants of
+/// [`Cotree::validate`] (no label equal to its parent's, at least two
+/// children per internal node, distinct leaf labels); they are checked in
+/// debug builds.
+#[derive(Debug, Default)]
+pub struct CotreeBuilder {
+    kinds: Vec<CotreeKind>,
+    children: Vec<Vec<usize>>,
+    parent: Vec<usize>,
+}
+
+impl CotreeBuilder {
+    /// An empty builder.
+    pub fn new() -> Self {
+        CotreeBuilder::default()
+    }
+
+    /// Adds a leaf carrying vertex `v`.
+    pub fn leaf(&mut self, v: VertexId) -> usize {
+        self.push(CotreeKind::Leaf(v), Vec::new())
+    }
+
+    /// Adds an internal node of `kind` over `children`, each the root of a
+    /// subtree built earlier and not yet adopted.
+    pub fn node(&mut self, kind: CotreeKind, children: Vec<usize>) -> usize {
+        debug_assert!(!kind.is_leaf(), "internal nodes are unions or joins");
+        let id = self.kinds.len();
+        for &c in &children {
+            debug_assert_eq!(self.parent[c], NO_NODE, "node {c} adopted twice");
+            self.parent[c] = id;
+        }
+        self.push(kind, children)
+    }
+
+    fn push(&mut self, kind: CotreeKind, children: Vec<usize>) -> usize {
+        self.kinds.push(kind);
+        self.children.push(children);
+        self.parent.push(NO_NODE);
+        self.kinds.len() - 1
+    }
+
+    /// The finished cotree, rooted at the last node added.
+    ///
+    /// # Panics
+    /// Panics when no node was added.
+    pub fn finish(self) -> Cotree {
+        let root = self
+            .kinds
+            .len()
+            .checked_sub(1)
+            .expect("a cotree has a node");
+        debug_assert!(
+            self.parent[..root].iter().all(|&p| p != NO_NODE),
+            "every node but the root has a parent"
+        );
+        Cotree::from_raw_parts(self.kinds, self.children, self.parent, root)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -507,6 +598,20 @@ mod tests {
         let term = t.to_term();
         assert_eq!(term.matches('(').count(), 1_999);
         assert_eq!(term.matches('(').count(), term.matches(')').count());
+    }
+
+    #[test]
+    fn builder_reproduces_the_combining_constructors_arena() {
+        let combined = Cotree::union_of_labelled(vec![
+            Cotree::join_of_labelled(vec![Cotree::single(2), Cotree::single(0)]),
+            Cotree::single(1),
+        ]);
+        let mut b = CotreeBuilder::new();
+        let (x, y) = (b.leaf(2), b.leaf(0));
+        let join = b.node(CotreeKind::Join, vec![x, y]);
+        let z = b.leaf(1);
+        b.node(CotreeKind::Union, vec![join, z]);
+        assert_eq!(b.finish(), combined);
     }
 
     #[test]

@@ -9,8 +9,11 @@
 //!
 //! This crate provides the substrate the path-cover algorithms operate on:
 //!
-//! * [`Cotree`] — the k-ary labelled cotree with construction operators,
-//!   validation and materialisation into a [`pcgraph::Graph`];
+//! * [`Cotree`] — the k-ary labelled cotree with construction operators
+//!   (plus the one-pass [`CotreeBuilder`]), validation, materialisation
+//!   into a [`pcgraph::Graph`], and the cotree-native edge count and path
+//!   cover check ([`Cotree::num_edges`], [`Cotree::verify_cover`]) that
+//!   need no materialisation;
 //! * [`recognition`] — building the cotree of an arbitrary graph in
 //!   `O(n + m)` by incremental insertion ([`recognition::fast`]), with an
 //!   induced-`P_4` certificate on rejection; the textbook
@@ -33,9 +36,10 @@ pub mod generators;
 pub mod pathcount;
 pub mod recognition;
 pub mod reduce;
+mod verify;
 
 pub use binary::{BinKind, BinaryCotree, NONE};
-pub use cotree::{Cotree, CotreeKind};
+pub use cotree::{Cotree, CotreeBuilder, CotreeKind};
 pub use generators::{random_cotree, CotreeShape};
 pub use pathcount::{path_counts_exec, path_counts_pram, path_counts_seq};
 pub use recognition::{

@@ -14,7 +14,7 @@
 //!
 //! The original sources for [18] and [2] predate the paper and are not
 //! available to this reproduction, so these baselines are *complexity-
-//! faithful emulations* (see `DESIGN.md`): every round executes genuine
+//! faithful emulations*: every round executes genuine
 //! primitive calls (scans, parallel loops) of the sizes the respective
 //! algorithm would use on the same input, on the same instrumented PRAM, so
 //! the measured step/work counts land in the complexity class attributed to

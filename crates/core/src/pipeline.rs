@@ -23,7 +23,7 @@
 //!   `O(1)`-per-element `parallel_for` accounting passes. The reported
 //!   metrics therefore reflect the structure of the paper's algorithm; the
 //!   fidelity caveats (notably the bracket-matching extraction phase) are
-//!   spelled out in `DESIGN.md`.
+//!   spelled out in the `parprims` crate docs and its `brackets` module.
 
 use cograph::{classify_vertices, BinKind, BinaryCotree, Cotree, ReducedCotree, VertexRole};
 use cograph::{path_counts_exec, path_counts_seq};

@@ -27,7 +27,7 @@
 //!   [`Pool::round`], and the pool remains usable afterwards.
 //! * **Observability.** The pool counts rounds, executed chunks and steals,
 //!   and buckets barrier-wait times into a power-of-two-microsecond
-//!   histogram; [`Pool::stats`] exposes them for the service telemetry.
+//!   histogram; [`Pool::stats`] exposes them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -89,7 +89,6 @@ struct Shared {
     chunks: AtomicU64,
     steals: AtomicU64,
     wait_count: AtomicU64,
-    wait_total_us: AtomicU64,
     wait_buckets: Vec<AtomicU64>,
 }
 
@@ -115,7 +114,6 @@ impl Shared {
             chunks: AtomicU64::new(0),
             steals: AtomicU64::new(0),
             wait_count: AtomicU64::new(0),
-            wait_total_us: AtomicU64::new(0),
             wait_buckets: (0..WAIT_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
         }
     }
@@ -200,7 +198,6 @@ impl Shared {
         };
         self.wait_buckets[bucket].fetch_add(1, Ordering::Relaxed);
         self.wait_count.fetch_add(1, Ordering::Relaxed);
-        self.wait_total_us.fetch_add(micros, Ordering::Relaxed);
     }
 
     /// Locks a mutex, ignoring poisoning: every critical section here leaves
@@ -263,59 +260,11 @@ pub struct PoolStats {
     pub barrier_wait_p99_micros: u64,
 }
 
-/// Cap on buffered [`RoundRecord`]s while recording is enabled; one solve
-/// of the PRAM path-cover kernel runs O(log n) rounds, so 256 covers any
-/// realistic solve with room to spare while bounding memory if a caller
-/// forgets to drain.
-pub const MAX_ROUND_RECORDS: usize = 256;
-
-/// Observability record of one [`Pool::round`], captured on the calling
-/// thread when recording is enabled (see [`Pool::enable_round_records`]).
-///
-/// `steals` and `barrier_wait_us` are deltas of the pool's cumulative
-/// counters across the round. Workers record their barrier waits *after*
-/// the barrier releases them, so a record read immediately at round end
-/// may attribute a late-arriving wait to the next round — the totals stay
-/// exact, per-round attribution is approximate by one wait.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RoundRecord {
-    /// Lifetime round index of the pool (0-based).
-    pub round: u64,
-    /// Start offset of this round, microseconds since recording was
-    /// enabled.
-    pub start_us: u64,
-    /// Wall-clock duration of the round as seen by the calling thread.
-    pub dur_us: u64,
-    /// Chunks executed during this round.
-    pub chunks: u64,
-    /// Chunks stolen between workers during this round.
-    pub steals: u64,
-    /// Total microseconds participants spent in barrier waits this round.
-    pub barrier_wait_us: u64,
-}
-
-/// Recording state between [`Pool::enable_round_records`] and
-/// [`Pool::take_round_records`].
-struct RoundRecording {
-    epoch: Instant,
-    records: Vec<RoundRecord>,
-}
-
-/// Pre-round counter snapshot, diffed into a [`RoundRecord`] at round end.
-struct RoundObservation {
-    start_us: u64,
-    started: Instant,
-    chunks: u64,
-    steals: u64,
-    wait_us: u64,
-}
-
 /// A round-synchronous work-stealing pool; see the crate docs for the
 /// execution model.
 pub struct Pool {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    recording: Option<RoundRecording>,
 }
 
 impl Pool {
@@ -335,38 +284,12 @@ impl Pool {
                     .expect("failed to spawn pool worker")
             })
             .collect();
-        Pool {
-            shared,
-            workers,
-            recording: None,
-        }
+        Pool { shared, workers }
     }
 
     /// Number of participating threads (including the caller).
     pub fn threads(&self) -> usize {
         self.shared.threads
-    }
-
-    /// Starts buffering one [`RoundRecord`] per subsequent [`Pool::round`]
-    /// (capped at [`MAX_ROUND_RECORDS`]), with offsets measured from this
-    /// call. Re-enabling resets the buffer and the epoch. Recording costs
-    /// two `Instant::now()` reads and four relaxed loads per round on the
-    /// calling thread — nothing on the workers — and is entirely off when
-    /// not enabled.
-    pub fn enable_round_records(&mut self) {
-        self.recording = Some(RoundRecording {
-            epoch: Instant::now(),
-            records: Vec::new(),
-        });
-    }
-
-    /// Stops recording and drains the buffered records (empty when
-    /// recording was never enabled).
-    pub fn take_round_records(&mut self) -> Vec<RoundRecord> {
-        self.recording
-            .take()
-            .map(|recording| recording.records)
-            .unwrap_or_default()
     }
 
     /// Runs one round: `body(worker, chunk)` over disjoint chunks covering
@@ -381,7 +304,6 @@ impl Pool {
         B: Fn(usize, Range<usize>) + Send + Sync + 'static,
         F: Fn(usize) + Send + Sync + 'static,
     {
-        let observe = self.observe_round();
         let shared = &self.shared;
         shared.poisoned.store(false, Ordering::Relaxed);
         *shared.lock(&shared.panic) = None;
@@ -397,8 +319,7 @@ impl Pool {
                 }
                 finish(0);
             }));
-            let round = shared.rounds.fetch_add(1, Ordering::Relaxed);
-            self.commit_round_record(observe, round);
+            shared.rounds.fetch_add(1, Ordering::Relaxed);
             if let Err(payload) = result {
                 resume_unwind(payload);
             }
@@ -417,56 +338,11 @@ impl Pool {
             shared.work_cv.notify_all();
         }
         shared.participate(0, &job);
-        let round = shared.rounds.fetch_add(1, Ordering::Relaxed);
+        shared.rounds.fetch_add(1, Ordering::Relaxed);
         shared.lock(&shared.coord).job = None;
         let payload = shared.lock(&shared.panic).take();
-        self.commit_round_record(observe, round);
         if let Some(payload) = payload {
             resume_unwind(payload);
-        }
-    }
-
-    /// Snapshots the cumulative counters before a round begins, when
-    /// recording is enabled.
-    fn observe_round(&self) -> Option<RoundObservation> {
-        let recording = self.recording.as_ref()?;
-        if recording.records.len() >= MAX_ROUND_RECORDS {
-            return None;
-        }
-        Some(RoundObservation {
-            start_us: recording.epoch.elapsed().as_micros() as u64,
-            started: Instant::now(),
-            chunks: self.shared.chunks.load(Ordering::Relaxed),
-            steals: self.shared.steals.load(Ordering::Relaxed),
-            wait_us: self.shared.wait_total_us.load(Ordering::Relaxed),
-        })
-    }
-
-    /// Turns a pre-round snapshot into a buffered [`RoundRecord`] after the
-    /// round completed (panicking rounds included — those are exactly the
-    /// ones worth seeing in a trace).
-    fn commit_round_record(&mut self, observe: Option<RoundObservation>, round: u64) {
-        let Some(observe) = observe else { return };
-        let shared = &self.shared;
-        let record = RoundRecord {
-            round,
-            start_us: observe.start_us,
-            dur_us: observe.started.elapsed().as_micros() as u64,
-            chunks: shared
-                .chunks
-                .load(Ordering::Relaxed)
-                .saturating_sub(observe.chunks),
-            steals: shared
-                .steals
-                .load(Ordering::Relaxed)
-                .saturating_sub(observe.steals),
-            barrier_wait_us: shared
-                .wait_total_us
-                .load(Ordering::Relaxed)
-                .saturating_sub(observe.wait_us),
-        };
-        if let Some(recording) = self.recording.as_mut() {
-            recording.records.push(record);
         }
     }
 
@@ -695,40 +571,6 @@ mod tests {
             2,
             "finish runs per participant"
         );
-    }
-
-    #[test]
-    fn round_records_capture_each_round_when_enabled() {
-        let mut pool = Pool::new(2);
-        // Nothing is buffered before recording is enabled.
-        sum_round(&mut pool, 10_000);
-        assert!(pool.take_round_records().is_empty());
-
-        pool.enable_round_records();
-        sum_round(&mut pool, 10_000);
-        sum_round(&mut pool, 10_000);
-        let records = pool.take_round_records();
-        assert_eq!(records.len(), 2);
-        // Round indices are the pool's lifetime indices, consecutive here.
-        assert_eq!(records[1].round, records[0].round + 1);
-        assert!(records[0].chunks > 0, "records: {records:?}");
-        assert!(
-            records[0].start_us <= records[1].start_us,
-            "offsets are monotone from the recording epoch"
-        );
-        // Draining disables recording again.
-        sum_round(&mut pool, 1_000);
-        assert!(pool.take_round_records().is_empty());
-    }
-
-    #[test]
-    fn round_record_buffer_is_capped() {
-        let mut pool = Pool::new(1);
-        pool.enable_round_records();
-        for _ in 0..(MAX_ROUND_RECORDS + 10) {
-            sum_round(&mut pool, 16);
-        }
-        assert_eq!(pool.take_round_records().len(), MAX_ROUND_RECORDS);
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!   reads of the tree nodes (CREW). This is the documented approximation of
 //!   the optimal EREW algorithm of Gibbons–Rytter cited by the paper; the
 //!   experiment driver reports the phase separately so the deviation is
-//!   visible in the measurements (see `DESIGN.md`).
+//!   visible in the measurements (see the fidelity notes in the crate
+//!   docs).
 
 use crate::exec::{Exec, Handle};
 use crate::ranking::NONE_WORD;

@@ -18,7 +18,7 @@
 //! primitive has a plain sequential reference implementation used by the
 //! tests as an oracle.
 //!
-//! Fidelity notes (also summarised in the workspace `DESIGN.md`): the blocked
+//! Fidelity notes (detailed in the [`brackets`] module docs): the blocked
 //! prefix-sum, list-ranking and Euler-tour implementations are work-optimal
 //! and EREW-clean. The bracket-matching pair-extraction phase implements the
 //! tournament algorithm, which performs concurrent reads of the tournament

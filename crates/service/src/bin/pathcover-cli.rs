@@ -1,7 +1,7 @@
 //! `pathcover-cli` — command-line front-end of the `pcservice` query engine.
 //!
 //! ```text
-//! pathcover-cli solve <graph|-> [--format F] [--query KIND] [--backend sim|pool] [--threads N] [--json] [--no-verify] [--remote SOCK | --remote-http ADDR]
+//! pathcover-cli solve <graph|-> [--format F] [--query KIND] [--json] [--no-verify] [--remote SOCK | --remote-http ADDR]
 //! pathcover-cli recognize <graph|-> [--format F] [--json] [--remote SOCK | --remote-http ADDR]
 //! pathcover-cli batch <graph|-|none> <queries.jsonl|-> [--threads N] [--format F] [--human] [--remote SOCK | --remote-http ADDR]
 //! pathcover-cli serve [--socket SOCK] [--http ADDR] [--snapshot PATH [--checkpoint-secs N]] [--threads N] [--cache-capacity N] [--cache-shards N] [--idle-timeout-ms MS] [--slow-ms MS] [--no-verify]
@@ -75,15 +75,14 @@ fn main() -> ExitCode {
 const USAGE: &str = "pathcover-cli — batched minimum path cover queries on cographs
 
 USAGE:
-    pathcover-cli solve <graph|-> [--format F] [--query KIND] [--backend sim|pool]
-                        [--threads N] [--json] [--no-verify]
+    pathcover-cli solve <graph|-> [--format F] [--query KIND] [--json] [--no-verify]
                         [--remote SOCK | --remote-http ADDR]
     pathcover-cli recognize <graph|-> [--format F] [--json] [--remote SOCK | --remote-http ADDR]
     pathcover-cli batch <graph|-|none> <queries.jsonl|-> [--threads N] [--format F] [--human]
                         [--remote SOCK | --remote-http ADDR]
     pathcover-cli serve [--socket SOCK] [--http ADDR] [--snapshot PATH [--checkpoint-secs N]]
-                        [--threads N] [--backend sim|pool] [--cache-capacity N]
-                        [--cache-shards N] [--idle-timeout-ms MS] [--slow-ms MS] [--no-verify]
+                        [--threads N] [--cache-capacity N] [--cache-shards N]
+                        [--idle-timeout-ms MS] [--slow-ms MS] [--no-verify]
                         [--max-inflight N] [--max-connections N] [--max-requests-per-conn N]
                         [--drain-timeout-ms MS] [--fault-spec SPEC] [--log-level LEVEL]
     pathcover-cli stats (--remote SOCK | --remote-http ADDR) [--json]
@@ -119,7 +118,11 @@ SERVING:
     (request/stage latency histograms, connection gauges — also scrapeable
     as Prometheus text from GET /v1/metrics); '--slow-ms MS' logs requests
     slower than MS milliseconds with their trace IDs; 'shutdown' stops it
-    gracefully.
+    gracefully. Covers and Hamiltonian witnesses come from the sequential
+    Lemma 2.3 solver and are verified before they are returned: against the
+    request's graph when it arrived as one, otherwise on the cotree (every
+    consecutive pair's lowest common ancestor must be a join), and against
+    the minimum path count. '--no-verify' skips the check.
 
 RESILIENCE:
     '--max-inflight N' caps concurrently executing work requests (excess is
@@ -139,7 +142,7 @@ RESILIENCE:
 
 OBSERVABILITY:
     The daemon keeps a bounded in-memory flight recorder of per-request
-    traces (root span, pipeline stages, cache lookups, pool rounds) with
+    traces (root span, pipeline stages, cache lookups, lock waits) with
     tail sampling: errored/overloaded/deadline-exceeded requests and the
     slowest ones are always retained. 'trace list' shows the retained
     index, 'trace get ID' prints one trace ('--chrome' emits Chrome
@@ -150,13 +153,12 @@ OBSERVABILITY:
     (or PC_LOG) sets the threshold.
 
 PARALLEL EXECUTION:
-    Large full-cover solves run on a work-stealing thread pool (the real-cores
-    PRAM backend). '--threads N' sizes it; 0 or unset resolves to the
-    machine's available parallelism (clamped to 1..=64). '--backend pool'
-    forces every full-cover solve onto the pool, '--backend sim' keeps solves
-    on the sequential substrate; unset picks the pool automatically for
-    graphs with at least 65536 vertices. Step/work metrics always come from
-    the PRAM simulator, never from the pool.
+    '--threads N' on 'batch' and 'serve' sets how many worker threads a
+    batch fans out across; 0 or unset means one per available CPU. Each
+    solve runs on one thread: the sequential solver beats the paper's
+    parallel pipeline on the work-stealing pool at every measured size, so
+    the pool is the reproduction backend of the library, not a serving
+    route.
 
 PERSISTENCE:
     '--snapshot PATH' makes restarts warm: the cache is saved to PATH on
@@ -241,8 +243,6 @@ fn cmd_solve(args: &[String], recognize_mode: bool) -> Result<ExitCode, String> 
     let mut args = args.to_vec();
     let format = take_flag(&mut args, "--format")?;
     let query = take_flag(&mut args, "--query")?;
-    let backend = take_flag(&mut args, "--backend")?;
-    let threads = take_num_flag(&mut args, "--threads", 0)?;
     let remote = take_remote(&mut args)?;
     let json = take_switch(&mut args, "--json");
     let no_verify = take_switch(&mut args, "--no-verify");
@@ -269,30 +269,16 @@ fn cmd_solve(args: &[String], recognize_mode: bool) -> Result<ExitCode, String> 
             if no_verify {
                 return Err("--no-verify is a server-side setting; configure it on 'serve'".into());
             }
-            if backend.is_some() || threads != 0 {
-                return Err(
-                    "--backend/--threads are server-side settings; configure them on 'serve'"
-                        .into(),
-                );
-            }
             let mut client = target.connect()?;
             client
                 .solve(&request)
                 .map_err(|e| format!("remote solve: {e}"))?
         }
         None => {
-            let mut config = EngineConfig {
+            let engine = QueryEngine::new(EngineConfig {
                 verify_covers: !no_verify,
-                pool_threads: threads,
                 ..EngineConfig::default()
-            };
-            match backend.as_deref() {
-                None => {}
-                Some("sim") => config.parallel_min_vertices = 0,
-                Some("pool") => config.parallel_min_vertices = 1,
-                Some(other) => return Err(format!("unknown backend '{other}' (sim|pool)")),
-            }
-            let engine = QueryEngine::new(config);
+            });
             engine.execute(&request).to_json()
         }
     };
@@ -1029,7 +1015,6 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
             ));
         }
         let threads = take_num_flag(&mut args, "--threads", 0)?;
-        let backend = take_flag(&mut args, "--backend")?;
         let cache_capacity = take_num_flag(
             &mut args,
             "--cache-capacity",
@@ -1091,36 +1076,20 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
             max_requests_per_conn: max_requests_per_conn as u64,
             drain_timeout: std::time::Duration::from_millis(drain_timeout_ms.max(1) as u64),
             faults,
-            engine: {
-                let mut engine = EngineConfig {
-                    threads,
-                    verify_covers: !no_verify,
-                    cache_capacity,
-                    cache_shards,
-                    slow_log_micros: slow_ms.map(|ms| ms.saturating_mul(1000)),
-                    pool_threads: threads,
-                    max_inflight,
-                    ..EngineConfig::default()
-                };
-                match backend.as_deref() {
-                    None => {}
-                    Some("sim") => engine.parallel_min_vertices = 0,
-                    Some("pool") => engine.parallel_min_vertices = 1,
-                    Some(other) => return Err(format!("unknown backend '{other}' (sim|pool)")),
-                }
-                engine
+            engine: EngineConfig {
+                threads,
+                verify_covers: !no_verify,
+                cache_capacity,
+                cache_shards,
+                slow_log_micros: slow_ms.map(|ms| ms.saturating_mul(1000)),
+                max_inflight,
+                ..EngineConfig::default()
             },
         };
-        let resolved_threads =
-            parpool::resolve_threads(if threads == 0 { None } else { Some(threads) });
-        let parallel_note = match config.engine.parallel_min_vertices {
-            0 => "parallel solve disabled (--backend sim)".to_string(),
-            1 => "every full-cover solve on the pool (--backend pool)".to_string(),
-            min => format!("pool engages at >= {min} vertices"),
-        };
         eprintln!(
-            "threads: {resolved_threads} resolved from --threads {threads} \
-             (0 = available parallelism); {parallel_note}"
+            "threads: {} batch workers resolved from --threads {threads} \
+             (0 = available parallelism)",
+            config.engine.resolved_threads()
         );
         let daemon = pcservice::Daemon::bind(config).map_err(|e| format!("binding: {e}"))?;
         if let Some(outcome) = daemon.snapshot_load() {
@@ -1574,11 +1543,15 @@ fn cmd_bench(args: &[String]) -> Result<ExitCode, String> {
 
     let resolved: Vec<usize> = threads
         .iter()
-        .map(|&t| parpool::resolve_threads(if t == 0 { None } else { Some(t) }))
+        .map(|&threads| {
+            EngineConfig {
+                threads,
+                ..EngineConfig::default()
+            }
+            .resolved_threads()
+        })
         .collect();
-    eprintln!(
-        "threads {threads:?} resolve to {resolved:?} (0 = available parallelism, clamped 1..=64)"
-    );
+    eprintln!("threads {threads:?} resolve to {resolved:?} (0 = available parallelism)");
     let mut json_lines = Vec::new();
     println!("batch-size  threads  queries/sec  ms/batch  cache-hit%");
     for &batch in &batches {

@@ -129,39 +129,39 @@ fn node_hashes(tree: &Cotree) -> Vec<u64> {
 /// Exact canonical equality: `true` iff the two cotrees describe the same
 /// labelled graph up to reordering of children.
 ///
-/// Children are paired in sorted-hash order and compared recursively, so a
-/// hash collision among siblings can only produce a false *negative* (the
-/// cache then treats the trees as distinct — lost sharing, never a wrong
-/// answer); a `true` result is an exact structural match of the pairing.
+/// Children are paired in sorted-hash order and compared pair by pair over
+/// an explicit stack (cotrees can be as deep as they are wide), so a hash
+/// collision among siblings can only produce a false *negative* (the cache
+/// then treats the trees as distinct — lost sharing, never a wrong answer);
+/// a `true` result is an exact structural match of the pairing.
 pub fn canonical_eq(a: &Cotree, b: &Cotree) -> bool {
     if a.num_nodes() != b.num_nodes() {
         return false;
     }
     let ha = node_hashes(a);
     let hb = node_hashes(b);
-    canonical_eq_at(a, a.root(), &ha, b, b.root(), &hb)
+    let mut pending = vec![(a.root(), b.root())];
+    while let Some((u, v)) = pending.pop() {
+        match (a.kind(u), b.kind(v)) {
+            (CotreeKind::Leaf(x), CotreeKind::Leaf(y)) if x == y => {}
+            (ka, kb) if ka == kb && !ka.is_leaf() => {
+                let ca = sorted_children(a, u, &ha);
+                let cb = sorted_children(b, v, &hb);
+                if ca.len() != cb.len() {
+                    return false;
+                }
+                pending.extend(ca.into_iter().zip(cb));
+            }
+            _ => return false,
+        }
+    }
+    true
 }
 
 fn sorted_children(tree: &Cotree, u: usize, hashes: &[u64]) -> Vec<usize> {
     let mut kids: Vec<usize> = tree.children(u).to_vec();
     kids.sort_unstable_by_key(|&c| hashes[c]);
     kids
-}
-
-fn canonical_eq_at(a: &Cotree, u: usize, ha: &[u64], b: &Cotree, v: usize, hb: &[u64]) -> bool {
-    match (a.kind(u), b.kind(v)) {
-        (CotreeKind::Leaf(x), CotreeKind::Leaf(y)) => x == y,
-        (ka, kb) if ka == kb => {
-            let ca = sorted_children(a, u, ha);
-            let cb = sorted_children(b, v, hb);
-            ca.len() == cb.len()
-                && ca
-                    .into_iter()
-                    .zip(cb)
-                    .all(|(cu, cv)| canonical_eq_at(a, cu, ha, b, cv, hb))
-        }
-        _ => false,
-    }
 }
 
 /// A cached cotree plus memoised scalar answers.

@@ -130,8 +130,13 @@ struct TcpTransport {
 
 impl Listener for TcpTransport {
     type Conn = TcpStream;
+    /// Accepts with Nagle's algorithm off: a reply larger than the writer's
+    /// buffer goes out in several segments, and with Nagle on the last one
+    /// waits for the client's delayed ACK (tens of milliseconds).
     fn accept_conn(&self) -> io::Result<TcpStream> {
-        self.listener.accept().map(|(stream, _)| stream)
+        let (stream, _) = self.listener.accept()?;
+        stream.set_nodelay(true)?;
+        Ok(stream)
     }
     fn waker(&self) -> Box<dyn Fn() + Send + Sync> {
         let addr = self.addr;
@@ -1102,6 +1107,17 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::AlreadyExists);
         assert_eq!(std::fs::read(&file_path).expect("file intact"), b"precious");
         let _ = std::fs::remove_file(&file_path);
+    }
+
+    #[test]
+    fn accepted_tcp_connections_have_nagle_off() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let transport = TcpTransport { listener, addr };
+        let client = TcpStream::connect(addr).expect("connect");
+        let accepted = transport.accept_conn().expect("accept");
+        assert!(accepted.nodelay().expect("read TCP_NODELAY"));
+        drop(client);
     }
 
     #[test]

@@ -10,9 +10,14 @@
 //!   algorithm stack is converted into [`ServiceError::JobPanicked`] for
 //!   that job alone.
 //!
+//! Covers and Hamiltonian witnesses come from the sequential Lemma 2.3
+//! solver ([`pathcover::sequential_path_cover`]); the paper's parallel
+//! pipeline stays in `pathcover` as the reproduction and the test oracle.
 //! Every `FullCover` answer (and every Hamiltonian witness path) is checked
-//! with [`pcgraph::verify_path_cover`] against the request's graph before it
-//! is returned; a failure is reported as
+//! before it is returned: against the request's graph when it arrived as a
+//! graph, otherwise on the cotree itself ([`cograph::Cotree::verify_cover`],
+//! which never materialises the edge set), and its path count against the
+//! memoised minimum. A failure is reported as
 //! [`ServiceError::CoverVerificationFailed`] rather than silently passed on.
 
 use crate::cache::{graph_fingerprint, CacheStats, CotreeCache, SolveEntry};
@@ -23,13 +28,10 @@ use crate::model::{
     Answer, CacheStatus, GraphSpec, QueryKind, QueryRequest, QueryResponse, ResponseMeta,
 };
 use crate::snapshot::{self, LoadOutcome, SaveReport, SnapshotError};
-use crate::telemetry::{
-    MetricsReport, Outcome, PipelineClock, PoolReport, RequestCtx, Stage, Telemetry,
-};
+use crate::telemetry::{MetricsReport, Outcome, PipelineClock, RequestCtx, Stage, Telemetry};
 use crate::trace::{FlightRecorder, Span, TraceConfig};
 use cograph::{try_recognize, Cotree};
-use parpool::Pool;
-use pathcover::{hamiltonian_path, path_cover, pool_path_cover};
+use pathcover::sequential_path_cover;
 use pcgraph::{verify_path_cover, Graph, PathCover};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -59,13 +61,8 @@ pub struct EngineConfig {
     /// microseconds (`serve --slow-ms`); `None` logs only internal
     /// failures.
     pub slow_log_micros: Option<u64>,
-    /// Worker threads of the work-stealing pool used for large `FullCover`
-    /// solves; `0` resolves to the machine's available parallelism.
-    pub pool_threads: usize,
-    /// Minimum vertex count before a `FullCover` solve moves to the
-    /// work-stealing pool; `0` disables parallel solving. The pool only
-    /// engages when at least two worker threads are available, so the
-    /// default never slows down a single-core host.
+    /// Ignored: every cover comes from the sequential solver. Kept, at `0`,
+    /// because the benchmark's traced replay (`perfbench`) still reads it.
     pub parallel_min_vertices: usize,
     /// Admission cap on live daemon-resident session handles; creating a
     /// session past the cap fails with [`ServiceError::TooManySessions`].
@@ -96,12 +93,22 @@ impl Default for EngineConfig {
             cache_shards: 0,
             telemetry: true,
             slow_log_micros: None,
-            pool_threads: 0,
-            parallel_min_vertices: 1 << 16,
+            parallel_min_vertices: 0,
             max_sessions: 256,
             session_idle_ttl: std::time::Duration::from_secs(600),
             max_inflight: 0,
             trace: TraceConfig::default(),
+        }
+    }
+}
+
+impl EngineConfig {
+    /// The batch worker count [`EngineConfig::threads`] resolves to: one
+    /// per available CPU when it is `0`.
+    pub fn resolved_threads(&self) -> usize {
+        match self.threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            t => t,
         }
     }
 }
@@ -114,8 +121,9 @@ pub const DEFAULT_RETRY_AFTER_MS: u64 = 100;
 /// path here and by [`crate::session`] from a resident session cotree.
 pub(crate) struct Resolved {
     pub(crate) entry: Arc<SolveEntry>,
-    /// The graph as ingested (kept for cover verification); absent when the
-    /// request arrived as a cotree and no graph was materialised yet.
+    /// The graph as ingested, which covers are verified against; absent
+    /// when the request arrived as a cotree (covers are then verified on
+    /// the cotree).
     pub(crate) graph: Option<Arc<Graph>>,
     pub(crate) cache: CacheStatus,
 }
@@ -147,9 +155,6 @@ pub struct QueryEngine {
     started: Instant,
     snapshot: Mutex<Option<SnapshotMeta>>,
     telemetry: Telemetry,
-    /// Lazily created work-stealing pool shared by all large solves; the
-    /// mutex serialises parallel solves so one huge graph gets every core.
-    pool: Mutex<Option<Pool>>,
     /// Daemon-resident session handles (see [`crate::session`]).
     pub(crate) sessions: crate::session::SessionRegistry,
     /// Work requests currently admitted (the admission-gate counter; the
@@ -197,19 +202,6 @@ impl QueryEngine {
         };
         let cache = CotreeCache::with_shards(config.cache_capacity, shards);
         let telemetry = Telemetry::new(config.telemetry, config.slow_log_micros);
-        // Publish the resolved pool size from startup so the pool gauges
-        // are present (at their true value) before the first parallel
-        // solve, not only after one.
-        if config.parallel_min_vertices > 0 {
-            let requested = match config.pool_threads {
-                0 => None,
-                t => Some(t),
-            };
-            let threads = parpool::resolve_threads(requested);
-            if threads >= 2 {
-                telemetry.set_pool_workers(threads as u64);
-            }
-        }
         let recorder = FlightRecorder::new(config.trace.clone());
         QueryEngine {
             config,
@@ -217,7 +209,6 @@ impl QueryEngine {
             started: Instant::now(),
             snapshot: Mutex::new(None),
             telemetry,
-            pool: Mutex::new(None),
             sessions: crate::session::SessionRegistry::new(),
             inflight: AtomicUsize::new(0),
             recorder,
@@ -431,14 +422,7 @@ impl QueryEngine {
     }
 
     fn effective_threads(&self, jobs: usize) -> usize {
-        let hw = if self.config.threads > 0 {
-            self.config.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        };
-        hw.min(jobs.max(1))
+        self.config.resolved_threads().min(jobs.max(1))
     }
 
     /// Runs one job with panic containment.
@@ -514,16 +498,15 @@ impl QueryEngine {
                 },
             ),
             Ok(resolved) => {
-                let solve_started = Instant::now();
-                let outcome = if ctx.deadline_expired() {
-                    Err(ServiceError::DeadlineExceeded)
+                let (outcome, solve_micros) = if ctx.deadline_expired() {
+                    (Err(ServiceError::DeadlineExceeded), 0)
                 } else {
                     self.solve(request.kind, &resolved, &mut clock)
                 };
                 (
                     outcome,
                     ResponseMeta {
-                        solve_micros: solve_started.elapsed().as_micros() as u64,
+                        solve_micros,
                         total_micros: 0,
                         cache: resolved.cache,
                         canonical_key: Some(resolved.entry.key),
@@ -738,59 +721,62 @@ impl QueryEngine {
         })
     }
 
+    /// Answers `kind` on a resolved graph, verifying any cover or witness
+    /// before it is returned. Also returns the microseconds spent solving,
+    /// verification excluded (the response's `solve_micros`).
     pub(crate) fn solve(
         &self,
         kind: QueryKind,
         resolved: &Resolved,
         clock: &mut PipelineClock<'_>,
-    ) -> Result<Answer, ServiceError> {
+    ) -> (Result<Answer, ServiceError>, u64) {
+        let started = Instant::now();
         let entry = &resolved.entry;
-        match kind {
-            QueryKind::MinCoverSize => {
-                let size = entry.min_cover_size();
-                clock.mark(Stage::Solve);
-                Ok(Answer::MinCoverSize { size })
-            }
+        let answer = match kind {
+            QueryKind::MinCoverSize => Answer::MinCoverSize {
+                size: entry.min_cover_size(),
+            },
+            QueryKind::HamiltonianCycle => Answer::HamiltonianCycle {
+                exists: entry.has_hamiltonian_cycle(),
+            },
+            QueryKind::Recognize => Answer::Recognized {
+                is_cograph: true,
+                vertices: entry.cotree.num_vertices(),
+                edges: match &resolved.graph {
+                    Some(graph) => graph.num_edges(),
+                    None => entry.cotree.num_edges(),
+                },
+                cotree_nodes: entry.cotree.num_nodes(),
+                height: entry.cotree.height(),
+                term: ingest::cotree_to_term(&entry.cotree),
+            },
             QueryKind::FullCover => {
-                let cover = self.solve_cover(&entry.cotree, clock);
-                clock.mark(Stage::Solve);
-                let verified = self.verify(resolved, &cover)?;
+                let cover = sequential_path_cover(&entry.cotree);
+                let solve_micros = end_solve(started, clock);
+                let outcome = self
+                    .verify(resolved, &cover)
+                    .map(|verified| Answer::FullCover { cover, verified });
                 clock.mark(Stage::Verify);
-                Ok(Answer::FullCover { cover, verified })
+                return (outcome, solve_micros);
             }
-            QueryKind::HamiltonianPath => {
-                let exists = entry.has_hamiltonian_path();
-                let path = if exists {
-                    hamiltonian_path(&entry.cotree)
-                } else {
-                    None
-                };
-                clock.mark(Stage::Solve);
-                if let Some(path) = &path {
-                    self.verify(resolved, &PathCover::from_paths(vec![path.clone()]))?;
-                    clock.mark(Stage::Verify);
-                }
-                Ok(Answer::HamiltonianPath { exists, path })
+            QueryKind::HamiltonianPath if entry.has_hamiltonian_path() => {
+                let witness = sequential_path_cover(&entry.cotree);
+                let solve_micros = end_solve(started, clock);
+                let outcome = self
+                    .verify(resolved, &witness)
+                    .map(|_| Answer::HamiltonianPath {
+                        exists: true,
+                        path: witness.into_paths().into_iter().next(),
+                    });
+                clock.mark(Stage::Verify);
+                return (outcome, solve_micros);
             }
-            QueryKind::HamiltonianCycle => {
-                let exists = entry.has_hamiltonian_cycle();
-                clock.mark(Stage::Solve);
-                Ok(Answer::HamiltonianCycle { exists })
-            }
-            QueryKind::Recognize => {
-                let graph = self.graph_of(resolved);
-                let answer = Answer::Recognized {
-                    is_cograph: true,
-                    vertices: graph.num_vertices(),
-                    edges: graph.num_edges(),
-                    cotree_nodes: entry.cotree.num_nodes(),
-                    height: entry.cotree.height(),
-                    term: ingest::cotree_to_term(&entry.cotree),
-                };
-                clock.mark(Stage::Solve);
-                Ok(answer)
-            }
-        }
+            QueryKind::HamiltonianPath => Answer::HamiltonianPath {
+                exists: false,
+                path: None,
+            },
+        };
+        (Ok(answer), end_solve(started, clock))
     }
 
     /// Annotates the request trace with one `cache:lookup` span naming the
@@ -813,83 +799,41 @@ impl QueryEngine {
         }
     }
 
-    /// The graph to verify against: the ingested one when available,
-    /// otherwise the cotree materialised.
-    fn graph_of(&self, resolved: &Resolved) -> Arc<Graph> {
-        match &resolved.graph {
-            Some(g) => g.clone(),
-            None => Arc::new(resolved.entry.cotree.to_graph()),
-        }
-    }
-
-    /// Solves one cover, moving to the work-stealing pool when the graph is
-    /// large enough and at least two worker threads are available. The pool
-    /// is created on first use and reused for the life of the engine; its
-    /// cumulative statistics are published to the telemetry registry after
-    /// every parallel solve.
-    fn solve_cover(&self, cotree: &Cotree, clock: &PipelineClock<'_>) -> PathCover {
-        let threshold = self.config.parallel_min_vertices;
-        if threshold > 0 && cotree.num_vertices() >= threshold {
-            let requested = match self.config.pool_threads {
-                0 => None,
-                t => Some(t),
-            };
-            let threads = parpool::resolve_threads(requested);
-            if threads >= 2 {
-                let mut guard = self.pool.lock().unwrap_or_else(|e| e.into_inner());
-                let pool = guard.get_or_insert_with(|| Pool::new(threads));
-                // For traced requests, have the pool keep per-round records
-                // (timestamped against its own epoch started here, so the
-                // records rebase onto the request clock with one offset).
-                let trace_base = clock.collector().map(|c| c.elapsed_us());
-                if trace_base.is_some() {
-                    pool.enable_round_records();
-                }
-                let cover = pool_path_cover(cotree, pool);
-                if let (Some(collector), Some(base)) = (clock.collector(), trace_base) {
-                    let batch: Vec<Span> = pool
-                        .take_round_records()
-                        .iter()
-                        .map(|r| {
-                            Span::new("pool:round", base + r.start_us, r.dur_us)
-                                .with_detail("round", r.round.to_string())
-                                .with_detail("chunks", r.chunks.to_string())
-                                .with_detail("steals", r.steals.to_string())
-                                .with_detail("barrier_wait_us", r.barrier_wait_us.to_string())
-                        })
-                        .collect();
-                    collector.push_all(batch);
-                }
-                let stats = pool.stats();
-                self.telemetry.record_pool(&PoolReport {
-                    workers: stats.workers as u64,
-                    rounds: stats.rounds,
-                    steals: stats.steals,
-                    barrier_waits: stats.barrier_waits,
-                    barrier_wait_p50_us: stats.barrier_wait_p50_micros,
-                    barrier_wait_p99_us: stats.barrier_wait_p99_micros,
-                });
-                return cover;
-            }
-        }
-        path_cover(cotree)
-    }
-
+    /// Checks a cover before it is returned: every vertex once, every
+    /// consecutive pair an edge — of the ingested graph when there is one,
+    /// else decided on the cotree — and as few paths as the memoised
+    /// minimum. `Ok(false)` when verification is configured off.
     fn verify(&self, resolved: &Resolved, cover: &PathCover) -> Result<bool, ServiceError> {
         if !self.config.verify_covers {
             return Ok(false);
         }
-        let graph = self.graph_of(resolved);
-        let report = verify_path_cover(&graph, cover);
-        if report.is_valid() {
-            Ok(true)
-        } else {
+        let report = match &resolved.graph {
+            Some(graph) => verify_path_cover(graph, cover),
+            None => resolved.entry.cotree.verify_cover(cover),
+        };
+        let minimum = resolved.entry.min_cover_size();
+        if !report.is_valid() {
             Err(ServiceError::CoverVerificationFailed(format!(
                 "missing={:?} duplicated={:?} non_edges={:?} out_of_range={:?}",
                 report.missing, report.duplicated, report.non_edges, report.out_of_range
             )))
+        } else if cover.len() != minimum {
+            Err(ServiceError::CoverVerificationFailed(format!(
+                "{} paths where the minimum is {minimum}",
+                cover.len()
+            )))
+        } else {
+            Ok(true)
         }
     }
+}
+
+/// Ends the solve segment: books it on the clock and returns its length in
+/// microseconds.
+fn end_solve(started: Instant, clock: &mut PipelineClock<'_>) -> u64 {
+    let micros = started.elapsed().as_micros() as u64;
+    clock.mark(Stage::Solve);
+    micros
 }
 
 /// Runs the linear-time recogniser, lifting its typed rejection — including
@@ -1195,42 +1139,54 @@ mod tests {
     }
 
     #[test]
-    fn pool_solves_leave_round_spans_in_the_trace() {
-        let e = QueryEngine::new(EngineConfig {
-            parallel_min_vertices: 4,
-            pool_threads: 2,
-            ..EngineConfig::default()
-        });
-        // A join of unions: big enough to clear the (lowered) pool
-        // threshold deterministically.
-        let leaves = |tag: &str| {
-            (0..8)
-                .map(|i| format!("{tag}{i}"))
-                .collect::<Vec<_>>()
-                .join(" ")
-        };
-        let term = format!("(j (u {}) (u {}))", leaves("a"), leaves("b"));
+    fn verification_rejects_a_valid_cover_that_is_not_minimum() {
+        let e = engine();
+        let k3 = ingest::parse_cotree_term("(j a b c)").expect("K3");
+        let edges = Graph::from_edges(3, &[(0, 1), (0, 2), (1, 2)]).expect("K3 edges");
+        for graph in [None, Some(Arc::new(edges))] {
+            let resolved = Resolved {
+                entry: Arc::new(SolveEntry::new(k3.clone())),
+                graph,
+                cache: CacheStatus::Bypass,
+            };
+            let hamiltonian = PathCover::from_paths(vec![pcgraph::Path::new(vec![0, 1, 2])]);
+            assert_eq!(e.verify(&resolved, &hamiltonian), Ok(true));
+            // Three singletons cover K3 validly, but one path suffices.
+            let singletons: PathCover = (0..3).map(pcgraph::Path::singleton).collect();
+            assert!(matches!(
+                e.verify(&resolved, &singletons),
+                Err(ServiceError::CoverVerificationFailed(_))
+            ));
+            let non_edge = PathCover::from_paths(vec![pcgraph::Path::new(vec![0, 0, 2])]);
+            assert!(e.verify(&resolved, &non_edge).is_err());
+        }
+    }
+
+    #[test]
+    fn solve_micros_leaves_out_verification() {
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
+        let tree = cograph::random_cotree(3000, cograph::CotreeShape::Mixed, &mut rng);
+        let e = engine();
         let resp = e.execute(&QueryRequest::new(
             QueryKind::FullCover,
-            GraphSpec::CotreeTerm(term),
+            GraphSpec::CotreeTerm(tree.to_term()),
         ));
         assert!(resp.outcome.is_ok());
         let trace_id = resp.meta.trace_id.clone().expect("trace id echoed");
         let trace = e.recorder().get(&trace_id).expect("trace retained");
-        let rounds: Vec<_> = trace
+        let solve = trace
             .spans
             .iter()
-            .filter(|s| s.name == "pool:round")
-            .collect();
-        assert!(
-            !rounds.is_empty(),
-            "pool-backed solve must leave pool:round spans; got {:?}",
-            trace.spans
-        );
-        assert!(rounds
+            .find(|s| s.name == "stage:solve")
+            .unwrap();
+        let verify = trace
+            .spans
             .iter()
-            .all(|s| s.detail.iter().any(|(k, _)| k == "round")));
-        assert!(trace.spans.iter().any(|s| s.name == "stage:solve"));
+            .find(|s| s.name == "stage:verify")
+            .unwrap();
+        assert!(resp.meta.solve_micros <= solve.dur_us + 1);
+        assert!(solve.start_us + solve.dur_us <= verify.start_us + 1);
     }
 
     #[test]

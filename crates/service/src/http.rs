@@ -84,7 +84,7 @@
 //! ([`QueryRequest`] / [`GraphSpec`]) as the framed [`proto::Client`].
 
 use crate::engine::QueryEngine;
-use crate::json::Json;
+use crate::json::{Json, JsonErrorKind};
 use crate::model::{GraphSpec, QueryRequest};
 use crate::proto::{self, MAX_FRAME_LEN, PROTO_VERSION, SERVER_NAME};
 use crate::telemetry::RequestCtx;
@@ -522,17 +522,17 @@ fn write_response_parts<W: Write>(
 }
 
 /// Parses a request body as JSON, mapping defects onto 400 responses with
-/// the framed protocol's `bad_json` / `bad_message` error codes.
+/// the framed protocol's `bad_json` / `bad_request` / `bad_message` error
+/// codes.
 fn parse_body(body: &[u8]) -> Result<Json, HttpResponse> {
     let text = std::str::from_utf8(body)
         .map_err(|_| HttpResponse::error(400, "Bad Request", "bad_message", "body is not UTF-8"))?;
     Json::parse(text).map_err(|e| {
-        HttpResponse::error(
-            400,
-            "Bad Request",
-            "bad_json",
-            &format!("body is not JSON: {e}"),
-        )
+        let message = match e.kind {
+            JsonErrorKind::Syntax => format!("body is not JSON: {e}"),
+            JsonErrorKind::TooDeep => format!("body refused: {e}"),
+        };
+        HttpResponse::error(400, "Bad Request", e.code(), &message)
     })
 }
 

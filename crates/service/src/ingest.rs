@@ -23,7 +23,7 @@
 //! carrying an induced-`P_4` certificate. Cotree terms skip recognition
 //! entirely — the term *is* the cotree.
 
-use cograph::Cotree;
+use cograph::{Cotree, CotreeBuilder, CotreeKind};
 use pcgraph::{Graph, GraphError, VertexId};
 use std::collections::HashSet;
 use std::fmt;
@@ -313,22 +313,22 @@ pub fn parse_dimacs(text: &str) -> Result<Graph, IngestError> {
 }
 
 /// How a term's leaf tokens map onto vertex ids.
-enum LeafMode {
+enum LeafMode<'a> {
     /// Leaf names are arbitrary identifiers assigned dense ids in order of
     /// first appearance (the public ingestion format).
-    Appearance(HashSet<String>),
+    Appearance(HashSet<&'a str>),
     /// Leaf names *are* numeric vertex labels, used verbatim — the inverse
     /// of [`cograph::Cotree::to_term`], used by the snapshot loader where
     /// the exact labelling must survive the round trip.
     Labelled(HashSet<VertexId>),
 }
 
-impl LeafMode {
-    fn resolve(&mut self, name: &str, pos: usize) -> Result<VertexId, IngestError> {
+impl<'a> LeafMode<'a> {
+    fn resolve(&mut self, name: &'a str, pos: usize) -> Result<VertexId, IngestError> {
         match self {
             LeafMode::Appearance(names) => {
                 let id = names.len() as VertexId;
-                if !names.insert(name.to_string()) {
+                if !names.insert(name) {
                     return Err(IngestError::DuplicateLeaf {
                         name: name.to_string(),
                     });
@@ -368,10 +368,108 @@ pub fn parse_cotree_term_labelled(text: &str) -> Result<Cotree, IngestError> {
     parse_cotree_with(text, LeafMode::Labelled(HashSet::new()))
 }
 
-fn parse_cotree_with(text: &str, mut mode: LeafMode) -> Result<Cotree, IngestError> {
+/// An open `(` whose children are still being read.
+struct Frame {
+    /// Byte position of the `(`.
+    open_pos: usize,
+    kind: CotreeKind,
+    /// Where this node's children start on the shared child stack.
+    base: usize,
+    /// Children as written, before same-label nesting is flattened.
+    written: usize,
+}
+
+/// Parses a term in one left-to-right pass over an explicit stack, building
+/// the arena directly in the post-order layout of the combining
+/// constructors: a node is added when its `)` closes, after its children.
+/// A node with the same label as its parent is never added — its children
+/// stay on the shared child stack and so become the parent's (the
+/// normalisation [`Cotree::union_of`] performs by copying). Linear in the
+/// text, whatever the nesting depth.
+fn parse_cotree_with<'a>(text: &'a str, mut mode: LeafMode<'a>) -> Result<Cotree, IngestError> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let tree = parse_term(bytes, &mut pos, &mut mode)?;
+    let mut tree = CotreeBuilder::new();
+    let mut open: Vec<Frame> = Vec::new();
+    let mut kids: Vec<usize> = Vec::new();
+    loop {
+        skip_ws(bytes, &mut pos);
+        let done = match bytes.get(pos) {
+            None => {
+                return Err(match open.last() {
+                    Some(frame) => IngestError::UnbalancedTerm {
+                        pos: frame.open_pos,
+                    },
+                    None => IngestError::Empty,
+                })
+            }
+            Some(b'(') => {
+                let open_pos = pos;
+                pos += 1;
+                skip_ws(bytes, &mut pos);
+                let kind = match bytes.get(pos) {
+                    Some(b'u') | Some(b'0') => CotreeKind::Union,
+                    Some(b'j') | Some(b'1') => CotreeKind::Join,
+                    _ => {
+                        return Err(IngestError::BadTerm {
+                            pos,
+                            message: "expected operator 'u'/'0' (union) or 'j'/'1' (join)"
+                                .to_string(),
+                        })
+                    }
+                };
+                pos += 1;
+                open.push(Frame {
+                    open_pos,
+                    kind,
+                    base: kids.len(),
+                    written: 0,
+                });
+                false
+            }
+            Some(b')') => {
+                let Some(frame) = open.pop() else {
+                    return Err(IngestError::UnbalancedTerm { pos });
+                };
+                pos += 1;
+                if frame.written < 2 {
+                    return Err(IngestError::BadTerm {
+                        pos: frame.open_pos,
+                        message: format!(
+                            "internal node needs at least two children, found {}",
+                            frame.written
+                        ),
+                    });
+                }
+                match open.last_mut() {
+                    Some(parent) if parent.kind == frame.kind => {
+                        parent.written += 1;
+                        false
+                    }
+                    _ => {
+                        let children = kids.split_off(frame.base);
+                        let node = tree.node(frame.kind, children);
+                        adopt(&mut open, &mut kids, node)
+                    }
+                }
+            }
+            Some(_) => {
+                let start = pos;
+                while matches!(bytes.get(pos), Some(c) if !matches!(c, b'(' | b')' | b' ' | b'\t' | b'\n' | b'\r'))
+                {
+                    pos += 1;
+                }
+                // The token ends at an ASCII byte or the end of the text, so
+                // it is a whole UTF-8 sequence of `text`.
+                let name = &text[start..pos];
+                let node = tree.leaf(mode.resolve(name, start)?);
+                adopt(&mut open, &mut kids, node)
+            }
+        };
+        if done {
+            break;
+        }
+    }
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(IngestError::BadTerm {
@@ -379,75 +477,25 @@ fn parse_cotree_with(text: &str, mut mode: LeafMode) -> Result<Cotree, IngestErr
             message: "trailing characters after term".to_string(),
         });
     }
-    Ok(tree)
+    Ok(tree.finish())
+}
+
+/// Hands a finished subtree to the innermost open node; `true` when there
+/// is none, i.e. the subtree is the whole term.
+fn adopt(open: &mut [Frame], kids: &mut Vec<usize>, node: usize) -> bool {
+    match open.last_mut() {
+        Some(parent) => {
+            parent.written += 1;
+            kids.push(node);
+            false
+        }
+        None => true,
+    }
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
     while matches!(bytes.get(*pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
         *pos += 1;
-    }
-}
-
-fn parse_term(bytes: &[u8], pos: &mut usize, mode: &mut LeafMode) -> Result<Cotree, IngestError> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err(IngestError::Empty),
-        Some(b'(') => {
-            let open_pos = *pos;
-            *pos += 1;
-            skip_ws(bytes, pos);
-            let op = match bytes.get(*pos) {
-                Some(b'u') | Some(b'0') => false,
-                Some(b'j') | Some(b'1') => true,
-                _ => {
-                    return Err(IngestError::BadTerm {
-                        pos: *pos,
-                        message: "expected operator 'u'/'0' (union) or 'j'/'1' (join)".to_string(),
-                    })
-                }
-            };
-            *pos += 1;
-            let mut parts = Vec::new();
-            loop {
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    None => return Err(IngestError::UnbalancedTerm { pos: open_pos }),
-                    Some(b')') => {
-                        *pos += 1;
-                        break;
-                    }
-                    _ => parts.push(parse_term(bytes, pos, mode)?),
-                }
-            }
-            if parts.len() < 2 {
-                return Err(IngestError::BadTerm {
-                    pos: open_pos,
-                    message: format!(
-                        "internal node needs at least two children, found {}",
-                        parts.len()
-                    ),
-                });
-            }
-            Ok(if op {
-                Cotree::join_of_labelled(parts)
-            } else {
-                Cotree::union_of_labelled(parts)
-            })
-        }
-        Some(b')') => Err(IngestError::UnbalancedTerm { pos: *pos }),
-        Some(_) => {
-            let start = *pos;
-            while matches!(bytes.get(*pos), Some(c) if !matches!(c, b'(' | b')' | b' ' | b'\t' | b'\n' | b'\r'))
-            {
-                *pos += 1;
-            }
-            let name =
-                std::str::from_utf8(&bytes[start..*pos]).map_err(|_| IngestError::BadTerm {
-                    pos: start,
-                    message: "leaf name is not UTF-8".to_string(),
-                })?;
-            Ok(Cotree::single(mode.resolve(name, start)?))
-        }
     }
 }
 
@@ -594,6 +642,33 @@ mod tests {
             "the appearance-order parser relabels this term — if this ever \
              starts passing, the labelled parser has lost its reason to exist"
         );
+    }
+
+    #[test]
+    fn parsed_arenas_match_the_combining_constructors() {
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(12);
+        for shape in cograph::CotreeShape::ALL {
+            for n in [1usize, 2, 5, 17, 90] {
+                let tree = cograph::random_cotree(n, shape, &mut rng);
+                let term = tree.to_term();
+                assert_eq!(parse_cotree_term_labelled(&term).unwrap(), tree, "{term}");
+                // Generated labels appear in order, so first-appearance ids
+                // coincide with them.
+                assert_eq!(parse_cotree_term(&term).unwrap(), tree, "{term}");
+            }
+        }
+        // Nested same-label nodes flatten exactly as `union_of` does.
+        let flat = Cotree::union_of_labelled(vec![
+            Cotree::union_of_labelled(vec![Cotree::single(0), Cotree::single(1)]),
+            Cotree::join_of_labelled(vec![
+                Cotree::single(2),
+                Cotree::join_of_labelled(vec![Cotree::single(3), Cotree::single(4)]),
+            ]),
+        ]);
+        let parsed = parse_cotree_term_labelled("(u (u 0 1) (j 2 (j 3 4)))").unwrap();
+        assert_eq!(parsed, flat);
+        assert_eq!(parsed.num_nodes(), 7);
     }
 
     #[test]

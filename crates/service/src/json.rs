@@ -5,8 +5,17 @@
 //! emit one response object per output line. This module implements exactly
 //! that — a [`Json`] value tree, a strict recursive-descent parser and a
 //! printer with proper string escaping. Object key order is preserved.
+//!
+//! The parser refuses documents nested deeper than [`MAX_DEPTH`] with a
+//! typed [`JsonErrorKind::TooDeep`] error, so a hostile body of nested
+//! brackets costs one bounded pass instead of exhausting the stack of the
+//! thread parsing it.
 
 use std::fmt;
+
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts. Every
+/// message this service reads nests a few levels.
+pub const MAX_DEPTH: usize = 64;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,7 +95,7 @@ impl Json {
             pos: 0,
         };
         p.skip_ws();
-        let value = p.value()?;
+        let value = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return Err(p.err("trailing characters after JSON value"));
@@ -157,6 +166,28 @@ pub struct JsonError {
     pub pos: usize,
     /// What went wrong.
     pub message: String,
+    /// Malformed text, or well-formed but past [`MAX_DEPTH`].
+    pub kind: JsonErrorKind,
+}
+
+/// The two ways [`Json::parse`] refuses a document.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JsonErrorKind {
+    /// The text is not JSON.
+    Syntax,
+    /// Arrays and objects nest deeper than [`MAX_DEPTH`].
+    TooDeep,
+}
+
+impl JsonError {
+    /// The wire error code of a refused request body: `bad_json` for text
+    /// that is not JSON, `bad_request` for a document nested too deep.
+    pub fn code(&self) -> &'static str {
+        match self.kind {
+            JsonErrorKind::Syntax => "bad_json",
+            JsonErrorKind::TooDeep => "bad_request",
+        }
+    }
 }
 
 impl fmt::Display for JsonError {
@@ -177,6 +208,7 @@ impl<'a> Parser<'a> {
         JsonError {
             pos: self.pos,
             message: message.into(),
+            kind: JsonErrorKind::Syntax,
         }
     }
 
@@ -199,10 +231,15 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
+    /// One value inside `depth` enclosing arrays and objects.
+    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if depth == MAX_DEPTH => Err(JsonError {
+                kind: JsonErrorKind::TooDeep,
+                ..self.err(format!("nesting deeper than {MAX_DEPTH} levels"))
+            }),
+            Some(b'{') => self.object(depth + 1),
+            Some(b'[') => self.array(depth + 1),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -235,6 +272,7 @@ impl<'a> Parser<'a> {
         text.parse::<f64>().map(Json::Num).map_err(|_| JsonError {
             pos: start,
             message: format!("invalid number '{text}'"),
+            kind: JsonErrorKind::Syntax,
         })
     }
 
@@ -302,7 +340,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
+    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -312,7 +350,7 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -325,7 +363,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
+    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.expect(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -339,7 +377,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
+            let value = self.value(depth)?;
             fields.push((key, value));
             self.skip_ws();
             match self.peek() {
@@ -413,6 +451,21 @@ mod tests {
         assert!(Json::parse(r#"{"a" 1}"#).is_err());
         assert!(Json::parse("tru").is_err());
         assert!(Json::parse("{} extra").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        let nested = |levels: usize| "[".repeat(levels) + &"]".repeat(levels);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!((err.kind, err.pos), (JsonErrorKind::TooDeep, MAX_DEPTH));
+        assert_eq!(err.code(), "bad_request");
+        let objects = r#"{"a":"#.repeat(MAX_DEPTH + 1);
+        assert_eq!(
+            Json::parse(&objects).unwrap_err().kind,
+            JsonErrorKind::TooDeep
+        );
+        assert_eq!(Json::parse("[1,").unwrap_err().code(), "bad_json");
     }
 
     #[test]

@@ -23,8 +23,12 @@
 //!    `MinCoverSize`, `FullCover`, `HamiltonianPath`, `HamiltonianCycle`,
 //!    `Recognize` — one request at a time or fanned across a std-thread pool
 //!    with per-job isolation (typed errors *and* panic containment).
-//! 5. Every returned cover and Hamiltonian witness is re-checked with
-//!    [`pcgraph::verify_path_cover`] before the response leaves the engine.
+//! 5. Covers and Hamiltonian witnesses come from the sequential solver
+//!    ([`pathcover::sequential_path_cover`]), and every one is re-checked
+//!    before the response leaves the engine: with
+//!    [`pcgraph::verify_path_cover`] against an ingested graph, or with
+//!    [`cograph::Cotree::verify_cover`] on the cotree, never materialising
+//!    its edges; its path count must equal the memoised minimum.
 //!
 //! Above the engine sits the serving stack: [`v2`] defines the versioned
 //! request envelope (`{op, target, params, trace_id}`) and the single
@@ -100,7 +104,7 @@ pub use error::ServiceError;
 pub use faults::{FaultSpec, Faults};
 pub use http::HttpError;
 pub use ingest::{cotree_to_term, GraphFormat, IngestError, Ingested};
-pub use json::{Json, JsonError};
+pub use json::{Json, JsonError, JsonErrorKind};
 pub use model::{
     Answer, CacheStatus, GraphSpec, QueryKind, QueryRequest, QueryResponse, ResponseMeta,
 };

@@ -47,7 +47,7 @@
 
 use crate::cache::ShardStats;
 use crate::engine::QueryEngine;
-use crate::json::{Json, JsonError};
+use crate::json::{Json, JsonError, JsonErrorKind};
 use crate::model::{GraphSpec, QueryRequest, QueryResponse};
 use crate::snapshot::{SaveReport, SNAPSHOT_VERSION};
 use crate::telemetry::{RequestCtx, Stage};
@@ -97,7 +97,8 @@ pub enum ProtoError {
         /// The cap it exceeded.
         max: usize,
     },
-    /// The payload was not valid JSON (stream still in sync).
+    /// The payload was not valid JSON, or nested past
+    /// [`crate::json::MAX_DEPTH`] (stream still in sync).
     BadJson(JsonError),
     /// The payload was valid JSON but not a valid message (stream still in
     /// sync).
@@ -132,7 +133,7 @@ impl ProtoError {
             ProtoError::BadHeader(_) => "bad_header",
             ProtoError::UnsupportedVersion(_) => "unsupported_version",
             ProtoError::FrameTooLarge { .. } => "frame_too_large",
-            ProtoError::BadJson(_) => "bad_json",
+            ProtoError::BadJson(e) => e.code(),
             ProtoError::BadMessage(_) => "bad_message",
             ProtoError::Remote { .. } => "remote",
         }
@@ -153,6 +154,9 @@ impl fmt::Display for ProtoError {
             }
             ProtoError::FrameTooLarge { len, max } => {
                 write!(f, "frame of {len} bytes exceeds the {max} byte cap")
+            }
+            ProtoError::BadJson(e) if e.kind == JsonErrorKind::TooDeep => {
+                write!(f, "frame payload refused: {e}")
             }
             ProtoError::BadJson(e) => write!(f, "frame payload is not JSON: {e}"),
             ProtoError::BadMessage(msg) => write!(f, "bad message: {msg}"),

@@ -16,7 +16,8 @@
 //!   ([`Maintenance::Rebuild`]). A rebuild that finds an induced `P_4`
 //!   also leaves the session untouched.
 //! * `session_query` answers every [`QueryKind`] against the resident
-//!   cotree with the engine's verify-before-return discipline intact. It
+//!   cotree with the engine's verify-before-return discipline intact —
+//!   covers are checked on the cotree, so no graph is materialised. It
 //!   never re-recognises: only memoised scalars invalidated by a mutation
 //!   are recomputed.
 //!
@@ -106,9 +107,6 @@ struct Session {
     /// Memoised answers for the current graph; `None` right after a
     /// mutation (the only state a mutation invalidates).
     entry: Option<Arc<SolveEntry>>,
-    /// The materialised graph, cached after the first query that needs
-    /// one for verification; dropped on mutation.
-    graph: Option<Arc<Graph>>,
     mutations: u64,
     last_used: Instant,
 }
@@ -120,7 +118,6 @@ impl Session {
             num_edges: 0,
             tree: IncrementalCotree::new(),
             entry: None,
-            graph: None,
             mutations: 0,
             last_used: Instant::now(),
         }
@@ -142,7 +139,6 @@ impl Session {
             num_edges: g.num_edges(),
             tree,
             entry: None,
-            graph: None,
             mutations: 0,
             last_used: Instant::now(),
         })
@@ -166,11 +162,10 @@ impl Session {
         edges
     }
 
-    /// Marks the graph changed: memoised scalars and the cached graph are
-    /// exactly the state a mutation invalidates.
+    /// Marks the graph changed: the memoised scalars are exactly the state
+    /// a mutation invalidates.
     fn invalidate(&mut self) {
         self.entry = None;
-        self.graph = None;
         self.mutations += 1;
     }
 }
@@ -481,8 +476,8 @@ impl QueryEngine {
 
     /// Answers `kind` against the session's resident cotree — without
     /// re-recognition — keeping the verify-before-return discipline: the
-    /// solve path is the engine's own, including cover verification
-    /// against the (lazily materialised, then cached) session graph.
+    /// solve path is the engine's own, including cover verification on the
+    /// cotree.
     ///
     /// Cache metadata reports `hit` when the memoised entry was resident
     /// and `miss` when this query rebuilt it after a mutation.
@@ -497,9 +492,8 @@ impl QueryEngine {
             .session_resolve(handle, ctx)
             .map(|(resolved, vertices)| {
                 let mut clock = self.telemetry().pipeline_clock_ctx(ctx);
-                let solve_started = Instant::now();
-                let outcome = self.solve(kind, &resolved, &mut clock);
-                (outcome, resolved, vertices, solve_started.elapsed())
+                let (outcome, solve_micros) = self.solve(kind, &resolved, &mut clock);
+                (outcome, resolved, vertices, solve_micros)
             });
         let (outcome, meta) = match outcome_meta {
             Err(error) => (
@@ -513,10 +507,10 @@ impl QueryEngine {
                     trace_id: Some(ctx.trace_id.clone()),
                 },
             ),
-            Ok((outcome, resolved, vertices, solve_elapsed)) => (
+            Ok((outcome, resolved, vertices, solve_micros)) => (
                 outcome,
                 ResponseMeta {
-                    solve_micros: solve_elapsed.as_micros() as u64,
+                    solve_micros,
                     total_micros: 0,
                     cache: resolved.cache,
                     canonical_key: Some(resolved.entry.key),
@@ -538,9 +532,8 @@ impl QueryEngine {
     }
 
     /// Locks the session and lifts its resident cotree into the engine's
-    /// solve-side [`Resolved`], building the memoised entry (and, for
-    /// graph-verifying kinds, the graph) only when a mutation invalidated
-    /// them.
+    /// solve-side [`Resolved`], building the memoised entry only when a
+    /// mutation invalidated it.
     ///
     /// With a deadline on `ctx` the lock wait itself is bounded: the lock
     /// is polled until it is free or the deadline passes, so a query
@@ -583,15 +576,11 @@ impl QueryEngine {
             CacheStatus::Miss
         };
         let entry = session.entry.as_ref().expect("entry just ensured").clone();
-        if session.graph.is_none() {
-            session.graph = Some(Arc::new(entry.cotree.to_graph()));
-        }
-        let graph = session.graph.clone();
         let vertices = session.adjacency.len();
         Ok((
             Resolved {
                 entry,
-                graph,
+                graph: None,
                 cache,
             },
             vertices,

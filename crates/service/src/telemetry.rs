@@ -452,8 +452,8 @@ impl PipelineClock<'_> {
 
     /// The span collector riding this clock, if the request is traced and
     /// the clock is live. Pipeline internals use it to attach extra child
-    /// spans (cache lookups, pool rounds) without threading the request
-    /// context everywhere.
+    /// spans (cache lookups) without threading the request context
+    /// everywhere.
     pub fn collector(&self) -> Option<&Arc<crate::trace::SpanCollector>> {
         self.collector.as_ref()
     }
@@ -501,13 +501,6 @@ pub struct Telemetry {
     rejected_overload: AtomicU64,
     deadline_exceeded: AtomicU64,
     inflight: AtomicI64,
-    pool_solves: AtomicU64,
-    pool_workers: AtomicU64,
-    pool_rounds: AtomicU64,
-    pool_steals: AtomicU64,
-    pool_barrier_waits: AtomicU64,
-    pool_barrier_wait_p50_us: AtomicU64,
-    pool_barrier_wait_p99_us: AtomicU64,
     sessions_created: AtomicU64,
     sessions_dropped: AtomicU64,
     sessions_expired: AtomicU64,
@@ -538,13 +531,6 @@ impl Telemetry {
             rejected_overload: AtomicU64::new(0),
             deadline_exceeded: AtomicU64::new(0),
             inflight: AtomicI64::new(0),
-            pool_solves: AtomicU64::new(0),
-            pool_workers: AtomicU64::new(0),
-            pool_rounds: AtomicU64::new(0),
-            pool_steals: AtomicU64::new(0),
-            pool_barrier_waits: AtomicU64::new(0),
-            pool_barrier_wait_p50_us: AtomicU64::new(0),
-            pool_barrier_wait_p99_us: AtomicU64::new(0),
             sessions_created: AtomicU64::new(0),
             sessions_dropped: AtomicU64::new(0),
             sessions_expired: AtomicU64::new(0),
@@ -730,35 +716,6 @@ impl Telemetry {
         }
     }
 
-    /// Records the work-stealing pool's cumulative statistics after a
-    /// parallel solve: the counters are lifetime totals of the engine's
-    /// pool, so the latest snapshot replaces the previous one, and a
-    /// separate counter tracks how many solves went through the pool.
-    pub fn record_pool(&self, stats: &PoolReport) {
-        if self.enabled {
-            self.pool_solves.fetch_add(1, Ordering::Relaxed);
-            self.pool_workers.store(stats.workers, Ordering::Relaxed);
-            self.pool_rounds.store(stats.rounds, Ordering::Relaxed);
-            self.pool_steals.store(stats.steals, Ordering::Relaxed);
-            self.pool_barrier_waits
-                .store(stats.barrier_waits, Ordering::Relaxed);
-            self.pool_barrier_wait_p50_us
-                .store(stats.barrier_wait_p50_us, Ordering::Relaxed);
-            self.pool_barrier_wait_p99_us
-                .store(stats.barrier_wait_p99_us, Ordering::Relaxed);
-        }
-    }
-
-    /// Publishes the pool's resolved worker count without booking a solve.
-    /// Called once at engine startup so the pool gauges exist (at zero
-    /// rounds/steals but the true worker count) before the first parallel
-    /// solve, instead of leaving dashboard gaps until the pool engages.
-    pub fn set_pool_workers(&self, workers: u64) {
-        if self.enabled {
-            self.pool_workers.store(workers, Ordering::Relaxed);
-        }
-    }
-
     /// Records a session handle being created.
     pub fn session_created(&self) {
         if self.enabled {
@@ -835,15 +792,6 @@ impl Telemetry {
             rejected_overload: self.rejected_overload.load(Ordering::Relaxed),
             deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
             inflight: self.inflight.load(Ordering::Relaxed),
-            pool_solves: self.pool_solves.load(Ordering::Relaxed),
-            pool: PoolReport {
-                workers: self.pool_workers.load(Ordering::Relaxed),
-                rounds: self.pool_rounds.load(Ordering::Relaxed),
-                steals: self.pool_steals.load(Ordering::Relaxed),
-                barrier_waits: self.pool_barrier_waits.load(Ordering::Relaxed),
-                barrier_wait_p50_us: self.pool_barrier_wait_p50_us.load(Ordering::Relaxed),
-                barrier_wait_p99_us: self.pool_barrier_wait_p99_us.load(Ordering::Relaxed),
-            },
             sessions: SessionReport {
                 live: self.sessions_live.load(Ordering::Relaxed),
                 created: self.sessions_created.load(Ordering::Relaxed),
@@ -877,26 +825,6 @@ pub struct TransportReport {
     pub oversize_rejects: u64,
     /// `accept()` failures on this transport's listener.
     pub accept_errors: u64,
-}
-
-/// Point-in-time counters of the engine's work-stealing pool (the
-/// real-cores PRAM backend). All values are lifetime totals of the pool as
-/// of the most recent parallel solve; zeros when no solve has used the
-/// pool yet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PoolReport {
-    /// Worker threads of the pool (gauge).
-    pub workers: u64,
-    /// PRAM rounds executed (counter).
-    pub rounds: u64,
-    /// Chunks stolen from another worker's queue (counter).
-    pub steals: u64,
-    /// Barrier wait observations (counter).
-    pub barrier_waits: u64,
-    /// Median barrier wait in microseconds (gauge).
-    pub barrier_wait_p50_us: u64,
-    /// 99th-percentile barrier wait in microseconds (gauge).
-    pub barrier_wait_p99_us: u64,
 }
 
 /// Point-in-time counters of the daemon-resident session registry.
@@ -948,10 +876,6 @@ pub struct MetricsReport {
     pub deadline_exceeded: u64,
     /// Requests currently admitted and executing (gauge).
     pub inflight: i64,
-    /// Solves that ran on the work-stealing pool.
-    pub pool_solves: u64,
-    /// Work-stealing pool counters as of the latest parallel solve.
-    pub pool: PoolReport,
     /// Session registry counters.
     pub sessions: SessionReport,
     /// Aggregate cache counters.
@@ -1099,24 +1023,6 @@ impl MetricsReport {
                         Json::num(self.snapshot_consecutive_failures),
                     ),
                     ("last_success_unix", Json::num(self.snapshot_last_unix)),
-                ]),
-            ),
-            (
-                "pool",
-                Json::obj(vec![
-                    ("solves", Json::num(self.pool_solves)),
-                    ("workers", Json::num(self.pool.workers)),
-                    ("rounds", Json::num(self.pool.rounds)),
-                    ("steals", Json::num(self.pool.steals)),
-                    ("barrier_waits", Json::num(self.pool.barrier_waits)),
-                    (
-                        "barrier_wait_p50_us",
-                        Json::num(self.pool.barrier_wait_p50_us),
-                    ),
-                    (
-                        "barrier_wait_p99_us",
-                        Json::num(self.pool.barrier_wait_p99_us),
-                    ),
                 ]),
             ),
             (
@@ -1341,37 +1247,6 @@ impl MetricsReport {
              # TYPE pc_snapshot_last_success_unixtime gauge\n\
              pc_snapshot_last_success_unixtime {}\n",
             self.snapshot_failures, self.snapshot_consecutive_failures, self.snapshot_last_unix
-        ));
-
-        out.push_str(&format!(
-            "# HELP pc_pool_solves_total Solves executed on the work-stealing pool.\n\
-             # TYPE pc_pool_solves_total counter\n\
-             pc_pool_solves_total {}\n\
-             # HELP pc_pool_workers Worker threads of the engine's work-stealing pool.\n\
-             # TYPE pc_pool_workers gauge\n\
-             pc_pool_workers {}\n\
-             # HELP pc_pool_rounds_total PRAM rounds executed by the pool.\n\
-             # TYPE pc_pool_rounds_total counter\n\
-             pc_pool_rounds_total {}\n\
-             # HELP pc_pool_steals_total Chunks stolen between pool workers.\n\
-             # TYPE pc_pool_steals_total counter\n\
-             pc_pool_steals_total {}\n\
-             # HELP pc_pool_barrier_waits_total Barrier wait observations in the pool.\n\
-             # TYPE pc_pool_barrier_waits_total counter\n\
-             pc_pool_barrier_waits_total {}\n\
-             # HELP pc_pool_barrier_wait_p50_us Median pool barrier wait in microseconds.\n\
-             # TYPE pc_pool_barrier_wait_p50_us gauge\n\
-             pc_pool_barrier_wait_p50_us {}\n\
-             # HELP pc_pool_barrier_wait_p99_us 99th-percentile pool barrier wait in microseconds.\n\
-             # TYPE pc_pool_barrier_wait_p99_us gauge\n\
-             pc_pool_barrier_wait_p99_us {}\n",
-            self.pool_solves,
-            self.pool.workers,
-            self.pool.rounds,
-            self.pool.steals,
-            self.pool.barrier_waits,
-            self.pool.barrier_wait_p50_us,
-            self.pool.barrier_wait_p99_us
         ));
 
         out.push_str(&format!(

@@ -5,10 +5,9 @@
 //! Every request may carry a [`SpanCollector`] on its
 //! [`crate::telemetry::RequestCtx`]: the engine and its subsystems append
 //! child spans (pipeline stages, cache shard lookups, admission and
-//! session-lock waits, snapshot checkpoints, per-round pool batches) as
-//! offsets from the request's start. Recording is off the hot path — a span
-//! is one `Vec` push under a lock that is never contended except by the
-//! pool's round batches — and nothing is retained until the request
+//! session-lock waits, snapshot checkpoints) as offsets from the request's
+//! start. Recording is off the hot path — a span is one `Vec` push under an
+//! uncontended lock — and nothing is retained until the request
 //! finishes, when [`crate::engine::QueryEngine`] commits the whole trace to
 //! the [`FlightRecorder`] in one call.
 //!
@@ -45,7 +44,7 @@ pub const DEFAULT_SLOWEST_KEPT: usize = 16;
 /// microsecond offsets from the request's root span start.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span {
-    /// What the interval covers (`stage:solve`, `pool:round`,
+    /// What the interval covers (`stage:solve`, `cache:lookup`,
     /// `admission:wait`, ...). Namespaced by a `prefix:` so consumers can
     /// group without parsing free text.
     pub name: String,
@@ -98,8 +97,9 @@ impl Span {
         Json::Obj(fields)
     }
 
-    /// The span as one Chrome trace-event object (`ph:"X"` complete event).
-    fn chrome_event(&self, tid: u64) -> Json {
+    /// The span as one Chrome trace-event object (`ph:"X"` complete event)
+    /// on the request's one track.
+    fn chrome_event(&self) -> Json {
         let mut args: Vec<(String, Json)> = self
             .detail
             .iter()
@@ -116,7 +116,7 @@ impl Span {
             ("dur", Json::num(self.dur_us)),
             ("name", Json::str(self.name.clone())),
             ("pid", Json::num(1u64)),
-            ("tid", Json::num(tid)),
+            ("tid", Json::num(1u64)),
             ("args", Json::Obj(args)),
         ])
     }
@@ -126,10 +126,7 @@ impl Span {
 /// [`crate::telemetry::RequestCtx::collector`].
 ///
 /// Created at request entry ([`FlightRecorder::begin`]) and shared by
-/// `Arc` with every subsystem the request touches; the pool's worker
-/// threads never see it — per-round records are drained by the engine
-/// thread and appended here after the parallel section, so the hot path
-/// stays lock-free.
+/// `Arc` with every subsystem the request touches.
 #[derive(Debug)]
 pub struct SpanCollector {
     started: Instant,
@@ -158,18 +155,10 @@ impl SpanCollector {
         self.push(Span::new(name, start_us, end.saturating_sub(start_us)));
     }
 
-    /// Records a fully-formed span (used for annotated spans and for
-    /// batches imported from subsystems like the pool).
+    /// Records a fully-formed span (used for annotated spans).
     pub fn push(&self, span: Span) {
         if let Ok(mut spans) = self.spans.lock() {
             spans.push(span);
-        }
-    }
-
-    /// Records many fully-formed spans under one lock acquisition.
-    pub fn push_all(&self, batch: Vec<Span>) {
-        if let Ok(mut spans) = self.spans.lock() {
-            spans.extend(batch);
         }
     }
 
@@ -249,13 +238,8 @@ impl FinishedTrace {
         let root = Span::new(format!("request:{}", self.kind), 0, self.total_us)
             .with_detail("trace_id", self.trace_id.clone())
             .with_detail("outcome", self.outcome.clone());
-        let mut events = vec![root.chrome_event(1)];
-        for span in &self.spans {
-            // Pool round batches get their own track so barrier structure
-            // is visible under the request lane.
-            let tid = if span.name.starts_with("pool:") { 2 } else { 1 };
-            events.push(span.chrome_event(tid));
-        }
+        let mut events = vec![root.chrome_event()];
+        events.extend(self.spans.iter().map(Span::chrome_event));
         Json::obj(vec![
             ("traceEvents", Json::Arr(events)),
             ("displayTimeUnit", Json::str("ms")),
@@ -600,7 +584,7 @@ mod tests {
             protected: false,
             spans: vec![
                 Span::new("stage:solve", 10, 100),
-                Span::new("pool:round", 20, 30).with_detail("round", "0"),
+                Span::new("cache:lookup", 20, 30).with_detail("shard", "0"),
             ],
         };
         let chrome = trace.to_chrome_json();
@@ -620,8 +604,7 @@ mod tests {
                 .and_then(Json::as_str),
             Some("pc-abc")
         );
-        // Pool spans ride a separate track.
-        assert_eq!(events[2].get("tid").and_then(Json::as_u64), Some(2));
+        assert_eq!(events[2].get("tid").and_then(Json::as_u64), Some(1));
         // The export round-trips through the parser (valid JSON).
         assert!(Json::parse(&chrome.to_string()).is_ok());
     }
