@@ -37,7 +37,7 @@ use crate::http;
 use crate::json::Json;
 use crate::proto::{self, ProtoError, Request};
 use crate::snapshot;
-use crate::telemetry::{RequestCtx, Transport};
+use crate::telemetry::{Metric, RequestCtx, Transport};
 use crate::v2;
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
@@ -335,7 +335,9 @@ where
             // A failed accept (peer vanished mid-handshake, or fd
             // exhaustion under connection pressure) affects nobody else.
             Err(_) => {
-                engine.telemetry().accept_error(options.transport);
+                engine
+                    .telemetry()
+                    .add(Metric::AcceptErrors, options.transport as usize, 1);
                 if shutdown.is_triggered() {
                     break;
                 }
@@ -356,7 +358,7 @@ where
         {
             // Over the cap: a typed goodbye, not a silent close, so clients
             // back off instead of retrying instantly.
-            engine.telemetry().overload_rejected();
+            engine.telemetry().add(Metric::RejectedOverload, 0, 1);
             reject(conn);
             continue;
         }
@@ -807,16 +809,10 @@ pub fn serve_proto_conn_opts<C: Connection>(
     let Ok(write_half) = conn.try_clone_conn() else {
         return;
     };
-    engine.telemetry().conn_opened(Transport::Framed);
-    // Decrement the gauge on *every* exit, injected handler panics
-    // included, so chaos runs cannot leak open-connection counts.
-    struct ConnGauge<'t>(&'t crate::telemetry::Telemetry);
-    impl Drop for ConnGauge<'_> {
-        fn drop(&mut self) {
-            self.0.conn_closed(Transport::Framed);
-        }
-    }
-    let _gauge = ConnGauge(engine.telemetry());
+    // The guard leaves the active gauge on *every* exit, injected handler
+    // panics included, so chaos runs cannot leak open-connection counts.
+    let telemetry = engine.telemetry();
+    let _connection = telemetry.connection(Transport::Framed);
     let mut reader = BufReader::new(conn);
     let mut writer = BufWriter::new(write_half);
     let mut served: u64 = 0;
@@ -854,10 +850,10 @@ pub fn serve_proto_conn_opts<C: Connection>(
                 // get a best-effort error frame. Either way this connection
                 // is done — and only this connection.
                 if is_idle_timeout(&error) {
-                    engine.telemetry().idle_timeout(Transport::Framed);
+                    telemetry.add(Metric::IdleTimeouts, Transport::Framed as usize, 1);
                 } else {
                     if matches!(error, ProtoError::FrameTooLarge { .. }) {
-                        engine.telemetry().oversize_reject(Transport::Framed);
+                        telemetry.add(Metric::OversizeRejects, Transport::Framed as usize, 1);
                     }
                     let reply = proto::attach_trace(
                         proto::error_reply(error.code(), &error.to_string()),
@@ -901,7 +897,7 @@ fn serve_frame<R: BufRead, W: Write>(
     // reply — the client saw a recoverable error and can reconnect).
     let budget_spent = request_budget != 0 && *served >= request_budget;
     if budget_spent || faults.should_overload() {
-        engine.telemetry().overload_rejected();
+        engine.telemetry().add(Metric::RejectedOverload, 0, 1);
         let ctx = match decoded.as_ref().ok().and_then(proto::request_trace) {
             Some(trace) => RequestCtx::with_trace(trace),
             None => RequestCtx::generate(),

@@ -20,7 +20,7 @@
 //! memoised minimum. A failure is reported as
 //! [`ServiceError::CoverVerificationFailed`] rather than silently passed on.
 
-use crate::cache::{graph_fingerprint, CacheStats, CotreeCache, SolveEntry};
+use crate::cache::{graph_fingerprint, CacheStats, CotreeCache, ShardStats, SolveEntry};
 use crate::error::ServiceError;
 use crate::ingest::{self, GraphFormat, Ingested};
 use crate::json::Json;
@@ -28,7 +28,9 @@ use crate::model::{
     Answer, CacheStatus, GraphSpec, QueryKind, QueryRequest, QueryResponse, ResponseMeta,
 };
 use crate::snapshot::{self, LoadOutcome, SaveReport, SnapshotError};
-use crate::telemetry::{MetricsReport, Outcome, PipelineClock, RequestCtx, Stage, Telemetry};
+use crate::telemetry::{
+    Metric, MetricsReport, Outcome, PipelineClock, RequestCtx, Stage, Telemetry,
+};
 use crate::trace::{FlightRecorder, Span, TraceConfig};
 use cograph::{try_recognize, Cotree};
 use pathcover::sequential_path_cover;
@@ -157,8 +159,8 @@ pub struct QueryEngine {
     telemetry: Telemetry,
     /// Daemon-resident session handles (see [`crate::session`]).
     pub(crate) sessions: crate::session::SessionRegistry,
-    /// Work requests currently admitted (the admission-gate counter; the
-    /// telemetry gauge mirrors it for export).
+    /// Work requests currently admitted (the admission-gate counter,
+    /// exported as `pc_inflight_requests`).
     inflight: AtomicUsize,
     /// The bounded, tail-sampled ring of finished request traces (see
     /// [`crate::trace`]); shared with the transports for export.
@@ -182,7 +184,6 @@ impl std::fmt::Debug for InflightGuard<'_> {
 impl Drop for InflightGuard<'_> {
     fn drop(&mut self) {
         self.engine.inflight.fetch_sub(1, Ordering::Release);
-        self.engine.telemetry.inflight_finished();
     }
 }
 
@@ -225,7 +226,7 @@ impl QueryEngine {
         let mut current = self.inflight.load(Ordering::Relaxed);
         loop {
             if max != 0 && current >= max {
-                self.telemetry.overload_rejected();
+                self.telemetry.add(Metric::RejectedOverload, 0, 1);
                 return Err(ServiceError::Overloaded {
                     retry_after_ms: DEFAULT_RETRY_AFTER_MS,
                 });
@@ -236,10 +237,7 @@ impl QueryEngine {
                 Ordering::Acquire,
                 Ordering::Relaxed,
             ) {
-                Ok(_) => {
-                    self.telemetry.inflight_started();
-                    return Ok(InflightGuard { engine: self });
-                }
+                Ok(_) => return Ok(InflightGuard { engine: self }),
                 Err(observed) => current = observed,
             }
         }
@@ -271,13 +269,26 @@ impl QueryEngine {
     }
 
     /// A point-in-time copy of every metric: the telemetry registry plus
-    /// the cache counters and uptime the engine owns.
+    /// the values the engine owns (admitted requests, live sessions, cache
+    /// counters, uptime).
     pub fn metrics_report(&self) -> MetricsReport {
-        self.telemetry.report(
-            self.cache_stats(),
-            self.cache_shard_stats(),
-            self.uptime_secs(),
-        )
+        let cache = self.cache_stats();
+        let shards = self.cache_shard_stats();
+        let per_shard = |field: fn(&ShardStats) -> u64| shards.iter().map(field).collect();
+        let inflight = self.inflight.load(Ordering::Relaxed) as u64;
+        self.telemetry.report(vec![
+            (Metric::InflightRequests, vec![inflight]),
+            (Metric::SessionsLive, vec![self.sessions.len() as u64]),
+            (Metric::CacheHits, vec![cache.hits]),
+            (Metric::CacheMisses, vec![cache.misses]),
+            (Metric::CacheEvictions, vec![cache.evictions]),
+            (Metric::CacheEntries, vec![cache.entries as u64]),
+            (Metric::CacheShardHits, per_shard(|s| s.hits)),
+            (Metric::CacheShardMisses, per_shard(|s| s.misses)),
+            (Metric::CacheShardEvictions, per_shard(|s| s.evictions)),
+            (Metric::CacheShardEntries, per_shard(|s| s.entries as u64)),
+            (Metric::Uptime, vec![self.uptime_secs()]),
+        ])
     }
 
     /// The engine's configuration.
@@ -322,16 +333,10 @@ impl QueryEngine {
             .as_ref()
             .map(|meta| meta.path.clone())
             .ok_or(SnapshotError::NotConfigured)?;
-        let report = match snapshot::save(&self.cache, &path) {
-            Ok(report) => {
-                self.telemetry.checkpoint_saved(report.elapsed_micros);
-                report
-            }
-            Err(error) => {
-                self.telemetry.checkpoint_failed();
-                return Err(error);
-            }
-        };
+        let saved = snapshot::save(&self.cache, &path);
+        let elapsed = saved.as_ref().ok().map(|report| report.elapsed_micros);
+        self.telemetry.record_checkpoint(elapsed);
+        let report = saved?;
         let now = SystemTime::now()
             .duration_since(UNIX_EPOCH)
             .unwrap_or_default()
@@ -536,12 +541,12 @@ impl QueryEngine {
             Err(error) => Outcome::from_error_code(error.code()),
         };
         if matches!(response.outcome, Err(ServiceError::DeadlineExceeded)) {
-            self.telemetry.deadline_exceeded();
+            self.telemetry.add(Metric::DeadlineExceeded, 0, 1);
         }
         let total = response.meta.total_micros;
         self.telemetry.record_request(response.kind, outcome, total);
         if self.telemetry.should_log(outcome, total) {
-            crate::log::log(
+            crate::log::rate_limited(
                 crate::log::Level::Warn,
                 "slow_request",
                 Some(&ctx.trace_id),
@@ -1034,18 +1039,35 @@ mod tests {
         drop(g1);
         let _g3 = e.try_admit().expect("slot freed by drop");
         let report = e.metrics_report();
-        assert_eq!(report.rejected_overload, 1);
-        assert_eq!(report.inflight, 2);
+        assert_eq!(report.values(Metric::RejectedOverload), [1]);
+        assert_eq!(report.values(Metric::InflightRequests), [2]);
     }
 
     #[test]
     fn unlimited_gate_admits_everything_but_tracks_inflight() {
         let e = engine();
         let guards: Vec<_> = (0..64).map(|_| e.try_admit().expect("no cap")).collect();
-        assert_eq!(e.metrics_report().inflight, 64);
+        let inflight = |e: &QueryEngine| e.metrics_report().values(Metric::InflightRequests)[0];
+        assert_eq!(inflight(&e), 64);
         drop(guards);
-        assert_eq!(e.metrics_report().inflight, 0);
-        assert_eq!(e.metrics_report().rejected_overload, 0);
+        assert_eq!(inflight(&e), 0);
+        assert_eq!(e.metrics_report().values(Metric::RejectedOverload), [0]);
+    }
+
+    #[test]
+    fn engine_owned_gauges_report_with_telemetry_off() {
+        // The in-flight and live-session gauges read the engine's own
+        // counters, so they stay true with the recorder disabled.
+        let e = QueryEngine::new(EngineConfig {
+            telemetry: false,
+            ..EngineConfig::default()
+        });
+        let _admitted = e.try_admit().expect("no cap");
+        e.session_create(None).expect("session");
+        let report = e.metrics_report();
+        assert_eq!(report.values(Metric::InflightRequests), [1]);
+        assert_eq!(report.values(Metric::SessionsLive), [1]);
+        assert_eq!(report.values(Metric::SessionsCreated), [0]);
     }
 
     #[test]
@@ -1060,7 +1082,7 @@ mod tests {
         assert_eq!(resp.outcome, Err(ServiceError::DeadlineExceeded));
         // The expired request never reached ingest: no cache traffic.
         assert_eq!(e.cache_stats().misses, 0);
-        assert_eq!(e.metrics_report().deadline_exceeded, 1);
+        assert_eq!(e.metrics_report().values(Metric::DeadlineExceeded), [1]);
         // A generous deadline solves normally.
         let ctx = RequestCtx::generate().with_deadline_ms(Some(60_000));
         let resp = e.execute_ctx(&req, &ctx);

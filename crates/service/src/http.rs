@@ -87,7 +87,7 @@ use crate::engine::QueryEngine;
 use crate::json::{Json, JsonErrorKind};
 use crate::model::{GraphSpec, QueryRequest};
 use crate::proto::{self, MAX_FRAME_LEN, PROTO_VERSION, SERVER_NAME};
-use crate::telemetry::RequestCtx;
+use crate::telemetry::{Metric, RequestCtx, Transport};
 use crate::v2;
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Read as _, Write};
@@ -834,18 +834,10 @@ pub fn serve_conn_opts<C: crate::daemon::Connection>(
     let Ok(write_half) = conn.try_clone_conn() else {
         return;
     };
-    engine
-        .telemetry()
-        .conn_opened(crate::telemetry::Transport::Http);
-    // Decrement the gauge on *every* exit, injected handler panics
-    // included, so chaos runs cannot leak open-connection counts.
-    struct ConnGauge<'t>(&'t crate::telemetry::Telemetry);
-    impl Drop for ConnGauge<'_> {
-        fn drop(&mut self) {
-            self.0.conn_closed(crate::telemetry::Transport::Http);
-        }
-    }
-    let _gauge = ConnGauge(engine.telemetry());
+    // The guard leaves the active gauge on *every* exit, injected handler
+    // panics included, so chaos runs cannot leak open-connection counts.
+    let telemetry = engine.telemetry();
+    let _connection = telemetry.connection(Transport::Http);
     let mut reader = BufReader::new(conn);
     let mut writer = io::BufWriter::new(write_half);
     let mut served: u64 = 0;
@@ -861,7 +853,7 @@ pub fn serve_conn_opts<C: crate::daemon::Connection>(
                 }
                 let budget_spent = request_budget != 0 && served >= request_budget;
                 let (mut response, action) = if budget_spent || faults.should_overload() {
-                    engine.telemetry().overload_rejected();
+                    telemetry.add(Metric::RejectedOverload, 0, 1);
                     let mut response = overloaded_response(crate::engine::DEFAULT_RETRY_AFTER_MS);
                     let ctx = match &request.trace {
                         Some(trace) => RequestCtx::with_trace(trace.clone()),
@@ -879,9 +871,7 @@ pub fn serve_conn_opts<C: crate::daemon::Connection>(
                 // unbounded write.
                 let mut body = response.body.render();
                 if body.len() > MAX_FRAME_LEN {
-                    engine
-                        .telemetry()
-                        .oversize_reject(crate::telemetry::Transport::Http);
+                    telemetry.add(Metric::OversizeRejects, Transport::Http as usize, 1);
                     response = HttpResponse::error(
                         500,
                         "Internal Server Error",
@@ -925,14 +915,10 @@ pub fn serve_conn_opts<C: crate::daemon::Connection>(
                             io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
                         ) =>
                     {
-                        engine
-                            .telemetry()
-                            .idle_timeout(crate::telemetry::Transport::Http);
+                        telemetry.add(Metric::IdleTimeouts, Transport::Http as usize, 1);
                     }
                     HttpError::BodyTooLarge { .. } => {
-                        engine
-                            .telemetry()
-                            .oversize_reject(crate::telemetry::Transport::Http);
+                        telemetry.add(Metric::OversizeRejects, Transport::Http as usize, 1);
                     }
                     _ => {}
                 }
@@ -962,9 +948,12 @@ pub struct Client {
 
 impl Client {
     /// Connects and probes `GET /healthz`, so a listener that is not a
-    /// pcservice daemon is rejected up front.
+    /// pcservice daemon is rejected up front. Nagle's algorithm is off: a
+    /// request goes out as several small writes, and with Nagle on each
+    /// later one waits for the daemon's delayed ACK (tens of milliseconds).
     pub fn connect(addr: &str) -> Result<Client, HttpError> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let mut client = Client {
             reader: BufReader::new(stream),
             retry: None,
@@ -1770,7 +1759,10 @@ mod tests {
             Some("deadline_exceeded"),
             "{body}"
         );
-        assert_eq!(engine.metrics_report().deadline_exceeded, 1);
+        assert_eq!(
+            engine.metrics_report().values(Metric::DeadlineExceeded),
+            [1]
+        );
     }
 
     #[test]
@@ -1898,7 +1890,7 @@ mod tests {
                 &crate::faults::Faults::default(),
                 1,
             );
-            engine.metrics_report().rejected_overload
+            engine.metrics_report().values(Metric::RejectedOverload)[0]
         });
         let mut client = Client::connect(&addr.to_string()).expect("connect");
         let request = QueryRequest::new(
@@ -1920,6 +1912,25 @@ mod tests {
         }
         let rejected = server.join().expect("server thread");
         assert_eq!(rejected, 1, "the shed is booked in telemetry");
+    }
+
+    /// The client writes a request as several small segments; with Nagle's
+    /// algorithm on, each later one would wait for the daemon's delayed ACK.
+    #[cfg(unix)]
+    #[test]
+    fn client_connects_with_nagle_off() {
+        use std::net::TcpListener;
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let engine = QueryEngine::default();
+            let (conn, _) = listener.accept().expect("accept");
+            serve_conn(conn, &engine, &crate::daemon::ShutdownSignal::new());
+        });
+        let client = Client::connect(&addr.to_string()).expect("connect");
+        assert!(client.reader.get_ref().nodelay().expect("socket option"));
+        drop(client);
+        server.join().expect("server thread");
     }
 
     /// End-to-end over a real TCP loopback: client and serve_conn speak to

@@ -112,7 +112,7 @@ pub use proto::{ProtoError, MAX_FRAME_LEN, PROTO_VERSION};
 pub use session::{Maintenance, SessionInfo, SessionRegistry, SessionState};
 pub use snapshot::{LoadOutcome, SnapshotError, SNAPSHOT_VERSION};
 pub use telemetry::{
-    Histogram, HistogramSnapshot, MetricsReport, Outcome, PipelineClock, RequestCtx, Stage,
+    Histogram, HistogramSnapshot, Metric, MetricsReport, Outcome, PipelineClock, RequestCtx, Stage,
     Telemetry, Transport,
 };
 pub use trace::{FinishedTrace, FlightRecorder, Span, SpanCollector, TraceConfig};

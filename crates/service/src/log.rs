@@ -14,8 +14,8 @@
 //! the `PC_LOG` environment variable (`error` / `warn` / `info` / `debug` /
 //! `off`); the default is `info`. Noisy repeat events go through
 //! [`rate_limited`], which suppresses re-emission of the same event name
-//! within a 100 ms window (the same budget the telemetry slow-log gate
-//! uses) so a failure loop cannot flood stderr.
+//! within a 100 ms window on a monotonic clock (the engine's
+//! `slow_request` line included) so a failure loop cannot flood stderr.
 
 use crate::json::Json;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -76,8 +76,7 @@ static RATE_SLOTS: [AtomicU64; 16] = {
     [ZERO; 16]
 };
 
-/// Suppression window for [`rate_limited`] — matches the telemetry
-/// slow-log gate's budget.
+/// Suppression window for [`rate_limited`].
 pub const RATE_LIMIT_MS: u64 = 100;
 
 fn process_clock_ms() -> u64 {

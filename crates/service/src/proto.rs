@@ -50,7 +50,7 @@ use crate::engine::QueryEngine;
 use crate::json::{Json, JsonError, JsonErrorKind};
 use crate::model::{GraphSpec, QueryRequest, QueryResponse};
 use crate::snapshot::{SaveReport, SNAPSHOT_VERSION};
-use crate::telemetry::{RequestCtx, Stage};
+use crate::telemetry::RequestCtx;
 use crate::v2;
 use std::fmt;
 use std::io::{self, BufRead, Write};
@@ -682,7 +682,11 @@ pub fn version_payload() -> Json {
 pub fn stats_payload(engine: &QueryEngine) -> Json {
     let stats = engine.cache_stats();
     let shards = engine.cache_shard_stats();
-    let report = engine.metrics_report();
+    let metrics = engine.metrics_report().to_json();
+    let metric = |path: &[&str]| {
+        let found = path.iter().try_fold(&metrics, |node, key| node.get(key));
+        found.cloned().unwrap_or(Json::Null)
+    };
     let snapshot = match engine.snapshot_meta() {
         Some(meta) => Json::obj(vec![
             ("path", Json::str(meta.path.display().to_string())),
@@ -693,18 +697,11 @@ pub fn stats_payload(engine: &QueryEngine) -> Json {
             ),
             (
                 "consecutive_failures",
-                Json::num(report.snapshot_consecutive_failures),
+                metric(&["snapshot", "consecutive_failures"]),
             ),
         ]),
         None => Json::Null,
     };
-    let stages = Json::Obj(
-        Stage::ALL
-            .iter()
-            .enumerate()
-            .map(|(i, stage)| (stage.as_str().to_string(), report.stages[i].summary_json()))
-            .collect(),
-    );
     Json::obj(vec![
         ("hits", Json::num(stats.hits)),
         ("misses", Json::num(stats.misses)),
@@ -717,8 +714,8 @@ pub fn stats_payload(engine: &QueryEngine) -> Json {
             Json::Arr(shards.iter().map(shard_stats_json).collect()),
         ),
         ("uptime_secs", Json::num(engine.uptime_secs())),
-        ("requests_total", Json::num(report.total_requests())),
-        ("stages", stages),
+        ("requests_total", metric(&["requests_total"])),
+        ("stages", metric(&["stages"])),
         ("sessions", sessions_payload(engine)),
         ("version", version_payload()),
         ("snapshot", snapshot),

@@ -34,7 +34,7 @@ use crate::engine::{QueryEngine, Resolved};
 use crate::error::ServiceError;
 use crate::ingest::{self, GraphFormat, Ingested};
 use crate::model::{CacheStatus, GraphSpec, QueryKind, QueryResponse, ResponseMeta};
-use crate::telemetry::{RequestCtx, Telemetry};
+use crate::telemetry::{Metric, RequestCtx, Telemetry};
 use cograph::IncrementalCotree;
 use pcgraph::{Graph, VertexId};
 use std::collections::HashMap;
@@ -236,7 +236,7 @@ impl SessionRegistry {
         map.retain(|_, slot| match slot.try_lock() {
             Ok(session) => {
                 if session.last_used.elapsed() >= ttl {
-                    telemetry.session_expired();
+                    telemetry.add(Metric::SessionsExpired, 0, 1);
                     false
                 } else {
                     true
@@ -295,7 +295,7 @@ impl QueryEngine {
             Some(spec) => {
                 let graph = graph_from_spec(spec)?;
                 let session = Session::from_graph(&graph)?;
-                self.telemetry().session_recognized(false);
+                self.telemetry().add(Metric::SessionRecognizeRebuild, 0, 1);
                 session
             }
         };
@@ -321,7 +321,7 @@ impl QueryEngine {
             }
             map.insert(state.handle.clone(), Arc::new(Mutex::new(session)));
         }
-        self.telemetry().session_created();
+        self.telemetry().add(Metric::SessionsCreated, 0, 1);
         Ok(state)
     }
 
@@ -349,8 +349,9 @@ impl QueryEngine {
                 session.adjacency.push(sorted);
                 session.num_edges += neighbors.len();
                 session.invalidate();
-                self.telemetry().session_mutation();
-                self.telemetry().session_recognized(true);
+                self.telemetry().add(Metric::SessionMutations, 0, 1);
+                self.telemetry()
+                    .add(Metric::SessionRecognizeIncremental, 0, 1);
                 Ok(SessionState {
                     handle: handle.to_string(),
                     vertices: session.adjacency.len(),
@@ -451,13 +452,13 @@ impl QueryEngine {
     ) -> Result<SessionState, ServiceError> {
         let candidate = Graph::from_edges(n, &edges).expect("validated edges build a graph");
         let rebuilt = Session::from_graph(&candidate)?;
-        self.telemetry().session_recognized(false);
+        self.telemetry().add(Metric::SessionRecognizeRebuild, 0, 1);
         let mutations = session.mutations + 1;
         *session = Session {
             mutations,
             ..rebuilt
         };
-        self.telemetry().session_mutation();
+        self.telemetry().add(Metric::SessionMutations, 0, 1);
         Ok(SessionState {
             handle: handle.to_string(),
             vertices: n,
@@ -592,7 +593,7 @@ impl QueryEngine {
         let removed = self.swept_sessions().lock().remove(handle);
         match removed {
             Some(_) => {
-                self.telemetry().session_dropped();
+                self.telemetry().add(Metric::SessionsDropped, 0, 1);
                 Ok(())
             }
             None => Err(ServiceError::SessionNotFound(handle.to_string())),
@@ -819,11 +820,11 @@ mod tests {
         let h1 = e.session_create(None).unwrap().handle;
         let _ = h1;
         let report = e.metrics_report();
-        assert_eq!(report.sessions.created, 1);
+        assert_eq!(report.values(Metric::SessionsCreated), [1]);
         // The next registry op sweeps the (instantly idle) handle away.
         let h2 = e.session_create(None).unwrap().handle;
         let report = e.metrics_report();
-        assert_eq!(report.sessions.expired, 1);
+        assert_eq!(report.values(Metric::SessionsExpired), [1]);
         assert!(matches!(
             e.session_drop(&h2),
             Err(ServiceError::SessionNotFound(_))
@@ -841,7 +842,7 @@ mod tests {
             Err(ServiceError::TooManySessions { max: 2 })
         ));
         assert_eq!(e.session_stats().len(), 2);
-        let live = e.metrics_report().sessions.live;
+        let live = e.metrics_report().values(Metric::SessionsLive)[0];
         assert_eq!(live, 2);
     }
 
@@ -863,12 +864,12 @@ mod tests {
             e.sessions.lock().contains_key(&h),
             "sweep reclaimed a session whose lock was held by an in-flight query"
         );
-        assert_eq!(e.metrics_report().sessions.expired, 0);
+        assert_eq!(e.metrics_report().values(Metric::SessionsExpired), [0]);
         drop(guard);
         // Released and instantly idle: the next sweep reclaims it.
         e.sessions.sweep(Duration::from_millis(0), e.telemetry());
         assert!(!e.sessions.lock().contains_key(&h));
-        assert_eq!(e.metrics_report().sessions.expired, 1);
+        assert_eq!(e.metrics_report().values(Metric::SessionsExpired), [1]);
         assert!(matches!(
             e.session_query(&h, QueryKind::MinCoverSize).outcome,
             Err(ServiceError::SessionNotFound(_))
@@ -890,7 +891,7 @@ mod tests {
         let ctx = RequestCtx::generate().with_deadline_ms(Some(30));
         let resp = e.session_query_ctx(&h, QueryKind::MinCoverSize, &ctx);
         assert_eq!(resp.outcome, Err(ServiceError::DeadlineExceeded));
-        assert_eq!(e.metrics_report().deadline_exceeded, 1);
+        assert_eq!(e.metrics_report().values(Metric::DeadlineExceeded), [1]);
         drop(guard);
         // Lock free again: the same query (fresh deadline) succeeds.
         let ctx = RequestCtx::generate().with_deadline_ms(Some(60_000));
@@ -942,11 +943,12 @@ mod tests {
             assert!(resp.outcome.is_ok());
         }
         let report = e.metrics_report();
-        assert_eq!(report.sessions.recognize_incremental, 12);
-        assert_eq!(report.sessions.recognize_rebuild, 0);
-        assert_eq!(report.sessions.mutations, 12);
+        assert_eq!(report.values(Metric::SessionRecognizeIncremental), [12]);
+        assert_eq!(report.values(Metric::SessionRecognizeRebuild), [0]);
+        assert_eq!(report.values(Metric::SessionMutations), [12]);
         // The pipeline's recognize stage never ran for any of this.
-        let recognize_stage = &report.stages[crate::telemetry::Stage::Recognize.index()];
+        let stages = report.histograms(Metric::StageLatency);
+        let recognize_stage = &stages[crate::telemetry::Stage::Recognize as usize];
         assert_eq!(
             recognize_stage.count, 0,
             "session path must not re-recognize"

@@ -1,29 +1,31 @@
-//! Lock-free pipeline telemetry: counters, latency histograms, trace IDs.
+//! Lock-free pipeline telemetry: one metric table, latency histograms,
+//! trace IDs.
 //!
-//! Every request the engine answers crosses five pipeline stages — ingest,
-//! recognize, cache lookup, solve, verify — and this module records each
-//! one without locks: plain relaxed atomics behind a [`Telemetry`] registry
-//! owned by the [`QueryEngine`](crate::engine::QueryEngine). Latencies land
-//! in fixed-bucket log-scale [`Histogram`]s (powers of two, microseconds)
-//! whose counts are exact even under concurrent recording, so p50/p90/p99
-//! extraction never needs a mutex on the hot path.
+//! Every request crosses five pipeline stages — ingest, recognize, cache
+//! lookup, solve, verify — and the engine's [`Telemetry`] registry records
+//! each one without locks: relaxed atomics, and fixed-bucket log-scale
+//! [`Histogram`]s (powers of two, microseconds) whose counts stay exact
+//! under concurrent recording.
 //!
-//! The registry also tracks whole-request latency split by query kind and
-//! by outcome (`ok` / `not_a_cograph` / `invalid` / `internal`), daemon
-//! connection gauges per transport, and snapshot checkpoint health. A
-//! [`MetricsReport`] snapshots everything at once and renders either
-//! structured JSON (the `metrics` proto frame, `pathcover-cli metrics`) or
-//! Prometheus text exposition format (`GET /v1/metrics`).
+//! Each exported family is one row of the metric table below: Prometheus
+//! name, HELP text, type, label dimension, JSON path and value source (an
+//! empty name or path keeps the row off that surface). Recording is keyed
+//! by the row ([`Telemetry::add`], [`Telemetry::set`],
+//! [`Telemetry::observe`]). A [`MetricsReport`] resolves every row —
+//! recorded, passed in by the engine that owns it, or derived — and one walk of
+//! the table renders it as JSON (the `metrics` frame, `pathcover-cli
+//! metrics`) or as Prometheus text (`GET /v1/metrics`). To add a metric,
+//! add its row where its JSON key belongs and record it, as in
+//! `telemetry.add(Metric::NewRow, label, 1)`; the README's metrics table
+//! must list it (a unit test checks).
 //!
-//! Requests are correlated across log lines and transports by a trace ID
-//! carried in a [`RequestCtx`]: accepted from an `X-Request-Id` header or a
-//! `trace_id` proto field at the transport edge, synthesized otherwise, and
-//! echoed in every response and error body.
+//! A [`RequestCtx`] carries each request's trace ID — an `X-Request-Id`
+//! header or a `trace_id` proto field, else synthesized at the transport
+//! edge — which is echoed in every response, error body and log line.
 
-use crate::cache::{CacheStats, ShardStats};
 use crate::json::Json;
 use crate::model::QueryKind;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
@@ -31,11 +33,6 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 /// values `v` with `2^(i-1) < v <= 2^i` microseconds (bucket 0 holds
 /// `v <= 1`), bucket 31 is the overflow (`+Inf`) bucket.
 pub const HISTOGRAM_BUCKETS: usize = 32;
-
-/// Minimum gap between structured slow-request/error log lines; anything
-/// arriving faster is dropped so a pathological workload cannot turn the
-/// log into its own denial of service.
-const LOG_RATE_LIMIT_NANOS: u64 = 100_000_000; // 100ms
 
 // ---------------------------------------------------------------------------
 // Histogram
@@ -109,7 +106,7 @@ impl Histogram {
 }
 
 /// An immutable copy of a [`Histogram`], with quantile extraction.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket observation counts (see [`HISTOGRAM_BUCKETS`]).
     pub buckets: [u64; HISTOGRAM_BUCKETS],
@@ -167,7 +164,9 @@ impl HistogramSnapshot {
 // Labels
 // ---------------------------------------------------------------------------
 
-/// The five pipeline stages whose latency is recorded per segment.
+/// The five pipeline stages whose latency is recorded per segment. A
+/// stage's `as usize` is its position in [`Stage::ALL`] and its label
+/// index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
     /// Parsing edge-list / DIMACS / cotree-term input into a graph.
@@ -202,21 +201,10 @@ impl Stage {
             Stage::Verify => "verify",
         }
     }
-
-    /// Position of this stage in [`Stage::ALL`] (and in
-    /// [`MetricsReport::stages`]).
-    pub fn index(self) -> usize {
-        match self {
-            Stage::Ingest => 0,
-            Stage::Recognize => 1,
-            Stage::CacheLookup => 2,
-            Stage::Solve => 3,
-            Stage::Verify => 4,
-        }
-    }
 }
 
-/// Request outcome classes used to split whole-request latency.
+/// Request outcome classes used to split whole-request latency, in
+/// [`Outcome::ALL`] (label index) order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Outcome {
     /// The job produced a verified answer.
@@ -257,18 +245,10 @@ impl Outcome {
             _ => Outcome::Invalid,
         }
     }
-
-    fn index(self) -> usize {
-        match self {
-            Outcome::Ok => 0,
-            Outcome::NotACograph => 1,
-            Outcome::Invalid => 2,
-            Outcome::Internal => 3,
-        }
-    }
 }
 
-/// The two wire transports, used to label connection gauges.
+/// The two wire transports, used to label connection gauges, in
+/// [`Transport::ALL`] (label index) order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Transport {
     /// The length-framed `pcp1`/`pcp2` protocol (unix socket).
@@ -287,23 +267,6 @@ impl Transport {
             Transport::Framed => "framed",
             Transport::Http => "http",
         }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            Transport::Framed => 0,
-            Transport::Http => 1,
-        }
-    }
-}
-
-fn kind_index(kind: QueryKind) -> usize {
-    match kind {
-        QueryKind::MinCoverSize => 0,
-        QueryKind::FullCover => 1,
-        QueryKind::HamiltonianPath => 2,
-        QueryKind::HamiltonianCycle => 3,
-        QueryKind::Recognize => 4,
     }
 }
 
@@ -437,7 +400,7 @@ impl PipelineClock<'_> {
         if let Some((telemetry, last)) = &mut self.inner {
             let now = Instant::now();
             let micros = (now - *last).as_micros() as u64;
-            telemetry.record_stage(stage, micros);
+            telemetry.observe(Metric::StageLatency, stage as usize, micros);
             if let Some(collector) = &self.collector {
                 let end = collector.elapsed_us();
                 collector.push(crate::trace::Span::new(
@@ -468,18 +431,230 @@ impl PipelineClock<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Registry
+// The metric table
 // ---------------------------------------------------------------------------
 
-/// Per-transport connection counters.
-#[derive(Debug, Default)]
-struct TransportCounters {
-    accepted: AtomicU64,
-    active: AtomicI64,
-    idle_timeouts: AtomicU64,
-    oversize_rejects: AtomicU64,
-    accept_errors: AtomicU64,
+/// The Prometheus type of a family.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Type {
+    Counter,
+    /// Rendered clamped at 0, so an up/down gauge never shows a transient
+    /// negative.
+    Gauge,
+    Histogram,
 }
+
+impl Type {
+    fn as_str(self) -> &'static str {
+        match self {
+            Type::Counter => "counter",
+            Type::Gauge => "gauge",
+            Type::Histogram => "histogram",
+        }
+    }
+}
+
+/// The label dimension a family is split by. A sample's label index counts
+/// through the dimension's values in their `ALL` order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Dim {
+    None,
+    Kind,
+    Outcome,
+    /// Kind-major: index `kind * Outcome::ALL.len() + outcome`.
+    KindOutcome,
+    Stage,
+    Transport,
+    /// One sample per cache shard, rendered as a JSON array.
+    Shard,
+    /// The build identity labels of `pc_build_info`.
+    Build,
+}
+
+impl Dim {
+    /// Samples a recorded row of this dimension stores (shard rows are
+    /// engine-owned, so none).
+    fn width(self) -> usize {
+        match self {
+            Dim::None | Dim::Build => 1,
+            Dim::Kind => QueryKind::ALL.len(),
+            Dim::Outcome => Outcome::ALL.len(),
+            Dim::KindOutcome => QueryKind::ALL.len() * Outcome::ALL.len(),
+            Dim::Stage => Stage::ALL.len(),
+            Dim::Transport => Transport::ALL.len(),
+            Dim::Shard => 0,
+        }
+    }
+
+    /// The `(label, value)` pairs of the sample at `index`.
+    fn labels(self, index: usize) -> Vec<(&'static str, String)> {
+        let one = |label, value: &str| vec![(label, value.to_string())];
+        match self {
+            Dim::None => Vec::new(),
+            Dim::Kind => one("kind", QueryKind::ALL[index].as_str()),
+            Dim::Outcome => one("outcome", Outcome::ALL[index].as_str()),
+            Dim::KindOutcome => {
+                let mut labels = Dim::Kind.labels(index / Outcome::ALL.len());
+                labels.extend(Dim::Outcome.labels(index % Outcome::ALL.len()));
+                labels
+            }
+            Dim::Stage => one("stage", Stage::ALL[index].as_str()),
+            Dim::Transport => one("transport", Transport::ALL[index].as_str()),
+            Dim::Shard => one("shard", &index.to_string()),
+            Dim::Build => vec![
+                ("version", env!("CARGO_PKG_VERSION").to_string()),
+                ("rust_version", RUST_VERSION.to_string()),
+                ("profile", PROFILE.to_string()),
+            ],
+        }
+    }
+}
+
+/// The `rust_version` label of `pc_build_info`.
+const RUST_VERSION: &str = match option_env!("CARGO_PKG_RUST_VERSION") {
+    Some(version) => version,
+    None => "unknown",
+};
+
+/// The `profile` label of `pc_build_info`.
+const PROFILE: &str = if cfg!(debug_assertions) {
+    "debug"
+} else {
+    "release"
+};
+
+/// Where a family's values come from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Source {
+    /// Recorded into the [`Telemetry`] registry.
+    Recorded,
+    /// Owned by the engine and passed to [`Telemetry::report`].
+    Engine,
+    /// Computed at report time from the rows it summarises.
+    Derived,
+}
+
+/// One row of the metric table.
+#[derive(Debug, Clone, Copy)]
+struct Family {
+    /// Prometheus family name; empty keeps the row out of the exposition.
+    name: &'static str,
+    help: &'static str,
+    ty: Type,
+    dim: Dim,
+    /// Dotted path of the value in the JSON rendering, one `*` segment per
+    /// label; empty keeps the row out of the JSON.
+    json: &'static str,
+    source: Source,
+}
+
+macro_rules! metric_table {
+    ($($key:ident: $source:ident $ty:ident $dim:ident $name:literal $json:literal $help:literal;)*) => {
+        /// The key of one metric-table row: what every recording call and
+        /// report accessor takes.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Metric {
+            $(#[doc = $help] $key,)*
+        }
+
+        /// The metric table, in exposition order; `Metric as usize`
+        /// indexes it.
+        const FAMILIES: &[Family] = &[$(Family {
+            name: $name,
+            help: $help,
+            ty: Type::$ty,
+            dim: Dim::$dim,
+            json: $json,
+            source: Source::$source,
+        },)*];
+    };
+}
+
+// Both renderers walk the rows in this order, so it fixes the Prometheus
+// family order and, by first appearance of each JSON key, the JSON key
+// order.
+metric_table! {
+    BuildInfo: Derived Gauge Build "pc_build_info" ""
+        "Build identification of this daemon; always 1.";
+    RequestsTotal: Derived Counter None "" "requests_total"
+        "Requests completed, all kinds and outcomes.";
+    Requests: Recorded Counter KindOutcome "pc_requests_total" "requests.*.*"
+        "Requests completed, by query kind and outcome.";
+    StageLatency: Recorded Histogram Stage "pc_stage_latency_us" "stages.*"
+        "Per-stage pipeline latency in microseconds.";
+    RequestLatency: Recorded Histogram Kind "pc_request_latency_us" "request_latency_by_kind.*"
+        "Whole-request latency in microseconds, by query kind.";
+    OutcomeLatency: Recorded Histogram Outcome "pc_request_outcome_latency_us" "request_latency_by_outcome.*"
+        "Whole-request latency in microseconds, by outcome.";
+    RequestDuration: Derived Histogram None "pc_request_duration" ""
+        "Whole-request latency in microseconds, all query kinds.";
+    RequestDurationP50: Derived Gauge None "pc_request_duration_p50_us" ""
+        "Precomputed median whole-request latency in microseconds.";
+    RequestDurationP90: Derived Gauge None "pc_request_duration_p90_us" ""
+        "Precomputed p90 whole-request latency in microseconds.";
+    RequestDurationP99: Derived Gauge None "pc_request_duration_p99_us" ""
+        "Precomputed p99 whole-request latency in microseconds.";
+    ConnectionsAccepted: Recorded Counter Transport "pc_connections_accepted_total" "connections.*.accepted"
+        "Connections accepted, by transport.";
+    ConnectionsActive: Recorded Gauge Transport "pc_connections_active" "connections.*.active"
+        "Currently open connections, by transport.";
+    IdleTimeouts: Recorded Counter Transport "pc_idle_timeouts_total" "connections.*.idle_timeouts"
+        "Connections closed by idle timeout, by transport.";
+    OversizeRejects: Recorded Counter Transport "pc_oversize_rejects_total" "connections.*.oversize_rejects"
+        "Frames or bodies rejected over the size cap, by transport.";
+    AcceptErrors: Recorded Counter Transport "pc_accept_errors_total" "connections.*.accept_errors"
+        "Listener accept() failures, by transport.";
+    RejectedOverload: Recorded Counter None "pc_rejected_overload_total" "resilience.rejected_overload"
+        "Requests shed under load (admission cap, budgets, injected faults).";
+    DeadlineExceeded: Recorded Counter None "pc_deadline_exceeded_total" "resilience.deadline_exceeded"
+        "Requests cut short because their deadline expired.";
+    InflightRequests: Engine Gauge None "pc_inflight_requests" "resilience.inflight"
+        "Requests currently admitted and executing.";
+    CheckpointDuration: Recorded Histogram None "pc_snapshot_checkpoint_duration_us" "snapshot.checkpoints"
+        "Snapshot checkpoint duration in microseconds.";
+    SnapshotFailures: Recorded Counter None "pc_snapshot_failures_total" "snapshot.failures"
+        "Failed snapshot checkpoints.";
+    SnapshotConsecutiveFailures: Recorded Gauge None "pc_snapshot_consecutive_failures" "snapshot.consecutive_failures"
+        "Checkpoint failures since the last success.";
+    SnapshotLastSuccess: Recorded Gauge None "pc_snapshot_last_success_unixtime" "snapshot.last_success_unix"
+        "Unix time of the last successful checkpoint (0 = never).";
+    SessionsLive: Engine Gauge None "pc_sessions_live" "sessions.live"
+        "Live daemon-resident session handles.";
+    SessionsCreated: Recorded Counter None "pc_sessions_created_total" "sessions.created"
+        "Session handles created.";
+    SessionsDropped: Recorded Counter None "pc_sessions_dropped_total" "sessions.dropped"
+        "Session handles released by session_drop.";
+    SessionsExpired: Recorded Counter None "pc_sessions_expired_total" "sessions.expired"
+        "Session handles reclaimed by the idle-TTL sweep.";
+    SessionMutations: Recorded Counter None "pc_session_mutations_total" "sessions.mutations"
+        "Successful session mutations.";
+    SessionRecognizeIncremental: Recorded Counter None "pc_session_recognize_incremental_total" "sessions.recognize_incremental"
+        "Session recognitions absorbed incrementally.";
+    SessionRecognizeRebuild: Recorded Counter None "pc_session_recognize_rebuild_total" "sessions.recognize_rebuild"
+        "Session recognitions that rebuilt from scratch.";
+    CacheHits: Engine Counter None "pc_cache_hits_total" "cache.hits"
+        "Cache hits across all shards.";
+    CacheMisses: Engine Counter None "pc_cache_misses_total" "cache.misses"
+        "Cache misses across all shards.";
+    CacheEvictions: Engine Counter None "pc_cache_evictions_total" "cache.evictions"
+        "Cache evictions across all shards.";
+    CacheEntries: Engine Gauge None "pc_cache_entries" "cache.entries"
+        "Live cache entries across all shards.";
+    CacheShardHits: Engine Counter Shard "pc_cache_shard_hits_total" "cache.per_shard.*.hits"
+        "Cache hits per shard.";
+    CacheShardMisses: Engine Counter Shard "pc_cache_shard_misses_total" "cache.per_shard.*.misses"
+        "Cache misses per shard.";
+    CacheShardEvictions: Engine Counter Shard "" "cache.per_shard.*.evictions"
+        "Cache evictions per shard.";
+    CacheShardEntries: Engine Gauge Shard "" "cache.per_shard.*.entries"
+        "Live cache entries per shard.";
+    Uptime: Engine Gauge None "pc_uptime_seconds" "uptime_secs"
+        "Engine uptime in seconds.";
+}
+
+// ---------------------------------------------------------------------------
+// Registry
+// ---------------------------------------------------------------------------
 
 /// The metrics registry: one per [`QueryEngine`](crate::engine::QueryEngine),
 /// shared by the engine pipeline, the daemon accept loops and both
@@ -489,26 +664,11 @@ struct TransportCounters {
 pub struct Telemetry {
     enabled: bool,
     slow_log_micros: Option<u64>,
-    stages: [Histogram; 5],
-    request_kind: [Histogram; 5],
-    request_outcome: [Histogram; 4],
-    requests: [[AtomicU64; 4]; 5],
-    transports: [TransportCounters; 2],
-    snapshot_save: Histogram,
-    snapshot_failures: AtomicU64,
-    snapshot_consecutive_failures: AtomicU64,
-    snapshot_last_unix: AtomicU64,
-    rejected_overload: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    inflight: AtomicI64,
-    sessions_created: AtomicU64,
-    sessions_dropped: AtomicU64,
-    sessions_expired: AtomicU64,
-    sessions_live: AtomicI64,
-    session_mutations: AtomicU64,
-    session_recognize_incremental: AtomicU64,
-    session_recognize_rebuild: AtomicU64,
-    last_log_nanos: AtomicU64,
+    /// Each recorded row's first slot in `scalars` (counters and gauges)
+    /// or `histograms`, indexed by `Metric as usize`.
+    offsets: Vec<usize>,
+    scalars: Box<[AtomicU64]>,
+    histograms: Box<[Histogram]>,
 }
 
 impl Telemetry {
@@ -516,35 +676,25 @@ impl Telemetry {
     /// no-op (the "no-op recorder" the overhead bench compares against);
     /// `slow_log_micros` is the `serve --slow-ms` threshold.
     pub fn new(enabled: bool, slow_log_micros: Option<u64>) -> Self {
+        let mut offsets = vec![0; FAMILIES.len()];
+        let (mut scalars, mut histograms) = (0, 0);
+        for (row, family) in FAMILIES.iter().enumerate() {
+            let next = match family.ty {
+                Type::Histogram => &mut histograms,
+                _ => &mut scalars,
+            };
+            if family.source == Source::Recorded {
+                offsets[row] = *next;
+                *next += family.dim.width();
+            }
+        }
         Telemetry {
             enabled,
             slow_log_micros,
-            stages: std::array::from_fn(|_| Histogram::new()),
-            request_kind: std::array::from_fn(|_| Histogram::new()),
-            request_outcome: std::array::from_fn(|_| Histogram::new()),
-            requests: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
-            transports: std::array::from_fn(|_| TransportCounters::default()),
-            snapshot_save: Histogram::new(),
-            snapshot_failures: AtomicU64::new(0),
-            snapshot_consecutive_failures: AtomicU64::new(0),
-            snapshot_last_unix: AtomicU64::new(0),
-            rejected_overload: AtomicU64::new(0),
-            deadline_exceeded: AtomicU64::new(0),
-            inflight: AtomicI64::new(0),
-            sessions_created: AtomicU64::new(0),
-            sessions_dropped: AtomicU64::new(0),
-            sessions_expired: AtomicU64::new(0),
-            sessions_live: AtomicI64::new(0),
-            session_mutations: AtomicU64::new(0),
-            session_recognize_incremental: AtomicU64::new(0),
-            session_recognize_rebuild: AtomicU64::new(0),
-            last_log_nanos: AtomicU64::new(0),
+            offsets,
+            scalars: (0..scalars).map(|_| AtomicU64::new(0)).collect(),
+            histograms: (0..histograms).map(|_| Histogram::new()).collect(),
         }
-    }
-
-    /// Whether recording is live (false for the no-op recorder).
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Starts a per-request stage stopwatch (no-op when disabled).
@@ -562,249 +712,169 @@ impl Telemetry {
     pub fn pipeline_clock_ctx(&self, ctx: &RequestCtx) -> PipelineClock<'_> {
         PipelineClock {
             inner: self.enabled.then(|| (self, Instant::now())),
-            collector: if self.enabled {
-                ctx.collector.clone()
-            } else {
-                None
-            },
+            collector: self.enabled.then(|| ctx.collector.clone()).flatten(),
         }
     }
 
-    /// Records one stage segment in microseconds.
-    pub fn record_stage(&self, stage: Stage, micros: u64) {
+    /// The storage slot of sample `label` of a recorded row.
+    fn slot(&self, metric: Metric, label: usize, histogram: bool) -> usize {
+        let family = &FAMILIES[metric as usize];
+        debug_assert!(
+            family.source == Source::Recorded
+                && (family.ty == Type::Histogram) == histogram
+                && label < family.dim.width(),
+            "{metric:?}[{label}] is not a recorded sample of that type"
+        );
+        self.offsets[metric as usize] + label
+    }
+
+    /// Adds `delta` to sample `label` of a recorded counter or gauge row
+    /// (`0` for an unlabelled row; see [`Stage`], [`Outcome`],
+    /// [`Transport`] for label indices).
+    pub fn add(&self, metric: Metric, label: usize, delta: i64) {
         if self.enabled {
-            self.stages[stage.index()].record(micros);
+            // Two's-complement wrapping makes a negative delta a decrement.
+            self.scalars[self.slot(metric, label, false)]
+                .fetch_add(delta as u64, Ordering::Relaxed);
         }
     }
 
-    /// Records one completed request: bumps the kind × outcome counter
-    /// and both whole-request latency histograms.
+    /// Stores `value` in sample `label` of a recorded gauge row.
+    pub fn set(&self, metric: Metric, label: usize, value: u64) {
+        if self.enabled {
+            self.scalars[self.slot(metric, label, false)].store(value, Ordering::Relaxed);
+        }
+    }
+
+    /// Records one observation (microseconds) in sample `label` of a
+    /// recorded histogram row.
+    pub fn observe(&self, metric: Metric, label: usize, value: u64) {
+        if self.enabled {
+            self.histograms[self.slot(metric, label, true)].record(value);
+        }
+    }
+
+    /// Books one completed request: the kind × outcome counter and both
+    /// whole-request latency histograms.
     pub fn record_request(&self, kind: QueryKind, outcome: Outcome, total_micros: u64) {
-        if self.enabled {
-            self.requests[kind_index(kind)][outcome.index()].fetch_add(1, Ordering::Relaxed);
-            self.request_kind[kind_index(kind)].record(total_micros);
-            self.request_outcome[outcome.index()].record(total_micros);
+        let requests = kind as usize * Outcome::ALL.len() + outcome as usize;
+        self.add(Metric::Requests, requests, 1);
+        self.observe(Metric::RequestLatency, kind as usize, total_micros);
+        self.observe(Metric::OutcomeLatency, outcome as usize, total_micros);
+    }
+
+    /// Books an accepted connection on `transport`. The returned guard
+    /// holds its place in the active-connection gauge until dropped, so
+    /// every exit path — injected handler panics included — releases it.
+    pub fn connection(&self, transport: Transport) -> ConnectionGuard<'_> {
+        self.add(Metric::ConnectionsAccepted, transport as usize, 1);
+        self.add(Metric::ConnectionsActive, transport as usize, 1);
+        ConnectionGuard {
+            telemetry: self,
+            transport,
         }
     }
 
-    /// Whether a completed request deserves a structured log line: over
-    /// the `--slow-ms` threshold, or an internal failure — and inside the
-    /// rate limit (at most one line per 100ms process-wide).
-    pub fn should_log(&self, outcome: Outcome, total_micros: u64) -> bool {
-        if !self.enabled {
-            return false;
-        }
-        let eligible = matches!(outcome, Outcome::Internal)
-            || self
-                .slow_log_micros
-                .is_some_and(|threshold| total_micros >= threshold);
-        eligible && self.log_rate_ok()
-    }
-
-    fn log_rate_ok(&self) -> bool {
-        let now = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0);
-        let last = self.last_log_nanos.load(Ordering::Relaxed);
-        now.saturating_sub(last) >= LOG_RATE_LIMIT_NANOS
-            && self
-                .last_log_nanos
-                .compare_exchange(last, now, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-    }
-
-    /// Records an accepted connection (bumps the accepted counter and the
-    /// active gauge).
-    pub fn conn_opened(&self, transport: Transport) {
-        if self.enabled {
-            let t = &self.transports[transport.index()];
-            t.accepted.fetch_add(1, Ordering::Relaxed);
-            t.active.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records a closed connection (decrements the active gauge).
-    pub fn conn_closed(&self, transport: Transport) {
-        if self.enabled {
-            self.transports[transport.index()]
-                .active
-                .fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records a connection closed by idle timeout.
-    pub fn idle_timeout(&self, transport: Transport) {
-        if self.enabled {
-            self.transports[transport.index()]
-                .idle_timeouts
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records a frame/body rejected for exceeding the shared size cap.
-    pub fn oversize_reject(&self, transport: Transport) {
-        if self.enabled {
-            self.transports[transport.index()]
-                .oversize_rejects
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records an `accept()` failure on a listener (EMFILE and friends);
-    /// drives the accept loop's bounded backoff telemetry.
-    pub fn accept_error(&self, transport: Transport) {
-        if self.enabled {
-            self.transports[transport.index()]
-                .accept_errors
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records a request shed under load (admission cap, per-connection
-    /// budget, connection cap, or an injected overload fault).
-    pub fn overload_rejected(&self) {
-        if self.enabled {
-            self.rejected_overload.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records a request cut short because its deadline expired.
-    pub fn deadline_exceeded(&self) {
-        if self.enabled {
-            self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Bumps the in-flight work gauge (a request was admitted).
-    pub fn inflight_started(&self) {
-        if self.enabled {
-            self.inflight.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Decrements the in-flight work gauge (an admitted request finished).
-    pub fn inflight_finished(&self) {
-        if self.enabled {
-            self.inflight.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records a successful snapshot checkpoint: its duration and the
-    /// wall-clock second it completed. Resets the consecutive-failure
-    /// streak.
-    pub fn checkpoint_saved(&self, micros: u64) {
-        if self.enabled {
-            self.snapshot_save.record(micros);
-            let unix = SystemTime::now()
-                .duration_since(UNIX_EPOCH)
-                .map(|d| d.as_secs())
-                .unwrap_or(0);
-            self.snapshot_last_unix.store(unix, Ordering::Relaxed);
-            self.snapshot_consecutive_failures
-                .store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// Records a failed snapshot checkpoint and extends the
-    /// consecutive-failure streak that drives the checkpointer's backoff.
-    pub fn checkpoint_failed(&self) {
-        if self.enabled {
-            self.snapshot_failures.fetch_add(1, Ordering::Relaxed);
-            self.snapshot_consecutive_failures
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records a session handle being created.
-    pub fn session_created(&self) {
-        if self.enabled {
-            self.sessions_created.fetch_add(1, Ordering::Relaxed);
-            self.sessions_live.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records a session handle dropped by an explicit `session_drop`.
-    pub fn session_dropped(&self) {
-        if self.enabled {
-            self.sessions_dropped.fetch_add(1, Ordering::Relaxed);
-            self.sessions_live.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records a session handle reclaimed by the idle-TTL sweep.
-    pub fn session_expired(&self) {
-        if self.enabled {
-            self.sessions_expired.fetch_add(1, Ordering::Relaxed);
-            self.sessions_live.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records a successful session mutation (vertex or edge change).
-    pub fn session_mutation(&self) {
-        if self.enabled {
-            self.session_mutations.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records how a session recognition ran: absorbed by the incremental
-    /// insertion pass, or fallen back to rebuild-from-scratch.
-    pub fn session_recognized(&self, incremental: bool) {
-        if self.enabled {
-            if incremental {
-                self.session_recognize_incremental
-                    .fetch_add(1, Ordering::Relaxed);
-            } else {
-                self.session_recognize_rebuild
-                    .fetch_add(1, Ordering::Relaxed);
+    /// Books a snapshot checkpoint. A success (`Some(micros)`) records its
+    /// duration and wall-clock second and ends the consecutive-failure
+    /// streak; a failure (`None`) counts and extends the streak.
+    pub fn record_checkpoint(&self, elapsed_micros: Option<u64>) {
+        match elapsed_micros {
+            Some(micros) => {
+                self.observe(Metric::CheckpointDuration, 0, micros);
+                let unix = SystemTime::now()
+                    .duration_since(UNIX_EPOCH)
+                    .map_or(0, |d| d.as_secs());
+                self.set(Metric::SnapshotLastSuccess, 0, unix);
+                self.set(Metric::SnapshotConsecutiveFailures, 0, 0);
+            }
+            None => {
+                self.add(Metric::SnapshotFailures, 0, 1);
+                self.add(Metric::SnapshotConsecutiveFailures, 0, 1);
             }
         }
     }
 
-    /// Snapshots the registry (cache/uptime/version context is supplied
-    /// by the engine, which owns those).
-    pub fn report(
-        &self,
-        cache: CacheStats,
-        shards: Vec<ShardStats>,
-        uptime_secs: u64,
-    ) -> MetricsReport {
-        MetricsReport {
-            requests: std::array::from_fn(|k| {
-                std::array::from_fn(|o| self.requests[k][o].load(Ordering::Relaxed))
-            }),
-            stages: std::array::from_fn(|i| self.stages[i].snapshot()),
-            request_kind: std::array::from_fn(|i| self.request_kind[i].snapshot()),
-            request_outcome: std::array::from_fn(|i| self.request_outcome[i].snapshot()),
-            transports: std::array::from_fn(|i| TransportReport {
-                accepted: self.transports[i].accepted.load(Ordering::Relaxed),
-                active: self.transports[i].active.load(Ordering::Relaxed),
-                idle_timeouts: self.transports[i].idle_timeouts.load(Ordering::Relaxed),
-                oversize_rejects: self.transports[i].oversize_rejects.load(Ordering::Relaxed),
-                accept_errors: self.transports[i].accept_errors.load(Ordering::Relaxed),
-            }),
-            snapshot_save: self.snapshot_save.snapshot(),
-            snapshot_failures: self.snapshot_failures.load(Ordering::Relaxed),
-            snapshot_consecutive_failures: self
-                .snapshot_consecutive_failures
-                .load(Ordering::Relaxed),
-            snapshot_last_unix: self.snapshot_last_unix.load(Ordering::Relaxed),
-            rejected_overload: self.rejected_overload.load(Ordering::Relaxed),
-            deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
-            inflight: self.inflight.load(Ordering::Relaxed),
-            sessions: SessionReport {
-                live: self.sessions_live.load(Ordering::Relaxed),
-                created: self.sessions_created.load(Ordering::Relaxed),
-                dropped: self.sessions_dropped.load(Ordering::Relaxed),
-                expired: self.sessions_expired.load(Ordering::Relaxed),
-                mutations: self.session_mutations.load(Ordering::Relaxed),
-                recognize_incremental: self.session_recognize_incremental.load(Ordering::Relaxed),
-                recognize_rebuild: self.session_recognize_rebuild.load(Ordering::Relaxed),
-            },
-            cache,
-            shards,
-            uptime_secs,
+    /// Whether a completed request deserves a structured log line: an
+    /// internal failure, or over the `--slow-ms` threshold. The caller
+    /// emits it through [`crate::log::rate_limited`].
+    pub fn should_log(&self, outcome: Outcome, total_micros: u64) -> bool {
+        self.enabled
+            && (matches!(outcome, Outcome::Internal)
+                || self
+                    .slow_log_micros
+                    .is_some_and(|threshold| total_micros >= threshold))
+    }
+
+    /// Snapshots every row: recorded rows from this registry, engine-owned
+    /// rows from `engine` (each row's samples, in label-index order), then
+    /// the derived rows.
+    pub fn report(&self, engine: Vec<(Metric, Vec<u64>)>) -> MetricsReport {
+        let mut report = MetricsReport {
+            values: vec![Vec::new(); FAMILIES.len()],
+            histograms: vec![Vec::new(); FAMILIES.len()],
+        };
+        for (row, family) in FAMILIES.iter().enumerate() {
+            let slots = self.offsets[row]..self.offsets[row] + family.dim.width();
+            match (family.source, family.ty) {
+                (Source::Recorded, Type::Histogram) => {
+                    report.histograms[row] = self.histograms[slots]
+                        .iter()
+                        .map(|h| h.snapshot())
+                        .collect();
+                }
+                (Source::Recorded, ty) => {
+                    let load = |slot: &AtomicU64| match (ty, slot.load(Ordering::Relaxed)) {
+                        (Type::Gauge, value) => (value as i64).max(0) as u64,
+                        (_, value) => value,
+                    };
+                    report.values[row] = self.scalars[slots].iter().map(load).collect();
+                }
+                (Source::Engine | Source::Derived, _) => {}
+            }
         }
+        for (metric, values) in engine {
+            debug_assert_eq!(FAMILIES[metric as usize].source, Source::Engine);
+            report.values[metric as usize] = values;
+        }
+        // All-kinds request duration: the bucket-wise union of the per-kind
+        // histograms (bounds are shared, so the merge is exact), for an
+        // external scraper's own histogram_quantile.
+        let mut duration = HistogramSnapshot::default();
+        for snapshot in report.histograms(Metric::RequestLatency) {
+            for (total, bucket) in duration.buckets.iter_mut().zip(snapshot.buckets) {
+                *total += bucket;
+            }
+            duration.count += snapshot.count;
+            duration.sum += snapshot.sum;
+        }
+        let requests_total = report.values(Metric::Requests).iter().sum();
+        for (metric, value) in [
+            (Metric::BuildInfo, 1),
+            (Metric::RequestsTotal, requests_total),
+            (Metric::RequestDurationP50, duration.quantile(0.50)),
+            (Metric::RequestDurationP90, duration.quantile(0.90)),
+            (Metric::RequestDurationP99, duration.quantile(0.99)),
+        ] {
+            report.values[metric as usize] = vec![value];
+        }
+        report.histograms[Metric::RequestDuration as usize] = vec![duration];
+        report
+    }
+}
+
+/// An open connection's place in the active-connection gauge; see
+/// [`Telemetry::connection`].
+#[derive(Debug)]
+pub struct ConnectionGuard<'t> {
+    telemetry: &'t Telemetry,
+    transport: Transport,
+}
+
+impl Drop for ConnectionGuard<'_> {
+    fn drop(&mut self) {
+        self.telemetry
+            .add(Metric::ConnectionsActive, self.transport as usize, -1);
     }
 }
 
@@ -812,249 +882,63 @@ impl Telemetry {
 // Report + rendering
 // ---------------------------------------------------------------------------
 
-/// Point-in-time per-transport connection counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TransportReport {
-    /// Total connections accepted since start.
-    pub accepted: u64,
-    /// Currently open connections (gauge).
-    pub active: i64,
-    /// Connections closed by idle timeout.
-    pub idle_timeouts: u64,
-    /// Frames/bodies rejected for exceeding the shared size cap.
-    pub oversize_rejects: u64,
-    /// `accept()` failures on this transport's listener.
-    pub accept_errors: u64,
-}
-
-/// Point-in-time counters of the daemon-resident session registry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SessionReport {
-    /// Live daemon-resident handles (gauge).
-    pub live: i64,
-    /// Sessions created since start.
-    pub created: u64,
-    /// Sessions released by an explicit `session_drop`.
-    pub dropped: u64,
-    /// Sessions reclaimed by the idle-TTL sweep.
-    pub expired: u64,
-    /// Successful mutations (vertex insertions, edge adds/removals).
-    pub mutations: u64,
-    /// Recognitions absorbed by the incremental insertion pass.
-    pub recognize_incremental: u64,
-    /// Recognitions that fell back to rebuild-from-scratch.
-    pub recognize_rebuild: u64,
-}
-
 /// A point-in-time copy of every metric the daemon exposes, renderable as
 /// structured JSON (`metrics` proto frame) or Prometheus text
 /// (`GET /v1/metrics`).
 #[derive(Debug, Clone)]
 pub struct MetricsReport {
-    /// Request counts, kind × outcome (registry order of [`QueryKind::ALL`] /
-    /// [`Outcome::ALL`]).
-    pub requests: [[u64; 4]; 5],
-    /// Per-stage latency histograms, [`Stage::ALL`] order.
-    pub stages: [HistogramSnapshot; 5],
-    /// Whole-request latency by query kind, [`QueryKind::ALL`] order.
-    pub request_kind: [HistogramSnapshot; 5],
-    /// Whole-request latency by outcome, [`Outcome::ALL`] order.
-    pub request_outcome: [HistogramSnapshot; 4],
-    /// Connection counters, [`Transport::ALL`] order.
-    pub transports: [TransportReport; 2],
-    /// Snapshot checkpoint durations.
-    pub snapshot_save: HistogramSnapshot,
-    /// Failed snapshot checkpoints.
-    pub snapshot_failures: u64,
-    /// Checkpoint failures since the last success (0 = healthy).
-    pub snapshot_consecutive_failures: u64,
-    /// Unix second of the last successful checkpoint (0 = never).
-    pub snapshot_last_unix: u64,
-    /// Requests shed under load (admission cap, budgets, injected faults).
-    pub rejected_overload: u64,
-    /// Requests cut short because their deadline expired.
-    pub deadline_exceeded: u64,
-    /// Requests currently admitted and executing (gauge).
-    pub inflight: i64,
-    /// Session registry counters.
-    pub sessions: SessionReport,
-    /// Aggregate cache counters.
-    pub cache: CacheStats,
-    /// Per-shard cache counters.
-    pub shards: Vec<ShardStats>,
-    /// Engine uptime in whole seconds.
-    pub uptime_secs: u64,
+    /// Per table row, the samples of a counter or gauge row in label-index
+    /// order (empty for a histogram row)...
+    values: Vec<Vec<u64>>,
+    /// ...and of a histogram row (empty for any other row).
+    histograms: Vec<Vec<HistogramSnapshot>>,
 }
 
 impl MetricsReport {
-    /// Total requests across all kinds and outcomes.
-    pub fn total_requests(&self) -> u64 {
-        self.requests.iter().flatten().sum()
+    /// The samples of a counter or gauge row, in label-index order (empty
+    /// for a histogram row).
+    pub fn values(&self, metric: Metric) -> &[u64] {
+        &self.values[metric as usize]
     }
 
-    /// Whole-request latency aggregated across every query kind: the
-    /// bucket-wise union of the per-kind histograms (bounds are shared, so
-    /// the merge is exact). Backs the `pc_request_duration` Prometheus
-    /// series an external scraper uses to compute its own quantiles.
-    pub fn request_duration(&self) -> HistogramSnapshot {
-        let mut merged = HistogramSnapshot {
-            buckets: [0; HISTOGRAM_BUCKETS],
-            count: 0,
-            sum: 0,
-        };
-        for snap in &self.request_kind {
-            for (i, &bucket) in snap.buckets.iter().enumerate() {
-                merged.buckets[i] += bucket;
-            }
-            merged.count += snap.count;
-            merged.sum += snap.sum;
-        }
-        merged
+    /// The samples of a histogram row, in label-index order (empty for a
+    /// counter or gauge row).
+    pub fn histograms(&self, metric: Metric) -> &[HistogramSnapshot] {
+        &self.histograms[metric as usize]
     }
 
     /// Structured JSON rendering, used by the `metrics` proto frame,
-    /// `GET /v1/metrics?format=json` and `pathcover-cli metrics`.
+    /// `GET /v1/metrics?format=json` and `pathcover-cli metrics`: each
+    /// sample lands at its row's JSON path, a counter or gauge as a number
+    /// and a histogram as its [`HistogramSnapshot::summary_json`].
     pub fn to_json(&self) -> Json {
-        let requests = Json::Obj(
-            QueryKind::ALL
-                .iter()
-                .enumerate()
-                .map(|(k, kind)| {
-                    (
-                        kind.as_str().to_string(),
-                        Json::Obj(
-                            Outcome::ALL
-                                .iter()
-                                .enumerate()
-                                .map(|(o, outcome)| {
-                                    (outcome.as_str().to_string(), Json::num(self.requests[k][o]))
-                                })
-                                .collect(),
-                        ),
-                    )
-                })
-                .collect(),
-        );
-        let stages = Json::Obj(
-            Stage::ALL
-                .iter()
-                .enumerate()
-                .map(|(i, stage)| (stage.as_str().to_string(), self.stages[i].summary_json()))
-                .collect(),
-        );
-        let by_kind = Json::Obj(
-            QueryKind::ALL
-                .iter()
-                .enumerate()
-                .map(|(i, kind)| {
-                    (
-                        kind.as_str().to_string(),
-                        self.request_kind[i].summary_json(),
-                    )
-                })
-                .collect(),
-        );
-        let by_outcome = Json::Obj(
-            Outcome::ALL
-                .iter()
-                .enumerate()
-                .map(|(i, outcome)| {
-                    (
-                        outcome.as_str().to_string(),
-                        self.request_outcome[i].summary_json(),
-                    )
-                })
-                .collect(),
-        );
-        let connections = Json::Obj(
-            Transport::ALL
-                .iter()
-                .enumerate()
-                .map(|(i, transport)| {
-                    let t = &self.transports[i];
-                    (
-                        transport.as_str().to_string(),
-                        Json::obj(vec![
-                            ("accepted", Json::num(t.accepted)),
-                            ("active", Json::num(t.active.max(0) as u64)),
-                            ("idle_timeouts", Json::num(t.idle_timeouts)),
-                            ("oversize_rejects", Json::num(t.oversize_rejects)),
-                            ("accept_errors", Json::num(t.accept_errors)),
-                        ]),
-                    )
-                })
-                .collect(),
-        );
-        let per_shard = Json::Arr(
-            self.shards
-                .iter()
-                .map(|s| {
-                    Json::obj(vec![
-                        ("hits", Json::num(s.hits)),
-                        ("misses", Json::num(s.misses)),
-                        ("evictions", Json::num(s.evictions)),
-                        ("entries", Json::num(s.entries as u64)),
-                    ])
-                })
-                .collect(),
-        );
-        Json::obj(vec![
-            ("requests_total", Json::num(self.total_requests())),
-            ("requests", requests),
-            ("stages", stages),
-            ("request_latency_by_kind", by_kind),
-            ("request_latency_by_outcome", by_outcome),
-            ("connections", connections),
-            (
-                "resilience",
-                Json::obj(vec![
-                    ("rejected_overload", Json::num(self.rejected_overload)),
-                    ("deadline_exceeded", Json::num(self.deadline_exceeded)),
-                    ("inflight", Json::num(self.inflight.max(0) as u64)),
-                ]),
-            ),
-            (
-                "snapshot",
-                Json::obj(vec![
-                    ("checkpoints", self.snapshot_save.summary_json()),
-                    ("failures", Json::num(self.snapshot_failures)),
-                    (
-                        "consecutive_failures",
-                        Json::num(self.snapshot_consecutive_failures),
-                    ),
-                    ("last_success_unix", Json::num(self.snapshot_last_unix)),
-                ]),
-            ),
-            (
-                "sessions",
-                Json::obj(vec![
-                    ("live", Json::num(self.sessions.live.max(0) as u64)),
-                    ("created", Json::num(self.sessions.created)),
-                    ("dropped", Json::num(self.sessions.dropped)),
-                    ("expired", Json::num(self.sessions.expired)),
-                    ("mutations", Json::num(self.sessions.mutations)),
-                    (
-                        "recognize_incremental",
-                        Json::num(self.sessions.recognize_incremental),
-                    ),
-                    (
-                        "recognize_rebuild",
-                        Json::num(self.sessions.recognize_rebuild),
-                    ),
-                ]),
-            ),
-            (
-                "cache",
-                Json::obj(vec![
-                    ("hits", Json::num(self.cache.hits)),
-                    ("misses", Json::num(self.cache.misses)),
-                    ("evictions", Json::num(self.cache.evictions)),
-                    ("entries", Json::num(self.cache.entries as u64)),
-                    ("per_shard", per_shard),
-                ]),
-            ),
-            ("uptime_secs", Json::num(self.uptime_secs)),
-        ])
+        let mut root = Json::Obj(Vec::new());
+        for (row, family) in FAMILIES.iter().enumerate() {
+            if family.json.is_empty() {
+                continue;
+            }
+            let values: Vec<Json> = (self.values[row].iter().map(|&v| Json::num(v)))
+                .chain(self.histograms[row].iter().map(|s| s.summary_json()))
+                .collect();
+            if values.is_empty() && family.dim == Dim::Shard {
+                // An engine without shards still reports its (empty) array.
+                let prefix = family.json.split(".*").next().unwrap_or_default();
+                let node = json_slot(&mut root, prefix.split('.'));
+                if *node == Json::Null {
+                    *node = Json::Arr(Vec::new());
+                }
+            }
+            for (index, value) in values.into_iter().enumerate() {
+                let labels = family.dim.labels(index);
+                let mut labels = labels.iter().map(|(_, value)| value.as_str());
+                let path = family.json.split('.').map(|segment| match segment {
+                    "*" => labels.next().expect("one label per `*`"),
+                    key => key,
+                });
+                *json_slot(&mut root, path) = value;
+            }
+        }
+        root
     }
 
     /// Prometheus text exposition (format 0.0.4) rendering, served by
@@ -1063,296 +947,94 @@ impl MetricsReport {
     /// microseconds (suffix `_us`).
     pub fn to_prometheus(&self) -> String {
         let mut out = String::with_capacity(16 * 1024);
-
-        out.push_str(&format!(
-            "# HELP pc_build_info Build identification of this daemon; always 1.\n\
-             # TYPE pc_build_info gauge\n\
-             pc_build_info{{version=\"{}\",rust_version=\"{}\",profile=\"{}\"}} 1\n",
-            env!("CARGO_PKG_VERSION"),
-            option_env!("CARGO_PKG_RUST_VERSION").unwrap_or("unknown"),
-            if cfg!(debug_assertions) {
-                "debug"
-            } else {
-                "release"
+        for (row, family) in FAMILIES.iter().enumerate() {
+            let name = family.name;
+            if name.is_empty() {
+                continue;
             }
-        ));
-
-        out.push_str("# HELP pc_requests_total Requests completed, by query kind and outcome.\n");
-        out.push_str("# TYPE pc_requests_total counter\n");
-        for (k, kind) in QueryKind::ALL.iter().enumerate() {
-            for (o, outcome) in Outcome::ALL.iter().enumerate() {
-                out.push_str(&format!(
-                    "pc_requests_total{{kind=\"{}\",outcome=\"{}\"}} {}\n",
-                    kind.as_str(),
-                    outcome.as_str(),
-                    self.requests[k][o]
-                ));
+            out.push_str(&format!(
+                "# HELP {name} {}\n# TYPE {name} {}\n",
+                family.help,
+                family.ty.as_str()
+            ));
+            let labels = |index| -> Vec<String> {
+                let pairs = family.dim.labels(index).into_iter();
+                pairs
+                    .map(|(label, value)| format!("{label}=\"{value}\""))
+                    .collect()
+            };
+            for (index, value) in self.values[row].iter().enumerate() {
+                out.push_str(&format!("{} {value}\n", series(name, &labels(index))));
+            }
+            for (index, snapshot) in self.histograms[row].iter().enumerate() {
+                render_histogram(&mut out, name, &labels(index), snapshot);
             }
         }
-
-        out.push_str(
-            "# HELP pc_stage_latency_us Per-stage pipeline latency in microseconds.\n\
-             # TYPE pc_stage_latency_us histogram\n",
-        );
-        for (i, stage) in Stage::ALL.iter().enumerate() {
-            render_histogram(
-                &mut out,
-                "pc_stage_latency_us",
-                &format!("stage=\"{}\"", stage.as_str()),
-                &self.stages[i],
-            );
-        }
-
-        out.push_str(
-            "# HELP pc_request_latency_us Whole-request latency in microseconds, by query kind.\n\
-             # TYPE pc_request_latency_us histogram\n",
-        );
-        for (i, kind) in QueryKind::ALL.iter().enumerate() {
-            render_histogram(
-                &mut out,
-                "pc_request_latency_us",
-                &format!("kind=\"{}\"", kind.as_str()),
-                &self.request_kind[i],
-            );
-        }
-
-        out.push_str(
-            "# HELP pc_request_outcome_latency_us Whole-request latency in microseconds, by outcome.\n\
-             # TYPE pc_request_outcome_latency_us histogram\n",
-        );
-        for (i, outcome) in Outcome::ALL.iter().enumerate() {
-            render_histogram(
-                &mut out,
-                "pc_request_outcome_latency_us",
-                &format!("outcome=\"{}\"", outcome.as_str()),
-                &self.request_outcome[i],
-            );
-        }
-
-        // Aggregate request duration: one unlabelled cumulative histogram
-        // (same power-of-two microsecond bounds as every other series) so
-        // an external Prometheus can run its own histogram_quantile, plus
-        // the precomputed quantile gauges for dashboards that want the
-        // daemon's view.
-        let duration = self.request_duration();
-        out.push_str(
-            "# HELP pc_request_duration Whole-request latency in microseconds, all query kinds.\n\
-             # TYPE pc_request_duration histogram\n",
-        );
-        render_histogram(&mut out, "pc_request_duration", "", &duration);
-        out.push_str(&format!(
-            "# HELP pc_request_duration_p50_us Precomputed median whole-request latency in microseconds.\n\
-             # TYPE pc_request_duration_p50_us gauge\n\
-             pc_request_duration_p50_us {}\n\
-             # HELP pc_request_duration_p90_us Precomputed p90 whole-request latency in microseconds.\n\
-             # TYPE pc_request_duration_p90_us gauge\n\
-             pc_request_duration_p90_us {}\n\
-             # HELP pc_request_duration_p99_us Precomputed p99 whole-request latency in microseconds.\n\
-             # TYPE pc_request_duration_p99_us gauge\n\
-             pc_request_duration_p99_us {}\n",
-            duration.quantile(0.50),
-            duration.quantile(0.90),
-            duration.quantile(0.99)
-        ));
-
-        out.push_str(
-            "# HELP pc_connections_accepted_total Connections accepted, by transport.\n\
-             # TYPE pc_connections_accepted_total counter\n",
-        );
-        for (i, transport) in Transport::ALL.iter().enumerate() {
-            out.push_str(&format!(
-                "pc_connections_accepted_total{{transport=\"{}\"}} {}\n",
-                transport.as_str(),
-                self.transports[i].accepted
-            ));
-        }
-        out.push_str(
-            "# HELP pc_connections_active Currently open connections, by transport.\n\
-             # TYPE pc_connections_active gauge\n",
-        );
-        for (i, transport) in Transport::ALL.iter().enumerate() {
-            out.push_str(&format!(
-                "pc_connections_active{{transport=\"{}\"}} {}\n",
-                transport.as_str(),
-                self.transports[i].active.max(0)
-            ));
-        }
-        out.push_str(
-            "# HELP pc_idle_timeouts_total Connections closed by idle timeout, by transport.\n\
-             # TYPE pc_idle_timeouts_total counter\n",
-        );
-        for (i, transport) in Transport::ALL.iter().enumerate() {
-            out.push_str(&format!(
-                "pc_idle_timeouts_total{{transport=\"{}\"}} {}\n",
-                transport.as_str(),
-                self.transports[i].idle_timeouts
-            ));
-        }
-        out.push_str(
-            "# HELP pc_oversize_rejects_total Frames or bodies rejected over the size cap, by transport.\n\
-             # TYPE pc_oversize_rejects_total counter\n",
-        );
-        for (i, transport) in Transport::ALL.iter().enumerate() {
-            out.push_str(&format!(
-                "pc_oversize_rejects_total{{transport=\"{}\"}} {}\n",
-                transport.as_str(),
-                self.transports[i].oversize_rejects
-            ));
-        }
-
-        out.push_str(
-            "# HELP pc_accept_errors_total Listener accept() failures, by transport.\n\
-             # TYPE pc_accept_errors_total counter\n",
-        );
-        for (i, transport) in Transport::ALL.iter().enumerate() {
-            out.push_str(&format!(
-                "pc_accept_errors_total{{transport=\"{}\"}} {}\n",
-                transport.as_str(),
-                self.transports[i].accept_errors
-            ));
-        }
-        out.push_str(&format!(
-            "# HELP pc_rejected_overload_total Requests shed under load (admission cap, budgets, injected faults).\n\
-             # TYPE pc_rejected_overload_total counter\n\
-             pc_rejected_overload_total {}\n\
-             # HELP pc_deadline_exceeded_total Requests cut short because their deadline expired.\n\
-             # TYPE pc_deadline_exceeded_total counter\n\
-             pc_deadline_exceeded_total {}\n\
-             # HELP pc_inflight_requests Requests currently admitted and executing.\n\
-             # TYPE pc_inflight_requests gauge\n\
-             pc_inflight_requests {}\n",
-            self.rejected_overload,
-            self.deadline_exceeded,
-            self.inflight.max(0)
-        ));
-
-        out.push_str(
-            "# HELP pc_snapshot_checkpoint_duration_us Snapshot checkpoint duration in microseconds.\n\
-             # TYPE pc_snapshot_checkpoint_duration_us histogram\n",
-        );
-        render_histogram(
-            &mut out,
-            "pc_snapshot_checkpoint_duration_us",
-            "",
-            &self.snapshot_save,
-        );
-        out.push_str(&format!(
-            "# HELP pc_snapshot_failures_total Failed snapshot checkpoints.\n\
-             # TYPE pc_snapshot_failures_total counter\n\
-             pc_snapshot_failures_total {}\n\
-             # HELP pc_snapshot_consecutive_failures Checkpoint failures since the last success.\n\
-             # TYPE pc_snapshot_consecutive_failures gauge\n\
-             pc_snapshot_consecutive_failures {}\n\
-             # HELP pc_snapshot_last_success_unixtime Unix time of the last successful checkpoint (0 = never).\n\
-             # TYPE pc_snapshot_last_success_unixtime gauge\n\
-             pc_snapshot_last_success_unixtime {}\n",
-            self.snapshot_failures, self.snapshot_consecutive_failures, self.snapshot_last_unix
-        ));
-
-        out.push_str(&format!(
-            "# HELP pc_sessions_live Live daemon-resident session handles.\n\
-             # TYPE pc_sessions_live gauge\n\
-             pc_sessions_live {}\n\
-             # HELP pc_sessions_created_total Session handles created.\n\
-             # TYPE pc_sessions_created_total counter\n\
-             pc_sessions_created_total {}\n\
-             # HELP pc_sessions_dropped_total Session handles released by session_drop.\n\
-             # TYPE pc_sessions_dropped_total counter\n\
-             pc_sessions_dropped_total {}\n\
-             # HELP pc_sessions_expired_total Session handles reclaimed by the idle-TTL sweep.\n\
-             # TYPE pc_sessions_expired_total counter\n\
-             pc_sessions_expired_total {}\n\
-             # HELP pc_session_mutations_total Successful session mutations.\n\
-             # TYPE pc_session_mutations_total counter\n\
-             pc_session_mutations_total {}\n\
-             # HELP pc_session_recognize_incremental_total Session recognitions absorbed incrementally.\n\
-             # TYPE pc_session_recognize_incremental_total counter\n\
-             pc_session_recognize_incremental_total {}\n\
-             # HELP pc_session_recognize_rebuild_total Session recognitions that rebuilt from scratch.\n\
-             # TYPE pc_session_recognize_rebuild_total counter\n\
-             pc_session_recognize_rebuild_total {}\n",
-            self.sessions.live.max(0),
-            self.sessions.created,
-            self.sessions.dropped,
-            self.sessions.expired,
-            self.sessions.mutations,
-            self.sessions.recognize_incremental,
-            self.sessions.recognize_rebuild
-        ));
-
-        out.push_str(&format!(
-            "# HELP pc_cache_hits_total Cache hits across all shards.\n\
-             # TYPE pc_cache_hits_total counter\n\
-             pc_cache_hits_total {}\n\
-             # HELP pc_cache_misses_total Cache misses across all shards.\n\
-             # TYPE pc_cache_misses_total counter\n\
-             pc_cache_misses_total {}\n\
-             # HELP pc_cache_evictions_total Cache evictions across all shards.\n\
-             # TYPE pc_cache_evictions_total counter\n\
-             pc_cache_evictions_total {}\n\
-             # HELP pc_cache_entries Live cache entries across all shards.\n\
-             # TYPE pc_cache_entries gauge\n\
-             pc_cache_entries {}\n",
-            self.cache.hits, self.cache.misses, self.cache.evictions, self.cache.entries
-        ));
-        out.push_str(
-            "# HELP pc_cache_shard_hits_total Cache hits per shard.\n\
-             # TYPE pc_cache_shard_hits_total counter\n",
-        );
-        for (i, shard) in self.shards.iter().enumerate() {
-            out.push_str(&format!(
-                "pc_cache_shard_hits_total{{shard=\"{i}\"}} {}\n",
-                shard.hits
-            ));
-        }
-        out.push_str(
-            "# HELP pc_cache_shard_misses_total Cache misses per shard.\n\
-             # TYPE pc_cache_shard_misses_total counter\n",
-        );
-        for (i, shard) in self.shards.iter().enumerate() {
-            out.push_str(&format!(
-                "pc_cache_shard_misses_total{{shard=\"{i}\"}} {}\n",
-                shard.misses
-            ));
-        }
-
-        out.push_str(&format!(
-            "# HELP pc_uptime_seconds Engine uptime in seconds.\n\
-             # TYPE pc_uptime_seconds gauge\n\
-             pc_uptime_seconds {}\n",
-            self.uptime_secs
-        ));
         out
     }
+}
+
+/// Walks `path` down from `node` and returns the slot at its end, creating
+/// each missing field and container on the way. A numeric segment (a
+/// shard label) indexes an array; any other segment keys an object.
+fn json_slot<'a>(mut node: &mut Json, path: impl IntoIterator<Item = &'a str>) -> &mut Json {
+    for segment in path {
+        let index = segment.parse::<usize>().ok();
+        if *node == Json::Null {
+            *node = match index {
+                Some(_) => Json::Arr(Vec::new()),
+                None => Json::Obj(Vec::new()),
+            };
+        }
+        node = match (node, index) {
+            (Json::Arr(items), Some(index)) => {
+                if index == items.len() {
+                    items.push(Json::Null);
+                }
+                &mut items[index]
+            }
+            (Json::Obj(fields), None) => {
+                let at = fields.iter().position(|(k, _)| k == segment);
+                let at = at.unwrap_or_else(|| {
+                    fields.push((segment.to_string(), Json::Null));
+                    fields.len() - 1
+                });
+                &mut fields[at].1
+            }
+            _ => unreachable!("metric-table JSON paths never clash"),
+        };
+    }
+    node
 }
 
 /// Renders one labelled histogram series in Prometheus exposition shape:
 /// cumulative `_bucket{le=...}` lines over the power-of-two bounds, the
 /// `+Inf` bucket, then `_sum` and `_count`.
-fn render_histogram(out: &mut String, name: &str, labels: &str, snap: &HistogramSnapshot) {
+fn render_histogram(out: &mut String, name: &str, labels: &[String], snap: &HistogramSnapshot) {
     let mut cumulative = 0u64;
     for (i, &bucket) in snap.buckets.iter().enumerate() {
         cumulative += bucket;
-        let le = if i == HISTOGRAM_BUCKETS - 1 {
-            "+Inf".to_string()
-        } else {
-            Histogram::bucket_upper(i).to_string()
+        let le = match Histogram::bucket_upper(i) {
+            u64::MAX => "+Inf".to_string(),
+            bound => bound.to_string(),
         };
-        if labels.is_empty() {
-            out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cumulative}\n"));
-        } else {
-            out.push_str(&format!(
-                "{name}_bucket{{{labels},le=\"{le}\"}} {cumulative}\n"
-            ));
-        }
+        let labels = [labels, &[format!("le=\"{le}\"")]].concat();
+        let bucket = series(&format!("{name}_bucket"), &labels);
+        out.push_str(&format!("{bucket} {cumulative}\n"));
     }
-    let suffix = if labels.is_empty() {
-        String::new()
+    for (suffix, value) in [("sum", snap.sum), ("count", snap.count)] {
+        let series = series(&format!("{name}_{suffix}"), labels);
+        out.push_str(&format!("{series} {value}\n"));
+    }
+}
+
+/// `name{label="value",...}`, or the bare name without labels.
+fn series(name: &str, labels: &[String]) -> String {
+    if labels.is_empty() {
+        name.to_string()
     } else {
-        format!("{{{labels}}}")
-    };
-    out.push_str(&format!("{name}_sum{suffix} {}\n", snap.sum));
-    out.push_str(&format!("{name}_count{suffix} {}\n", snap.count));
+        format!("{name}{{{}}}", labels.join(","))
+    }
 }
 
 #[cfg(test)]
@@ -1472,24 +1154,26 @@ mod tests {
     #[test]
     fn disabled_registry_records_nothing() {
         let tel = Telemetry::new(false, Some(0));
-        tel.record_stage(Stage::Solve, 10);
+        tel.observe(Metric::StageLatency, Stage::Solve as usize, 10);
         tel.record_request(QueryKind::Recognize, Outcome::Ok, 10);
-        tel.conn_opened(Transport::Http);
-        tel.checkpoint_saved(5);
+        let _connection = tel.connection(Transport::Http);
+        tel.record_checkpoint(Some(5));
         assert!(!tel.should_log(Outcome::Internal, u64::MAX));
-        let report = tel.report(CacheStats::default(), Vec::new(), 0);
-        assert_eq!(report.total_requests(), 0);
-        assert_eq!(report.stages[Stage::Solve.index()].count, 0);
-        assert_eq!(report.transports[Transport::Http.index()].accepted, 0);
+        let report = tel.report(Vec::new());
+        assert_eq!(report.values(Metric::RequestsTotal), [0]);
+        let stages = report.histograms(Metric::StageLatency);
+        assert_eq!(stages[Stage::Solve as usize].count, 0);
+        let accepted = report.values(Metric::ConnectionsAccepted);
+        assert_eq!(accepted[Transport::Http as usize], 0);
     }
 
     #[test]
     fn slow_log_gate_honours_threshold_and_rate_limit() {
+        // The gate decides eligibility only; the line itself goes through
+        // `log::rate_limited`, whose monotonic window `log`'s own tests pin.
         let tel = Telemetry::new(true, Some(1_000));
         assert!(!tel.should_log(Outcome::Ok, 999));
         assert!(tel.should_log(Outcome::Ok, 1_000));
-        // Immediately after a line the limiter suppresses the next one.
-        assert!(!tel.should_log(Outcome::Ok, 50_000));
         // No threshold configured: only internal failures qualify.
         let quiet = Telemetry::new(true, None);
         assert!(!quiet.should_log(Outcome::Ok, u64::MAX));
@@ -1512,11 +1196,14 @@ mod tests {
     fn prometheus_rendering_is_line_parseable() {
         let tel = Telemetry::new(true, None);
         tel.record_request(QueryKind::FullCover, Outcome::Ok, 300);
-        tel.record_stage(Stage::Solve, 120);
-        tel.conn_opened(Transport::Framed);
-        tel.oversize_reject(Transport::Http);
-        tel.checkpoint_saved(2_000);
-        let report = tel.report(CacheStats::default(), Vec::new(), 7);
+        tel.observe(Metric::StageLatency, Stage::Solve as usize, 120);
+        let _connection = tel.connection(Transport::Framed);
+        tel.add(Metric::OversizeRejects, Transport::Http as usize, 1);
+        tel.record_checkpoint(Some(2_000));
+        let report = tel.report(vec![
+            (Metric::InflightRequests, vec![0]),
+            (Metric::Uptime, vec![7]),
+        ]);
         let text = report.to_prometheus();
         let mut samples = 0usize;
         for line in text.lines() {
@@ -1558,7 +1245,7 @@ mod tests {
         assert!(text.contains("pc_uptime_seconds 7\n"));
         // Histogram buckets are cumulative and end at +Inf == count.
         assert!(text.contains("pc_stage_latency_us_bucket{stage=\"solve\",le=\"+Inf\"} 1\n"));
-        assert_eq!(report.total_requests(), 1);
+        assert_eq!(report.values(Metric::RequestsTotal), [1]);
     }
 
     #[test]
@@ -1566,8 +1253,8 @@ mod tests {
         let tel = Telemetry::new(true, None);
         tel.record_request(QueryKind::MinCoverSize, Outcome::Ok, 40);
         tel.record_request(QueryKind::MinCoverSize, Outcome::Invalid, 10);
-        tel.record_stage(Stage::Ingest, 5);
-        let report = tel.report(CacheStats::default(), Vec::new(), 3);
+        tel.observe(Metric::StageLatency, Stage::Ingest as usize, 5);
+        let report = tel.report(vec![(Metric::Uptime, vec![3])]);
         let json = report.to_json();
         assert_eq!(json.get("requests_total").and_then(Json::as_u64), Some(2));
         let kind = json
@@ -1582,35 +1269,34 @@ mod tests {
             .expect("stage row");
         assert_eq!(ingest.get("count").and_then(Json::as_u64), Some(1));
         assert_eq!(json.get("uptime_secs").and_then(Json::as_u64), Some(3));
+        // A shard row with no samples still renders its (empty) array.
+        let per_shard = json.get("cache").and_then(|c| c.get("per_shard"));
+        assert_eq!(per_shard, Some(&Json::Arr(Vec::new())));
     }
 
     #[test]
     fn resilience_counters_round_trip() {
         let tel = Telemetry::new(true, None);
-        tel.overload_rejected();
-        tel.overload_rejected();
-        tel.deadline_exceeded();
-        tel.inflight_started();
-        tel.accept_error(Transport::Framed);
-        tel.checkpoint_failed();
-        tel.checkpoint_failed();
-        let report = tel.report(CacheStats::default(), Vec::new(), 0);
-        assert_eq!(report.rejected_overload, 2);
-        assert_eq!(report.deadline_exceeded, 1);
-        assert_eq!(report.inflight, 1);
-        assert_eq!(
-            report.transports[Transport::Framed.index()].accept_errors,
-            1
-        );
-        assert_eq!(report.snapshot_consecutive_failures, 2);
-        assert_eq!(report.snapshot_failures, 2);
+        tel.add(Metric::RejectedOverload, 0, 1);
+        tel.add(Metric::RejectedOverload, 0, 1);
+        tel.add(Metric::DeadlineExceeded, 0, 1);
+        tel.add(Metric::AcceptErrors, Transport::Framed as usize, 1);
+        tel.record_checkpoint(None);
+        tel.record_checkpoint(None);
+        let report = tel.report(vec![(Metric::InflightRequests, vec![1])]);
+        assert_eq!(report.values(Metric::RejectedOverload), [2]);
+        assert_eq!(report.values(Metric::DeadlineExceeded), [1]);
+        assert_eq!(report.values(Metric::InflightRequests), [1]);
+        let accept_errors = report.values(Metric::AcceptErrors);
+        assert_eq!(accept_errors[Transport::Framed as usize], 1);
+        assert_eq!(report.values(Metric::SnapshotConsecutiveFailures), [2]);
+        assert_eq!(report.values(Metric::SnapshotFailures), [2]);
         // A success resets the streak but not the lifetime total.
-        tel.checkpoint_saved(10);
-        tel.inflight_finished();
-        let report = tel.report(CacheStats::default(), Vec::new(), 0);
-        assert_eq!(report.snapshot_consecutive_failures, 0);
-        assert_eq!(report.snapshot_failures, 2);
-        assert_eq!(report.inflight, 0);
+        tel.record_checkpoint(Some(10));
+        let report = tel.report(vec![(Metric::InflightRequests, vec![0])]);
+        assert_eq!(report.values(Metric::SnapshotConsecutiveFailures), [0]);
+        assert_eq!(report.values(Metric::SnapshotFailures), [2]);
+        assert_eq!(report.values(Metric::InflightRequests), [0]);
         let json = report.to_json();
         let resilience = json.get("resilience").expect("resilience block");
         assert_eq!(
@@ -1637,6 +1323,132 @@ mod tests {
         assert!(text.contains("pc_deadline_exceeded_total 1\n"));
         assert!(text.contains("pc_accept_errors_total{transport=\"framed\"} 1\n"));
         assert!(text.contains("pc_snapshot_consecutive_failures 0\n"));
+    }
+
+    /// Replaces the text between each `start` marker and the next `end`
+    /// character with `<masked>`.
+    fn mask(text: &str, start: &str, end: char) -> String {
+        let mut out = String::new();
+        let mut rest = text;
+        while let Some(at) = rest.find(start) {
+            let value = at + start.len();
+            out.push_str(&rest[..value]);
+            out.push_str("<masked>");
+            rest = &rest[value..];
+            rest = &rest[rest.find(end).unwrap_or(rest.len())..];
+        }
+        out.push_str(rest);
+        out
+    }
+
+    /// Records a distinct non-zero value into every family, so a row
+    /// rendered under the wrong name, label or JSON path changes the text.
+    fn populated_report() -> MetricsReport {
+        let tel = Telemetry::new(true, None);
+        for (k, &kind) in QueryKind::ALL.iter().enumerate() {
+            for (o, &outcome) in Outcome::ALL.iter().enumerate() {
+                for rep in 0..(k * 4 + o + 1) as u64 {
+                    tel.record_request(kind, outcome, 3 + 7 * k as u64 + 50 * o as u64 + rep);
+                }
+            }
+        }
+        for s in 0..Stage::ALL.len() {
+            for rep in 0..(s + 1) as u64 {
+                tel.observe(Metric::StageLatency, s, 100 * (s as u64 + 1) + 3 * rep);
+            }
+        }
+        let mut open = Vec::new();
+        for (t, &transport) in Transport::ALL.iter().enumerate() {
+            open.extend((0..9 + 4 * t).map(|_| tel.connection(transport)));
+            open.truncate(open.len() - 2);
+            tel.add(Metric::IdleTimeouts, t, 3 + 3 * t as i64);
+            tel.add(Metric::OversizeRejects, t, 4 + 4 * t as i64);
+            tel.add(Metric::AcceptErrors, t, 5 + 5 * t as i64);
+        }
+        for checkpoint in [
+            None,
+            Some(2_000),
+            None,
+            None,
+            Some(5_000),
+            Some(70_000),
+            None,
+            None,
+        ] {
+            tel.record_checkpoint(checkpoint);
+        }
+        for (metric, count) in [
+            (Metric::RejectedOverload, 14),
+            (Metric::DeadlineExceeded, 15),
+            (Metric::SessionsCreated, 21),
+            (Metric::SessionsDropped, 2),
+            (Metric::SessionsExpired, 3),
+            (Metric::SessionMutations, 19),
+            (Metric::SessionRecognizeIncremental, 22),
+            (Metric::SessionRecognizeRebuild, 23),
+        ] {
+            tel.add(metric, 0, count);
+        }
+        let shards = |base: u64| (0..8).map(|i| base + i).collect();
+        tel.report(vec![
+            (Metric::InflightRequests, vec![17]),
+            (Metric::SessionsLive, vec![16]),
+            (Metric::CacheHits, vec![101]),
+            (Metric::CacheMisses, vec![102]),
+            (Metric::CacheEvictions, vec![103]),
+            (Metric::CacheEntries, vec![104]),
+            (Metric::CacheShardHits, shards(200)),
+            (Metric::CacheShardMisses, shards(300)),
+            (Metric::CacheShardEvictions, shards(400)),
+            (Metric::CacheShardEntries, shards(500)),
+            (Metric::Uptime, vec![4242]),
+        ])
+    }
+
+    #[test]
+    fn both_exports_match_the_golden_files() {
+        let report = populated_report();
+        let prom = mask(&report.to_prometheus(), "pc_build_info{", '}');
+        let prom = mask(&prom, "\npc_snapshot_last_success_unixtime ", '\n');
+        let json = mask(
+            &format!("{}\n", report.to_json()),
+            "\"last_success_unix\":",
+            '}',
+        );
+        for (name, actual, golden) in [
+            (
+                "metrics.prom",
+                prom,
+                include_str!("../tests/golden/metrics.prom"),
+            ),
+            (
+                "metrics.json",
+                json,
+                include_str!("../tests/golden/metrics.json"),
+            ),
+        ] {
+            if let Some((line, (a, g))) = actual
+                .lines()
+                .zip(golden.lines())
+                .enumerate()
+                .find(|(_, (a, g))| a != g)
+            {
+                panic!("{name} line {}: got `{a}`, golden `{g}`", line + 1);
+            }
+            assert_eq!(actual, golden, "{name} differs in length");
+        }
+    }
+
+    #[test]
+    fn the_readme_lists_every_exported_family() {
+        let readme = include_str!("../../../README.md");
+        for family in FAMILIES.iter().filter(|f| !f.name.is_empty()) {
+            assert!(
+                readme.contains(&format!("`{}`", family.name)),
+                "README.md's metrics table lacks `{}`",
+                family.name
+            );
+        }
     }
 
     #[test]

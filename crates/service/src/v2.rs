@@ -700,7 +700,7 @@ pub fn protocol_error_envelope(code: &str, message: &str, ctx: &RequestCtx) -> J
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::Stage;
+    use crate::telemetry::{Metric, Stage};
 
     fn engine() -> QueryEngine {
         QueryEngine::default()
@@ -984,11 +984,11 @@ mod tests {
         assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
         let report = engine.metrics_report();
         assert_eq!(
-            report.stages[Stage::Recognize.index()].count,
+            report.histograms(Metric::StageLatency)[Stage::Recognize as usize].count,
             0,
             "session traffic must never hit the batch recognize stage"
         );
-        assert_eq!(report.sessions.recognize_incremental, 3);
+        assert_eq!(report.values(Metric::SessionRecognizeIncremental), [3]);
     }
 
     #[test]
@@ -1024,7 +1024,8 @@ mod tests {
             r#"{"op":"solve","target":{"cotree":"(j a b)"},"params":{"kind":"min_cover_size"}}"#,
         );
         assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
-        assert_eq!(engine.metrics_report().rejected_overload, 2);
+        let report = engine.metrics_report();
+        assert_eq!(report.values(Metric::RejectedOverload), [2]);
     }
 
     #[test]
