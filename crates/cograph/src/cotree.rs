@@ -461,11 +461,13 @@ impl CotreeBuilder {
         self.kinds.len() - 1
     }
 
-    /// The finished cotree, rooted at the last node added.
+    /// The finished cotree, rooted at the last node added. The arena drops
+    /// the slack its growth left, since a finished tree may be kept for
+    /// long (the service's cache holds parsed trees as they are).
     ///
     /// # Panics
     /// Panics when no node was added.
-    pub fn finish(self) -> Cotree {
+    pub fn finish(mut self) -> Cotree {
         let root = self
             .kinds
             .len()
@@ -475,6 +477,9 @@ impl CotreeBuilder {
             self.parent[..root].iter().all(|&p| p != NO_NODE),
             "every node but the root has a parent"
         );
+        self.kinds.shrink_to_fit();
+        self.children.shrink_to_fit();
+        self.parent.shrink_to_fit();
         Cotree::from_raw_parts(self.kinds, self.children, self.parent, root)
     }
 }

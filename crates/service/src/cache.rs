@@ -1,8 +1,8 @@
 //! The sharded cotree cache.
 //!
-//! Recognition (`O(n^2 log n)`) dominates the cost of serving a query that
-//! arrives as raw graph text, and binarisation plus the solver dominate the
-//! rest. The cache removes both for repeated graphs:
+//! Without the cache, a query arriving as raw graph text pays recognition,
+//! then binarisation and the solver, all linear in the input. The cache
+//! skips them for repeated graphs:
 //!
 //! * a **graph fingerprint** (hash of the exact vertex count and edge list)
 //!   maps previously-seen graphs to their cotree without re-running
@@ -12,6 +12,14 @@
 //!   they were ingested) to one shared [`SolveEntry`] that memoises the
 //!   answers every query kind needs: minimum cover size and the two
 //!   Hamiltonian decisions.
+//!
+//! A hit on graph text costs the fingerprint plus an exact comparison with
+//! the stored graph. A hit on a cotree term costs one canonical pass over
+//! the probe (the key plus the nodes in canonical preorder) and one flat
+//! walk over the stored and the probe's preorders in lockstep. Entries
+//! built from a cotree term keep their preorder, one `u32` per node;
+//! entries built from a graph keep only the key and build the preorder the
+//! first time a term probe must be confirmed against them.
 //!
 //! `FullCover` answers are *not* memoised: covers are `O(n)` big, the solver
 //! that produces them is `O(n)` too, and every returned cover is re-verified
@@ -47,6 +55,7 @@
 //! by [`CotreeCache::stats`]; the per-shard breakdown is available through
 //! [`CotreeCache::shard_stats`].
 
+use cograph::cotree::NO_NODE;
 use cograph::{Cotree, CotreeKind};
 use pathcover::{has_hamiltonian_cycle, has_hamiltonian_path, min_path_cover_size};
 use pcgraph::Graph;
@@ -97,14 +106,45 @@ pub fn graph_fingerprint(g: &Graph) -> u64 {
 /// same key only when they describe the same labelled graph, which is what
 /// makes cached covers safe to reuse.
 pub fn canonical_key(tree: &Cotree) -> u64 {
-    let hashes = node_hashes(tree);
-    hashes[tree.root()]
+    canonical_pass(tree, false).0
 }
 
-/// Per-node canonical hashes (see [`canonical_key`]).
-fn node_hashes(tree: &Cotree) -> Vec<u64> {
-    let mut node_hash = vec![0u64; tree.num_nodes()];
-    for u in tree.postorder() {
+/// Exact canonical equality: `true` iff the two cotrees describe the same
+/// labelled graph up to reordering of children.
+///
+/// Both trees are listed in canonical preorder (see [`canonical_pass`]) and
+/// the two lists walked in lockstep. Siblings are ordered by hash, so a
+/// hash collision among siblings can only produce a false *negative* (the
+/// cache then treats the trees as distinct — lost sharing, never a wrong
+/// answer); a `true` result is an exact structural match.
+pub fn canonical_eq(a: &Cotree, b: &Cotree) -> bool {
+    same_canonical_tree(a, &canonical_pass(a, true).1, b, &canonical_pass(b, true).1)
+}
+
+/// The canonical pass: returns the [`canonical_key`] and, when
+/// `with_order`, the nodes in canonical preorder — each node followed by
+/// its children's subtrees in sorted-hash order (empty otherwise).
+///
+/// One bottom-up sweep hashes every node, sorting its children through one
+/// reused scratch buffer, and notes where each child's subtree starts in
+/// its parent's span of the preorder; one top-down sweep then places every
+/// node at its parent's position plus that offset. Both sweeps follow one
+/// breadth-first listing (read backwards, it puts children before their
+/// parents), which is cheaper to build than a post-order.
+fn canonical_pass(tree: &Cotree, with_order: bool) -> (u64, Box<[u32]>) {
+    let n = tree.num_nodes();
+    let mut top_down = Vec::with_capacity(n);
+    top_down.push(tree.root());
+    let mut next = 0;
+    while let Some(&u) = top_down.get(next) {
+        top_down.extend_from_slice(tree.children(u));
+        next += 1;
+    }
+    let mut hash = vec![0u64; n];
+    let mut size = vec![1u32; n];
+    let mut start = vec![0u32; n];
+    let mut kids: Vec<(u64, u32)> = Vec::new();
+    for &u in top_down.iter().rev() {
         let mut h = Fnv::new();
         match tree.kind(u) {
             CotreeKind::Leaf(v) => {
@@ -113,55 +153,45 @@ fn node_hashes(tree: &Cotree) -> Vec<u64> {
             }
             kind => {
                 h.write_u64(if kind == CotreeKind::Union { 2 } else { 3 });
-                let mut child_hashes: Vec<u64> =
-                    tree.children(u).iter().map(|&c| node_hash[c]).collect();
-                child_hashes.sort_unstable();
-                for ch in child_hashes {
-                    h.write_u64(ch);
+                kids.clear();
+                kids.extend(tree.children(u).iter().map(|&c| (hash[c], c as u32)));
+                kids.sort_unstable();
+                let mut offset = 1;
+                for &(child_hash, c) in &kids {
+                    h.write_u64(child_hash);
+                    start[c as usize] = offset;
+                    offset += size[c as usize];
                 }
+                size[u] = offset;
             }
         }
-        node_hash[u] = h.finish();
+        hash[u] = h.finish();
     }
-    node_hash
-}
-
-/// Exact canonical equality: `true` iff the two cotrees describe the same
-/// labelled graph up to reordering of children.
-///
-/// Children are paired in sorted-hash order and compared pair by pair over
-/// an explicit stack (cotrees can be as deep as they are wide), so a hash
-/// collision among siblings can only produce a false *negative* (the cache
-/// then treats the trees as distinct — lost sharing, never a wrong answer);
-/// a `true` result is an exact structural match of the pairing.
-pub fn canonical_eq(a: &Cotree, b: &Cotree) -> bool {
-    if a.num_nodes() != b.num_nodes() {
-        return false;
+    let key = hash[tree.root()];
+    if !with_order {
+        return (key, Box::default());
     }
-    let ha = node_hashes(a);
-    let hb = node_hashes(b);
-    let mut pending = vec![(a.root(), b.root())];
-    while let Some((u, v)) = pending.pop() {
-        match (a.kind(u), b.kind(v)) {
-            (CotreeKind::Leaf(x), CotreeKind::Leaf(y)) if x == y => {}
-            (ka, kb) if ka == kb && !ka.is_leaf() => {
-                let ca = sorted_children(a, u, &ha);
-                let cb = sorted_children(b, v, &hb);
-                if ca.len() != cb.len() {
-                    return false;
-                }
-                pending.extend(ca.into_iter().zip(cb));
-            }
-            _ => return false,
+    let mut order = vec![0u32; n];
+    for &u in &top_down {
+        let parent = tree.parent(u);
+        if parent != NO_NODE {
+            start[u] += start[parent];
         }
+        order[start[u] as usize] = u as u32;
     }
-    true
+    (key, order.into_boxed_slice())
 }
 
-fn sorted_children(tree: &Cotree, u: usize, hashes: &[u64]) -> Vec<usize> {
-    let mut kids: Vec<usize> = tree.children(u).to_vec();
-    kids.sort_unstable_by_key(|&c| hashes[c]);
-    kids
+/// Exact equality up to child order of two cotrees given their canonical
+/// preorders. A preorder's child counts fix the tree's shape, so agreeing
+/// position by position on kind (leaf labels included) and child count is
+/// agreeing on the whole canonically ordered tree.
+fn same_canonical_tree(a: &Cotree, order_a: &[u32], b: &Cotree, order_b: &[u32]) -> bool {
+    order_a.len() == order_b.len()
+        && order_a.iter().zip(order_b).all(|(&u, &v)| {
+            let (u, v) = (u as usize, v as usize);
+            a.kind(u) == b.kind(v) && a.children(u).len() == b.children(v).len()
+        })
 }
 
 /// A cached cotree plus memoised scalar answers.
@@ -171,6 +201,9 @@ pub struct SolveEntry {
     pub key: u64,
     /// The cotree itself.
     pub cotree: Cotree,
+    /// The cotree's canonical preorder: kept from birth by entries built
+    /// from a cotree term, built on first confirmation by the others.
+    order: OnceLock<Box<[u32]>>,
     min_size: OnceLock<usize>,
     ham_path: OnceLock<bool>,
     ham_cycle: OnceLock<bool>,
@@ -192,15 +225,29 @@ pub struct MemoisedScalars {
 impl SolveEntry {
     /// Wraps a cotree (computing its canonical key).
     pub fn new(cotree: Cotree) -> Self {
-        SolveEntry::from_parts(cotree, MemoisedScalars::default())
+        let key = canonical_key(&cotree);
+        SolveEntry::from_parts(cotree, key, MemoisedScalars::default())
     }
 
-    /// Rebuilds an entry from snapshot parts, pre-seeding the memo slots
-    /// with the scalars persisted by a previous process.
-    pub fn from_parts(cotree: Cotree, scalars: MemoisedScalars) -> Self {
+    /// Wraps a cotree with its canonical key *and* preorder, from one
+    /// pass: the form of an entry built from a cotree term, which serves
+    /// as the lookup probe and, on a miss, becomes the resident entry.
+    pub(crate) fn with_order(cotree: Cotree) -> Self {
+        let (key, order) = canonical_pass(&cotree, true);
+        SolveEntry {
+            order: OnceLock::from(order),
+            ..SolveEntry::from_parts(cotree, key, MemoisedScalars::default())
+        }
+    }
+
+    /// Rebuilds an entry from snapshot parts: the cotree, the canonical key
+    /// the snapshot parser recomputed for it, and the memo slots persisted
+    /// by a previous process.
+    pub(crate) fn from_parts(cotree: Cotree, key: u64, scalars: MemoisedScalars) -> Self {
         let entry = SolveEntry {
-            key: canonical_key(&cotree),
+            key,
             cotree,
+            order: OnceLock::new(),
             min_size: OnceLock::new(),
             ham_path: OnceLock::new(),
             ham_cycle: OnceLock::new(),
@@ -245,6 +292,19 @@ impl SolveEntry {
         *self
             .ham_cycle
             .get_or_init(|| has_hamiltonian_cycle(&self.cotree))
+    }
+
+    /// The canonical preorder, built on first use by entries that arrived
+    /// without one.
+    fn order(&self) -> &[u32] {
+        self.order
+            .get_or_init(|| canonical_pass(&self.cotree, true).1)
+    }
+
+    /// `true` iff `cotree`, whose canonical preorder is `order`, is this
+    /// entry's cotree up to child order.
+    fn holds(&self, cotree: &Cotree, order: &[u32]) -> bool {
+        same_canonical_tree(&self.cotree, self.order(), cotree, order)
     }
 }
 
@@ -522,11 +582,27 @@ impl CotreeCache {
     /// confirming the stored cotree is canonically equal. A hit touches the
     /// entry's LRU position.
     pub fn lookup_key(&self, key: u64, cotree: &Cotree) -> Option<Arc<SolveEntry>> {
+        self.lookup_canonical(key, cotree, &canonical_pass(cotree, true).1)
+    }
+
+    /// [`Self::lookup_key`] for a probe already in canonical form (see
+    /// [`SolveEntry::with_order`]): the hit is confirmed by one walk over
+    /// the resident's and the probe's preorders, hashing neither again.
+    pub(crate) fn lookup_entry(&self, probe: &SolveEntry) -> Option<Arc<SolveEntry>> {
+        self.lookup_canonical(probe.key, &probe.cotree, probe.order())
+    }
+
+    fn lookup_canonical(
+        &self,
+        key: u64,
+        cotree: &Cotree,
+        order: &[u32],
+    ) -> Option<Arc<SolveEntry>> {
         let mut shard = self.shard(key);
         let entry = shard
             .entries
             .get_touch(key)
-            .filter(|e| canonical_eq(&e.cotree, cotree))
+            .filter(|e| e.holds(cotree, order))
             .cloned();
         match entry {
             Some(e) => {
@@ -547,8 +623,16 @@ impl CotreeCache {
     /// If a *different* cotree already occupies the canonical key (a hash
     /// collision), the new cotree is returned uncached: collisions degrade
     /// to cache bypass for the newcomer, never to shared wrong answers.
+    ///
+    /// A cotree inserted without a graph is keyed by its term form, so its
+    /// entry keeps the canonical preorder that confirms later hits; one
+    /// recognised from a graph keeps only its key.
     pub fn insert(&self, graph: Option<(u64, Arc<Graph>)>, cotree: Cotree) -> Arc<SolveEntry> {
-        self.insert_entry(graph, Arc::new(SolveEntry::new(cotree)))
+        let entry = match graph {
+            None => SolveEntry::with_order(cotree),
+            Some(_) => SolveEntry::new(cotree),
+        };
+        self.insert_entry(graph, Arc::new(entry))
     }
 
     /// Inserts a prebuilt entry — the snapshot import path, which must keep
@@ -563,7 +647,7 @@ impl CotreeCache {
         let resident = {
             let mut shard = self.shard(entry.key);
             match shard.entries.get_touch(entry.key) {
-                Some(existing) if canonical_eq(&existing.cotree, &entry.cotree) => existing.clone(),
+                Some(existing) if existing.holds(&entry.cotree, entry.order()) => existing.clone(),
                 Some(_collision) => return entry,
                 None => {
                     let evicted = shard.entries.insert(entry.key, entry.clone());
@@ -728,6 +812,201 @@ mod tests {
     }
 
     #[test]
+    fn canonical_keys_are_pinned() {
+        // Keys travel as `meta.canonical_key` and sit inside every `pcsnap1`
+        // file: any drift quarantines existing snapshots, so these values
+        // are fixed.
+        use crate::ingest::parse_cotree_term_labelled;
+        use rand::SeedableRng;
+        let hex = |tree: &Cotree| format!("{:016x}", canonical_key(tree));
+        let a = parse_cotree_term_labelled("(u 0 (j 1 2) (j 3 (u 4 5)))").unwrap();
+        let b = parse_cotree_term_labelled("(u (j (u 5 4) 3) (j 2 1) 0)").unwrap();
+        assert_eq!(hex(&a), "f67ce09fdd84904b");
+        assert_eq!(hex(&b), hex(&a), "child order must not matter");
+        let nested = parse_cotree_term_labelled("(j 0 (j 1 (u 2 (u 3 4))) (j 5 6))").unwrap();
+        assert_eq!(
+            nested.num_nodes(),
+            9,
+            "the parser flattens same-label nesting"
+        );
+        assert_eq!(hex(&nested), "98ab012b5ef74f0e");
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(14);
+        let random: Vec<String> = cograph::CotreeShape::ALL
+            .iter()
+            .map(|&shape| hex(&cograph::random_cotree(500, shape, &mut rng)))
+            .collect();
+        assert_eq!(
+            random,
+            ["1028e8d18cc39a93", "e045344dbc521eab", "6d3151175ac56609"]
+        );
+    }
+
+    /// `tree` rebuilt through [`CotreeBuilder`] with every leaf relabelled
+    /// by `label` and, when `rng` is given, every node's children shuffled.
+    fn rebuilt(
+        tree: &Cotree,
+        label: impl Fn(u32) -> u32,
+        mut rng: Option<&mut rand_chacha::ChaCha8Rng>,
+    ) -> Cotree {
+        use rand::seq::SliceRandom;
+        let mut builder = cograph::CotreeBuilder::new();
+        let mut built = vec![0usize; tree.num_nodes()];
+        for u in tree.postorder() {
+            built[u] = match tree.kind(u) {
+                CotreeKind::Leaf(v) => builder.leaf(label(v)),
+                kind => {
+                    let mut kids: Vec<usize> = tree.children(u).iter().map(|&c| built[c]).collect();
+                    if let Some(rng) = rng.as_deref_mut() {
+                        kids.shuffle(rng);
+                    }
+                    builder.node(kind, kids)
+                }
+            };
+        }
+        builder.finish()
+    }
+
+    /// `tree` with leaf node `leaf` moved under internal node `target`,
+    /// renormalised by the combining constructors (a node left with one
+    /// child gives way to it; same-kind children merge).
+    fn moved(tree: &Cotree, leaf: usize, target: usize) -> Cotree {
+        let CotreeKind::Leaf(label) = tree.kind(leaf) else {
+            unreachable!("only leaves move")
+        };
+        let mut built: Vec<Option<Cotree>> = vec![None; tree.num_nodes()];
+        for u in tree.postorder() {
+            built[u] = Some(match tree.kind(u) {
+                CotreeKind::Leaf(v) => Cotree::single(v),
+                kind => {
+                    let mut parts: Vec<Cotree> = tree
+                        .children(u)
+                        .iter()
+                        .filter(|&&c| c != leaf)
+                        .map(|&c| built[c].take().expect("child built"))
+                        .collect();
+                    if u == target {
+                        parts.push(Cotree::single(label));
+                    }
+                    if kind == CotreeKind::Union {
+                        Cotree::union_of_labelled(parts)
+                    } else {
+                        Cotree::join_of_labelled(parts)
+                    }
+                }
+            });
+        }
+        built[tree.root()].take().expect("root built")
+    }
+
+    #[test]
+    fn canonical_walk_agrees_with_graph_equality() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(41);
+        for shape in cograph::CotreeShape::ALL {
+            for n in [1usize, 2, 7, 40, 300] {
+                let tree = cograph::random_cotree(n, shape, &mut rng);
+                let graph = tree.to_graph();
+                let nodes = 0..tree.num_nodes();
+                let leaves: Vec<usize> =
+                    nodes.clone().filter(|&u| tree.kind(u).is_leaf()).collect();
+                let internal: Vec<usize> = nodes.filter(|&u| !tree.kind(u).is_leaf()).collect();
+                let mut drawn = vec![tree.clone()];
+
+                let shuffled = rebuilt(&tree, |v| v, Some(&mut rng));
+                assert_eq!(canonical_key(&shuffled), canonical_key(&tree));
+                assert!(canonical_eq(&tree, &shuffled) && canonical_eq(&shuffled, &tree));
+                drawn.push(shuffled);
+
+                // Two leaves under different parents trade labels.
+                let x = leaves[rng.gen_range(0..leaves.len())];
+                let partners: Vec<usize> = leaves
+                    .iter()
+                    .copied()
+                    .filter(|&y| tree.parent(y) != tree.parent(x))
+                    .collect();
+                if !partners.is_empty() {
+                    let y = partners[rng.gen_range(0..partners.len())];
+                    let (CotreeKind::Leaf(a), CotreeKind::Leaf(b)) = (tree.kind(x), tree.kind(y))
+                    else {
+                        unreachable!("leaves carry labels")
+                    };
+                    let swap = |v| {
+                        if v == a {
+                            b
+                        } else if v == b {
+                            a
+                        } else {
+                            v
+                        }
+                    };
+                    let swapped = rebuilt(&tree, swap, None);
+                    assert_ne!(swapped.to_graph(), graph, "{shape:?} n={n}: no-op swap");
+                    assert!(!canonical_eq(&tree, &swapped), "{shape:?} n={n}: swap");
+                    drawn.push(swapped);
+                }
+
+                // One leaf moves under another internal node.
+                let x = leaves[rng.gen_range(0..leaves.len())];
+                let targets: Vec<usize> = internal
+                    .iter()
+                    .copied()
+                    .filter(|&q| q != tree.parent(x))
+                    .collect();
+                if !targets.is_empty() {
+                    let target = targets[rng.gen_range(0..targets.len())];
+                    let shifted = moved(&tree, x, target);
+                    assert_eq!(shifted.validate(), Ok(()));
+                    assert_ne!(shifted.to_graph(), graph, "{shape:?} n={n}: no-op move");
+                    assert!(!canonical_eq(&tree, &shifted), "{shape:?} n={n}: move");
+                    drawn.push(shifted);
+                }
+
+                if n <= 40 {
+                    for a in &drawn {
+                        for b in &drawn {
+                            assert_eq!(
+                                canonical_eq(a, b),
+                                a.to_graph() == b.to_graph(),
+                                "{shape:?} n={n}: {} vs {}",
+                                a.to_term(),
+                                b.to_term()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_walk_tells_shapes_apart_by_child_count() {
+        // Same kinds and labels in preorder, different shapes: only the
+        // child counts separate `(u (j 0 1) 2 3)` from `(u (j 0 1 2) 3)`.
+        use crate::ingest::parse_cotree_term_labelled as term;
+        let preorder = |tree: &Cotree| {
+            let mut order = Vec::new();
+            let mut stack = vec![tree.root()];
+            while let Some(u) = stack.pop() {
+                order.push(u as u32);
+                stack.extend(tree.children(u).iter().rev());
+            }
+            order
+        };
+        let a = term("(u (j 0 1) 2 3)").unwrap();
+        let b = term("(u (j 0 1 2) 3)").unwrap();
+        let kinds = |tree: &Cotree| -> Vec<CotreeKind> {
+            preorder(tree)
+                .iter()
+                .map(|&u| tree.kind(u as usize))
+                .collect()
+        };
+        assert_eq!(kinds(&a), kinds(&b));
+        assert!(same_canonical_tree(&a, &preorder(&a), &a, &preorder(&a)));
+        assert!(!same_canonical_tree(&a, &preorder(&a), &b, &preorder(&b)));
+        assert!(!canonical_eq(&a, &b));
+    }
+
+    #[test]
     fn canonical_key_separates_union_from_join() {
         let a = parse_cotree_term("(u a b)").unwrap();
         let b = parse_cotree_term("(j a b)").unwrap();
@@ -804,6 +1083,66 @@ mod tests {
         // Exact-match guard on lookup: asking for t2 under t1's key misses.
         assert!(cache.lookup_key(resident.key, &t2).is_none());
         assert!(cache.lookup_key(resident.key, &t1).is_some());
+    }
+
+    #[test]
+    fn forged_key_collision_is_refused_by_the_walk() {
+        // A resident stored under a structurally different probe's key: a
+        // genuine collision, so only the walk stands between the probe and
+        // the resident's answers.
+        use crate::ingest::parse_cotree_term_labelled as term;
+        let probe = term("(j (u 0 1) (u 2 3) 4)").unwrap();
+        let key = canonical_key(&probe);
+        for impostor in [
+            "(j (u 0 1) (u 2 4) 3)",
+            "(u (j 0 1) (j 2 3) 4)",
+            "(j (u 0 1 2) (u 3 4))",
+        ] {
+            let impostor = term(impostor).unwrap();
+            assert_eq!(impostor.num_nodes(), probe.num_nodes());
+            let cache = CotreeCache::new(8);
+            let forged = Arc::new(SolveEntry {
+                key,
+                ..SolveEntry::with_order(impostor.clone())
+            });
+            assert!(Arc::ptr_eq(
+                &cache.insert_entry(None, forged.clone()),
+                &forged
+            ));
+            assert!(cache.lookup_key(key, &probe).is_none());
+            assert!(cache
+                .lookup_entry(&SolveEntry::with_order(probe.clone()))
+                .is_none());
+            let newcomer = cache.insert(None, probe.clone());
+            assert!(!Arc::ptr_eq(&newcomer, &forged), "shared a forged entry");
+            assert_eq!(newcomer.cotree, probe);
+            assert!(
+                cache.lookup_key(key, &probe).is_none(),
+                "the newcomer stays uncached"
+            );
+            let resident = cache.lookup_key(key, &impostor).expect("resident kept");
+            assert!(Arc::ptr_eq(&resident, &forged));
+        }
+    }
+
+    #[test]
+    fn graph_built_entries_build_their_order_on_first_confirmation() {
+        let cache = CotreeCache::new(8);
+        let tree = parse_cotree_term("(j (u a b) c)").unwrap();
+        let graph = Arc::new(tree.to_graph());
+        let fp = graph_fingerprint(&graph);
+        let entry = cache.insert(Some((fp, graph.clone())), tree.clone());
+        assert!(
+            entry.order.get().is_none(),
+            "edge-list entries store no order"
+        );
+        assert!(cache.lookup_graph(fp, &graph).is_some());
+        assert!(entry.order.get().is_none(), "graph hits never need one");
+        let probe = SolveEntry::with_order(tree);
+        assert!(probe.order.get().is_some(), "term probes carry theirs");
+        let hit = cache.lookup_entry(&probe).expect("a term probe hits");
+        assert!(Arc::ptr_eq(&hit, &entry));
+        assert_eq!(entry.order.get(), probe.order.get());
     }
 
     #[test]
@@ -987,7 +1326,7 @@ mod tests {
         assert_eq!(scalars.ham_path, Some(has_hamiltonian_path(&tree)));
         assert_eq!(scalars.ham_cycle, None, "cycle was never asked for");
 
-        let rebuilt = SolveEntry::from_parts(tree.clone(), scalars);
+        let rebuilt = SolveEntry::from_parts(tree.clone(), canonical_key(&tree), scalars);
         assert_eq!(rebuilt.memoised_scalars(), scalars);
         assert_eq!(rebuilt.min_cover_size(), entry.min_cover_size());
         assert_eq!(rebuilt.key, entry.key);

@@ -20,7 +20,9 @@
 //! memoised minimum. A failure is reported as
 //! [`ServiceError::CoverVerificationFailed`] rather than silently passed on.
 
-use crate::cache::{graph_fingerprint, CacheStats, CotreeCache, ShardStats, SolveEntry};
+use crate::cache::{
+    graph_fingerprint, CacheStats, CotreeCache, MemoisedScalars, ShardStats, SolveEntry,
+};
 use crate::error::ServiceError;
 use crate::ingest::{self, GraphFormat, Ingested};
 use crate::json::Json;
@@ -131,10 +133,12 @@ pub(crate) struct Resolved {
 }
 
 /// The batch's shared graph, parsed once; every job using it still performs
-/// its own cache lookup so cache hits stay observable per response.
+/// its own cache lookup so cache hits stay observable per response. A
+/// shared cotree is hashed once too: it is kept as the entry every job
+/// probes the cache with (see [`QueryEngine::cotree_entry`]).
 enum SharedPrep {
     Graph(Arc<Graph>),
-    Cotree(Arc<cograph::Cotree>),
+    Cotree(Arc<SolveEntry>),
 }
 
 /// Snapshot persistence state of an engine, surfaced through the `stats`
@@ -600,18 +604,21 @@ impl QueryEngine {
 
     /// Parses the batch's shared graph once; jobs resolve it per query via
     /// [`QueryEngine::resolve_prepared`] so their cache metadata is real.
-    /// The one-off parse is booked as an ingest segment of its own.
+    /// The one-off parse (and a cotree's canonical pass) is booked as an
+    /// ingest segment of its own.
     fn prepare_shared(&self, spec: &GraphSpec) -> Result<SharedPrep, ServiceError> {
         let mut clock = self.telemetry.pipeline_clock();
-        let prep = match spec {
+        let ingested = match spec {
             GraphSpec::Shared => return Err(ServiceError::SharedGraphMissing),
-            GraphSpec::EdgeList(text) => ingested_prep(ingest::parse(text, GraphFormat::EdgeList)?),
-            GraphSpec::Dimacs(text) => ingested_prep(ingest::parse(text, GraphFormat::Dimacs)?),
-            GraphSpec::CotreeTerm(text) => {
-                ingested_prep(ingest::parse(text, GraphFormat::CotreeTerm)?)
-            }
-            GraphSpec::Graph(g) => SharedPrep::Graph(Arc::new(g.clone())),
-            GraphSpec::Cotree(t) => SharedPrep::Cotree(Arc::new(t.clone())),
+            GraphSpec::EdgeList(text) => ingest::parse(text, GraphFormat::EdgeList)?,
+            GraphSpec::Dimacs(text) => ingest::parse(text, GraphFormat::Dimacs)?,
+            GraphSpec::CotreeTerm(text) => ingest::parse(text, GraphFormat::CotreeTerm)?,
+            GraphSpec::Graph(g) => Ingested::Graph(g.clone()),
+            GraphSpec::Cotree(t) => Ingested::Cotree(t.clone()),
+        };
+        let prep = match ingested {
+            Ingested::Graph(g) => SharedPrep::Graph(Arc::new(g)),
+            Ingested::Cotree(t) => SharedPrep::Cotree(self.cotree_entry(t)),
         };
         clock.mark(Stage::Ingest);
         Ok(prep)
@@ -624,7 +631,18 @@ impl QueryEngine {
     ) -> Result<Resolved, ServiceError> {
         match prep {
             SharedPrep::Graph(g) => self.resolve_graph(g.clone(), clock),
-            SharedPrep::Cotree(t) => self.resolve_cotree(t, clock),
+            SharedPrep::Cotree(entry) if self.config.use_cache => {
+                self.resolve_cotree(entry.clone(), clock)
+            }
+            // Without the cache every job solves afresh, as it would alone.
+            SharedPrep::Cotree(entry) => self.resolve_cotree(
+                Arc::new(SolveEntry::from_parts(
+                    entry.cotree.clone(),
+                    entry.key,
+                    MemoisedScalars::default(),
+                )),
+                clock,
+            ),
         }
     }
 
@@ -639,12 +657,14 @@ impl QueryEngine {
             GraphSpec::Dimacs(text) => ingest::parse(text, GraphFormat::Dimacs)?,
             GraphSpec::CotreeTerm(text) => ingest::parse(text, GraphFormat::CotreeTerm)?,
             GraphSpec::Graph(g) => return self.resolve_graph(Arc::new(g.clone()), clock),
-            GraphSpec::Cotree(t) => return self.resolve_cotree(t, clock),
+            GraphSpec::Cotree(t) => {
+                return self.resolve_cotree(self.cotree_entry(t.clone()), clock)
+            }
         };
         clock.mark(Stage::Ingest);
         match ingested {
             Ingested::Graph(g) => self.resolve_graph(Arc::new(g), clock),
-            Ingested::Cotree(t) => self.resolve_cotree(&t, clock),
+            Ingested::Cotree(t) => self.resolve_cotree(self.cotree_entry(t), clock),
         }
     }
 
@@ -667,9 +687,8 @@ impl QueryEngine {
             });
         }
         let fingerprint = graph_fingerprint(&graph);
-        let lookup_started = clock.collector().map(|c| c.elapsed_us());
         if let Some(entry) = self.cache.lookup_graph(fingerprint, &graph) {
-            self.cache_lookup_span(clock, lookup_started, fingerprint, "hit");
+            self.cache_lookup_span(clock, fingerprint, "hit");
             clock.mark(Stage::CacheLookup);
             return Ok(Resolved {
                 entry,
@@ -677,7 +696,7 @@ impl QueryEngine {
                 cache: CacheStatus::Hit,
             });
         }
-        self.cache_lookup_span(clock, lookup_started, fingerprint, "miss");
+        self.cache_lookup_span(clock, fingerprint, "miss");
         clock.mark(Stage::CacheLookup);
         let cotree = recognize_certified(&graph);
         clock.mark(Stage::Recognize);
@@ -693,22 +712,36 @@ impl QueryEngine {
         })
     }
 
+    /// Wraps a request's cotree for [`Self::resolve_cotree`]. With the
+    /// cache on it is put in full canonical form, so the lookup and, on a
+    /// miss, the new resident entry share one canonical pass; with it off
+    /// only the key the response reports is computed.
+    fn cotree_entry(&self, cotree: Cotree) -> Arc<SolveEntry> {
+        Arc::new(if self.config.use_cache {
+            SolveEntry::with_order(cotree)
+        } else {
+            SolveEntry::new(cotree)
+        })
+    }
+
+    /// Resolves a cotree request wrapped by [`Self::cotree_entry`]: a hit
+    /// is confirmed by one walk against `fresh`'s canonical preorder and
+    /// hands back the resident entry; a miss makes `fresh` itself resident,
+    /// so the cotree is neither cloned nor hashed again.
     fn resolve_cotree(
         &self,
-        cotree: &cograph::Cotree,
+        fresh: Arc<SolveEntry>,
         clock: &mut PipelineClock<'_>,
     ) -> Result<Resolved, ServiceError> {
         if !self.config.use_cache {
             return Ok(Resolved {
-                entry: Arc::new(SolveEntry::new(cotree.clone())),
+                entry: fresh,
                 graph: None,
                 cache: CacheStatus::Bypass,
             });
         }
-        let key = crate::cache::canonical_key(cotree);
-        let lookup_started = clock.collector().map(|c| c.elapsed_us());
-        if let Some(entry) = self.cache.lookup_key(key, cotree) {
-            self.cache_lookup_span(clock, lookup_started, key, "hit");
+        if let Some(entry) = self.cache.lookup_entry(&fresh) {
+            self.cache_lookup_span(clock, fresh.key, "hit");
             clock.mark(Stage::CacheLookup);
             return Ok(Resolved {
                 entry,
@@ -716,8 +749,8 @@ impl QueryEngine {
                 cache: CacheStatus::Hit,
             });
         }
-        self.cache_lookup_span(clock, lookup_started, key, "miss");
-        let entry = self.cache.insert(None, cotree.clone());
+        self.cache_lookup_span(clock, fresh.key, "miss");
+        let entry = self.cache.insert_entry(None, fresh);
         clock.mark(Stage::CacheLookup);
         Ok(Resolved {
             entry,
@@ -785,16 +818,12 @@ impl QueryEngine {
     }
 
     /// Annotates the request trace with one `cache:lookup` span naming the
-    /// shard the key hashed into and whether it hit. No-op when the
-    /// request is untraced.
-    fn cache_lookup_span(
-        &self,
-        clock: &PipelineClock<'_>,
-        start_us: Option<u64>,
-        hash: u64,
-        result: &str,
-    ) {
-        if let (Some(collector), Some(start_us)) = (clock.collector(), start_us) {
+    /// shard the key hashed into and whether it hit. The span starts where
+    /// the running `cache_lookup` stage segment started, so it covers the
+    /// fingerprint or canonical pass as the stage histogram does. No-op
+    /// when the request is untraced.
+    fn cache_lookup_span(&self, clock: &PipelineClock<'_>, hash: u64, result: &str) {
+        if let (Some(collector), Some(start_us)) = (clock.collector(), clock.segment_start_us()) {
             let end = collector.elapsed_us();
             collector.push(
                 Span::new("cache:lookup", start_us, end.saturating_sub(start_us))
@@ -845,13 +874,6 @@ fn end_solve(started: Instant, clock: &mut PipelineClock<'_>) -> u64 {
 /// the induced-`P_4` certificate — into the service taxonomy.
 fn recognize_certified(graph: &Graph) -> Result<Cotree, ServiceError> {
     try_recognize(graph).map_err(|e| ServiceError::from_recognition(e, graph.num_vertices()))
-}
-
-fn ingested_prep(ingested: Ingested) -> SharedPrep {
-    match ingested {
-        Ingested::Graph(g) => SharedPrep::Graph(Arc::new(g)),
-        Ingested::Cotree(t) => SharedPrep::Cotree(Arc::new(t)),
-    }
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -1123,6 +1145,38 @@ mod tests {
             .detail
             .iter()
             .any(|(k, v)| k == "result" && v == "miss"));
+
+        // The lookup span starts where its stage segment does, so a trace
+        // shows the fingerprint or canonical pass the stage histogram
+        // times. Inputs big enough that either takes well over 2 µs.
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
+        let tree = cograph::random_cotree(400, cograph::CotreeShape::Mixed, &mut rng);
+        let edges: String = tree
+            .to_graph()
+            .edges()
+            .map(|(u, v)| format!("{u} {v}\n"))
+            .collect();
+        let term = GraphSpec::CotreeTerm(tree.to_term());
+        e.execute(&QueryRequest::new(QueryKind::MinCoverSize, term.clone()));
+        for (spec, result) in [(GraphSpec::EdgeList(edges), "miss"), (term, "hit")] {
+            let resp = e.execute(&QueryRequest::new(QueryKind::MinCoverSize, spec));
+            let trace_id = resp.meta.trace_id.expect("trace id echoed");
+            let spans = e.recorder().get(&trace_id).expect("trace retained").spans;
+            let first = |name: &str| spans.iter().find(|s| s.name == name).expect(name);
+            let lookup = first("cache:lookup");
+            assert!(lookup
+                .detail
+                .iter()
+                .any(|(k, v)| k == "result" && v == result));
+            let stage = first("stage:cache_lookup");
+            assert!(
+                lookup.start_us.abs_diff(stage.start_us) <= 2,
+                "{result}: cache:lookup at {} µs, its stage at {} µs",
+                lookup.start_us,
+                stage.start_us
+            );
+        }
     }
 
     #[test]

@@ -55,6 +55,7 @@ use crate::cache::{canonical_key, graph_fingerprint, CotreeCache, MemoisedScalar
 use crate::ingest::parse_cotree_term_labelled;
 use crate::json::Json;
 use cograph::Cotree;
+use pathcover::{has_hamiltonian_cycle, has_hamiltonian_path, min_path_cover_size};
 use std::fmt;
 use std::fs;
 use std::io::{self, Write as _};
@@ -209,6 +210,9 @@ pub enum LoadOutcome {
 /// One parsed-and-verified entry, ready to import or summarise.
 struct ParsedEntry {
     cotree: Cotree,
+    /// The canonical key, recomputed from the cotree and checked against
+    /// the stored one.
+    key: u64,
     scalars: MemoisedScalars,
     /// The verified graph link: the fingerprint and the graph it names
     /// (re-derived from the cotree), when the entry had one.
@@ -438,38 +442,32 @@ fn parse_and_verify(bytes: &[u8]) -> Result<ParsedSnapshot, SnapshotError> {
             continue;
         }
         scalar_checked += 1;
-        let fresh = SolveEntry::new(parsed.cotree.clone());
+        let tree = &parsed.cotree;
         let line = idx + 2;
         if let Some(size) = stored.min_cover_size {
-            if size != fresh.min_cover_size() {
+            let fresh = min_path_cover_size(tree);
+            if size != fresh {
                 return Err(SnapshotError::Entry {
                     line,
-                    message: format!(
-                        "stored min_cover {size} != recomputed {}",
-                        fresh.min_cover_size()
-                    ),
+                    message: format!("stored min_cover {size} != recomputed {fresh}"),
                 });
             }
         }
         if let Some(path) = stored.ham_path {
-            if path != fresh.has_hamiltonian_path() {
+            let fresh = has_hamiltonian_path(tree);
+            if path != fresh {
                 return Err(SnapshotError::Entry {
                     line,
-                    message: format!(
-                        "stored ham_path {path} != recomputed {}",
-                        fresh.has_hamiltonian_path()
-                    ),
+                    message: format!("stored ham_path {path} != recomputed {fresh}"),
                 });
             }
         }
         if let Some(cycle) = stored.ham_cycle {
-            if cycle != fresh.has_hamiltonian_cycle() {
+            let fresh = has_hamiltonian_cycle(tree);
+            if cycle != fresh {
                 return Err(SnapshotError::Entry {
                     line,
-                    message: format!(
-                        "stored ham_cycle {cycle} != recomputed {}",
-                        fresh.has_hamiltonian_cycle()
-                    ),
+                    message: format!("stored ham_cycle {cycle} != recomputed {fresh}"),
                 });
             }
         }
@@ -561,6 +559,7 @@ fn parse_entry(line: &str, line_no: usize) -> Result<ParsedEntry, SnapshotError>
     };
     Ok(ParsedEntry {
         cotree,
+        key: real_key,
         scalars,
         link,
         fingerprints: fingerprints.len(),
@@ -592,7 +591,11 @@ pub fn load(cache: &CotreeCache, path: &Path) -> Result<LoadReport, SnapshotErro
     let entries = parsed.entries.len();
     let mut links = 0usize;
     for entry in parsed.entries {
-        let solve = Arc::new(SolveEntry::from_parts(entry.cotree, entry.scalars));
+        let solve = Arc::new(SolveEntry::from_parts(
+            entry.cotree,
+            entry.key,
+            entry.scalars,
+        ));
         match entry.link {
             None => {
                 cache.insert_entry(None, solve);

@@ -402,10 +402,9 @@ impl PipelineClock<'_> {
             let micros = (now - *last).as_micros() as u64;
             telemetry.observe(Metric::StageLatency, stage as usize, micros);
             if let Some(collector) = &self.collector {
-                let end = collector.elapsed_us();
                 collector.push(crate::trace::Span::new(
                     format!("stage:{}", stage.as_str()),
-                    end.saturating_sub(micros),
+                    collector.offset_us(*last),
                     micros,
                 ));
             }
@@ -419,6 +418,15 @@ impl PipelineClock<'_> {
     /// everywhere.
     pub fn collector(&self) -> Option<&Arc<crate::trace::SpanCollector>> {
         self.collector.as_ref()
+    }
+
+    /// Where the running segment started on the trace's clock — the start
+    /// the next mark's `stage:*` span will carry — or `None` when the
+    /// request is untraced. A span nested in a stage starts here, so the
+    /// trace times the same interval as the stage histogram.
+    pub fn segment_start_us(&self) -> Option<u64> {
+        let (_, last) = self.inner.as_ref()?;
+        Some(self.collector.as_ref()?.offset_us(*last))
     }
 
     /// Restarts the stopwatch without attributing the elapsed segment to

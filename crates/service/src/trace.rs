@@ -148,6 +148,11 @@ impl SpanCollector {
         self.started.elapsed().as_micros() as u64
     }
 
+    /// Microseconds from the root span's opening to `at` (0 if earlier).
+    pub fn offset_us(&self, at: Instant) -> u64 {
+        at.saturating_duration_since(self.started).as_micros() as u64
+    }
+
     /// Records a span that started at `start_us` (a prior
     /// [`SpanCollector::elapsed_us`] reading) and ends now.
     pub fn finish(&self, name: &str, start_us: u64) {
