@@ -7,7 +7,7 @@
 //!   cotree, each insertion driven by a marking pass over `O(d(x))` nodes,
 //!   for `O(n + m)` total. On failure it does not just say "no": it returns
 //!   a concrete induced `P_4` as a certificate ([`InducedP4`]).
-//! * [`reference`] — the textbook component/co-component decomposition
+//! * [`reference`](mod@reference) — the textbook component/co-component decomposition
 //!   (a graph is a cograph iff every induced subgraph on two or more
 //!   vertices is disconnected or has a disconnected complement). It is
 //!   `O(n^2 log n)`-ish and survives as the differential-testing oracle for
@@ -16,7 +16,7 @@
 //! The free functions of this module — [`recognize`], [`try_recognize`],
 //! [`is_cograph`] — are thin fronts over [`fast`]. The paper itself assumes
 //! the cotree is given (parallel cotree construction is the separate result
-//! of He, cited as [12]); this module is what lets the serving stack accept
+//! of He, cited as \[12\]); this module is what lets the serving stack accept
 //! raw graphs at the same asymptotic cost as the solve path.
 //!
 //! # Certificate semantics

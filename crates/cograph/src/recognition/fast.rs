@@ -28,7 +28,7 @@
 //! decisions keep the pass near its memory-traffic floor:
 //!
 //! * node state is split hot/cold — the fields every hop reads (parent,
-//!   `md`, child count, tag) share one 16-byte [`Hot`] record, while
+//!   `md`, child count, tag) share one 16-byte `Hot` record, while
 //!   child-list links and leaf labels, needed only while splicing or
 //!   exporting, stay in cold arrays;
 //! * the leaf of vertex `v` *is* slab node `v` (leaves are pre-allocated),
@@ -41,7 +41,7 @@
 //! Splicing children during an insertion is `O(1)` per child moved.
 //!
 //! On a failed insertion the prefix graph is a cograph but `G[0..=x]` is
-//! not, so an induced `P_4` through `x` exists; [`find_p4_through`] finds
+//! not, so an induced `P_4` through `x` exists; `find_p4_through` finds
 //! one by a direct neighbourhood search (reject path only — this search is
 //! not part of the `O(n + m)` accept-path budget).
 

@@ -12,7 +12,7 @@
 //! simple — but not allocator-bound. Compared to the original version,
 //! which rebuilt a `Vec<VertexId>` membership list per component and an
 //! induced subgraph at *every* recursion step, the scratch state is hoisted
-//! into a [`Workspace`]:
+//! into a `Workspace`:
 //!
 //! * the vertex set lives in one shared buffer, recursion works on slices
 //!   of it, and components are split by an in-place counting sort;

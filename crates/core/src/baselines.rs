@@ -6,13 +6,13 @@
 //!    which needs `O(height(T_bl) * log n)` time because every 1-node merge
 //!    costs a prefix-sum-style `O(log n)` and the levels are processed one
 //!    after another (Section 2);
-//! 2. **Lin, Olariu, Schwing and Zhang [18]** — path *counts* in `O(log n)`
+//! 2. **Lin, Olariu, Schwing and Zhang \[18\]** — path *counts* in `O(log n)`
 //!    time and `O(n)` work, but path *reporting* in `O(log^2 n)` time with
 //!    `n / log n` EREW processors;
-//! 3. **Adhar and Peng [2]** — `O(log^2 n)` time with `O(n^2)` CRCW
+//! 3. **Adhar and Peng \[2\]** — `O(log^2 n)` time with `O(n^2)` CRCW
 //!    processors.
 //!
-//! The original sources for [18] and [2] predate the paper and are not
+//! The original sources for \[18\] and \[2\] predate the paper and are not
 //! available to this reproduction, so these baselines are *complexity-
 //! faithful emulations*: every round executes genuine
 //! primitive calls (scans, parallel loops) of the sizes the respective
@@ -87,7 +87,7 @@ pub fn naive_parallel_cover(cotree: &Cotree) -> PramOutcome {
     }
 }
 
-/// Emulation of Lin, Olariu, Schwing and Zhang [18]: optimal path counting
+/// Emulation of Lin, Olariu, Schwing and Zhang \[18\]: optimal path counting
 /// followed by `O(log n)` reporting rounds, each paying an `O(log n)`-step
 /// global prefix sum — `O(log^2 n)` time, `O(n log n)` work, `n / log n`
 /// EREW processors.
@@ -118,7 +118,7 @@ pub fn lin_etal_cover(cotree: &Cotree) -> PramOutcome {
     }
 }
 
-/// Emulation of Adhar and Peng [2]: a CRCW algorithm with `O(n^2)`
+/// Emulation of Adhar and Peng \[2\]: a CRCW algorithm with `O(n^2)`
 /// processors and `O(log^2 n)` time. Each of the `O(log n)` rounds touches
 /// the full adjacency-matrix-sized processor array once and performs an
 /// `O(log n)`-step reduction.

@@ -1,5 +1,5 @@
 //! Hamiltonian path and cycle decisions on cographs — the corollaries the
-//! paper's abstract highlights (and the problems Adhar–Peng [2] targeted).
+//! paper's abstract highlights (and the problems Adhar–Peng \[2\] targeted).
 //!
 //! * A cograph has a **Hamiltonian path** iff the number of paths in a
 //!   minimum path cover is 1, i.e. `p(root) = 1`.

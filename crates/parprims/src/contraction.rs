@@ -1,5 +1,5 @@
 //! Rake-based parallel tree contraction (Abrahamson et al., the paper's
-//! reference [1]) specialised to the expression algebra needed for the path
+//! reference \[1\]) specialised to the expression algebra needed for the path
 //! counts `p(u)` of the cotree.
 //!
 //! The algebra: every internal node of a binarised cotree computes either

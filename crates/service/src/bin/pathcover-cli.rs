@@ -29,6 +29,7 @@
 //! instead of paying recognition each time. Without a remote flag the
 //! subcommands run in-process exactly as before.
 
+use pcservice::client::{Client, RetryPolicy};
 use pcservice::{
     CacheStatus, EngineConfig, GraphFormat, GraphSpec, Json, QueryEngine, QueryKind, QueryRequest,
     QueryResponse,
@@ -569,15 +570,15 @@ fn take_remote(args: &mut Vec<String>) -> Result<Option<RemoteTarget>, String> {
 
 /// The client retry policy requested via `PC_RETRIES=N` (None when unset
 /// or zero: fail fast on `overloaded`).
-fn env_retry_policy() -> Result<Option<pcservice::proto::RetryPolicy>, String> {
+fn env_retry_policy() -> Result<Option<RetryPolicy>, String> {
     match std::env::var("PC_RETRIES") {
         Ok(text) if !text.is_empty() => {
             let max_retries: u32 = text
                 .parse()
                 .map_err(|_| format!("PC_RETRIES: '{text}' is not a number"))?;
-            Ok((max_retries != 0).then(|| pcservice::proto::RetryPolicy {
+            Ok((max_retries != 0).then(|| RetryPolicy {
                 max_retries,
-                ..pcservice::proto::RetryPolicy::default()
+                ..RetryPolicy::default()
             }))
         }
         _ => Ok(None),
@@ -585,116 +586,32 @@ fn env_retry_policy() -> Result<Option<pcservice::proto::RetryPolicy>, String> {
 }
 
 impl RemoteTarget {
-    fn connect(&self) -> Result<RemoteClient, String> {
+    /// Connects to the daemon over this target's transport. Both answer
+    /// with identical reply payloads (the HTTP front-end reuses the framed
+    /// protocol's dispatch — see `pcservice::http`), so every subcommand is
+    /// transport-agnostic.
+    fn connect(&self) -> Result<Client, String> {
         let retry = env_retry_policy()?;
-        match self {
+        let client = match self {
             #[cfg(unix)]
             RemoteTarget::Socket(socket) => pcservice::daemon::connect(socket)
-                .map(|client| match retry {
-                    Some(policy) => client.with_retry(policy),
-                    None => client,
-                })
-                .map(RemoteClient::Socket)
-                .map_err(|e| format!("connecting to {socket}: {e}")),
+                .map_err(|e| format!("connecting to {socket}: {e}"))?,
             #[cfg(not(unix))]
-            RemoteTarget::Socket(_) => Err(
-                "--remote requires unix domain sockets, unavailable on this platform; \
-                     use --remote-http"
-                    .to_string(),
-            ),
-            RemoteTarget::Http(addr) => pcservice::http::Client::connect(addr)
-                .map(|client| match retry {
-                    Some(policy) => client.with_retry(policy),
-                    None => client,
-                })
-                .map(RemoteClient::Http)
-                .map_err(|e| format!("connecting to http://{addr}: {e}")),
-        }
-    }
-}
-
-/// A connected client of either transport. Both answer with identical reply
-/// payloads (the HTTP front-end reuses the framed protocol's dispatch —
-/// see `pcservice::http`), so every subcommand is transport-agnostic.
-enum RemoteClient {
-    #[cfg(unix)]
-    Socket(pcservice::proto::Client<std::os::unix::net::UnixStream>),
-    Http(pcservice::http::Client),
-}
-
-impl RemoteClient {
-    fn solve(&mut self, request: &QueryRequest) -> Result<Json, String> {
-        match self {
-            #[cfg(unix)]
-            RemoteClient::Socket(client) => client.solve(request).map_err(|e| e.to_string()),
-            RemoteClient::Http(client) => client.solve(request).map_err(|e| e.to_string()),
-        }
-    }
-
-    fn batch(
-        &mut self,
-        shared: Option<GraphSpec>,
-        requests: Vec<QueryRequest>,
-    ) -> Result<Vec<Json>, String> {
-        match self {
-            #[cfg(unix)]
-            RemoteClient::Socket(client) => {
-                client.batch(shared, requests).map_err(|e| e.to_string())
+            RemoteTarget::Socket(_) => {
+                return Err(
+                    "--remote requires unix domain sockets, unavailable on this \
+                     platform; use --remote-http"
+                        .to_string(),
+                )
             }
-            RemoteClient::Http(client) => client.batch(shared, requests).map_err(|e| e.to_string()),
-        }
-    }
-
-    fn stats(&mut self) -> Result<Json, String> {
-        match self {
-            #[cfg(unix)]
-            RemoteClient::Socket(client) => client.stats().map_err(|e| e.to_string()),
-            RemoteClient::Http(client) => client.stats().map_err(|e| e.to_string()),
-        }
-    }
-
-    fn metrics(&mut self) -> Result<Json, String> {
-        match self {
-            #[cfg(unix)]
-            RemoteClient::Socket(client) => client.metrics().map_err(|e| e.to_string()),
-            RemoteClient::Http(client) => client.metrics().map_err(|e| e.to_string()),
-        }
-    }
-
-    fn shutdown(&mut self) -> Result<(), String> {
-        match self {
-            #[cfg(unix)]
-            RemoteClient::Socket(client) => client.shutdown().map_err(|e| e.to_string()),
-            RemoteClient::Http(client) => client.shutdown().map_err(|e| e.to_string()),
-        }
-    }
-
-    fn save_snapshot(&mut self) -> Result<Json, String> {
-        match self {
-            #[cfg(unix)]
-            RemoteClient::Socket(client) => client.save_snapshot().map_err(|e| e.to_string()),
-            RemoteClient::Http(client) => client.save_snapshot().map_err(|e| e.to_string()),
-        }
-    }
-
-    /// Sends one v2 envelope (`POST /v2/query` over HTTP, a `pcp2` frame
-    /// over the unix socket) and returns the reply envelope verbatim.
-    fn query_v2(&mut self, envelope: &Json) -> Result<Json, String> {
-        match self {
-            #[cfg(unix)]
-            RemoteClient::Socket(client) => client.query_v2(envelope).map_err(|e| e.to_string()),
-            RemoteClient::Http(client) => client.query_v2(envelope).map_err(|e| e.to_string()),
-        }
-    }
-
-    /// Fetches the flight-recorder index (`id: None`) or one retained
-    /// trace; `chrome` selects the Chrome trace-event export.
-    fn trace(&mut self, id: Option<&str>, chrome: bool) -> Result<Json, String> {
-        match self {
-            #[cfg(unix)]
-            RemoteClient::Socket(client) => client.trace(id, chrome).map_err(|e| e.to_string()),
-            RemoteClient::Http(client) => client.trace(id, chrome).map_err(|e| e.to_string()),
-        }
+            RemoteTarget::Http(addr) => {
+                Client::connect(addr).map_err(|e| format!("connecting to http://{addr}: {e}"))?
+            }
+        };
+        Ok(match retry {
+            Some(policy) => client.with_retry(policy),
+            None => client,
+        })
     }
 }
 

@@ -112,7 +112,7 @@ pub fn canonical_key(tree: &Cotree) -> u64 {
 /// Exact canonical equality: `true` iff the two cotrees describe the same
 /// labelled graph up to reordering of children.
 ///
-/// Both trees are listed in canonical preorder (see [`canonical_pass`]) and
+/// Both trees are listed in canonical preorder (see `canonical_pass`) and
 /// the two lists walked in lockstep. Siblings are ordered by hash, so a
 /// hash collision among siblings can only produce a false *negative* (the
 /// cache then treats the trees as distinct — lost sharing, never a wrong

@@ -30,8 +30,8 @@
 //!   loop, open connections are shut down, handler threads are joined and
 //!   the socket file is removed.
 
+use crate::client::Client;
 use crate::engine::{EngineConfig, QueryEngine, DEFAULT_RETRY_AFTER_MS};
-use crate::error::ServiceError;
 use crate::faults::{FaultSpec, Faults};
 use crate::http;
 use crate::json::Json;
@@ -212,30 +212,12 @@ impl Default for ServeOptions {
     }
 }
 
-/// The v1 `overloaded` error reply body, retry hint included — the goodbye
-/// written to connections shed by the connection cap and to requests shed
-/// by fault injection or an exhausted per-connection budget.
-fn overloaded_reply() -> Json {
-    let error = ServiceError::Overloaded {
-        retry_after_ms: DEFAULT_RETRY_AFTER_MS,
-    };
-    let mut fields = vec![("type".to_string(), Json::str("error"))];
-    if let Json::Obj(body) = error.wire_body() {
-        fields.extend(body);
-    }
-    Json::Obj(fields)
-}
-
 /// Synthesizes a trace id for an accept-time rejection (no request was
 /// read, so no `X-Request-Id` header or frame field exists yet), attaches
 /// it to the goodbye body and emits the structured rejection log line. The
 /// id lets a shed client quote something the operator can grep for.
 fn rejection_reply(transport: &str) -> Json {
     let ctx = RequestCtx::generate();
-    let Json::Obj(mut fields) = overloaded_reply() else {
-        unreachable!("overloaded_reply always builds an object");
-    };
-    fields.push(("trace_id".to_string(), Json::str(&ctx.trace_id)));
     crate::log::log(
         crate::log::Level::Warn,
         "conn_rejected",
@@ -245,7 +227,7 @@ fn rejection_reply(transport: &str) -> Json {
             ("retry_after_ms", Json::num(DEFAULT_RETRY_AFTER_MS)),
         ],
     );
-    Json::Obj(fields)
+    proto::shed_reply(proto::PROTO_VERSION, &ctx)
 }
 
 /// Connection-cap goodbye for the framed transport: one `overloaded`
@@ -902,14 +884,7 @@ fn serve_frame<R: BufRead, W: Write>(
             Some(trace) => RequestCtx::with_trace(trace),
             None => RequestCtx::generate(),
         };
-        if version == v2::API_VERSION {
-            let error = v2::OpError::Service(ServiceError::Overloaded {
-                retry_after_ms: DEFAULT_RETRY_AFTER_MS,
-            });
-            proto::write_frame_v(writer, &v2::error_envelope(None, &error, &ctx), version)?;
-        } else {
-            proto::write_frame(writer, &proto::attach_trace(overloaded_reply(), &ctx))?;
-        }
+        proto::write_frame_v(writer, &proto::shed_reply(version, &ctx), version)?;
         if budget_spent {
             return Err(ProtoError::Closed);
         }
@@ -1000,10 +975,10 @@ fn serve_v2_frame<W: Write>(
     Ok(action)
 }
 
-/// Connects to a daemon's unix socket and performs the protocol handshake.
-pub fn connect(socket_path: impl AsRef<Path>) -> Result<proto::Client<UnixStream>, ProtoError> {
-    let stream = UnixStream::connect(socket_path.as_ref())?;
-    proto::Client::connect(stream)
+/// Connects to a daemon's unix socket and performs the `hello` handshake:
+/// the framed [`Client`].
+pub fn connect(socket_path: impl AsRef<Path>) -> Result<Client, ProtoError> {
+    Client::framed(UnixStream::connect(socket_path.as_ref())?)
 }
 
 #[cfg(test)]

@@ -17,11 +17,12 @@
 //! | `GET /v1/stats` | — | `{"type":"stats","stats":{...}}` |
 //! | `GET /v1/metrics` | — | Prometheus text (`?format=json` for JSON) |
 //! | `GET /v1/trace` | — | `{"type":"trace","traces":{...}}` (flight-recorder index) |
-//! | `GET /v1/trace/<id>` | — | one retained trace (`?format=chrome` for raw Chrome trace-event JSON) |
+//! | `GET /v1/trace/<id>` | — | one retained trace (`?format=chrome` for raw Chrome trace-event JSON); `<id>` is percent-decoded |
 //! | `POST /v1/solve` | one query object | `{"type":"response","response":{...}}` |
 //! | `POST /v1/batch` | `{"shared":...,"requests":[...]}` | `{"type":"batch","responses":[...]}` |
 //! | `POST /v1/snapshot` | — | `{"type":"snapshot_ok","entries":...,"bytes":...}` |
 //! | `POST /v1/shutdown` | — | `{"type":"shutdown_ok"}` |
+//! | `POST /v2/query` | one [`crate::v2`] envelope | the reply envelope |
 //!
 //! Query and batch bodies are exactly the payloads of the corresponding
 //! `solve` / `batch` frames (the `"type"` tag is implied by the route and
@@ -54,9 +55,10 @@
 //!   `Content-Length` is checked *before* any body byte is read or
 //!   buffered, so an oversized declaration costs no allocation.
 //! * **501** — `Transfer-Encoding` (chunked bodies are not supported).
-//! * **503** — the admission gate shed the request (error body `code:
-//!   "overloaded"`); `retry_after_ms` in the body and the `Retry-After`
-//!   header (seconds, rounded up) carry the retry hint.
+//! * **503** — the request was shed (error body `code: "overloaded"`; on
+//!   `POST /v2/query` a v2 error envelope, so the shed stays in-band);
+//!   `retry_after_ms` in the body and the `Retry-After` header (seconds,
+//!   rounded up) carry the retry hint.
 //!
 //! Connections are keep-alive by default (HTTP/1.1 semantics, honouring
 //! `Connection: close` and HTTP/1.0 defaults) and bounded by the daemon's
@@ -79,19 +81,21 @@
 //! exposition 0.0.4 (`text/plain`) by default, or as the framed protocol's
 //! `metrics` payload with `?format=json`.
 //!
-//! [`Client`] is the matching thin client used by `pathcover-cli
-//! --remote-http`: one keep-alive connection, the same request model
-//! ([`QueryRequest`] / [`GraphSpec`]) as the framed [`proto::Client`].
+//! [`Client`] re-exports [`crate::client::Client`], whose
+//! [`Client::connect`] opens this transport to a TCP address: the one
+//! client of both transports, used by `pathcover-cli --remote-http`.
 
 use crate::engine::QueryEngine;
+use crate::error::ServiceError;
 use crate::json::{Json, JsonErrorKind};
-use crate::model::{GraphSpec, QueryRequest};
+use crate::model::QueryRequest;
 use crate::proto::{self, MAX_FRAME_LEN, PROTO_VERSION, SERVER_NAME};
 use crate::telemetry::{Metric, RequestCtx, Transport};
 use crate::v2;
 use std::fmt;
-use std::io::{self, BufRead, BufReader, Read as _, Write};
-use std::net::TcpStream;
+use std::io::{self, BufRead, BufReader, Write};
+
+pub use crate::client::Client;
 
 /// Longest accepted request/status/header line, in bytes.
 const MAX_LINE_LEN: usize = 8 << 10;
@@ -117,19 +121,6 @@ pub enum HttpError {
     },
     /// A protocol feature this server does not speak (→ 501).
     Unsupported(String),
-    /// The server answered with an error status (client side only).
-    Status {
-        /// The HTTP status code.
-        status: u16,
-        /// Machine-readable error code from the body, when present.
-        code: String,
-        /// Human-readable message.
-        message: String,
-        /// The server's retry hint (overload rejections), when present.
-        retry_after_ms: Option<u64>,
-    },
-    /// The server's reply could not be interpreted (client side only).
-    BadReply(String),
 }
 
 impl fmt::Display for HttpError {
@@ -142,13 +133,6 @@ impl fmt::Display for HttpError {
                 write!(f, "body of {len} bytes exceeds the {max} byte cap")
             }
             HttpError::Unsupported(msg) => write!(f, "not implemented: {msg}"),
-            HttpError::Status {
-                status,
-                code,
-                message,
-                ..
-            } => write!(f, "server answered {status} [{code}]: {message}"),
-            HttpError::BadReply(msg) => write!(f, "bad reply: {msg}"),
         }
     }
 }
@@ -163,17 +147,13 @@ impl From<io::Error> for HttpError {
 
 /// The server-side rendering of a request-level error: status, reason
 /// phrase and machine-readable code. `None` for errors that close the
-/// connection silently (clean EOF, idle timeout, raw I/O failure) and for
-/// the client-only variants.
+/// connection silently (clean EOF, idle timeout, raw I/O failure).
 fn error_status(error: &HttpError) -> Option<(u16, &'static str, &'static str)> {
     match error {
         HttpError::BadRequest(_) => Some((400, "Bad Request", "bad_request")),
         HttpError::BodyTooLarge { .. } => Some((413, "Payload Too Large", "body_too_large")),
         HttpError::Unsupported(_) => Some((501, "Not Implemented", "not_implemented")),
-        HttpError::Io(_)
-        | HttpError::Closed
-        | HttpError::Status { .. }
-        | HttpError::BadReply(_) => None,
+        HttpError::Io(_) | HttpError::Closed => None,
     }
 }
 
@@ -199,10 +179,21 @@ pub struct HttpRequest {
     pub body: Vec<u8>,
 }
 
+impl HttpRequest {
+    /// The request's context: its `X-Request-Id` as the trace id, or a
+    /// synthesized one.
+    fn ctx(&self) -> RequestCtx {
+        match &self.trace {
+            Some(trace) => RequestCtx::with_trace(trace.clone()),
+            None => RequestCtx::generate(),
+        }
+    }
+}
+
 /// Reads one line terminated by `\n` (an optional preceding `\r` is
 /// stripped), bounded by [`MAX_LINE_LEN`]. `Ok(None)` on a clean EOF
-/// before any byte.
-fn read_line<R: BufRead>(r: &mut R) -> Result<Option<String>, HttpError> {
+/// before any byte. The client reads response heads with it too.
+pub(crate) fn read_line<R: BufRead>(r: &mut R) -> Result<Option<String>, HttpError> {
     let mut line: Vec<u8> = Vec::new();
     loop {
         let mut byte = [0u8; 1];
@@ -544,11 +535,7 @@ fn parse_body(body: &[u8]) -> Result<Json, HttpResponse> {
 /// when absent) and is echoed as a top-level `"trace_id"` on every JSON
 /// body, error replies included.
 pub fn respond(engine: &QueryEngine, request: &HttpRequest) -> (HttpResponse, proto::Action) {
-    let ctx = match &request.trace {
-        Some(trace) => RequestCtx::with_trace(trace.clone()),
-        None => RequestCtx::generate(),
-    }
-    .with_deadline_ms(request.deadline_ms);
+    let ctx = request.ctx().with_deadline_ms(request.deadline_ms);
     let (mut response, action) = route(engine, request, &ctx);
     // Admission-gate sheds surface as HTTP 503 with a Retry-After header,
     // whichever dispatcher (v1 verb or v2 envelope) produced the reply.
@@ -619,6 +606,26 @@ fn attach_api_version(body: Json, version: u64) -> Json {
     Json::Obj(fields)
 }
 
+/// Decodes the `%XX` escapes of a path segment; `None` when an escape is
+/// malformed or the decoded bytes are not UTF-8.
+fn percent_decode(text: &str) -> Option<String> {
+    let mut bytes = Vec::with_capacity(text.len());
+    let mut rest = text.as_bytes();
+    while let Some((&byte, tail)) = rest.split_first() {
+        rest = tail;
+        if byte != b'%' {
+            bytes.push(byte);
+            continue;
+        }
+        let hex = rest
+            .get(..2)
+            .filter(|hex| hex.iter().all(u8::is_ascii_hexdigit))?;
+        bytes.push(u8::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?);
+        rest = &rest[2..];
+    }
+    String::from_utf8(bytes).ok()
+}
+
 /// The route match behind [`respond`], before trace attachment.
 fn route(
     engine: &QueryEngine,
@@ -662,7 +669,18 @@ fn route(
             chrome: false,
         }),
         ("GET" | "HEAD", _) if path.starts_with("/v1/trace/") => {
-            let id = &path["/v1/trace/".len()..];
+            let Some(id) = percent_decode(&path["/v1/trace/".len()..]) else {
+                return (
+                    HttpResponse::error(
+                        400,
+                        "Bad Request",
+                        "bad_request",
+                        "malformed percent-escape in trace id",
+                    ),
+                    proto::Action::Continue,
+                );
+            };
+            let id = id.as_str();
             if id.is_empty() {
                 return (
                     HttpResponse::error(404, "Not Found", "not_found", "empty trace id"),
@@ -791,18 +809,14 @@ fn route(
 /// error body and retry hint — used for faults-forced sheds and exhausted
 /// per-connection budgets (engine-side sheds arrive through [`respond`]).
 fn overloaded_response(retry_after_ms: u64) -> HttpResponse {
-    let error = crate::error::ServiceError::Overloaded { retry_after_ms };
-    let mut fields = vec![("type".to_string(), Json::str("error"))];
-    if let Json::Obj(body) = error.wire_body() {
-        fields.extend(body);
-    }
+    let error = v2::OpError::Service(ServiceError::Overloaded { retry_after_ms });
     HttpResponse {
         status: 503,
         reason: "Service Unavailable",
         allow: None,
         deprecated: false,
         retry_after_ms: Some(retry_after_ms),
-        body: HttpBody::Json(Json::Obj(fields)),
+        body: HttpBody::Json(proto::failure_reply(&error)),
     }
 }
 
@@ -855,10 +869,12 @@ pub fn serve_conn_opts<C: crate::daemon::Connection>(
                 let (mut response, action) = if budget_spent || faults.should_overload() {
                     telemetry.add(Metric::RejectedOverload, 0, 1);
                     let mut response = overloaded_response(crate::engine::DEFAULT_RETRY_AFTER_MS);
-                    let ctx = match &request.trace {
-                        Some(trace) => RequestCtx::with_trace(trace.clone()),
-                        None => RequestCtx::generate(),
-                    };
+                    let ctx = request.ctx();
+                    if request.path == "/v2/query" {
+                        // A v2 shed stays in-band: an error envelope, still
+                        // a 503 with Retry-After.
+                        response.body = HttpBody::Json(proto::shed_reply(v2::API_VERSION, &ctx));
+                    }
                     response.attach_trace(&ctx);
                     (response, proto::Action::Continue)
                 } else {
@@ -878,11 +894,7 @@ pub fn serve_conn_opts<C: crate::daemon::Connection>(
                         "frame_too_large",
                         &format!("reply exceeds the {MAX_FRAME_LEN} byte cap (split the batch)"),
                     );
-                    let ctx = match &request.trace {
-                        Some(trace) => RequestCtx::with_trace(trace.clone()),
-                        None => RequestCtx::generate(),
-                    };
-                    response.attach_trace(&ctx);
+                    response.attach_trace(&request.ctx());
                     body = response.body.render();
                 }
                 let keep_alive =
@@ -936,323 +948,10 @@ pub fn serve_conn_opts<C: crate::daemon::Connection>(
     }
 }
 
-/// A thin HTTP client over one keep-alive connection, mirroring
-/// [`proto::Client`] method-for-method so `pathcover-cli` can treat the
-/// two transports interchangeably. With a [`proto::RetryPolicy`] attached
-/// ([`Client::with_retry`]), idempotent calls answered `503 overloaded`
-/// are retried with backoff; the default is no retrying.
-pub struct Client {
-    reader: BufReader<TcpStream>,
-    retry: Option<proto::RetryPolicy>,
-}
-
-impl Client {
-    /// Connects and probes `GET /healthz`, so a listener that is not a
-    /// pcservice daemon is rejected up front. Nagle's algorithm is off: a
-    /// request goes out as several small writes, and with Nagle on each
-    /// later one waits for the daemon's delayed ACK (tens of milliseconds).
-    pub fn connect(addr: &str) -> Result<Client, HttpError> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        let mut client = Client {
-            reader: BufReader::new(stream),
-            retry: None,
-        };
-        let health = client.request("GET", "/healthz", None)?;
-        if health.get("ok").and_then(Json::as_bool) != Some(true) {
-            return Err(HttpError::BadReply(format!(
-                "healthz did not acknowledge: {health}"
-            )));
-        }
-        Ok(client)
-    }
-
-    /// Attaches a retry policy for idempotent calls (`solve` / `batch` /
-    /// `stats` / `metrics`) answered `503 overloaded`.
-    pub fn with_retry(mut self, policy: proto::RetryPolicy) -> Self {
-        self.retry = Some(policy);
-        self
-    }
-
-    /// One request/response round trip. Error statuses are decoded into
-    /// [`HttpError::Status`] using the error body's `code` / `message`.
-    fn request(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: Option<&Json>,
-    ) -> Result<Json, HttpError> {
-        let body_text = body.map(|b| {
-            let mut text = b.to_string();
-            text.push('\n');
-            text
-        });
-        let written = (|| -> io::Result<()> {
-            let stream = self.reader.get_mut();
-            write!(
-                stream,
-                "{method} {path} HTTP/1.1\r\nHost: pcservice\r\nConnection: keep-alive\r\n"
-            )?;
-            if let Some(text) = &body_text {
-                write!(
-                    stream,
-                    "Content-Type: application/json\r\nContent-Length: {}\r\n",
-                    text.len()
-                )?;
-            } else if method == "POST" {
-                // An explicit zero keeps bodyless POSTs unambiguous for any
-                // intermediary between here and the daemon.
-                stream.write_all(b"Content-Length: 0\r\n")?;
-            }
-            stream.write_all(b"\r\n")?;
-            if let Some(text) = &body_text {
-                stream.write_all(text.as_bytes())?;
-            }
-            stream.flush()
-        })();
-        if let Err(error) = written {
-            // The daemon may have rejected this connection at accept time
-            // (connection cap) and closed it after writing one 503. Our
-            // write raced that close — prefer the buffered typed rejection
-            // over a bare broken pipe.
-            return match self.read_response() {
-                Ok(value) => Ok(value),
-                Err(_) => Err(error.into()),
-            };
-        }
-        self.read_response()
-    }
-
-    /// Reads and decodes one HTTP response (the read half of
-    /// [`Client::request`]). Error statuses are decoded into
-    /// [`HttpError::Status`].
-    fn read_response(&mut self) -> Result<Json, HttpError> {
-        let status_line = read_line(&mut self.reader)?.ok_or(HttpError::Closed)?;
-        let mut parts = status_line.split_whitespace();
-        let status: u16 = match (parts.next(), parts.next()) {
-            (Some(version), Some(status)) if version.starts_with("HTTP/1.") => status
-                .parse()
-                .map_err(|_| HttpError::BadReply(format!("bad status line {status_line:?}")))?,
-            _ => {
-                return Err(HttpError::BadReply(format!(
-                    "bad status line {status_line:?}"
-                )))
-            }
-        };
-        let mut content_length: Option<usize> = None;
-        loop {
-            let line = read_line(&mut self.reader)?
-                .ok_or_else(|| HttpError::BadReply("truncated response headers".to_string()))?;
-            if line.is_empty() {
-                break;
-            }
-            if let Some((name, value)) = line.split_once(':') {
-                if name.trim().eq_ignore_ascii_case("content-length") {
-                    let len: usize = value.trim().parse().map_err(|_| {
-                        HttpError::BadReply(format!("bad Content-Length {value:?}"))
-                    })?;
-                    if len > MAX_FRAME_LEN {
-                        return Err(HttpError::BodyTooLarge {
-                            len,
-                            max: MAX_FRAME_LEN,
-                        });
-                    }
-                    content_length = Some(len);
-                }
-            }
-        }
-        let len = content_length
-            .ok_or_else(|| HttpError::BadReply("response without Content-Length".to_string()))?;
-        let mut body = vec![0u8; len];
-        self.reader.read_exact(&mut body)?;
-        let text = std::str::from_utf8(&body)
-            .map_err(|_| HttpError::BadReply("response body is not UTF-8".to_string()))?;
-        let value = Json::parse(text.trim_end())
-            .map_err(|e| HttpError::BadReply(format!("response body is not JSON: {e}")))?;
-        if !(200..300).contains(&status) {
-            return Err(HttpError::Status {
-                status,
-                code: value
-                    .get("code")
-                    .and_then(Json::as_str)
-                    .unwrap_or("http")
-                    .to_string(),
-                message: value
-                    .get("message")
-                    .and_then(Json::as_str)
-                    .unwrap_or("")
-                    .to_string(),
-                retry_after_ms: value.get("retry_after_ms").and_then(Json::as_u64),
-            });
-        }
-        Ok(value)
-    }
-
-    /// [`Client::request`] with overload retries, used only by the
-    /// idempotent calls: a `503` whose body carries `code: "overloaded"`
-    /// is retried under the attached policy, honoring the server's
-    /// `retry_after_ms` hint as the minimum wait.
-    fn request_retry(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: Option<&Json>,
-    ) -> Result<Json, HttpError> {
-        let mut attempt = 0u32;
-        loop {
-            let result = self.request(method, path, body);
-            let delay = match (&self.retry, &result) {
-                (
-                    Some(policy),
-                    Err(HttpError::Status {
-                        code,
-                        retry_after_ms,
-                        ..
-                    }),
-                ) if attempt < policy.max_retries && code == "overloaded" => {
-                    Some(policy.backoff(attempt, *retry_after_ms))
-                }
-                _ => None,
-            };
-            match delay {
-                Some(delay) => {
-                    std::thread::sleep(delay);
-                    attempt += 1;
-                }
-                None => return result,
-            }
-        }
-    }
-
-    /// Checks a 2xx reply's `"type"` tag against the route's expectation.
-    fn expect(reply: Json, expected: &str) -> Result<Json, HttpError> {
-        match reply.get("type").and_then(Json::as_str) {
-            Some(kind) if kind == expected => Ok(reply),
-            other => Err(HttpError::BadReply(format!(
-                "expected '{expected}' reply, got {other:?}"
-            ))),
-        }
-    }
-
-    /// `GET /healthz`: the server's liveness object.
-    pub fn health(&mut self) -> Result<Json, HttpError> {
-        self.request("GET", "/healthz", None)
-    }
-
-    /// `POST /v1/solve`: executes one query remotely; returns the response
-    /// object (the `QueryResponse::to_json` shape).
-    pub fn solve(&mut self, request: &QueryRequest) -> Result<Json, HttpError> {
-        let reply = self.request_retry("POST", "/v1/solve", Some(&request.to_json()))?;
-        Self::expect(reply, "response")?
-            .get("response")
-            .cloned()
-            .ok_or_else(|| HttpError::BadReply("response reply missing payload".to_string()))
-    }
-
-    /// `POST /v1/batch`: executes a batch remotely; returns the response
-    /// objects in request order.
-    pub fn batch(
-        &mut self,
-        shared: Option<GraphSpec>,
-        requests: Vec<QueryRequest>,
-    ) -> Result<Vec<Json>, HttpError> {
-        let payload = proto::Request::Batch { shared, requests }.to_json();
-        let reply = self.request_retry("POST", "/v1/batch", Some(&payload))?;
-        match Self::expect(reply, "batch")?.get("responses") {
-            Some(Json::Arr(items)) => Ok(items.clone()),
-            _ => Err(HttpError::BadReply(
-                "batch reply missing 'responses' array".to_string(),
-            )),
-        }
-    }
-
-    /// `GET /v1/stats`: the daemon's cache statistics object.
-    pub fn stats(&mut self) -> Result<Json, HttpError> {
-        let reply = self.request_retry("GET", "/v1/stats", None)?;
-        Self::expect(reply, "stats")?
-            .get("stats")
-            .cloned()
-            .ok_or_else(|| HttpError::BadReply("stats reply missing payload".to_string()))
-    }
-
-    /// `GET /v1/metrics?format=json`: the telemetry registry's JSON export
-    /// (the same payload as the framed protocol's `metrics` reply).
-    pub fn metrics(&mut self) -> Result<Json, HttpError> {
-        let reply = self.request_retry("GET", "/v1/metrics?format=json", None)?;
-        Self::expect(reply, "metrics")?
-            .get("metrics")
-            .cloned()
-            .ok_or_else(|| HttpError::BadReply("metrics reply missing payload".to_string()))
-    }
-
-    /// `GET /v1/trace` (the flight-recorder index, `id: None`) or
-    /// `GET /v1/trace/<id>` (one retained trace). `chrome` selects the raw
-    /// Chrome trace-event export for a single trace and returns it
-    /// verbatim; the other flavours are unwrapped from the v1 reply
-    /// envelope.
-    pub fn trace(&mut self, id: Option<&str>, chrome: bool) -> Result<Json, HttpError> {
-        let path = match (id, chrome) {
-            (None, _) => "/v1/trace".to_string(),
-            (Some(id), false) => format!("/v1/trace/{id}"),
-            (Some(id), true) => format!("/v1/trace/{id}?format=chrome"),
-        };
-        let reply = self.request_retry("GET", &path, None)?;
-        if id.is_some() && chrome {
-            return Ok(reply);
-        }
-        let field = if id.is_some() { "trace" } else { "traces" };
-        Self::expect(reply, "trace")?
-            .get(field)
-            .cloned()
-            .ok_or_else(|| HttpError::BadReply(format!("trace reply missing '{field}' payload")))
-    }
-
-    /// `POST /v1/snapshot`: asks the daemon to persist its warm cache
-    /// right now; returns the `snapshot_ok` object. A daemon serving
-    /// without `--snapshot` answers a `snapshot_unconfigured` error reply —
-    /// HTTP 200 with an error body, exactly like the framed protocol —
-    /// which this method surfaces as a typed [`HttpError::Status`].
-    pub fn save_snapshot(&mut self) -> Result<Json, HttpError> {
-        let reply = self.request("POST", "/v1/snapshot", None)?;
-        if reply.get("type").and_then(Json::as_str) == Some("error") {
-            return Err(HttpError::Status {
-                status: 200,
-                code: reply
-                    .get("code")
-                    .and_then(Json::as_str)
-                    .unwrap_or("unknown")
-                    .to_string(),
-                message: reply
-                    .get("message")
-                    .and_then(Json::as_str)
-                    .unwrap_or("")
-                    .to_string(),
-                retry_after_ms: reply.get("retry_after_ms").and_then(Json::as_u64),
-            });
-        }
-        Self::expect(reply, "snapshot_ok")
-    }
-
-    /// `POST /v1/shutdown`: asks the daemon to stop; returns after the
-    /// acknowledgement.
-    pub fn shutdown(&mut self) -> Result<(), HttpError> {
-        let reply = self.request("POST", "/v1/shutdown", None)?;
-        Self::expect(reply, "shutdown_ok").map(|_| ())
-    }
-
-    /// `POST /v2/query`: sends one v2 envelope and returns the reply
-    /// envelope verbatim. Operation failures are *in-band* — the reply
-    /// answers 200 with `"ok": false` and a typed `error` object — so the
-    /// caller inspects the envelope rather than matching on [`HttpError`].
-    pub fn query_v2(&mut self, envelope: &Json) -> Result<Json, HttpError> {
-        self.request("POST", "/v2/query", Some(envelope))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::QueryKind;
+    use crate::model::{GraphSpec, QueryKind};
 
     /// Parses request bytes, discarding interim writes (100-continue).
     fn parse(bytes: &[u8]) -> Result<Option<HttpRequest>, HttpError> {
@@ -1597,6 +1296,19 @@ mod tests {
         assert_eq!(rejected.allow, Some("GET, HEAD"));
     }
 
+    /// Trace ids are percent-decoded; an escape that is truncated, not hex
+    /// or not UTF-8 is refused rather than guessed at.
+    #[test]
+    fn malformed_trace_id_escapes_are_bad_requests() {
+        let engine = QueryEngine::default();
+        for bad in ["a%2", "a%zz", "%+1", "%ff"] {
+            let (response, _) = get(&engine, "GET", &format!("/v1/trace/{bad}"), b"");
+            let code = response.body.as_json().and_then(|b| b.get("code").cloned());
+            assert_eq!(response.status, 400, "{bad}");
+            assert_eq!(code, Some(Json::str("bad_request")), "{bad}");
+        }
+    }
+
     #[test]
     fn replies_echo_the_request_id_header() {
         let engine = QueryEngine::default();
@@ -1898,13 +1610,13 @@ mod tests {
             GraphSpec::CotreeTerm("(j a b)".to_string()),
         );
         match client.solve(&request) {
-            Err(HttpError::Status {
+            Err(proto::ProtoError::Remote {
                 status,
                 code,
                 retry_after_ms,
                 ..
             }) => {
-                assert_eq!(status, 503);
+                assert_eq!(status, Some(503));
                 assert_eq!(code, "overloaded");
                 assert!(retry_after_ms.is_some());
             }
@@ -1912,25 +1624,6 @@ mod tests {
         }
         let rejected = server.join().expect("server thread");
         assert_eq!(rejected, 1, "the shed is booked in telemetry");
-    }
-
-    /// The client writes a request as several small segments; with Nagle's
-    /// algorithm on, each later one would wait for the daemon's delayed ACK.
-    #[cfg(unix)]
-    #[test]
-    fn client_connects_with_nagle_off() {
-        use std::net::TcpListener;
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let engine = QueryEngine::default();
-            let (conn, _) = listener.accept().expect("accept");
-            serve_conn(conn, &engine, &crate::daemon::ShutdownSignal::new());
-        });
-        let client = Client::connect(&addr.to_string()).expect("connect");
-        assert!(client.reader.get_ref().nodelay().expect("socket option"));
-        drop(client);
-        server.join().expect("server thread");
     }
 
     /// End-to-end over a real TCP loopback: client and serve_conn speak to

@@ -34,12 +34,14 @@
 //! request envelope (`{op, target, params, trace_id}`) and the single
 //! dispatcher every operation runs through; [`proto`] defines a
 //! length-framed JSON wire format over any byte stream, carrying both the
-//! legacy v1 verbs (`hello` / `solve` / `batch` / `stats` / `snapshot` /
-//! `shutdown`, each a thin shim over the v2 dispatcher) and raw `pcp2`
-//! envelope frames; [`http`] adapts the same messages to HTTP/1.1 routes
-//! (`POST /v1/solve`, `POST /v1/batch`, `GET /v1/stats`, `GET /healthz`,
-//! `POST /v1/snapshot`, `POST /v1/shutdown`, and `POST /v2/query` for the
-//! envelope); and [`daemon`] runs a long-lived shared engine behind a unix
+//! legacy v1 verbs (`hello` / `solve` / `batch` / `stats` / `metrics` /
+//! `trace` / `snapshot` / `shutdown`, each a thin shim over the v2
+//! dispatcher) and raw `pcp2` envelope frames; [`http`] adapts the same
+//! messages to HTTP/1.1 routes (`POST /v1/solve`, `POST /v1/batch`,
+//! `GET /v1/stats`, `GET /v1/metrics`, `GET /v1/trace[/id]`,
+//! `GET /healthz`, `POST /v1/snapshot`, `POST /v1/shutdown`, and
+//! `POST /v2/query` for the envelope); [`client`] is the one client of
+//! both; and [`daemon`] runs a long-lived shared engine behind a unix
 //! domain socket, a TCP socket, or both at once, so the cotree cache
 //! amortises across client processes and transports. [`session`] adds
 //! daemon-resident graph handles on top: mutate a resident graph
@@ -76,6 +78,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+pub mod client;
 #[cfg(unix)]
 pub mod daemon;
 pub mod engine;

@@ -26,11 +26,12 @@
 //!
 //! Client → server frames are objects tagged by a `"type"` field —
 //! [`Request::Hello`], [`Request::Solve`], [`Request::Batch`],
-//! [`Request::Stats`], [`Request::Metrics`], [`Request::Snapshot`],
-//! [`Request::Shutdown`] — and every one is answered by exactly one reply
-//! frame (`hello`, `response`, `batch`, `stats`, `metrics`, `snapshot_ok`,
-//! `shutdown_ok` or `error`). Query and response payloads reuse the
-//! JSON-lines shapes of [`QueryRequest::from_json`] and
+//! [`Request::Stats`], [`Request::Metrics`], [`Request::Trace`],
+//! [`Request::Snapshot`], [`Request::Shutdown`] — and every one is answered
+//! by exactly one reply frame (`hello`, `response`, `batch`, `stats`,
+//! `metrics`, `trace`, `snapshot_ok`, `shutdown_ok` or `error`); the client
+//! side is [`crate::client::Client::framed`]. Query and response payloads
+//! reuse the JSON-lines shapes of [`QueryRequest::from_json`] and
 //! [`QueryResponse::to_json`], so a daemon session speaks the same dialect
 //! as `pathcover-cli batch` files. Requests may carry a `trace_id` field;
 //! the server echoes it (or a synthesized ID) as a top-level `trace_id` on
@@ -43,10 +44,13 @@
 //! in sync — from *fatal* ones (I/O failure, bad magic, oversized frame)
 //! after which the byte stream cannot be trusted. Servers answer recoverable
 //! errors with an `error` reply and keep the connection; fatal errors close
-//! the connection — never the server (see [`crate::daemon`]).
+//! the connection — never the server (see [`crate::daemon`]). Every
+//! [`crate::client`] failure, on either transport, is a [`ProtoError`]; a
+//! daemon's `error` reply is [`ProtoError::Remote`].
 
 use crate::cache::ShardStats;
-use crate::engine::QueryEngine;
+use crate::engine::{QueryEngine, DEFAULT_RETRY_AFTER_MS};
+use crate::error::ServiceError;
 use crate::json::{Json, JsonError, JsonErrorKind};
 use crate::model::{GraphSpec, QueryRequest, QueryResponse};
 use crate::snapshot::{SaveReport, SNAPSHOT_VERSION};
@@ -103,7 +107,8 @@ pub enum ProtoError {
     /// The payload was valid JSON but not a valid message (stream still in
     /// sync).
     BadMessage(String),
-    /// The server answered with an `error` reply (client side only).
+    /// The server answered with an `error` reply (client side only, see
+    /// [`crate::client`]).
     Remote {
         /// Machine-readable error code.
         code: String,
@@ -112,6 +117,8 @@ pub enum ProtoError {
         /// Server-suggested backoff before retrying, in milliseconds
         /// (carried by `overloaded` rejections).
         retry_after_ms: Option<u64>,
+        /// The HTTP status of the reply; `None` over the framed protocol.
+        status: Option<u16>,
     },
 }
 
@@ -520,13 +527,7 @@ fn legacy_reply(op: &v2::Op, result: Result<Json, v2::OpError>) -> Json {
         // objects, exactly as in v2 results). The reply is built from the
         // shared wire body, so structured fields — `retry_after_ms` on
         // `overloaded` rejections — reach v1 clients too.
-        Err(error) => {
-            let mut fields = vec![("type".to_string(), Json::str("error"))];
-            if let Json::Obj(body) = error.wire_body() {
-                fields.extend(body);
-            }
-            return Json::Obj(fields);
-        }
+        Err(error) => return failure_reply(&error),
         Ok(result) => result,
     };
     match op {
@@ -559,6 +560,31 @@ fn legacy_reply(op: &v2::Op, result: Result<Json, v2::OpError>) -> Json {
         // onto them.
         _ => error_reply("bad_message", "operation has no v1 reply shape"),
     }
+}
+
+/// The v1 `error` reply for an operation failure: its wire body (`code`,
+/// `message` and structured fields such as `retry_after_ms`) under
+/// `"type":"error"`.
+pub fn failure_reply(error: &v2::OpError) -> Json {
+    let mut fields = vec![("type".to_string(), Json::str("error"))];
+    if let Json::Obj(body) = error.wire_body() {
+        fields.extend(body);
+    }
+    Json::Obj(fields)
+}
+
+/// The reply to a request shed before dispatch (connection cap,
+/// per-connection budget, injected fault) in the request's dialect: a
+/// [`crate::v2`] error envelope for version 2, else the v1 `overloaded`
+/// error reply. Both carry the default retry hint and `ctx`'s trace id.
+pub fn shed_reply(version: u64, ctx: &RequestCtx) -> Json {
+    let error = v2::OpError::Service(ServiceError::Overloaded {
+        retry_after_ms: DEFAULT_RETRY_AFTER_MS,
+    });
+    if version == v2::API_VERSION {
+        return v2::error_envelope(None, &error, ctx);
+    }
+    attach_trace(failure_reply(&error), ctx)
 }
 
 /// Appends the context's trace ID as a top-level `trace_id` reply field.
@@ -791,276 +817,6 @@ pub fn error_reply(code: &str, message: &str) -> Json {
         ("code", Json::str(code)),
         ("message", Json::str(message)),
     ])
-}
-
-/// Checks a reply frame's `"type"` tag, converting `error` replies into
-/// [`ProtoError::Remote`].
-fn expect_reply(value: Json, expected: &str) -> Result<Json, ProtoError> {
-    let kind = value
-        .get("type")
-        .and_then(Json::as_str)
-        .ok_or_else(|| ProtoError::BadMessage("reply missing 'type'".to_string()))?;
-    if kind == "error" {
-        return Err(ProtoError::Remote {
-            code: value
-                .get("code")
-                .and_then(Json::as_str)
-                .unwrap_or("unknown")
-                .to_string(),
-            message: value
-                .get("message")
-                .and_then(Json::as_str)
-                .unwrap_or("")
-                .to_string(),
-            retry_after_ms: value.get("retry_after_ms").and_then(Json::as_u64),
-        });
-    }
-    if kind != expected {
-        return Err(ProtoError::BadMessage(format!(
-            "expected '{expected}' reply, got '{kind}'"
-        )));
-    }
-    Ok(value)
-}
-
-/// Bounded retry with jittered exponential backoff for *idempotent*
-/// client calls that were shed with an `overloaded` rejection.
-///
-/// Shared by [`Client`] (framed) and [`crate::http::Client`]; both retry
-/// only reads and pure computations (`solve` / `batch` / `stats` /
-/// `metrics`), never `shutdown` or `snapshot`. The server's
-/// `retry_after_ms` hint, when present, is honored as the *minimum* wait
-/// for that attempt.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Maximum retries after the first attempt (0 disables retrying).
-    pub max_retries: u32,
-    /// First-attempt backoff in milliseconds; doubles per retry.
-    pub base_backoff_ms: u64,
-    /// Backoff ceiling in milliseconds.
-    pub max_backoff_ms: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 3,
-            base_backoff_ms: 50,
-            max_backoff_ms: 2_000,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The wait before retry number `attempt` (0-based): the larger of the
-    /// exponential backoff and the server's `retry_after_ms` hint, capped,
-    /// plus up to 50% deterministic-free jitter so a shed fleet does not
-    /// retry in lockstep.
-    pub fn backoff(&self, attempt: u32, server_hint_ms: Option<u64>) -> std::time::Duration {
-        let expo = self
-            .base_backoff_ms
-            .saturating_mul(1u64 << attempt.min(16).min(63));
-        let base = expo
-            .max(server_hint_ms.unwrap_or(0))
-            .min(self.max_backoff_ms)
-            .max(1);
-        let nanos = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.subsec_nanos() as u64)
-            .unwrap_or(0);
-        let mut z = nanos ^ (u64::from(attempt) << 32) ^ 0x9e37_79b9_7f4a_7c15;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z ^= z >> 31;
-        let jitter = z % (base / 2 + 1);
-        std::time::Duration::from_millis(base + jitter)
-    }
-}
-
-/// Whether a failed call should be retried under a policy: only
-/// `overloaded` rejections qualify — the server explicitly promised the
-/// request is safe to repeat.
-fn retryable_overload(error: &ProtoError) -> Option<Option<u64>> {
-    match error {
-        ProtoError::Remote {
-            code,
-            retry_after_ms,
-            ..
-        } if code == "overloaded" => Some(*retry_after_ms),
-        _ => None,
-    }
-}
-
-/// A protocol client over any bidirectional byte stream.
-///
-/// The transport is generic: [`crate::daemon`] instantiates it over a unix
-/// socket, tests can run it over an in-memory pipe. Construction performs
-/// the `hello` handshake. With a [`RetryPolicy`] attached
-/// ([`Client::with_retry`]), idempotent calls shed with `overloaded` are
-/// retried with backoff; the default is no retrying.
-pub struct Client<S: io::Read + io::Write> {
-    stream: io::BufReader<S>,
-    retry: Option<RetryPolicy>,
-}
-
-impl<S: io::Read + io::Write> Client<S> {
-    /// Performs the `hello` handshake and returns the connected client.
-    pub fn connect(stream: S) -> Result<Self, ProtoError> {
-        let mut client = Client {
-            stream: io::BufReader::new(stream),
-            retry: None,
-        };
-        let hello = Request::Hello {
-            proto: PROTO_VERSION,
-        };
-        let reply = client.round_trip(&hello.to_json(), "hello")?;
-        let proto = reply.get("proto").and_then(Json::as_u64).unwrap_or(0);
-        if proto != PROTO_VERSION {
-            return Err(ProtoError::UnsupportedVersion(proto));
-        }
-        Ok(client)
-    }
-
-    /// Attaches a retry policy for idempotent calls (`solve` / `batch` /
-    /// `stats` / `metrics`) shed with `overloaded`.
-    pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = Some(policy);
-        self
-    }
-
-    fn round_trip(&mut self, payload: &Json, expected: &str) -> Result<Json, ProtoError> {
-        if let Err(error) = write_frame(self.stream.get_mut(), payload) {
-            // The daemon may have rejected this connection at accept time
-            // (connection cap) and closed it after writing one typed
-            // rejection frame. Our write raced that close — prefer the
-            // buffered rejection (a recoverable `overloaded` the caller
-            // can retry against) over a bare broken pipe.
-            return match read_frame(&mut self.stream) {
-                Ok(reply) => expect_reply(reply, expected),
-                Err(_) => Err(error.into()),
-            };
-        }
-        let reply = read_frame(&mut self.stream)?;
-        expect_reply(reply, expected)
-    }
-
-    /// [`Client::round_trip`] with overload retries, used only by the
-    /// idempotent calls. The connection stays live across attempts — an
-    /// `overloaded` reply is recoverable by construction.
-    fn round_trip_retry(&mut self, payload: &Json, expected: &str) -> Result<Json, ProtoError> {
-        let mut attempt = 0u32;
-        loop {
-            let result = self.round_trip(payload, expected);
-            let delay = match (&self.retry, &result) {
-                (Some(policy), Err(error)) if attempt < policy.max_retries => {
-                    retryable_overload(error).map(|hint| policy.backoff(attempt, hint))
-                }
-                _ => None,
-            };
-            match delay {
-                Some(delay) => {
-                    std::thread::sleep(delay);
-                    attempt += 1;
-                }
-                None => return result,
-            }
-        }
-    }
-
-    /// Executes one query remotely; returns the response object (the
-    /// [`QueryResponse::to_json`] shape).
-    pub fn solve(&mut self, request: &QueryRequest) -> Result<Json, ProtoError> {
-        let reply =
-            self.round_trip_retry(&Request::Solve(request.clone()).to_json(), "response")?;
-        reply
-            .get("response")
-            .cloned()
-            .ok_or_else(|| ProtoError::BadMessage("response reply missing payload".to_string()))
-    }
-
-    /// Executes a batch remotely; returns the response objects in request
-    /// order.
-    pub fn batch(
-        &mut self,
-        shared: Option<GraphSpec>,
-        requests: Vec<QueryRequest>,
-    ) -> Result<Vec<Json>, ProtoError> {
-        let reply =
-            self.round_trip_retry(&Request::Batch { shared, requests }.to_json(), "batch")?;
-        match reply.get("responses") {
-            Some(Json::Arr(items)) => Ok(items.clone()),
-            _ => Err(ProtoError::BadMessage(
-                "batch reply missing 'responses' array".to_string(),
-            )),
-        }
-    }
-
-    /// Fetches the daemon's cache statistics object.
-    pub fn stats(&mut self) -> Result<Json, ProtoError> {
-        let reply = self.round_trip_retry(&Request::Stats.to_json(), "stats")?;
-        reply
-            .get("stats")
-            .cloned()
-            .ok_or_else(|| ProtoError::BadMessage("stats reply missing payload".to_string()))
-    }
-
-    /// Fetches the daemon's full metrics report object (the
-    /// [`crate::telemetry::MetricsReport::to_json`] shape).
-    pub fn metrics(&mut self) -> Result<Json, ProtoError> {
-        let reply = self.round_trip_retry(&Request::Metrics.to_json(), "metrics")?;
-        reply
-            .get("metrics")
-            .cloned()
-            .ok_or_else(|| ProtoError::BadMessage("metrics reply missing payload".to_string()))
-    }
-
-    /// Fetches trace summaries from the daemon's flight recorder
-    /// (`id: None`), or one retained trace in full; `chrome` selects
-    /// Chrome trace-event JSON for a single-trace fetch (see
-    /// [`crate::trace`]).
-    pub fn trace(&mut self, id: Option<&str>, chrome: bool) -> Result<Json, ProtoError> {
-        let request = Request::Trace {
-            id: id.map(str::to_string),
-            chrome,
-        };
-        let reply = self.round_trip_retry(&request.to_json(), "trace")?;
-        let field = if id.is_some() { "trace" } else { "traces" };
-        reply
-            .get(field)
-            .cloned()
-            .ok_or_else(|| ProtoError::BadMessage(format!("trace reply missing '{field}' payload")))
-    }
-
-    /// Asks the daemon to persist its warm cache right now; returns the
-    /// `snapshot_ok` object (`entries` / `links` / `bytes` / `path`). A
-    /// daemon serving without `--snapshot` answers with a
-    /// `snapshot_unconfigured` error reply ([`ProtoError::Remote`]).
-    pub fn save_snapshot(&mut self) -> Result<Json, ProtoError> {
-        self.round_trip(&Request::Snapshot.to_json(), "snapshot_ok")
-    }
-
-    /// Asks the daemon to shut down; returns after the acknowledgement.
-    pub fn shutdown(&mut self) -> Result<(), ProtoError> {
-        self.round_trip(&Request::Shutdown.to_json(), "shutdown_ok")?;
-        Ok(())
-    }
-
-    /// Sends one [`crate::v2`] envelope as a `pcp2` frame and returns the
-    /// v2 reply envelope verbatim (`ok` / `result` / `error` are the
-    /// caller's to inspect — v2 failures are in-band, not [`ProtoError`]s).
-    ///
-    /// The dialect is per frame, so v1 calls and v2 envelopes can be mixed
-    /// freely on one connected client.
-    pub fn query_v2(&mut self, envelope: &Json) -> Result<Json, ProtoError> {
-        write_frame_v(self.stream.get_mut(), envelope, v2::API_VERSION)?;
-        let (version, body) = read_frame_raw(&mut self.stream)?;
-        if version != v2::API_VERSION {
-            return Err(ProtoError::BadMessage(format!(
-                "expected a pcp{} reply, got pcp{version}",
-                v2::API_VERSION
-            )));
-        }
-        Json::parse(&body).map_err(ProtoError::BadJson)
-    }
 }
 
 #[cfg(test)]
@@ -1370,148 +1126,5 @@ mod tests {
             request_trace(&Json::parse(r#"{"type":"stats"}"#).unwrap()),
             None
         );
-    }
-
-    /// A fake duplex stream: reads drain a pre-baked reply script, writes
-    /// count the frames the client sent (each frame ends in exactly two
-    /// newlines: the header's and the body terminator).
-    struct Scripted {
-        replies: io::Cursor<Vec<u8>>,
-        newlines_written: usize,
-    }
-
-    impl Scripted {
-        fn new(replies: &[Json]) -> Self {
-            let mut bytes = Vec::new();
-            for reply in replies {
-                write_frame(&mut bytes, reply).unwrap();
-            }
-            Scripted {
-                replies: io::Cursor::new(bytes),
-                newlines_written: 0,
-            }
-        }
-
-        fn frames_written(&self) -> usize {
-            self.newlines_written / 2
-        }
-    }
-
-    impl io::Read for Scripted {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            self.replies.read(buf)
-        }
-    }
-
-    impl io::Write for Scripted {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.newlines_written += buf.iter().filter(|&&b| b == b'\n').count();
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
-    fn overloaded_reply() -> Json {
-        Json::obj(vec![
-            ("type", Json::str("error")),
-            ("code", Json::str("overloaded")),
-            ("message", Json::str("server overloaded; retry after 1 ms")),
-            ("retry_after_ms", Json::num(1)),
-        ])
-    }
-
-    #[test]
-    fn client_retries_overload_until_the_reply_lands() {
-        let hello = Json::obj(vec![
-            ("type", Json::str("hello")),
-            ("proto", Json::num(PROTO_VERSION)),
-        ]);
-        let stats = Json::obj(vec![
-            ("type", Json::str("stats")),
-            ("stats", Json::obj(vec![("entries", Json::num(0))])),
-        ]);
-        // Script: handshake, then two sheds, then the real answer.
-        let script = Scripted::new(&[
-            hello.clone(),
-            overloaded_reply(),
-            overloaded_reply(),
-            stats.clone(),
-        ]);
-        let mut client = Client::connect(script)
-            .expect("handshake")
-            .with_retry(RetryPolicy {
-                max_retries: 3,
-                base_backoff_ms: 1,
-                max_backoff_ms: 2,
-            });
-        let payload = client.stats().expect("retries absorb the sheds");
-        assert_eq!(payload.get("entries").and_then(Json::as_u64), Some(0));
-        // hello + three stats frames (initial attempt + two retries).
-        assert_eq!(client.stream.get_ref().frames_written(), 4);
-    }
-
-    #[test]
-    fn retry_budget_exhaustion_surfaces_the_overload_error() {
-        let hello = Json::obj(vec![
-            ("type", Json::str("hello")),
-            ("proto", Json::num(PROTO_VERSION)),
-        ]);
-        let script = Scripted::new(&[hello, overloaded_reply(), overloaded_reply()]);
-        let mut client = Client::connect(script)
-            .expect("handshake")
-            .with_retry(RetryPolicy {
-                max_retries: 1,
-                base_backoff_ms: 1,
-                max_backoff_ms: 1,
-            });
-        let error = client.stats().expect_err("budget of one retry");
-        match error {
-            ProtoError::Remote {
-                code,
-                retry_after_ms,
-                ..
-            } => {
-                assert_eq!(code, "overloaded");
-                assert_eq!(retry_after_ms, Some(1));
-            }
-            other => panic!("wrong error: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn non_overload_errors_are_never_retried() {
-        let hello = Json::obj(vec![
-            ("type", Json::str("hello")),
-            ("proto", Json::num(PROTO_VERSION)),
-        ]);
-        let bad = Json::obj(vec![
-            ("type", Json::str("error")),
-            ("code", Json::str("bad_request")),
-            ("message", Json::str("nope")),
-        ]);
-        let script = Scripted::new(&[hello, bad]);
-        let mut client = Client::connect(script)
-            .expect("handshake")
-            .with_retry(RetryPolicy::default());
-        assert!(client.stats().is_err());
-        // hello + exactly one stats frame: no retry was attempted.
-        assert_eq!(client.stream.get_ref().frames_written(), 2);
-    }
-
-    #[test]
-    fn backoff_honors_the_server_hint_and_the_cap() {
-        let policy = RetryPolicy {
-            max_retries: 5,
-            base_backoff_ms: 10,
-            max_backoff_ms: 100,
-        };
-        // Hint above the exponential floor wins; jitter adds at most 50%.
-        let waited = policy.backoff(0, Some(80)).as_millis() as u64;
-        assert!((80..=120).contains(&waited), "hint floor: {waited}");
-        // Deep attempts cap at max_backoff_ms (+ jitter).
-        let waited = policy.backoff(10, None).as_millis() as u64;
-        assert!((100..=150).contains(&waited), "cap: {waited}");
     }
 }

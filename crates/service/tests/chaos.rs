@@ -9,8 +9,8 @@
 //! file removed.
 #![cfg(unix)]
 
+use pcservice::client::RetryPolicy;
 use pcservice::daemon::{connect, Daemon, DaemonConfig};
-use pcservice::proto::RetryPolicy;
 use pcservice::{EngineConfig, FaultSpec, GraphSpec, Json, ProtoError, QueryKind, QueryRequest};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -88,7 +88,7 @@ fn test_retry() -> RetryPolicy {
 /// Connects to a faulted daemon, absorbing handshake sheds and
 /// connections killed by injected panics (both are connection-scoped by
 /// contract, so a fresh connect must eventually succeed).
-fn connect_retrying(socket: &PathBuf) -> pcservice::proto::Client<std::os::unix::net::UnixStream> {
+fn connect_retrying(socket: &PathBuf) -> pcservice::client::Client {
     for _ in 0..200 {
         match connect(socket) {
             Ok(client) => return client.with_retry(test_retry()),

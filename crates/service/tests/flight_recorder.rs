@@ -37,7 +37,7 @@ fn raw_http(addr: &str, request: &str) -> (String, String, String) {
 
 /// Connects until the daemon has a free slot again (used after dropping a
 /// held connection, whose handler needs a moment to deregister).
-fn connect_retrying(socket: &Path) -> pcservice::proto::Client<std::os::unix::net::UnixStream> {
+fn connect_retrying(socket: &Path) -> pcservice::client::Client {
     for _ in 0..100 {
         if let Ok(client) = pcservice::daemon::connect(socket) {
             return client;
