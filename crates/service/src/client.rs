@@ -9,14 +9,15 @@
 //!
 //! * **framed** ([`Client::framed`], [`crate::daemon::connect`]): `pcp1` and
 //!   `pcp2` frames (see [`crate::proto`]) after the `hello` handshake;
-//! * **HTTP/1.1 keep-alive** ([`Client::connect`]): each call maps to a
-//!   method and a `/v1` route (see [`crate::http`]), envelopes go to
-//!   `POST /v2/query`, and the handshake is `GET /healthz`.
+//! * **HTTP/1.1 keep-alive** ([`Client::connect`]): each call takes its
+//!   method and `/v1` route from its row of [`proto::VERBS`] (see
+//!   [`crate::http`]), envelopes go to `POST /v2/query`, and the handshake
+//!   is `GET /healthz`.
 
 use crate::http;
 use crate::json::Json;
 use crate::model::{GraphSpec, QueryRequest};
-use crate::proto::{self, ProtoError, Request, MAX_FRAME_LEN, PROTO_VERSION};
+use crate::proto::{self, Placement, ProtoError, Request, MAX_FRAME_LEN, PROTO_VERSION};
 use crate::v2;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -161,41 +162,28 @@ impl<S: Read + Write> Http<S> {
 
 impl<S: Read + Write + Send> Wire for Http<S> {
     fn call(&mut self, request: &Request) -> Result<(Option<u16>, Json), ProtoError> {
-        let (method, path) = match request {
-            Request::Hello { .. } => ("GET", "/healthz".to_string()),
-            Request::Solve(_) => ("POST", "/v1/solve".to_string()),
-            Request::Batch { .. } => ("POST", "/v1/batch".to_string()),
-            Request::Stats => ("GET", "/v1/stats".to_string()),
-            Request::Metrics => ("GET", "/v1/metrics?format=json".to_string()),
-            Request::Trace { id: None, .. } => ("GET", "/v1/trace".to_string()),
-            Request::Trace {
-                id: Some(id),
-                chrome,
-            } => {
-                let format = if *chrome { "?format=chrome" } else { "" };
-                ("GET", format!("/v1/trace/{}{format}", percent_encode(id)))
+        let (verb, frame) = (request.verb(), request.to_json());
+        let mut path = verb.route.to_string();
+        if verb.by_id() {
+            // The id is one path segment; a Chrome export is asked for in
+            // the query string.
+            let id = frame.get("id").and_then(Json::as_str).unwrap_or("");
+            path.push_str(&percent_encode(id));
+            if let Some(format) = frame.get("format").and_then(Json::as_str) {
+                path.push_str(&format!("?format={format}"));
             }
-            Request::Snapshot => ("POST", "/v1/snapshot".to_string()),
-            Request::Shutdown => ("POST", "/v1/shutdown".to_string()),
-        };
+        } else if std::ptr::eq(verb, &proto::METRICS) {
+            // The route serves Prometheus text unless asked for JSON.
+            path.push_str("?format=json");
+        }
         // The route implies the `type` tag, and ignores it in a body.
-        let body =
-            matches!(request, Request::Solve(_) | Request::Batch { .. }).then(|| request.to_json());
-        let (status, reply) = self.round_trip(method, &path, body.as_ref())?;
-        // Two routes answer a bare object instead of a v1 reply. Tag them
-        // as the framed protocol would.
-        let reply = match request {
-            _ if status != 200 => reply,
-            // The health probe stands in for `hello`; its `proto` is checked.
-            Request::Hello { .. } => Json::obj(vec![
-                ("type", Json::str("hello")),
-                ("proto", reply.get("proto").cloned().unwrap_or(Json::Null)),
-            ]),
-            // The raw Chrome trace export.
-            Request::Trace { id: Some(_), .. } if path.ends_with("?format=chrome") => {
-                Json::obj(vec![("type", Json::str("trace")), ("trace", reply)])
-            }
-            _ => reply,
+        let body = verb.body.then_some(&frame);
+        let (status, reply) = self.round_trip(verb.method, &path, body)?;
+        // The health probe (standing in for `hello`) and the raw Chrome
+        // export answer a bare object: tag it as the framed protocol would.
+        let reply = match reply.get("type") {
+            None => verb.wrap(reply),
+            Some(_) => reply,
         };
         Ok((Some(status), reply))
     }
@@ -203,7 +191,7 @@ impl<S: Read + Write + Send> Wire for Http<S> {
     /// v2 failures are in-band, so the envelope is the answer whatever
     /// the status (503 on a shed).
     fn call_v2(&mut self, envelope: &Json) -> Result<Json, ProtoError> {
-        Ok(self.round_trip("POST", "/v2/query", Some(envelope))?.1)
+        Ok(self.round_trip("POST", v2::ROUTE, Some(envelope))?.1)
     }
 }
 
@@ -303,7 +291,7 @@ impl Client {
         let hello = Request::Hello {
             proto: PROTO_VERSION,
         };
-        let reply = client.request(&hello, "hello")?;
+        let reply = client.request(&hello)?;
         let proto = reply.get("proto").and_then(Json::as_u64).unwrap_or(0);
         if proto != PROTO_VERSION {
             return Err(ProtoError::UnsupportedVersion(proto));
@@ -319,9 +307,10 @@ impl Client {
     }
 
     /// One round trip with the reply check: an `error` reply becomes
-    /// [`ProtoError::Remote`], any tag but `expected` a
+    /// [`ProtoError::Remote`], any tag but the verb's reply tag a
     /// [`ProtoError::BadMessage`].
-    fn request(&mut self, request: &Request, expected: &str) -> Result<Json, ProtoError> {
+    fn request(&mut self, request: &Request) -> Result<Json, ProtoError> {
+        let expected = request.verb().reply;
         let (status, reply) = self.wire.call(request)?;
         let text = |field: &str| reply.get(field).and_then(Json::as_str).map(str::to_string);
         match text("type").as_deref() {
@@ -341,17 +330,12 @@ impl Client {
 
     /// [`Client::request`] for the idempotent calls: an `overloaded` shed is
     /// retried under the attached policy on the same connection (the
-    /// rejection is recoverable by construction), and the reply's
-    /// `field` is the answer.
-    fn fetch(
-        &mut self,
-        request: &Request,
-        expected: &str,
-        field: &str,
-    ) -> Result<Json, ProtoError> {
+    /// rejection is recoverable by construction), and the answer is where
+    /// the verb's [`Placement`] puts it.
+    fn fetch(&mut self, request: &Request) -> Result<Json, ProtoError> {
         let mut attempt = 0u32;
         let reply = loop {
-            let result = self.request(request, expected);
+            let result = self.request(request);
             match (&self.retry, &result) {
                 (
                     Some(policy),
@@ -367,14 +351,19 @@ impl Client {
                 _ => break result?,
             }
         };
-        let payload = reply.get(field).cloned();
-        payload.ok_or_else(|| ProtoError::BadMessage(format!("{expected} reply missing '{field}'")))
+        let verb = request.verb();
+        match verb.placement {
+            Placement::Field(field) => reply.get(field).cloned().ok_or_else(|| {
+                ProtoError::BadMessage(format!("{} reply missing '{field}'", verb.reply))
+            }),
+            Placement::Splice => Ok(reply),
+        }
     }
 
     /// Executes one query; returns the response object (the
     /// [`crate::QueryResponse::to_json`] shape).
     pub fn solve(&mut self, request: &QueryRequest) -> Result<Json, ProtoError> {
-        self.fetch(&Request::Solve(request.clone()), "response", "response")
+        self.fetch(&Request::Solve(request.clone()))
     }
 
     /// Executes a batch; returns the response objects in request order.
@@ -383,8 +372,11 @@ impl Client {
         shared: Option<GraphSpec>,
         requests: Vec<QueryRequest>,
     ) -> Result<Vec<Json>, ProtoError> {
-        match self.fetch(&Request::Batch { shared, requests }, "batch", "responses")? {
-            Json::Arr(items) => Ok(items),
+        let Json::Obj(fields) = self.fetch(&Request::Batch { shared, requests })? else {
+            unreachable!("a tagged reply is an object");
+        };
+        match fields.into_iter().find(|(key, _)| key == "responses") {
+            Some((_, Json::Arr(items))) => Ok(items),
             _ => Err(ProtoError::BadMessage(
                 "batch reply 'responses' is not an array".to_string(),
             )),
@@ -393,13 +385,13 @@ impl Client {
 
     /// Fetches the daemon's cache statistics object.
     pub fn stats(&mut self) -> Result<Json, ProtoError> {
-        self.fetch(&Request::Stats, "stats", "stats")
+        self.fetch(&Request::Stats)
     }
 
     /// Fetches the daemon's full metrics report object (the
     /// [`crate::telemetry::MetricsReport::to_json`] shape).
     pub fn metrics(&mut self) -> Result<Json, ProtoError> {
-        self.fetch(&Request::Metrics, "metrics", "metrics")
+        self.fetch(&Request::Metrics)
     }
 
     /// Fetches trace summaries from the daemon's flight recorder
@@ -407,12 +399,10 @@ impl Client {
     /// Chrome trace-event JSON for a single-trace fetch (see
     /// [`crate::trace`]).
     pub fn trace(&mut self, id: Option<&str>, chrome: bool) -> Result<Json, ProtoError> {
-        let request = Request::Trace {
+        self.fetch(&Request::Trace {
             id: id.map(str::to_string),
             chrome,
-        };
-        let field = if id.is_some() { "trace" } else { "traces" };
-        self.fetch(&request, "trace", field)
+        })
     }
 
     /// Asks the daemon to persist its warm cache right now; returns the
@@ -420,12 +410,12 @@ impl Client {
     /// daemon serving without `--snapshot` answers with a
     /// `snapshot_unconfigured` error ([`ProtoError::Remote`]).
     pub fn save_snapshot(&mut self) -> Result<Json, ProtoError> {
-        self.request(&Request::Snapshot, "snapshot_ok")
+        self.request(&Request::Snapshot)
     }
 
     /// Asks the daemon to shut down; returns after the acknowledgement.
     pub fn shutdown(&mut self) -> Result<(), ProtoError> {
-        self.request(&Request::Shutdown, "shutdown_ok").map(drop)
+        self.request(&Request::Shutdown).map(drop)
     }
 
     /// Sends one [`crate::v2`] envelope (a `pcp2` frame, or

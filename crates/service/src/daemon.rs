@@ -11,9 +11,9 @@
 //! sharded cache and batches fan out through the engine's existing thread
 //! pool.
 //!
-//! Protocol semantics live in [`crate::proto`] ([`proto::dispatch`] is the
-//! entire request → reply mapping, for both transports); this module only
-//! adds:
+//! Protocol semantics live in [`crate::proto`] (its request edge,
+//! [`proto::serve`], maps every request to its reply, for both transports
+//! and both dialects); this module only adds:
 //!
 //! * **a transport abstraction** — [`Listener`] (blocking accept + a waker
 //!   that unblocks it) and [`Connection`] (clone/timeout/shutdown on a byte
@@ -35,7 +35,7 @@ use crate::engine::{EngineConfig, QueryEngine, DEFAULT_RETRY_AFTER_MS};
 use crate::faults::{FaultSpec, Faults};
 use crate::http;
 use crate::json::Json;
-use crate::proto::{self, ProtoError, Request};
+use crate::proto::{self, Dialect, Headers, ProtoError};
 use crate::snapshot;
 use crate::telemetry::{Metric, RequestCtx, Transport};
 use crate::v2;
@@ -815,43 +815,33 @@ pub fn serve_proto_conn_opts<C: Connection>(
                 break;
             }
             Err(ProtoError::Closed) => break,
-            Err(error) if error.is_recoverable() => {
-                // The frame was consumed cleanly: report and keep serving.
-                // The payload never parsed, so there is no client-supplied
-                // trace — correlate the reply with a synthesized one.
-                let reply = proto::attach_trace(
-                    proto::error_reply(error.code(), &error.to_string()),
-                    &RequestCtx::generate(),
-                );
-                if proto::write_frame(&mut writer, &reply).is_err() {
-                    break;
-                }
-            }
             Err(error) => {
-                // Idle connections are dropped silently; framing violations
-                // get a best-effort error frame. Either way this connection
-                // is done — and only this connection.
+                // Idle connections are dropped silently. Any other defect
+                // gets an error frame under a synthesized trace (its payload
+                // never parsed): a recoverable one consumed its frame
+                // cleanly and the connection keeps serving, a framing
+                // violation closes this connection — and only this one.
                 if is_idle_timeout(&error) {
                     telemetry.add(Metric::IdleTimeouts, Transport::Framed as usize, 1);
-                } else {
-                    if matches!(error, ProtoError::FrameTooLarge { .. }) {
-                        telemetry.add(Metric::OversizeRejects, Transport::Framed as usize, 1);
-                    }
-                    let reply = proto::attach_trace(
-                        proto::error_reply(error.code(), &error.to_string()),
-                        &RequestCtx::generate(),
-                    );
-                    let _ = proto::write_frame(&mut writer, &reply);
+                    break;
                 }
-                break;
+                if matches!(error, ProtoError::FrameTooLarge { .. }) {
+                    telemetry.add(Metric::OversizeRejects, Transport::Framed as usize, 1);
+                }
+                let reply = proto::error_reply(error.code(), &error.to_string());
+                let reply = proto::attach_trace(reply, &RequestCtx::generate());
+                if proto::write_frame(&mut writer, &reply).is_err() || !error.is_recoverable() {
+                    break;
+                }
             }
         }
     }
 }
 
-/// Serves one frame: read, decode, dispatch, reply. The returned action is
-/// authoritative even when the reply could not be written — a `shutdown`
-/// whose acknowledgement hits a dead client must still stop the daemon.
+/// Serves one frame: read, hand to the request edge, reply. The returned
+/// action is authoritative even when the reply could not be written — a
+/// `shutdown` whose acknowledgement hits a dead client must still stop the
+/// daemon.
 ///
 /// The frame header's version tag picks the dialect — `pcp1` frames carry
 /// the legacy per-verb messages, `pcp2` frames the [`crate::v2`] envelope —
@@ -872,7 +862,7 @@ fn serve_frame<R: BufRead, W: Write>(
     if faults.should_panic() {
         panic!("injected fault: framed handler panic");
     }
-    let decoded = Json::parse(&body).map_err(ProtoError::BadJson);
+    let payload = Json::parse(&body).map_err(ProtoError::BadJson);
     // Per-connection budget and fault-forced sheds: a typed, recoverable
     // `overloaded` reply in the frame's own dialect, before dispatch. A
     // spent budget additionally closes the connection (silently, after the
@@ -880,10 +870,9 @@ fn serve_frame<R: BufRead, W: Write>(
     let budget_spent = request_budget != 0 && *served >= request_budget;
     if budget_spent || faults.should_overload() {
         engine.telemetry().add(Metric::RejectedOverload, 0, 1);
-        let ctx = match decoded.as_ref().ok().and_then(proto::request_trace) {
-            Some(trace) => RequestCtx::with_trace(trace),
-            None => RequestCtx::generate(),
-        };
+        let fields = payload.as_ref().unwrap_or(&Json::Null);
+        let ctx = proto::request_ctx(fields, Headers::default())
+            .unwrap_or_else(|_| RequestCtx::generate());
         proto::write_frame_v(writer, &proto::shed_reply(version, &ctx), version)?;
         if budget_spent {
             return Err(ProtoError::Closed);
@@ -891,80 +880,39 @@ fn serve_frame<R: BufRead, W: Write>(
         return Ok(proto::Action::Continue);
     }
     *served += 1;
-    if version == v2::API_VERSION {
-        return serve_v2_frame(writer, engine, decoded);
-    }
-    let payload = decoded?;
-    // The raw frame's trace_id is read *before* decoding, so even a frame
-    // that fails to decode gets its error reply correlated; the optional
-    // deadline_ms field bounds the job from this point on.
-    let ctx = match proto::request_trace(&payload) {
-        Some(trace) => RequestCtx::with_trace(trace),
-        None => RequestCtx::generate(),
-    }
-    .with_deadline_ms(proto::request_deadline_ms(&payload));
-    let request = match Request::from_json(&payload) {
-        Ok(request) => request,
-        Err(error) if error.is_recoverable() => {
-            let reply =
-                proto::attach_trace(proto::error_reply(error.code(), &error.to_string()), &ctx);
-            proto::write_frame(writer, &reply)?;
-            return Ok(proto::Action::Continue);
-        }
-        Err(error) => return Err(error),
+    let dialect = if version == v2::API_VERSION {
+        Dialect::Envelope
+    } else {
+        Dialect::Frame
     };
-    let (reply, action) = proto::dispatch_ctx(engine, &request, &ctx);
-    let written = match proto::write_frame(writer, &reply) {
+    let (reply, ctx, action) = match payload {
+        Ok(payload) => {
+            let reply = proto::serve(engine, dialect, &payload, Headers::default());
+            (reply.body, reply.ctx, reply.action)
+        }
+        // The frame was consumed cleanly but its payload never parsed:
+        // report in-dialect, under a synthesized trace, and keep serving.
+        Err(error) => {
+            let ctx = RequestCtx::generate();
+            let body = proto::error_body(error.code(), &error.to_string());
+            (
+                proto::error_in_dialect(version, body, &ctx),
+                ctx,
+                proto::Action::Continue,
+            )
+        }
+    };
+    let written = match proto::write_frame_v(writer, &proto::attach_trace(reply, &ctx), version) {
         // An oversized reply was refused before any bytes were written:
         // the stream is still in sync, so tell the client what happened
         // instead of dying.
         Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-            let reply =
-                proto::attach_trace(proto::error_reply("frame_too_large", &e.to_string()), &ctx);
-            proto::write_frame(writer, &reply)
-        }
-        other => other,
-    };
-    if action == proto::Action::Shutdown {
-        return Ok(action);
-    }
-    written?;
-    Ok(action)
-}
-
-/// The `pcp2` half of [`serve_frame`]: same recoverable-vs-fatal contract,
-/// but replies — protocol errors included — are v2 envelopes in `pcp2`
-/// frames.
-fn serve_v2_frame<W: Write>(
-    writer: &mut W,
-    engine: &QueryEngine,
-    decoded: Result<Json, ProtoError>,
-) -> Result<proto::Action, ProtoError> {
-    let payload = match decoded {
-        Ok(payload) => payload,
-        Err(error) if error.is_recoverable() => {
-            // The frame was consumed cleanly but its payload never parsed:
-            // report in-dialect and keep serving.
-            let reply = v2::protocol_error_envelope(
-                error.code(),
-                &error.to_string(),
-                &RequestCtx::generate(),
-            );
-            proto::write_frame_v(writer, &reply, v2::API_VERSION)?;
-            return Ok(proto::Action::Continue);
-        }
-        Err(error) => return Err(error),
-    };
-    let ctx = match proto::request_trace(&payload) {
-        Some(trace) => RequestCtx::with_trace(trace),
-        None => RequestCtx::generate(),
-    }
-    .with_deadline_ms(proto::request_deadline_ms(&payload));
-    let (reply, action) = v2::dispatch_envelope(engine, &payload, &ctx);
-    let written = match proto::write_frame_v(writer, &reply, v2::API_VERSION) {
-        Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-            let reply = v2::protocol_error_envelope("frame_too_large", &e.to_string(), &ctx);
-            proto::write_frame_v(writer, &reply, v2::API_VERSION)
+            let body = proto::error_body("frame_too_large", &e.to_string());
+            proto::write_frame_v(
+                writer,
+                &proto::error_in_dialect(version, body, &ctx),
+                version,
+            )
         }
         other => other,
     };
@@ -1041,7 +989,7 @@ mod tests {
         assert_eq!(reply.get("type").and_then(Json::as_str), Some("error"));
         assert_eq!(reply.get("code").and_then(Json::as_str), Some("bad_json"));
         // ...the same connection still serves properly-formed frames...
-        proto::write_frame(&mut writer, &Request::Stats.to_json()).expect("send stats");
+        proto::write_frame(&mut writer, &proto::Request::Stats.to_json()).expect("send stats");
         let reply = proto::read_frame(&mut reader).expect("stats reply");
         assert_eq!(reply.get("type").and_then(Json::as_str), Some("stats"));
         drop((reader, writer));

@@ -3,8 +3,8 @@
 //! A dependency-free adapter that exposes the [`crate::proto`] message
 //! semantics over HTTP, so load balancers, `curl` and non-unix-socket
 //! clients can reach the engine. It is deliberately a *transport* only: a
-//! route maps onto a [`proto::Request`], the handler calls
-//! [`proto::dispatch`] — the same single request → reply mapping the framed
+//! `/v1` route is a row of the verb table ([`proto::VERBS`]), the handler
+//! hands the request to [`proto::serve`] — the same request edge the framed
 //! protocol uses — and the reply payload becomes the response body
 //! verbatim. Both transports therefore answer every request identically by
 //! construction.
@@ -67,12 +67,17 @@
 //!
 //! ## Tracing
 //!
-//! An `X-Request-Id` header becomes the request's trace ID (one is
-//! synthesized otherwise); every JSON reply — error bodies included —
-//! echoes it as a top-level `"trace_id"` field, and response objects carry
-//! it again under `meta.trace_id`, so a log line on either side of the
-//! connection correlates with the server's slow-request log.
-//! An `X-Deadline-Ms` header gives the request a deadline: the pipeline
+//! An `X-Request-Id` header becomes the request's trace ID; without one, a
+//! JSON body's `trace_id` field does (the bodies of `POST /v1/solve`,
+//! `/v1/batch` and `/v2/query` are frame payloads), and one is synthesized
+//! otherwise. An id over [`proto::MAX_TRACE_ID_LEN`] bytes is refused (400
+//! on a `/v1` route, an in-band `bad_request` envelope on `/v2/query`).
+//! Every JSON reply — error bodies included — echoes the id as a top-level
+//! `"trace_id"` field, and response objects carry it again under
+//! `meta.trace_id`, so a log line on either side of the connection
+//! correlates with the server's slow-request log.
+//! An `X-Deadline-Ms` header (or a body's `deadline_ms` field) gives the
+//! request a deadline: the pipeline
 //! checks it cooperatively and an expired request answers with a
 //! `deadline_exceeded` per-job error (status 200 — the request *was*
 //! dispatched; expiry is a property of the job, exactly like a batch
@@ -88,7 +93,6 @@
 use crate::engine::QueryEngine;
 use crate::error::ServiceError;
 use crate::json::{Json, JsonErrorKind};
-use crate::model::QueryRequest;
 use crate::proto::{self, MAX_FRAME_LEN, PROTO_VERSION, SERVER_NAME};
 use crate::telemetry::{Metric, RequestCtx, Transport};
 use crate::v2;
@@ -145,15 +149,30 @@ impl From<io::Error> for HttpError {
     }
 }
 
-/// The server-side rendering of a request-level error: status, reason
-/// phrase and machine-readable code. `None` for errors that close the
-/// connection silently (clean EOF, idle timeout, raw I/O failure).
-fn error_status(error: &HttpError) -> Option<(u16, &'static str, &'static str)> {
+/// The server-side rendering of a request-level error: status and
+/// machine-readable code. `None` for errors that close the connection
+/// silently (clean EOF, idle timeout, raw I/O failure).
+fn error_status(error: &HttpError) -> Option<(u16, &'static str)> {
     match error {
-        HttpError::BadRequest(_) => Some((400, "Bad Request", "bad_request")),
-        HttpError::BodyTooLarge { .. } => Some((413, "Payload Too Large", "body_too_large")),
-        HttpError::Unsupported(_) => Some((501, "Not Implemented", "not_implemented")),
+        HttpError::BadRequest(_) => Some((400, "bad_request")),
+        HttpError::BodyTooLarge { .. } => Some((413, "body_too_large")),
+        HttpError::Unsupported(_) => Some((501, "not_implemented")),
         HttpError::Io(_) | HttpError::Closed => None,
+    }
+}
+
+/// The reason phrase of a status this server sends.
+fn reason(status: u16) -> &'static str {
+    match status {
+        200 => "OK",
+        400 => "Bad Request",
+        404 => "Not Found",
+        405 => "Method Not Allowed",
+        413 => "Payload Too Large",
+        500 => "Internal Server Error",
+        501 => "Not Implemented",
+        503 => "Service Unavailable",
+        _ => "Unknown",
     }
 }
 
@@ -180,13 +199,20 @@ pub struct HttpRequest {
 }
 
 impl HttpRequest {
-    /// The request's context: its `X-Request-Id` as the trace id, or a
-    /// synthesized one.
-    fn ctx(&self) -> RequestCtx {
-        match &self.trace {
-            Some(trace) => RequestCtx::with_trace(trace.clone()),
-            None => RequestCtx::generate(),
+    /// The `X-Request-Id` and `X-Deadline-Ms` headers, for the request
+    /// edge.
+    fn headers(&self) -> proto::Headers<'_> {
+        proto::Headers {
+            trace: self.trace.as_deref(),
+            deadline_ms: self.deadline_ms,
         }
+    }
+
+    /// The context of a reply built before the request ran: its
+    /// `X-Request-Id` as the trace id, or a synthesized one when it is
+    /// absent or too long to echo.
+    fn ctx(&self) -> RequestCtx {
+        proto::request_ctx(&Json::Null, self.headers()).unwrap_or_else(|_| RequestCtx::generate())
     }
 }
 
@@ -412,10 +438,10 @@ pub struct HttpResponse {
 }
 
 impl HttpResponse {
-    fn ok(body: Json) -> HttpResponse {
+    fn json(status: u16, body: Json) -> HttpResponse {
         HttpResponse {
-            status: 200,
-            reason: "OK",
+            status,
+            reason: reason(status),
             allow: None,
             deprecated: false,
             retry_after_ms: None,
@@ -425,24 +451,13 @@ impl HttpResponse {
 
     fn text(body: String) -> HttpResponse {
         HttpResponse {
-            status: 200,
-            reason: "OK",
-            allow: None,
-            deprecated: false,
-            retry_after_ms: None,
             body: HttpBody::Text(body),
+            ..HttpResponse::json(200, Json::Null)
         }
     }
 
-    fn error(status: u16, reason: &'static str, code: &str, message: &str) -> HttpResponse {
-        HttpResponse {
-            status,
-            reason,
-            allow: None,
-            deprecated: false,
-            retry_after_ms: None,
-            body: HttpBody::Json(proto::error_reply(code, message)),
-        }
+    fn error(status: u16, code: &str, message: &str) -> HttpResponse {
+        HttpResponse::json(status, proto::error_reply(code, message))
     }
 
     /// Attaches the trace id to the JSON body (idempotent; the Prometheus
@@ -517,35 +532,36 @@ fn write_response_parts<W: Write>(
 /// codes.
 fn parse_body(body: &[u8]) -> Result<Json, HttpResponse> {
     let text = std::str::from_utf8(body)
-        .map_err(|_| HttpResponse::error(400, "Bad Request", "bad_message", "body is not UTF-8"))?;
+        .map_err(|_| HttpResponse::error(400, "bad_message", "body is not UTF-8"))?;
     Json::parse(text).map_err(|e| {
         let message = match e.kind {
             JsonErrorKind::Syntax => format!("body is not JSON: {e}"),
             JsonErrorKind::TooDeep => format!("body refused: {e}"),
         };
-        HttpResponse::error(400, "Bad Request", e.code(), &message)
+        HttpResponse::error(400, e.code(), &message)
     })
 }
 
-/// Routes one request onto the engine: the whole HTTP → [`proto::Request`]
-/// mapping, pure and socket-free (directly testable). Dispatched requests
-/// answer 200 with the [`proto::dispatch`] reply payload as the body.
+/// Routes one request onto the engine, pure and socket-free (directly
+/// testable). A `/v1` route's row of [`proto::VERBS`] gives its method and
+/// verb, and every routed request is served by the request edge,
+/// [`proto::serve`]; the status is the edge's.
 ///
-/// The trace ID comes from the request's `X-Request-Id` header (synthesized
-/// when absent) and is echoed as a top-level `"trace_id"` on every JSON
-/// body, error replies included.
+/// The trace ID comes from the request's `X-Request-Id` header, else from a
+/// JSON body's `trace_id` field (synthesized when absent), and is echoed as
+/// a top-level `"trace_id"` on every JSON body, error replies included.
 pub fn respond(engine: &QueryEngine, request: &HttpRequest) -> (HttpResponse, proto::Action) {
-    let ctx = request.ctx().with_deadline_ms(request.deadline_ms);
-    let (mut response, action) = route(engine, request, &ctx);
-    // Admission-gate sheds surface as HTTP 503 with a Retry-After header,
-    // whichever dispatcher (v1 verb or v2 envelope) produced the reply.
-    if response.status == 200 {
-        if let Some(hint) = response.body.as_json().and_then(overload_retry_hint) {
-            response.status = 503;
-            response.reason = "Service Unavailable";
-            response.retry_after_ms = Some(hint);
-        }
-    }
+    let (response, _, action) = answer(engine, request);
+    (response, action)
+}
+
+/// [`respond`], also returning the context whose trace id the response
+/// carries.
+fn answer(
+    engine: &QueryEngine,
+    request: &HttpRequest,
+) -> (HttpResponse, RequestCtx, proto::Action) {
+    let (mut response, ctx, action) = route(engine, request);
     if request.path.starts_with("/v1/") {
         // Deprecation surface: every /v1 route answers with a
         // `Deprecation: true` header and a top-level `meta.api_version`
@@ -557,32 +573,11 @@ pub fn respond(engine: &QueryEngine, request: &HttpRequest) -> (HttpResponse, pr
             response.body = HttpBody::Json(attach_api_version(body, 1));
         }
     }
-    // Locally-built replies (health, routing errors) get the trace here;
-    // dispatched replies already carry it (the attachment is idempotent).
+    // Replies built before the request ran get the trace here, after the
+    // marker; served replies already carry it (the attachment is
+    // idempotent).
     response.attach_trace(&ctx);
-    (response, action)
-}
-
-/// Detects an admission-gate rejection in a dispatched reply body and
-/// returns its retry hint. Two shapes carry one: a v1 error reply
-/// (`{"type":"error","code":"overloaded",...}`) and a v2 error envelope
-/// (`{"ok":false,"error":{"code":"overloaded",...}}`). Per-job failures
-/// live *inside* response objects and never match here.
-fn overload_retry_hint(body: &Json) -> Option<u64> {
-    let error = if body.get("type").and_then(Json::as_str) == Some("error") {
-        body
-    } else {
-        body.get("error")?
-    };
-    if error.get("code").and_then(Json::as_str) != Some("overloaded") {
-        return None;
-    }
-    Some(
-        error
-            .get("retry_after_ms")
-            .and_then(Json::as_u64)
-            .unwrap_or(crate::engine::DEFAULT_RETRY_AFTER_MS),
-    )
+    (response, ctx, action)
 }
 
 /// Appends a top-level `meta.api_version` marker to a v1 reply body
@@ -626,183 +621,93 @@ fn percent_decode(text: &str) -> Option<String> {
     String::from_utf8(bytes).ok()
 }
 
-/// The route match behind [`respond`], before trace attachment.
-fn route(
-    engine: &QueryEngine,
-    request: &HttpRequest,
-    ctx: &RequestCtx,
-) -> (HttpResponse, proto::Action) {
-    let method = request.method.as_str();
-    let path = request.path.as_str();
-    let dispatched = |request: proto::Request| {
-        let (reply, action) = proto::dispatch_ctx(engine, &request, ctx);
-        (HttpResponse::ok(reply), action)
+/// Whether the query string holds `pair` (`format=json`, ...).
+fn query_has(request: &HttpRequest, pair: &str) -> bool {
+    let query = request.query.as_deref().unwrap_or("");
+    query.split('&').any(|item| item == pair)
+}
+
+/// The route match behind [`respond`], before the deprecation markers.
+fn route(engine: &QueryEngine, request: &HttpRequest) -> (HttpResponse, RequestCtx, proto::Action) {
+    let (method, path) = (request.method.as_str(), request.path.as_str());
+    let local = |response| (response, request.ctx(), proto::Action::Continue);
+    let verb = proto::VERBS.iter().copied().find(|verb| verb.serves(path));
+    let allowed = match verb {
+        Some(verb) => verb.method,
+        None if path == v2::ROUTE => "POST",
+        None => {
+            let message = format!("no route {method} {path}");
+            return local(HttpResponse::error(404, "not_found", &message));
+        }
     };
     // HEAD is answered wherever GET is (load-balancer health probes
     // commonly use it); the body is suppressed at write time.
-    match (method, path) {
-        ("GET" | "HEAD", "/healthz") => (
-            HttpResponse::ok(Json::obj(vec![
-                ("ok", Json::Bool(true)),
-                ("server", Json::str(SERVER_NAME)),
-                ("proto", Json::num(PROTO_VERSION)),
-            ])),
-            proto::Action::Continue,
-        ),
-        ("GET" | "HEAD", "/v1/stats") => dispatched(proto::Request::Stats),
-        ("GET" | "HEAD", "/v1/metrics") => {
-            let wants_json = request
-                .query
-                .as_deref()
-                .is_some_and(|query| query.split('&').any(|pair| pair == "format=json"));
-            if wants_json {
-                dispatched(proto::Request::Metrics)
+    if method != allowed && !(method == "HEAD" && allowed == "GET") {
+        let message = format!("{path} only answers {allowed}");
+        return local(HttpResponse {
+            allow: Some(if allowed == "GET" {
+                "GET, HEAD"
             } else {
-                (
-                    HttpResponse::text(engine.metrics_report().to_prometheus()),
-                    proto::Action::Continue,
-                )
-            }
-        }
-        ("GET" | "HEAD", "/v1/trace") => dispatched(proto::Request::Trace {
-            id: None,
-            chrome: false,
-        }),
-        ("GET" | "HEAD", _) if path.starts_with("/v1/trace/") => {
-            let Some(id) = percent_decode(&path["/v1/trace/".len()..]) else {
-                return (
-                    HttpResponse::error(
-                        400,
-                        "Bad Request",
-                        "bad_request",
-                        "malformed percent-escape in trace id",
-                    ),
-                    proto::Action::Continue,
-                );
-            };
-            let id = id.as_str();
-            if id.is_empty() {
-                return (
-                    HttpResponse::error(404, "Not Found", "not_found", "empty trace id"),
-                    proto::Action::Continue,
-                );
-            }
-            let chrome = request
-                .query
-                .as_deref()
-                .is_some_and(|query| query.split('&').any(|pair| pair == "format=chrome"));
-            if chrome {
-                // Chrome trace-event export is served raw (not wrapped in the
-                // v1 reply envelope) so the body loads directly into
-                // chrome://tracing or Perfetto.
-                return match engine.recorder().get(id) {
-                    Some(trace) => (
-                        HttpResponse::ok(trace.to_chrome_json()),
-                        proto::Action::Continue,
-                    ),
-                    None => (
-                        HttpResponse::error(
-                            404,
-                            "Not Found",
-                            "trace_not_found",
-                            &format!("no retained trace with id '{id}'"),
-                        ),
-                        proto::Action::Continue,
-                    ),
-                };
-            }
-            let (mut response, action) = dispatched(proto::Request::Trace {
-                id: Some(id.to_string()),
-                chrome: false,
-            });
-            // A miss is a resource lookup failure: surface it as HTTP 404
-            // while keeping the framed protocol's error body.
-            if response.body.as_json().is_some_and(|body| {
-                body.get("code").and_then(Json::as_str) == Some("trace_not_found")
-            }) {
-                response.status = 404;
-                response.reason = "Not Found";
-            }
-            (response, action)
-        }
-        ("POST", "/v1/snapshot") => dispatched(proto::Request::Snapshot),
-        ("POST", "/v1/shutdown") => dispatched(proto::Request::Shutdown),
-        ("POST", "/v1/solve") => match parse_body(&request.body) {
-            Ok(value) => match QueryRequest::from_json(&value) {
-                Ok(query) => dispatched(proto::Request::Solve(query)),
-                Err(e) => (
-                    HttpResponse::error(400, "Bad Request", "bad_message", &e.to_string()),
-                    proto::Action::Continue,
-                ),
-            },
-            Err(response) => (response, proto::Action::Continue),
-        },
-        ("POST", "/v1/batch") => match parse_body(&request.body) {
-            Ok(value) => match proto::batch_fields(&value) {
-                Ok((shared, requests)) => dispatched(proto::Request::Batch { shared, requests }),
-                Err(e) => (
-                    HttpResponse::error(400, "Bad Request", "bad_message", &e.to_string()),
-                    proto::Action::Continue,
-                ),
-            },
-            Err(response) => (response, proto::Action::Continue),
-        },
-        // The v2 envelope: one route for every operation, body-dispatched.
-        // Operation failures are in-band (`ok: false` envelopes, status
-        // 200); only a body that is not JSON at all earns a 400.
-        ("POST", "/v2/query") => match parse_body(&request.body) {
-            Ok(value) => {
-                let (reply, action) = v2::dispatch_envelope(engine, &value, ctx);
-                (HttpResponse::ok(reply), action)
-            }
-            Err(response) => (response, proto::Action::Continue),
-        },
-        (_, "/healthz" | "/v1/stats" | "/v1/metrics" | "/v1/trace") => (
-            HttpResponse {
-                allow: Some("GET, HEAD"),
-                ..HttpResponse::error(
-                    405,
-                    "Method Not Allowed",
-                    "method_not_allowed",
-                    &format!("{path} only answers GET"),
-                )
-            },
-            proto::Action::Continue,
-        ),
-        (_, "/v1/solve" | "/v1/batch" | "/v1/snapshot" | "/v1/shutdown" | "/v2/query") => (
-            HttpResponse {
-                allow: Some("POST"),
-                ..HttpResponse::error(
-                    405,
-                    "Method Not Allowed",
-                    "method_not_allowed",
-                    &format!("{path} only answers POST"),
-                )
-            },
-            proto::Action::Continue,
-        ),
-        (_, _) if path.starts_with("/v1/trace/") => (
-            HttpResponse {
-                allow: Some("GET, HEAD"),
-                ..HttpResponse::error(
-                    405,
-                    "Method Not Allowed",
-                    "method_not_allowed",
-                    &format!("{path} only answers GET"),
-                )
-            },
-            proto::Action::Continue,
-        ),
-        _ => (
-            HttpResponse::error(
-                404,
-                "Not Found",
-                "not_found",
-                &format!("no route {method} {path}"),
-            ),
-            proto::Action::Continue,
-        ),
+                allowed
+            }),
+            ..HttpResponse::error(405, "method_not_allowed", &message)
+        });
     }
+    let (dialect, payload) = match verb {
+        // The v2 envelope: one route for every operation, body-dispatched.
+        // Operation failures are in-band (`ok: false` envelopes); only a
+        // body that is not JSON at all earns a 400.
+        None => (proto::Dialect::Envelope, parse_body(&request.body)),
+        Some(verb) if std::ptr::eq(verb, &proto::HELLO) => {
+            return local(HttpResponse::json(
+                200,
+                Json::obj(vec![
+                    ("ok", Json::Bool(true)),
+                    ("server", Json::str(SERVER_NAME)),
+                    ("proto", Json::num(PROTO_VERSION)),
+                ]),
+            ))
+        }
+        Some(verb) if std::ptr::eq(verb, &proto::METRICS) && !query_has(request, "format=json") => {
+            return local(HttpResponse::text(engine.metrics_report().to_prometheus()))
+        }
+        Some(verb) if verb.by_id() => {
+            let Some(id) = percent_decode(&path[verb.route.len()..]) else {
+                let message = "malformed percent-escape in trace id";
+                return local(HttpResponse::error(400, "bad_request", message));
+            };
+            if id.is_empty() {
+                return local(HttpResponse::error(404, "not_found", "empty trace id"));
+            }
+            if query_has(request, "format=chrome") {
+                // Chrome trace-event export is served raw (not wrapped in
+                // the v1 reply) so the body loads directly into
+                // chrome://tracing or Perfetto.
+                return local(match engine.recorder().get(&id) {
+                    Some(trace) => HttpResponse::json(200, trace.to_chrome_json()),
+                    None => HttpResponse::error(
+                        404,
+                        "trace_not_found",
+                        &format!("no retained trace with id '{id}'"),
+                    ),
+                });
+            }
+            let payload = Json::obj(vec![("id", Json::str(id))]);
+            (proto::Dialect::Route(verb), Ok(payload))
+        }
+        Some(verb) if verb.body => (proto::Dialect::Route(verb), parse_body(&request.body)),
+        Some(verb) => (proto::Dialect::Route(verb), Ok(Json::Null)),
+    };
+    let payload = match payload {
+        Ok(payload) => payload,
+        Err(response) => return local(response),
+    };
+    let reply = proto::serve(engine, dialect, &payload, request.headers());
+    let response = HttpResponse {
+        retry_after_ms: reply.retry_after_ms,
+        ..HttpResponse::json(reply.status, reply.body)
+    };
+    (response, reply.ctx, reply.action)
 }
 
 /// A `503 Service Unavailable` rejection carrying the standard overload
@@ -811,12 +716,8 @@ fn route(
 fn overloaded_response(retry_after_ms: u64) -> HttpResponse {
     let error = v2::OpError::Service(ServiceError::Overloaded { retry_after_ms });
     HttpResponse {
-        status: 503,
-        reason: "Service Unavailable",
-        allow: None,
-        deprecated: false,
         retry_after_ms: Some(retry_after_ms),
-        body: HttpBody::Json(proto::failure_reply(&error)),
+        ..HttpResponse::json(503, proto::failure_reply(&error))
     }
 }
 
@@ -866,20 +767,20 @@ pub fn serve_conn_opts<C: crate::daemon::Connection>(
                     panic!("injected fault: http handler panic");
                 }
                 let budget_spent = request_budget != 0 && served >= request_budget;
-                let (mut response, action) = if budget_spent || faults.should_overload() {
+                let (mut response, ctx, action) = if budget_spent || faults.should_overload() {
                     telemetry.add(Metric::RejectedOverload, 0, 1);
                     let mut response = overloaded_response(crate::engine::DEFAULT_RETRY_AFTER_MS);
                     let ctx = request.ctx();
-                    if request.path == "/v2/query" {
+                    if request.path == v2::ROUTE {
                         // A v2 shed stays in-band: an error envelope, still
                         // a 503 with Retry-After.
                         response.body = HttpBody::Json(proto::shed_reply(v2::API_VERSION, &ctx));
                     }
                     response.attach_trace(&ctx);
-                    (response, proto::Action::Continue)
+                    (response, ctx, proto::Action::Continue)
                 } else {
                     served += 1;
-                    respond(engine, &request)
+                    answer(engine, &request)
                 };
                 // One serialization serves both the cap check and the
                 // write. Mirror the framed transport's reply cap: an
@@ -890,11 +791,10 @@ pub fn serve_conn_opts<C: crate::daemon::Connection>(
                     telemetry.add(Metric::OversizeRejects, Transport::Http as usize, 1);
                     response = HttpResponse::error(
                         500,
-                        "Internal Server Error",
                         "frame_too_large",
                         &format!("reply exceeds the {MAX_FRAME_LEN} byte cap (split the batch)"),
                     );
-                    response.attach_trace(&request.ctx());
+                    response.attach_trace(&ctx);
                     body = response.body.render();
                 }
                 let keep_alive =
@@ -934,9 +834,8 @@ pub fn serve_conn_opts<C: crate::daemon::Connection>(
                     }
                     _ => {}
                 }
-                if let Some((status, reason, code)) = error_status(&error) {
-                    let mut response =
-                        HttpResponse::error(status, reason, code, &error.to_string());
+                if let Some((status, code)) = error_status(&error) {
+                    let mut response = HttpResponse::error(status, code, &error.to_string());
                     // No request made it through parsing, so there is no
                     // client-supplied ID — correlate with a fresh one.
                     response.attach_trace(&RequestCtx::generate());
@@ -951,7 +850,7 @@ pub fn serve_conn_opts<C: crate::daemon::Connection>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{GraphSpec, QueryKind};
+    use crate::model::{GraphSpec, QueryKind, QueryRequest};
 
     /// Parses request bytes, discarding interim writes (100-continue).
     fn parse(bytes: &[u8]) -> Result<Option<HttpRequest>, HttpError> {
@@ -1413,7 +1312,7 @@ mod tests {
 
     #[test]
     fn responses_serialize_with_framing_headers() {
-        let response = HttpResponse::ok(Json::obj(vec![("ok", Json::Bool(true))]));
+        let response = HttpResponse::json(200, Json::obj(vec![("ok", Json::Bool(true))]));
         let mut bytes = Vec::new();
         write_response(&mut bytes, &response, true).unwrap();
         let text = String::from_utf8(bytes).unwrap();
@@ -1483,36 +1382,40 @@ mod tests {
             max_inflight: 1,
             ..crate::engine::EngineConfig::default()
         });
-        let permit = engine.try_admit().expect("fill the gate");
-        let (response, _) = get(
-            &engine,
-            "POST",
-            "/v1/solve",
-            br#"{"kind":"min_cover_size","cotree":"(j a b)"}"#,
-        );
-        assert_eq!(response.status, 503);
-        assert_eq!(
-            response.retry_after_ms,
-            Some(crate::engine::DEFAULT_RETRY_AFTER_MS)
-        );
-        let body = response.body.as_json().expect("json body");
-        assert_eq!(
-            body.get("code").and_then(Json::as_str),
-            Some("overloaded"),
-            "{body}"
-        );
-        assert_eq!(
-            body.get("retry_after_ms").and_then(Json::as_u64),
-            Some(crate::engine::DEFAULT_RETRY_AFTER_MS)
-        );
-        drop(permit);
-        let (response, _) = get(
-            &engine,
-            "POST",
-            "/v1/solve",
-            br#"{"kind":"min_cover_size","cotree":"(j a b)"}"#,
-        );
-        assert_eq!(response.status, 200, "released permit admits again");
+        // A v1 route's `error` reply, and a v2 envelope that keeps the shed
+        // in-band: both answer 503 with the hint.
+        for (path, request) in [
+            (
+                "/v1/solve",
+                &br#"{"kind":"min_cover_size","cotree":"(j a b)"}"#[..],
+            ),
+            (
+                "/v2/query",
+                br#"{"op":"solve","target":{"cotree":"(j a b)"},"params":{"kind":"min_cover_size"}}"#,
+            ),
+        ] {
+            let permit = engine.try_admit().expect("fill the gate");
+            let (response, _) = get(&engine, "POST", path, request);
+            assert_eq!(response.status, 503, "{path}");
+            assert_eq!(
+                response.retry_after_ms,
+                Some(crate::engine::DEFAULT_RETRY_AFTER_MS)
+            );
+            let body = response.body.as_json().expect("json body");
+            let error = body.get("error").unwrap_or(body);
+            assert_eq!(
+                error.get("code").and_then(Json::as_str),
+                Some("overloaded"),
+                "{body}"
+            );
+            assert_eq!(
+                error.get("retry_after_ms").and_then(Json::as_u64),
+                Some(crate::engine::DEFAULT_RETRY_AFTER_MS)
+            );
+            drop(permit);
+            let (response, _) = get(&engine, "POST", path, request);
+            assert_eq!(response.status, 200, "released permit admits again");
+        }
 
         // The Retry-After header is serialized in whole seconds, rounded
         // up, and never understates the millisecond hint.
@@ -1521,25 +1424,6 @@ mod tests {
         let text = String::from_utf8(bytes).unwrap();
         assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
         assert!(text.contains("Retry-After: 1\r\n"), "{text}");
-    }
-
-    #[test]
-    fn overload_detection_reads_both_reply_shapes() {
-        let v1 = Json::parse(r#"{"type":"error","code":"overloaded","retry_after_ms":250}"#);
-        assert_eq!(overload_retry_hint(&v1.unwrap()), Some(250));
-        let v2 = Json::parse(r#"{"ok":false,"error":{"code":"overloaded"}}"#);
-        assert_eq!(
-            overload_retry_hint(&v2.unwrap()),
-            Some(crate::engine::DEFAULT_RETRY_AFTER_MS),
-            "missing hint falls back to the default"
-        );
-        for benign in [
-            r#"{"type":"error","code":"bad_json"}"#,
-            r#"{"ok":false,"error":{"code":"deadline_exceeded"}}"#,
-            r#"{"type":"response","response":{"ok":false}}"#,
-        ] {
-            assert_eq!(overload_retry_hint(&Json::parse(benign).unwrap()), None);
-        }
     }
 
     /// Satellite: an oversized *declared* Content-Length is refused at
@@ -1578,7 +1462,7 @@ mod tests {
             }
             other => panic!("wrong error: {other:?}"),
         }
-        let (status, _, code) = error_status(&error).expect("server-rendered");
+        let (status, code) = error_status(&error).expect("server-rendered");
         assert_eq!((status, code), (413, "body_too_large"));
     }
 

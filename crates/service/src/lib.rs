@@ -33,14 +33,13 @@
 //! Above the engine sits the serving stack: [`v2`] defines the versioned
 //! request envelope (`{op, target, params, trace_id}`) and the single
 //! dispatcher every operation runs through; [`proto`] defines a
-//! length-framed JSON wire format over any byte stream, carrying both the
-//! legacy v1 verbs (`hello` / `solve` / `batch` / `stats` / `metrics` /
-//! `trace` / `snapshot` / `shutdown`, each a thin shim over the v2
-//! dispatcher) and raw `pcp2` envelope frames; [`http`] adapts the same
-//! messages to HTTP/1.1 routes (`POST /v1/solve`, `POST /v1/batch`,
-//! `GET /v1/stats`, `GET /v1/metrics`, `GET /v1/trace[/id]`,
-//! `GET /healthz`, `POST /v1/snapshot`, `POST /v1/shutdown`, and
-//! `POST /v2/query` for the envelope); [`client`] is the one client of
+//! length-framed JSON wire format over any byte stream, carrying raw
+//! `pcp2` envelope frames and the legacy v1 verbs (one row each of the
+//! verb table [`proto::VERBS`]: frame tag, `/v1` route and reply shape,
+//! each a thin shim over the v2 dispatcher), plus the one request edge,
+//! [`proto::serve`], that every transport hands its requests to; [`http`]
+//! serves them on HTTP/1.1 routes (each verb's `/v1` route, `GET /healthz`,
+//! and `POST /v2/query` for the envelope); [`client`] is the one client of
 //! both; and [`daemon`] runs a long-lived shared engine behind a unix
 //! domain socket, a TCP socket, or both at once, so the cotree cache
 //! amortises across client processes and transports. [`session`] adds

@@ -24,18 +24,22 @@
 //!
 //! ## Messages
 //!
-//! Client → server frames are objects tagged by a `"type"` field —
-//! [`Request::Hello`], [`Request::Solve`], [`Request::Batch`],
-//! [`Request::Stats`], [`Request::Metrics`], [`Request::Trace`],
-//! [`Request::Snapshot`], [`Request::Shutdown`] — and every one is answered
-//! by exactly one reply frame (`hello`, `response`, `batch`, `stats`,
-//! `metrics`, `trace`, `snapshot_ok`, `shutdown_ok` or `error`); the client
-//! side is [`crate::client::Client::framed`]. Query and response payloads
-//! reuse the JSON-lines shapes of [`QueryRequest::from_json`] and
+//! Client → server frames are objects tagged by a `"type"` field, and every
+//! one is answered by exactly one reply frame. The verb table, [`VERBS`],
+//! has one row per verb: its frame tag, its HTTP method and `/v1` route,
+//! its reply tag and where its answer sits in the reply ([`Placement`]).
+//! Every verb but the `hello` handshake runs as a [`crate::v2::Op`]; its
+//! row wraps the v2 result in the v1 reply, and a failed operation is an
+//! `error` reply. [`Request`] is a frame as a value; the client side is
+//! [`crate::client::Client::framed`]. Query and response payloads reuse the
+//! JSON-lines shapes of [`QueryRequest::from_json`] and
 //! [`QueryResponse::to_json`], so a daemon session speaks the same dialect
 //! as `pathcover-cli batch` files. Requests may carry a `trace_id` field;
 //! the server echoes it (or a synthesized ID) as a top-level `trace_id` on
 //! every reply — see [`crate::telemetry`].
+//!
+//! Every transport hands each request — a `pcp1` or `pcp2` frame, an HTTP
+//! `/v1` route or a `POST /v2/query` body — to one request edge, [`serve`].
 //!
 //! ## Error taxonomy
 //!
@@ -286,7 +290,9 @@ pub fn read_frame_raw<R: BufRead>(r: &mut R) -> Result<(u64, String), ProtoError
     Ok((version, text))
 }
 
-/// A decoded client → server message.
+/// A `pcp1` request as a value: what [`crate::client::Client`] sends and
+/// what a frame payload decodes to. [`Request::verb`] names its row of
+/// the verb table.
 #[derive(Debug, Clone)]
 pub enum Request {
     /// Version handshake; must be the first frame of a connection.
@@ -327,124 +333,277 @@ pub enum Request {
 impl Request {
     /// Decodes a request frame payload.
     pub fn from_json(value: &Json) -> Result<Request, ProtoError> {
-        let kind = value
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ProtoError::BadMessage("missing string field 'type'".to_string()))?;
-        match kind {
-            "hello" => {
-                let proto = value.get("proto").and_then(Json::as_u64).ok_or_else(|| {
-                    ProtoError::BadMessage("hello needs a numeric 'proto' field".to_string())
-                })?;
-                Ok(Request::Hello { proto })
-            }
-            "solve" => {
-                let request = QueryRequest::from_json(value)
-                    .map_err(|e| ProtoError::BadMessage(e.to_string()))?;
-                Ok(Request::Solve(request))
-            }
-            "batch" => {
-                let (shared, requests) = batch_fields(value)?;
-                Ok(Request::Batch { shared, requests })
-            }
-            "stats" => Ok(Request::Stats),
-            "metrics" => Ok(Request::Metrics),
-            "snapshot" => Ok(Request::Snapshot),
-            "trace" => {
-                let id = match value.get("id") {
-                    None | Some(Json::Null) => None,
-                    Some(Json::Str(s)) => Some(s.clone()),
-                    Some(other) => {
-                        return Err(ProtoError::BadMessage(format!(
-                            "'id' must be a string, got {other}"
-                        )))
-                    }
-                };
-                let chrome = match value.get("format") {
-                    None | Some(Json::Null) => false,
-                    Some(Json::Str(s)) if s == "json" => false,
-                    Some(Json::Str(s)) if s == "chrome" => true,
-                    Some(other) => {
-                        return Err(ProtoError::BadMessage(format!(
-                            "unknown trace format {other} (use \"json\" or \"chrome\")"
-                        )))
-                    }
-                };
-                Ok(Request::Trace { id, chrome })
-            }
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(ProtoError::BadMessage(format!(
-                "unknown message type '{other}'"
-            ))),
-        }
+        decode(value).map(|(_, request)| request)
     }
 
     /// Encodes the request as a frame payload (client side).
     pub fn to_json(&self) -> Json {
+        let mut fields = Vec::new();
         match self {
-            Request::Hello { proto } => Json::obj(vec![
-                ("type", Json::str("hello")),
-                ("proto", Json::num(*proto)),
-            ]),
-            Request::Solve(request) => {
-                let mut fields = vec![("type".to_string(), Json::str("solve"))];
-                if let Json::Obj(query_fields) = request.to_json() {
-                    fields.extend(query_fields);
-                }
-                Json::Obj(fields)
-            }
+            Request::Hello { proto } => fields.push(("proto", Json::num(*proto))),
+            Request::Solve(request) => return tagged(SOLVE.tag, request.to_json()),
             Request::Batch { shared, requests } => {
-                let mut fields = vec![("type", Json::str("batch"))];
-                let shared_json = shared.as_ref().and_then(GraphSpec::to_json);
-                if let Some(spec) = shared_json {
+                if let Some(spec) = shared.as_ref().and_then(GraphSpec::to_json) {
                     fields.push(("shared", spec));
                 }
-                fields.push((
-                    "requests",
-                    Json::Arr(requests.iter().map(QueryRequest::to_json).collect()),
-                ));
-                Json::obj(fields)
+                let requests = requests.iter().map(QueryRequest::to_json).collect();
+                fields.push(("requests", Json::Arr(requests)));
             }
-            Request::Stats => Json::obj(vec![("type", Json::str("stats"))]),
-            Request::Metrics => Json::obj(vec![("type", Json::str("metrics"))]),
-            Request::Snapshot => Json::obj(vec![("type", Json::str("snapshot"))]),
             Request::Trace { id, chrome } => {
-                let mut fields = vec![("type", Json::str("trace"))];
-                if let Some(id) = id {
-                    fields.push(("id", Json::str(id.clone())));
-                }
-                if *chrome {
-                    fields.push(("format", Json::str("chrome")));
-                }
-                Json::obj(fields)
+                fields.extend(id.as_ref().map(|id| ("id", Json::str(id.clone()))));
+                fields.extend(chrome.then(|| ("format", Json::str("chrome"))));
             }
-            Request::Shutdown => Json::obj(vec![("type", Json::str("shutdown"))]),
+            Request::Stats | Request::Metrics | Request::Snapshot | Request::Shutdown => {}
+        }
+        tagged(self.verb().tag, Json::obj(fields))
+    }
+
+    /// The request's row of the verb table.
+    pub fn verb(&self) -> &'static Verb {
+        match self {
+            Request::Hello { .. } => &HELLO,
+            Request::Solve(_) => &SOLVE,
+            Request::Batch { .. } => &BATCH,
+            Request::Stats => &STATS,
+            Request::Metrics => &METRICS,
+            Request::Snapshot => &SNAPSHOT,
+            Request::Trace { id: None, .. } => &TRACE_LIST,
+            Request::Trace { id: Some(_), .. } => &TRACE_GET,
+            Request::Shutdown => &SHUTDOWN,
         }
     }
 }
 
-/// Decodes the batch fields (`shared` + `requests`) of a message object.
-///
-/// Shared by the framed [`Request::from_json`] decoder and the
-/// [`crate::http`] `POST /v1/batch` route, so both transports accept exactly
-/// the same batch payloads.
+/// Where a verb's v2 result sits in its v1 reply.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Placement {
+    /// Under one field: `{"type": <reply>, <field>: <result>}`.
+    Field(&'static str),
+    /// Spliced after the tag: `{"type": <reply>, <the result's fields>}`.
+    Splice,
+}
+
+/// One row of the v1 verb table, [`VERBS`]: how the verb is spelled on
+/// each transport and where its answer sits in the reply.
+#[derive(Debug)]
+pub struct Verb {
+    /// The request frame's `"type"` tag.
+    pub tag: &'static str,
+    /// The method of its HTTP route (`HEAD` is answered wherever `GET` is).
+    pub method: &'static str,
+    /// Its HTTP route; one ending in `/` names a resource by id (the next
+    /// path segment, or the frame's `id` field).
+    pub route: &'static str,
+    /// Whether the route takes the frame's payload as its JSON body.
+    pub body: bool,
+    /// The reply's `"type"` tag.
+    pub reply: &'static str,
+    /// Where the v2 result sits in the reply.
+    pub placement: Placement,
+    /// Decodes a frame payload or an HTTP body.
+    decode: fn(&Json) -> Result<Request, ProtoError>,
+}
+
+/// The version handshake; over HTTP, the `GET /healthz` probe.
+pub static HELLO: Verb = Verb {
+    tag: "hello",
+    method: "GET",
+    route: "/healthz",
+    body: false,
+    reply: "hello",
+    placement: Placement::Splice,
+    decode: |payload| match payload.get("proto").and_then(Json::as_u64) {
+        Some(proto) => Ok(Request::Hello { proto }),
+        None => Err(bad_message("hello needs a numeric 'proto' field")),
+    },
+};
+
+/// One query.
+pub static SOLVE: Verb = Verb {
+    tag: "solve",
+    method: "POST",
+    route: "/v1/solve",
+    body: true,
+    reply: "response",
+    placement: Placement::Field("response"),
+    decode: |payload| {
+        QueryRequest::from_json(payload)
+            .map(Request::Solve)
+            .map_err(|e| bad_message(e.to_string()))
+    },
+};
+
+/// A batch of queries; its result is `{"responses": [...]}`.
+pub static BATCH: Verb = Verb {
+    tag: "batch",
+    method: "POST",
+    route: "/v1/batch",
+    body: true,
+    reply: "batch",
+    placement: Placement::Splice,
+    decode: |payload| {
+        let (shared, requests) = batch_fields(payload)?;
+        Ok(Request::Batch { shared, requests })
+    },
+};
+
+/// The cache, uptime and stage statistics.
+pub static STATS: Verb = Verb {
+    tag: "stats",
+    method: "GET",
+    route: "/v1/stats",
+    body: false,
+    reply: "stats",
+    placement: Placement::Field("stats"),
+    decode: |_| Ok(Request::Stats),
+};
+
+/// The full metrics report; its HTTP route serves Prometheus text unless
+/// asked for `?format=json`.
+pub static METRICS: Verb = Verb {
+    tag: "metrics",
+    method: "GET",
+    route: "/v1/metrics",
+    body: false,
+    reply: "metrics",
+    placement: Placement::Field("metrics"),
+    decode: |_| Ok(Request::Metrics),
+};
+
+/// One retained trace; its HTTP route serves the Chrome export raw.
+pub static TRACE_GET: Verb = Verb {
+    tag: "trace",
+    method: "GET",
+    route: "/v1/trace/",
+    body: false,
+    reply: "trace",
+    placement: Placement::Field("trace"),
+    decode: decode_trace,
+};
+
+/// The flight recorder's trace summaries.
+pub static TRACE_LIST: Verb = Verb {
+    tag: "trace",
+    method: "GET",
+    route: "/v1/trace",
+    body: false,
+    reply: "trace",
+    placement: Placement::Field("traces"),
+    decode: decode_trace,
+};
+
+/// Save the warm cache now.
+pub static SNAPSHOT: Verb = Verb {
+    tag: "snapshot",
+    method: "POST",
+    route: "/v1/snapshot",
+    body: false,
+    reply: "snapshot_ok",
+    placement: Placement::Splice,
+    decode: |_| Ok(Request::Snapshot),
+};
+
+/// Stop the daemon; its result is `{}`.
+pub static SHUTDOWN: Verb = Verb {
+    tag: "shutdown",
+    method: "POST",
+    route: "/v1/shutdown",
+    body: false,
+    reply: "shutdown_ok",
+    placement: Placement::Splice,
+    decode: |_| Ok(Request::Shutdown),
+};
+
+/// The v1 verb table. A `trace` frame with an `id` fetches one trace and
+/// one without lists them, so the get row comes first.
+pub static VERBS: [&Verb; 9] = [
+    &HELLO,
+    &SOLVE,
+    &BATCH,
+    &STATS,
+    &METRICS,
+    &TRACE_GET,
+    &TRACE_LIST,
+    &SNAPSHOT,
+    &SHUTDOWN,
+];
+
+impl Verb {
+    /// Whether the verb names one resource by id.
+    pub fn by_id(&self) -> bool {
+        self.route.ends_with('/')
+    }
+
+    /// Whether `path` is this verb's HTTP route.
+    pub fn serves(&self, path: &str) -> bool {
+        if self.by_id() {
+            path.starts_with(self.route)
+        } else {
+            path == self.route
+        }
+    }
+
+    /// The v1 reply carrying `result`.
+    pub fn wrap(&self, result: Json) -> Json {
+        match self.placement {
+            Placement::Field(field) => tagged(self.reply, Json::obj(vec![(field, result)])),
+            Placement::Splice => tagged(self.reply, result),
+        }
+    }
+}
+
+/// `fields` behind a leading `"type": tag`.
+fn tagged(tag: &str, fields: Json) -> Json {
+    let mut tagged = vec![("type".to_string(), Json::str(tag))];
+    if let Json::Obj(fields) = fields {
+        tagged.extend(fields);
+    }
+    Json::Obj(tagged)
+}
+
+fn bad_message(message: impl Into<String>) -> ProtoError {
+    ProtoError::BadMessage(message.into())
+}
+
+/// Decodes a `trace` payload, list or get.
+fn decode_trace(payload: &Json) -> Result<Request, ProtoError> {
+    let id = match payload.get("id") {
+        None | Some(Json::Null) => None,
+        Some(Json::Str(id)) => Some(id.clone()),
+        Some(other) => return Err(bad_message(format!("'id' must be a string, got {other}"))),
+    };
+    let chrome = v2::param_trace_format(payload).map_err(ProtoError::BadMessage)?;
+    Ok(Request::Trace { id, chrome })
+}
+
+/// Decodes a `pcp1` payload into its row and request.
+fn decode(payload: &Json) -> Result<(&'static Verb, Request), ProtoError> {
+    let tag = payload
+        .get("type")
+        .and_then(Json::as_str)
+        .ok_or_else(|| bad_message("missing string field 'type'"))?;
+    let named = !matches!(payload.get("id"), None | Some(Json::Null));
+    let verb = VERBS
+        .iter()
+        .find(|verb| verb.tag == tag && (named || !verb.by_id()))
+        .ok_or_else(|| bad_message(format!("unknown message type '{tag}'")))?;
+    Ok((verb, (verb.decode)(payload)?))
+}
+
+/// Decodes the batch fields (`shared` + `requests`) of a message object:
+/// a `batch` frame, a `POST /v1/batch` body or a v2 `batch` envelope's
+/// `params`.
 pub fn batch_fields(value: &Json) -> Result<(Option<GraphSpec>, Vec<QueryRequest>), ProtoError> {
     let shared = match value.get("shared") {
         None | Some(Json::Null) => None,
-        Some(spec) => {
-            Some(GraphSpec::from_json(spec).map_err(|e| ProtoError::BadMessage(e.to_string()))?)
-        }
+        Some(spec) => Some(GraphSpec::from_json(spec).map_err(|e| bad_message(e.to_string()))?),
     };
     let Some(Json::Arr(items)) = value.get("requests") else {
-        return Err(ProtoError::BadMessage(
-            "batch needs an array field 'requests'".to_string(),
-        ));
+        return Err(bad_message("batch needs an array field 'requests'"));
     };
     let requests = items
         .iter()
-        .map(|item| {
-            QueryRequest::from_json(item).map_err(|e| ProtoError::BadMessage(e.to_string()))
-        })
+        .map(|item| QueryRequest::from_json(item).map_err(|e| bad_message(e.to_string())))
         .collect::<Result<Vec<_>, _>>()?;
     Ok((shared, requests))
 }
@@ -459,118 +618,196 @@ pub enum Action {
     Shutdown,
 }
 
-/// Serves one decoded request against an engine, producing the reply frame
-/// payload and the follow-up action, under a synthesized [`RequestCtx`].
-/// This is the whole server semantics; [`crate::daemon`] only adds the
-/// transport around it. Transports that carry a client trace ID use
-/// [`dispatch_ctx`] instead.
-pub fn dispatch(engine: &QueryEngine, request: &Request) -> (Json, Action) {
-    dispatch_ctx(engine, request, &RequestCtx::generate())
+/// The longest client trace id the request edge accepts, in bytes. The ids
+/// this crate synthesizes are 19 bytes; a W3C `traceparent` is 55.
+pub const MAX_TRACE_ID_LEN: usize = 256;
+
+/// How a request reached the edge: which dialect its payload speaks.
+#[derive(Debug, Clone, Copy)]
+pub enum Dialect {
+    /// A `pcp1` frame; its `type` tag names the verb.
+    Frame,
+    /// An HTTP `/v1` route, which names the verb.
+    Route(&'static Verb),
+    /// A [`crate::v2`] envelope: a `pcp2` frame or a `POST /v2/query` body.
+    Envelope,
 }
 
-/// [`dispatch`] under a caller-supplied [`RequestCtx`]: the context's trace
-/// ID is threaded through the engine (so response metadata and slow-log
-/// lines carry it) and echoed as a top-level `trace_id` field of every
-/// reply, `error` replies included.
-///
-/// Since the v2 envelope landed, this is a *shim*: every verb (except the
-/// `hello` handshake, which has no v2 counterpart) is mapped onto a
-/// [`crate::v2::Op`], executed by [`crate::v2::execute_op`] — the one
-/// dispatcher both API versions share — and the identical result payload
-/// is re-wrapped in the legacy per-verb reply shape.
-pub fn dispatch_ctx(engine: &QueryEngine, request: &Request, ctx: &RequestCtx) -> (Json, Action) {
-    let op = match request {
-        Request::Hello { proto } => {
-            let reply = if *proto == PROTO_VERSION {
-                hello_reply()
-            } else {
-                error_reply(
-                    "unsupported_version",
-                    &format!("server speaks pcp{PROTO_VERSION}, client sent pcp{proto}"),
-                )
-            };
-            return (attach_trace(reply, ctx), Action::Continue);
-        }
-        Request::Solve(query) => v2::Op::Solve {
-            target: v2::Target::Inline(query.graph.clone()),
-            kind: query.kind,
-            id: query.id.clone(),
-        },
-        Request::Batch { shared, requests } => v2::Op::Batch {
-            shared: shared.clone(),
-            requests: requests.clone(),
-        },
-        Request::Stats => v2::Op::Stats,
-        Request::Metrics => v2::Op::Metrics,
-        Request::Snapshot => v2::Op::Snapshot,
-        Request::Trace { id: None, .. } => v2::Op::TraceList,
-        Request::Trace {
-            id: Some(id),
-            chrome,
-        } => v2::Op::TraceGet {
-            id: id.clone(),
-            chrome: *chrome,
-        },
-        Request::Shutdown => v2::Op::Shutdown,
-    };
-    let (result, action) = v2::execute_op(engine, &op, ctx);
-    (attach_trace(legacy_reply(&op, result), ctx), action)
+/// What a transport read beside the payload: HTTP's `X-Request-Id` and
+/// `X-Deadline-Ms` headers. A frame has none.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Headers<'a> {
+    /// The client's trace id.
+    pub trace: Option<&'a str>,
+    /// The client's deadline, in milliseconds from now.
+    pub deadline_ms: Option<u64>,
 }
 
-/// Re-wraps a shared-dispatcher outcome in the legacy v1 reply shape for
-/// its verb. The payloads inside are the [`crate::v2::execute_op`] results,
-/// untouched — byte-identity between the API versions is by construction.
-fn legacy_reply(op: &v2::Op, result: Result<Json, v2::OpError>) -> Json {
-    let result = match result {
-        // v1 has no envelope to flag `ok` on: operation-level failures are
-        // `error` replies (engine-level failures ride inside the response
-        // objects, exactly as in v2 results). The reply is built from the
-        // shared wire body, so structured fields — `retry_after_ms` on
-        // `overloaded` rejections — reach v1 clients too.
-        Err(error) => return failure_reply(&error),
-        Ok(result) => result,
-    };
-    match op {
-        v2::Op::Solve { .. } => {
-            Json::obj(vec![("type", Json::str("response")), ("response", result)])
+/// The answer to one request, in its dialect.
+#[derive(Debug)]
+pub struct Reply {
+    /// The reply payload. Once the request ran it carries the trace id; a
+    /// refusal gets it from the transport, after HTTP's `meta.api_version`.
+    pub body: Json,
+    /// The HTTP status: 400 for a refused v1 request, 404 for a v1 trace
+    /// miss, 503 for an `overloaded` shed, else 200.
+    pub status: u16,
+    /// The shed's retry hint, for HTTP's `Retry-After`.
+    pub retry_after_ms: Option<u64>,
+    /// Whether the daemon stops after this reply.
+    pub action: Action,
+    /// The request's context.
+    pub ctx: RequestCtx,
+}
+
+impl Reply {
+    fn new(body: Json, status: u16, ctx: RequestCtx) -> Reply {
+        Reply {
+            body,
+            status,
+            retry_after_ms: None,
+            action: Action::Continue,
+            ctx,
         }
-        v2::Op::Batch { .. } => Json::obj(vec![
-            ("type", Json::str("batch")),
-            (
-                "responses",
-                result
-                    .get("responses")
-                    .cloned()
-                    .unwrap_or(Json::Arr(vec![])),
-            ),
-        ]),
-        v2::Op::Stats => Json::obj(vec![("type", Json::str("stats")), ("stats", result)]),
-        v2::Op::Metrics => Json::obj(vec![("type", Json::str("metrics")), ("metrics", result)]),
-        v2::Op::Snapshot => {
-            let mut fields = vec![("type".to_string(), Json::str("snapshot_ok"))];
-            if let Json::Obj(result_fields) = result {
-                fields.extend(result_fields);
-            }
-            Json::Obj(fields)
-        }
-        v2::Op::Shutdown => shutdown_reply(),
-        v2::Op::TraceList => Json::obj(vec![("type", Json::str("trace")), ("traces", result)]),
-        v2::Op::TraceGet { .. } => Json::obj(vec![("type", Json::str("trace")), ("trace", result)]),
-        // Session verbs exist only in the v2 envelope; no v1 request maps
-        // onto them.
-        _ => error_reply("bad_message", "operation has no v1 reply shape"),
     }
+}
+
+/// A request's context. A header's trace id and deadline win over the
+/// payload's `trace_id` and `deadline_ms` fields; without a client id one
+/// is synthesized. An id longer than [`MAX_TRACE_ID_LEN`] is refused.
+pub fn request_ctx(payload: &Json, headers: Headers) -> Result<RequestCtx, String> {
+    let trace = headers
+        .trace
+        .or_else(|| payload.get("trace_id").and_then(Json::as_str));
+    let ctx = match trace {
+        Some(id) if id.len() > MAX_TRACE_ID_LEN => {
+            return Err(format!(
+                "trace id of {} bytes exceeds the {MAX_TRACE_ID_LEN}-byte cap",
+                id.len()
+            ))
+        }
+        Some(id) => RequestCtx::with_trace(id),
+        None => RequestCtx::generate(),
+    };
+    let deadline_ms = headers
+        .deadline_ms
+        .or_else(|| payload.get("deadline_ms").and_then(Json::as_u64));
+    Ok(ctx.with_deadline_ms(deadline_ms))
+}
+
+/// The one request edge. Every transport hands each request here: its
+/// dialect, its payload (a frame, an HTTP body, or the fields a route
+/// implies) and its header fields. The edge builds the [`RequestCtx`],
+/// decodes the request into the operation it runs as, runs it once through
+/// [`v2::execute_op`] and answers in the request's dialect.
+pub fn serve(engine: &QueryEngine, dialect: Dialect, payload: &Json, headers: Headers) -> Reply {
+    let ctx = match request_ctx(payload, headers) {
+        Ok(ctx) => ctx,
+        // Refused the way each dialect refuses a malformed field.
+        Err(reason) => {
+            let ctx = RequestCtx::generate();
+            let (body, status) = match dialect {
+                Dialect::Frame => (malformed_reply(bad_message(reason), dialect), 400),
+                Dialect::Route(_) => {
+                    let error = ServiceError::BadRequest(reason);
+                    (error_reply(error.code(), &error.to_string()), 400)
+                }
+                Dialect::Envelope => {
+                    let error = ServiceError::BadRequest(reason).wire_body();
+                    (v2::envelope(None, Err(error), &ctx), 200)
+                }
+            };
+            return Reply::new(body, status, ctx);
+        }
+    };
+    run(engine, dialect, payload, ctx)
+}
+
+/// [`serve`] under a context the caller built.
+pub fn run(engine: &QueryEngine, dialect: Dialect, payload: &Json, ctx: RequestCtx) -> Reply {
+    let (verb, op) = match dialect {
+        Dialect::Envelope => match v2::parse_envelope(payload) {
+            Ok(op) => (None, op),
+            Err(error) => {
+                let body = v2::envelope(None, Err(error.wire_body()), &ctx);
+                return Reply::new(body, 200, ctx);
+            }
+        },
+        Dialect::Frame | Dialect::Route(_) => {
+            let decoded = match dialect {
+                Dialect::Route(verb) => (verb.decode)(payload).map(|request| (verb, request)),
+                _ => decode(payload),
+            };
+            let (verb, request) = match decoded {
+                Ok(decoded) => decoded,
+                Err(error) => return Reply::new(malformed_reply(error, dialect), 400, ctx),
+            };
+            let op = match request {
+                Request::Hello { proto } => {
+                    return Reply::new(attach_trace(hello_reply(proto), &ctx), 200, ctx)
+                }
+                Request::Solve(query) => v2::Op::Solve {
+                    target: v2::Target::Inline(query.graph),
+                    kind: query.kind,
+                    id: query.id,
+                },
+                Request::Batch { shared, requests } => v2::Op::Batch { shared, requests },
+                Request::Stats => v2::Op::Stats,
+                Request::Metrics => v2::Op::Metrics,
+                Request::Snapshot => v2::Op::Snapshot,
+                Request::Trace { id: None, .. } => v2::Op::TraceList,
+                Request::Trace {
+                    id: Some(id),
+                    chrome,
+                } => v2::Op::TraceGet { id, chrome },
+                Request::Shutdown => v2::Op::Shutdown,
+            };
+            (Some(verb), op)
+        }
+    };
+    let name = op.name();
+    let (result, action) = v2::execute_op(engine, op, &ctx);
+    let (status, retry_after_ms) = match &result {
+        Err(v2::OpError::Service(ServiceError::Overloaded { retry_after_ms })) => {
+            (503, Some(*retry_after_ms))
+        }
+        Err(v2::OpError::TraceNotFound { .. }) if verb.is_some() => (404, None),
+        _ => (200, None),
+    };
+    let body = match (verb, result) {
+        (None, result) => v2::envelope(Some(name), result.map_err(|e| e.wire_body()), &ctx),
+        (Some(verb), Ok(result)) => attach_trace(verb.wrap(result), &ctx),
+        // v1 has no envelope to flag `ok` on: an operation failure is an
+        // `error` reply carrying its wire body (`retry_after_ms` included).
+        (Some(_), Err(error)) => attach_trace(failure_reply(&error), &ctx),
+    };
+    Reply {
+        body,
+        status,
+        retry_after_ms,
+        action,
+        ctx,
+    }
+}
+
+/// The `error` reply to a v1 request that did not decode. `POST /v1/solve`
+/// has always answered a body that is not a query with the query's own
+/// error, without the `bad message:` prefix a frame carries.
+fn malformed_reply(error: ProtoError, dialect: Dialect) -> Json {
+    let message = match (dialect, &error) {
+        (Dialect::Route(verb), ProtoError::BadMessage(message)) if std::ptr::eq(verb, &SOLVE) => {
+            message.clone()
+        }
+        _ => error.to_string(),
+    };
+    error_reply(error.code(), &message)
 }
 
 /// The v1 `error` reply for an operation failure: its wire body (`code`,
 /// `message` and structured fields such as `retry_after_ms`) under
 /// `"type":"error"`.
 pub fn failure_reply(error: &v2::OpError) -> Json {
-    let mut fields = vec![("type".to_string(), Json::str("error"))];
-    if let Json::Obj(body) = error.wire_body() {
-        fields.extend(body);
-    }
-    Json::Obj(fields)
+    tagged("error", error.wire_body())
 }
 
 /// The reply to a request shed before dispatch (connection cap,
@@ -578,13 +815,20 @@ pub fn failure_reply(error: &v2::OpError) -> Json {
 /// [`crate::v2`] error envelope for version 2, else the v1 `overloaded`
 /// error reply. Both carry the default retry hint and `ctx`'s trace id.
 pub fn shed_reply(version: u64, ctx: &RequestCtx) -> Json {
-    let error = v2::OpError::Service(ServiceError::Overloaded {
-        retry_after_ms: DEFAULT_RETRY_AFTER_MS,
-    });
+    let retry_after_ms = DEFAULT_RETRY_AFTER_MS;
+    let error = ServiceError::Overloaded { retry_after_ms };
+    error_in_dialect(version, error.wire_body(), ctx)
+}
+
+/// An error wire body (`code`, `message`, ...) in a frame's dialect, under
+/// `ctx`'s trace id: a v1 `error` reply or a v2 error envelope. Used for
+/// sheds and for protocol defects (a payload that never parsed, an
+/// oversized reply).
+pub fn error_in_dialect(version: u64, body: Json, ctx: &RequestCtx) -> Json {
     if version == v2::API_VERSION {
-        return v2::error_envelope(None, &error, ctx);
+        return v2::envelope(None, Err(body), ctx);
     }
-    attach_trace(failure_reply(&error), ctx)
+    attach_trace(tagged("error", body), ctx)
 }
 
 /// Appends the context's trace ID as a top-level `trace_id` reply field.
@@ -598,20 +842,6 @@ pub fn attach_trace(reply: Json, ctx: &RequestCtx) -> Json {
         }
         other => other,
     }
-}
-
-/// The client-supplied `trace_id` field of a raw request frame, if any —
-/// read by the transport *before* [`Request::from_json`] so even a frame
-/// that fails to decode gets its error reply correlated.
-pub fn request_trace(value: &Json) -> Option<&str> {
-    value.get("trace_id").and_then(Json::as_str)
-}
-
-/// The client-supplied `deadline_ms` field of a raw request frame, if any
-/// — read by the transport at the same edge as [`request_trace`] and
-/// turned into the [`RequestCtx`] deadline before dispatch.
-pub fn request_deadline_ms(value: &Json) -> Option<u64> {
-    value.get("deadline_ms").and_then(Json::as_u64)
 }
 
 /// The fields of a completed save, shared verbatim between the v1
@@ -629,48 +859,31 @@ pub fn snapshot_payload(engine: &QueryEngine, report: &SaveReport) -> Json {
     ])
 }
 
-/// The `snapshot_ok` reply describing a completed save.
-pub fn snapshot_reply(engine: &QueryEngine, report: &SaveReport) -> Json {
-    let mut fields = vec![("type".to_string(), Json::str("snapshot_ok"))];
-    if let Json::Obj(payload) = snapshot_payload(engine, report) {
-        fields.extend(payload);
+/// The server's answer to a `hello` for `proto`: the `hello` reply, or an
+/// `unsupported_version` error. `proto` names the legacy dialect (what a
+/// version-1 client matches on); `supported_versions` advertises every
+/// frame dialect this build serves, so newer clients can discover `pcp2`
+/// without a second handshake.
+fn hello_reply(proto: u64) -> Json {
+    if proto != PROTO_VERSION {
+        return error_reply(
+            "unsupported_version",
+            &format!("server speaks pcp{PROTO_VERSION}, client sent pcp{proto}"),
+        );
     }
-    Json::Obj(fields)
-}
-
-/// The server's `hello` reply. `proto` names the legacy dialect (what a
-/// version-1 client expects to match on); `supported_versions` advertises
-/// every frame dialect this build serves, so newer clients can discover
-/// `pcp2` without a second handshake.
-pub fn hello_reply() -> Json {
-    Json::obj(vec![
-        ("type", Json::str("hello")),
+    HELLO.wrap(Json::obj(vec![
         ("proto", Json::num(PROTO_VERSION)),
         (
             "supported_versions",
             Json::Arr(SUPPORTED_VERSIONS.iter().map(|&v| Json::num(v)).collect()),
         ),
         ("server", Json::str(SERVER_NAME)),
-    ])
+    ]))
 }
 
 /// Wraps one query response in a `response` reply.
 pub fn response_reply(response: &QueryResponse) -> Json {
-    Json::obj(vec![
-        ("type", Json::str("response")),
-        ("response", response.to_json()),
-    ])
-}
-
-/// Wraps a batch's responses in a `batch` reply.
-pub fn batch_reply(responses: &[QueryResponse]) -> Json {
-    Json::obj(vec![
-        ("type", Json::str("batch")),
-        (
-            "responses",
-            Json::Arr(responses.iter().map(QueryResponse::to_json).collect()),
-        ),
-    ])
+    SOLVE.wrap(response.to_json())
 }
 
 fn shard_stats_json(shard: &ShardStats) -> Json {
@@ -778,14 +991,6 @@ pub fn sessions_payload(engine: &QueryEngine) -> Json {
     ])
 }
 
-/// Wraps the engine's stats in a `stats` reply.
-pub fn stats_reply(engine: &QueryEngine) -> Json {
-    Json::obj(vec![
-        ("type", Json::str("stats")),
-        ("stats", stats_payload(engine)),
-    ])
-}
-
 /// The full metrics report payload (the
 /// [`crate::telemetry::MetricsReport::to_json`] shape plus version info),
 /// shared verbatim between the v1 `metrics` reply and the v2 result.
@@ -797,23 +1002,14 @@ pub fn metrics_payload(engine: &QueryEngine) -> Json {
     metrics
 }
 
-/// Wraps the engine's full metrics report in a `metrics` reply.
-pub fn metrics_reply(engine: &QueryEngine) -> Json {
-    Json::obj(vec![
-        ("type", Json::str("metrics")),
-        ("metrics", metrics_payload(engine)),
-    ])
-}
-
-/// The `shutdown_ok` reply.
-pub fn shutdown_reply() -> Json {
-    Json::obj(vec![("type", Json::str("shutdown_ok"))])
-}
-
 /// An `error` reply. Used both for [`ProtoError`]s and for version refusals.
 pub fn error_reply(code: &str, message: &str) -> Json {
+    tagged("error", error_body(code, message))
+}
+
+/// An error's wire body: `{"code", "message"}`.
+pub fn error_body(code: &str, message: &str) -> Json {
     Json::obj(vec![
-        ("type", Json::str("error")),
         ("code", Json::str(code)),
         ("message", Json::str(message)),
     ])
@@ -823,6 +1019,21 @@ pub fn error_reply(code: &str, message: &str) -> Json {
 mod tests {
     use super::*;
     use crate::model::QueryKind;
+
+    /// Serves `request` through the request edge as a `pcp1` frame whose
+    /// trace id is `ctx`'s.
+    fn dispatch_ctx(engine: &QueryEngine, request: &Request, ctx: &RequestCtx) -> (Json, Action) {
+        let headers = Headers {
+            trace: Some(&ctx.trace_id),
+            deadline_ms: None,
+        };
+        let reply = serve(engine, Dialect::Frame, &request.to_json(), headers);
+        (attach_trace(reply.body, &reply.ctx), reply.action)
+    }
+
+    fn dispatch(engine: &QueryEngine, request: &Request) -> (Json, Action) {
+        dispatch_ctx(engine, request, &RequestCtx::generate())
+    }
 
     fn frame_bytes(payload: &Json) -> Vec<u8> {
         let mut out = Vec::new();
@@ -1120,11 +1331,11 @@ mod tests {
             Some("trace-42")
         );
         // And a client-supplied frame field is where transports read it from.
-        let frame = Json::parse(r#"{"type":"stats","trace_id":"abc"}"#).unwrap();
-        assert_eq!(request_trace(&frame), Some("abc"));
-        assert_eq!(
-            request_trace(&Json::parse(r#"{"type":"stats"}"#).unwrap()),
-            None
-        );
+        let trace = |frame: &str| {
+            let frame = Json::parse(frame).unwrap();
+            request_ctx(&frame, Headers::default()).unwrap().trace_id
+        };
+        assert_eq!(trace(r#"{"type":"stats","trace_id":"abc"}"#), "abc");
+        assert!(trace(r#"{"type":"stats"}"#).starts_with("pc-"));
     }
 }

@@ -36,10 +36,10 @@
 //! The envelope is served on both transports: `POST /v2/query` over HTTP
 //! and `pcp2`-tagged frames on the framed socket (the frame header's
 //! version selects the dialect per frame, so one connection can mix both).
-//! The v1 surfaces are thin shims: [`crate::proto::dispatch_ctx`] maps each
-//! legacy request onto an [`Op`], runs it through [`execute_op`] — the one
-//! dispatcher — and re-wraps the identical result payload in the legacy
-//! reply shape.
+//! The v1 surfaces are thin shims: the request edge, [`crate::proto::serve`],
+//! decodes each v1 request into an [`Op`], runs it through [`execute_op`] —
+//! the one dispatcher — and the verb's row of [`crate::proto::VERBS`]
+//! re-wraps the identical result payload in the legacy reply shape.
 
 use crate::engine::QueryEngine;
 use crate::error::ServiceError;
@@ -51,6 +51,9 @@ use pcgraph::VertexId;
 
 /// The envelope's `api_version` (and the frame tag `pcp2`).
 pub const API_VERSION: u64 = 2;
+
+/// The envelope's HTTP route (`POST` only).
+pub const ROUTE: &str = "/v2/query";
 
 /// What an operation acts on.
 #[derive(Debug, Clone)]
@@ -210,10 +213,9 @@ impl OpError {
     pub fn wire_body(&self) -> Json {
         match self {
             OpError::Service(e) => e.wire_body(),
-            OpError::Snapshot { .. } | OpError::TraceNotFound { .. } => Json::obj(vec![
-                ("code", Json::str(self.code())),
-                ("message", Json::str(self.message())),
-            ]),
+            OpError::Snapshot { .. } | OpError::TraceNotFound { .. } => {
+                proto::error_body(self.code(), &self.message())
+            }
         }
     }
 }
@@ -325,7 +327,7 @@ pub fn parse_envelope(value: &Json) -> Result<Op, ServiceError> {
                 .and_then(Json::as_str)
                 .ok_or_else(|| bad("trace_get params need a string field 'id'"))?
                 .to_string(),
-            chrome: param_trace_format(params)?,
+            chrome: param_trace_format(params).map_err(bad)?,
         }),
         other => Err(bad(format!("unknown op '{other}'"))),
     }
@@ -369,16 +371,17 @@ fn session_target(target: Option<Target>, op: &str) -> Result<String, ServiceErr
     }
 }
 
-/// Decodes `params.format` for `trace_get`: absent or `"json"` keeps the
-/// native shape, `"chrome"` selects Chrome trace-event JSON.
-fn param_trace_format(params: &Json) -> Result<bool, ServiceError> {
+/// Decodes the `format` field of a `trace_get` (v1: a `trace` frame):
+/// absent or `"json"` keeps the native shape, `"chrome"` selects Chrome
+/// trace-event JSON. Each dialect wraps the refusal in its own error.
+pub(crate) fn param_trace_format(params: &Json) -> Result<bool, String> {
     match params.get("format") {
         None | Some(Json::Null) => Ok(false),
         Some(Json::Str(s)) if s == "json" => Ok(false),
         Some(Json::Str(s)) if s == "chrome" => Ok(true),
-        Some(other) => Err(bad(format!(
+        Some(other) => Err(format!(
             "unknown trace format {other} (use \"json\" or \"chrome\")"
-        ))),
+        )),
     }
 }
 
@@ -451,24 +454,23 @@ fn param_edge_array(params: &Json, field: &str) -> Result<Vec<(VertexId, VertexI
 /// Runs one operation against the engine, producing the v2 `result`
 /// payload (or an [`OpError`]) and the follow-up connection action.
 ///
-/// This is the single dispatcher both API versions share:
-/// [`dispatch_envelope`] wraps the outcome in the v2 envelope, and the v1
-/// [`crate::proto::dispatch_ctx`] wraps the *identical* payload in the
-/// legacy per-verb reply shapes.
+/// This is the single dispatcher both API versions share: the request
+/// edge, [`crate::proto::serve`], wraps the outcome in the v2 envelope or
+/// wraps the *identical* payload in the verb's legacy reply shape.
 ///
 /// Work ops pass the engine's admission gate first; past the
 /// `max_inflight` cap they fail with a recoverable `overloaded` error
 /// (carrying `retry_after_ms`) without touching the pipeline.
 pub fn execute_op(
     engine: &QueryEngine,
-    op: &Op,
+    op: Op,
     ctx: &RequestCtx,
 ) -> (Result<Json, OpError>, Action) {
     // Open the request's root span here — before admission — so the trace
     // of an admitted request includes its admission wait, and a *shed*
     // request still leaves a (protected) trace in the flight recorder.
     let ctx = &engine.traced_ctx(ctx);
-    let _permit = if needs_admission(op) {
+    let _permit = if needs_admission(&op) {
         let admit_wait = ctx.span_start();
         match engine.try_admit() {
             Ok(permit) => {
@@ -493,27 +495,28 @@ pub fn execute_op(
     } else {
         None
     };
+    let action = if matches!(op, Op::Shutdown) {
+        Action::Shutdown
+    } else {
+        Action::Continue
+    };
     let result = match op {
         Op::Solve {
-            target: Target::Inline(spec),
+            target: Target::Inline(graph),
             kind,
             id,
         } => {
-            let request = QueryRequest {
-                id: id.clone(),
-                kind: *kind,
-                graph: spec.clone(),
-            };
+            let request = QueryRequest { id, kind, graph };
             Ok(engine.execute_ctx(&request, ctx).to_json())
         }
         Op::Solve {
             target: Target::Session(handle),
             kind,
             ..
-        } => session_query_result(engine, handle, *kind, ctx),
-        Op::SessionQuery { handle, kind } => session_query_result(engine, handle, *kind, ctx),
+        }
+        | Op::SessionQuery { handle, kind } => session_query_result(engine, &handle, kind, ctx),
         Op::Batch { shared, requests } => {
-            let responses = engine.execute_batch_ctx(shared.as_ref(), requests, ctx);
+            let responses = engine.execute_batch_ctx(shared.as_ref(), &requests, ctx);
             Ok(Json::obj(vec![(
                 "responses",
                 Json::Arr(responses.iter().map(|r| r.to_json()).collect()),
@@ -559,40 +562,35 @@ pub fn execute_op(
             .map(|state| session_state_json(&state))
             .map_err(OpError::Service),
         Op::SessionAddVertex { handle, neighbors } => engine
-            .session_add_vertex(handle, neighbors)
+            .session_add_vertex(&handle, &neighbors)
             .map(|state| session_state_json(&state))
             .map_err(OpError::Service),
         Op::SessionAddEdges { handle, edges } => engine
-            .session_add_edges(handle, edges)
+            .session_add_edges(&handle, &edges)
             .map(|state| session_state_json(&state))
             .map_err(OpError::Service),
         Op::SessionRemoveEdge { handle, edge } => engine
-            .session_remove_edge(handle, edge.0, edge.1)
+            .session_remove_edge(&handle, edge.0, edge.1)
             .map(|state| session_state_json(&state))
             .map_err(OpError::Service),
         Op::SessionDrop { handle } => engine
-            .session_drop(handle)
+            .session_drop(&handle)
             .map(|()| {
                 Json::obj(vec![
-                    ("handle", Json::str(handle.clone())),
+                    ("handle", Json::str(handle)),
                     ("dropped", Json::Bool(true)),
                 ])
             })
             .map_err(OpError::Service),
         Op::TraceList => Ok(engine.recorder().list_json()),
-        Op::TraceGet { id, chrome } => match engine.recorder().get(id) {
-            Some(trace) => Ok(if *chrome {
+        Op::TraceGet { id, chrome } => match engine.recorder().get(&id) {
+            Some(trace) => Ok(if chrome {
                 trace.to_chrome_json()
             } else {
                 trace.to_json()
             }),
-            None => Err(OpError::TraceNotFound { id: id.clone() }),
+            None => Err(OpError::TraceNotFound { id }),
         },
-    };
-    let action = if matches!(op, Op::Shutdown) {
-        Action::Shutdown
-    } else {
-        Action::Continue
     };
     (result, action)
 }
@@ -633,65 +631,27 @@ fn session_state_json(state: &crate::session::SessionState) -> Json {
     Json::obj(fields)
 }
 
-/// Serves one decoded v2 envelope end to end: parse, execute, wrap in the
-/// v2 reply shape, attach the trace. Both transports call this — `POST
-/// /v2/query` bodies and `pcp2` frame payloads are the same bytes.
+/// Serves one decoded v2 envelope end to end under `ctx`: the request
+/// edge's [`crate::proto::run`] for the envelope dialect.
 pub fn dispatch_envelope(engine: &QueryEngine, value: &Json, ctx: &RequestCtx) -> (Json, Action) {
-    let op = match parse_envelope(value) {
-        Ok(op) => op,
-        Err(error) => {
-            return (
-                error_envelope(None, &OpError::Service(error), ctx),
-                Action::Continue,
-            )
-        }
-    };
-    let (result, action) = execute_op(engine, &op, ctx);
-    let reply = match result {
-        Ok(result) => proto::attach_trace(
-            Json::obj(vec![
-                ("api_version", Json::num(API_VERSION)),
-                ("op", Json::str(op.name())),
-                ("ok", Json::Bool(true)),
-                ("result", result),
-            ]),
-            ctx,
-        ),
-        Err(error) => error_envelope(Some(op.name()), &error, ctx),
-    };
-    (reply, action)
+    let reply = proto::run(engine, proto::Dialect::Envelope, value, ctx.clone());
+    (reply.body, reply.action)
 }
 
-/// A v2 error envelope for an operation failure (or, with `op: None`, for
-/// an envelope that never parsed).
-pub fn error_envelope(op: Option<&str>, error: &OpError, ctx: &RequestCtx) -> Json {
+/// The reply envelope for an outcome: a result, or the wire body of an
+/// operation failure or protocol defect. `op` is `None` for an envelope
+/// that never parsed.
+pub(crate) fn envelope(op: Option<&str>, outcome: Result<Json, Json>, ctx: &RequestCtx) -> Json {
+    let (ok, key, value) = match outcome {
+        Ok(result) => (true, "result", result),
+        Err(error) => (false, "error", error),
+    };
     proto::attach_trace(
         Json::obj(vec![
             ("api_version", Json::num(API_VERSION)),
             ("op", op.map_or(Json::Null, Json::str)),
-            ("ok", Json::Bool(false)),
-            ("error", error.wire_body()),
-        ]),
-        ctx,
-    )
-}
-
-/// A v2 error envelope for a protocol-level defect (bad JSON in a `pcp2`
-/// frame, an oversized reply): the framed transport's counterpart of the
-/// v1 `{"type":"error"}` reply.
-pub fn protocol_error_envelope(code: &str, message: &str, ctx: &RequestCtx) -> Json {
-    proto::attach_trace(
-        Json::obj(vec![
-            ("api_version", Json::num(API_VERSION)),
-            ("op", Json::Null),
-            ("ok", Json::Bool(false)),
-            (
-                "error",
-                Json::obj(vec![
-                    ("code", Json::str(code)),
-                    ("message", Json::str(message)),
-                ]),
-            ),
+            ("ok", Json::Bool(ok)),
+            (key, value),
         ]),
         ctx,
     )
@@ -932,7 +892,16 @@ mod tests {
         engine.execute(&query); // warm: both reads below are cache hits
         let ctx = RequestCtx::with_trace("t-eq");
 
-        let (v1, _) = proto::dispatch_ctx(&engine, &proto::Request::Solve(query.clone()), &ctx);
+        let v1_frame = |request: proto::Request| {
+            proto::run(
+                &engine,
+                proto::Dialect::Frame,
+                &request.to_json(),
+                ctx.clone(),
+            )
+            .body
+        };
+        let v1 = v1_frame(proto::Request::Solve(query.clone()));
         let v2 = dispatch(
             &engine,
             r#"{"op":"solve","target":{"cotree":"(u (j a b) c)"},
@@ -946,7 +915,7 @@ mod tests {
         );
 
         // Stats: same payload builder, compared end to end.
-        let (v1, _) = proto::dispatch_ctx(&engine, &proto::Request::Stats, &ctx);
+        let v1 = v1_frame(proto::Request::Stats);
         let v2 = dispatch(&engine, r#"{"op":"stats"}"#);
         assert_eq!(
             strip(v1.get("stats").expect("v1 stats")),

@@ -33,6 +33,9 @@ fn spawn_daemon(
     config.idle_timeout = Duration::from_secs(10);
     config.snapshot_path = Some(snapshot.to_path_buf());
     config.checkpoint_interval = checkpoint;
+    // One batch thread runs the jobs in batch order, so the first life's
+    // q2 is looked up before q4, which carries the same triangle.
+    config.engine.threads = 1;
     let daemon = Daemon::bind(config).expect("bind");
     std::thread::spawn(move || daemon.run())
 }
