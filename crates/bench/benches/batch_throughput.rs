@@ -131,14 +131,16 @@ fn bench_contention(c: &mut Criterion) {
 }
 
 /// Telemetry overhead: the same warmed batch workload with the telemetry
-/// registry and the flight recorder on and off, so the cost of the
-/// per-stage clock marks, histogram recording and span capture is measured
-/// directly. The `on/trace-off` configuration is the contract point: it
-/// must sit within noise of the pre-flight-recorder telemetry-on baseline
-/// (tracing disabled attaches no span collector, so requests never touch
-/// the recorder). The fully-disabled configuration skips every
-/// `Instant::now` the registry would take, so the delta against it is the
-/// whole observability bill.
+/// registry and the flight recorder on and off, so the cost of histogram
+/// recording and span capture is measured directly. The `on/trace-off`
+/// configuration is the contract point: it must sit within noise of the
+/// pre-flight-recorder telemetry-on baseline (tracing disabled opens no
+/// trace, so requests never touch the recorder). With tracing on, each
+/// batch is one trace, capped at `MAX_TRACE_SPANS` spans and committed
+/// once. The fully-disabled configuration records nothing but still reads
+/// the clock at every stage boundary, as every response reports its
+/// `solve_us` and `total_us`; the delta against it is the whole recording
+/// bill.
 fn bench_telemetry_overhead(c: &mut Criterion) {
     const BATCH: usize = 4096;
     let mut group = c.benchmark_group("service_telemetry_overhead");

@@ -30,10 +30,8 @@ use crate::model::{
     Answer, CacheStatus, GraphSpec, QueryKind, QueryRequest, QueryResponse, ResponseMeta,
 };
 use crate::snapshot::{self, LoadOutcome, SaveReport, SnapshotError};
-use crate::telemetry::{
-    Metric, MetricsReport, Outcome, PipelineClock, RequestCtx, Stage, Telemetry,
-};
-use crate::trace::{FlightRecorder, Span, TraceConfig};
+use crate::telemetry::{Metric, MetricsReport, Outcome, RequestCtx, Stage, Telemetry, Timeline};
+use crate::trace::{FlightRecorder, TraceConfig, TraceEnd};
 use cograph::{try_recognize, Cotree};
 use pathcover::sequential_path_cover;
 use pcgraph::{verify_path_cover, Graph, PathCover};
@@ -59,7 +57,9 @@ pub struct EngineConfig {
     /// [`crate::cache::DEFAULT_SHARDS`].
     pub cache_shards: usize,
     /// Record per-stage/request telemetry (see [`crate::telemetry`]);
-    /// `false` installs a no-op recorder with zero timing calls.
+    /// `false` makes every recording call a no-op. Requests still read the
+    /// clock once per stage boundary, since each response reports its
+    /// `solve_us` and `total_us`.
     pub telemetry: bool,
     /// Emit a structured log line for requests slower than this many
     /// microseconds (`serve --slow-ms`); `None` logs only internal
@@ -82,8 +82,8 @@ pub struct EngineConfig {
     pub max_inflight: usize,
     /// Flight-recorder configuration: per-request span capture and the
     /// tail-sampled trace ring served by `GET /v1/trace` and the `trace`
-    /// verb (see [`crate::trace`]). [`TraceConfig::off`] removes every
-    /// trace timestamp from the request hot path.
+    /// verb (see [`crate::trace`]). [`TraceConfig::off`] opens no trace,
+    /// so no span is ever built.
     pub trace: TraceConfig,
 }
 
@@ -130,6 +130,17 @@ pub(crate) struct Resolved {
     /// the cotree).
     pub(crate) graph: Option<Arc<Graph>>,
     pub(crate) cache: CacheStatus,
+}
+
+/// A job that reached the solver: its answer and what its response
+/// reports about it.
+pub(crate) struct Solved {
+    pub(crate) resolved: Resolved,
+    /// The graph's vertex count.
+    pub(crate) vertices: usize,
+    pub(crate) outcome: Result<Answer, ServiceError>,
+    /// The `solve` stage segment, in microseconds.
+    pub(crate) solve_us: u64,
 }
 
 /// The batch's shared graph, parsed once; every job using it still performs
@@ -259,17 +270,28 @@ impl QueryEngine {
         &self.recorder
     }
 
-    /// Returns `ctx` with a span collector attached when the flight
-    /// recorder is on and the context has none yet; otherwise a plain
-    /// clone. Transports call this once at dispatch so pre-engine work
-    /// (admission, session-lock waits) lands in the same trace as the
-    /// pipeline stages.
-    pub fn traced_ctx(&self, ctx: &RequestCtx) -> RequestCtx {
+    /// Runs `work` under `ctx`'s trace. A context without one, when the
+    /// recorder is on, gets one opened here and committed here with the end
+    /// `work` reports (`None`: no trace). The one commit site: a request,
+    /// a batch included, leaves at most one trace.
+    pub(crate) fn traced<T>(
+        &self,
+        ctx: &RequestCtx,
+        work: impl FnOnce(&RequestCtx) -> (T, Option<TraceEnd>),
+    ) -> T {
         if ctx.collector.is_some() || !self.recorder.enabled() {
-            ctx.clone()
-        } else {
-            ctx.clone().with_collector(self.recorder.begin())
+            return work(ctx).0;
         }
+        let ctx = RequestCtx {
+            collector: self.recorder.begin(),
+            ..ctx.clone()
+        };
+        let (out, end) = work(&ctx);
+        if let (Some(end), Some(trace)) = (end, &ctx.collector) {
+            let (id, kind, outcome) = (&ctx.trace_id, end.kind, end.outcome);
+            (self.recorder).commit(id, kind, outcome, end.total_us, end.protected, trace.take());
+        }
+        out
     }
 
     /// A point-in-time copy of every metric: the telemetry registry plus
@@ -378,7 +400,11 @@ impl QueryEngine {
     /// context's trace ID is echoed in the response metadata and any slow
     /// log line.
     pub fn execute_ctx(&self, request: &QueryRequest, ctx: &RequestCtx) -> QueryResponse {
-        self.guarded_execute(request, None, ctx)
+        self.traced(ctx, |ctx| {
+            let response = self.guarded_execute(request, None, ctx);
+            let end = trace_end(&response);
+            (response, Some(end))
+        })
     }
 
     /// Serves a batch: resolves the optional shared graph once, then fans
@@ -393,41 +419,64 @@ impl QueryEngine {
     }
 
     /// [`QueryEngine::execute_batch`] under a caller-supplied
-    /// [`RequestCtx`]: every job in the batch shares the one trace ID.
+    /// [`RequestCtx`]: every job in the batch shares the one trace ID, and
+    /// the batch leaves one trace.
     pub fn execute_batch_ctx(
         &self,
         shared: Option<&GraphSpec>,
         requests: &[QueryRequest],
         ctx: &RequestCtx,
     ) -> Vec<QueryResponse> {
-        let shared_resolved = shared.map(|spec| self.prepare_shared(spec));
+        self.traced(ctx, |ctx| {
+            let (responses, end) = self.run_batch(shared, requests, ctx);
+            (responses, Some(end))
+        })
+    }
+
+    /// Runs a batch under `ctx` and reports how its trace ends: kind
+    /// `batch`, the first failed job's code (in batch order) or `ok`, and
+    /// protected when any job's trace would be.
+    pub(crate) fn run_batch(
+        &self,
+        shared: Option<&GraphSpec>,
+        requests: &[QueryRequest],
+        ctx: &RequestCtx,
+    ) -> (Vec<QueryResponse>, TraceEnd) {
+        let mut timeline = Timeline::new(&self.telemetry, ctx);
+        let shared = shared.map(|spec| self.prepare_shared(spec, &mut timeline));
         let threads = self.effective_threads(requests.len());
-        if threads <= 1 {
-            return requests
-                .iter()
-                .map(|r| self.guarded_execute(r, shared_resolved.as_ref(), ctx))
-                .collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<OnceLock<QueryResponse>> =
-            requests.iter().map(|_| OnceLock::new()).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= requests.len() {
-                        break;
-                    }
-                    let response =
-                        self.guarded_execute(&requests[i], shared_resolved.as_ref(), ctx);
-                    slots[i].set(response).expect("each slot is written once");
-                });
+        let responses: Vec<QueryResponse> = if threads <= 1 {
+            (requests.iter())
+                .map(|r| self.guarded_execute(r, shared.as_ref(), ctx))
+                .collect()
+        } else {
+            let next = AtomicUsize::new(0);
+            let slots: Vec<OnceLock<QueryResponse>> =
+                requests.iter().map(|_| OnceLock::new()).collect();
+            std::thread::scope(|scope| {
+                for _ in 0..threads {
+                    scope.spawn(|| loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= requests.len() {
+                            break;
+                        }
+                        let response = self.guarded_execute(&requests[i], shared.as_ref(), ctx);
+                        slots[i].set(response).expect("each slot is written once");
+                    });
+                }
+            });
+            (slots.into_iter())
+                .map(|slot| slot.into_inner().expect("slot filled"))
+                .collect()
+        };
+        let mut end = TraceEnd::new("batch", "ok", timeline.total_us(), false);
+        for job in responses.iter().map(trace_end) {
+            if end.outcome == "ok" {
+                end.outcome = job.outcome;
             }
-        });
-        slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("slot filled"))
-            .collect()
+            end.protected |= job.protected;
+        }
+        (responses, end)
     }
 
     fn effective_threads(&self, jobs: usize) -> usize {
@@ -441,148 +490,85 @@ impl QueryEngine {
         shared: Option<&Result<SharedPrep, ServiceError>>,
         ctx: &RequestCtx,
     ) -> QueryResponse {
-        // Attach a span collector here (not in the transports) so direct
-        // library callers and every batch job get traced too. A context
-        // that already carries one — dispatched by a transport, so the
-        // trace includes admission and lock waits — is kept as-is.
-        let traced;
-        let ctx = if ctx.collector.is_none() && self.recorder.enabled() {
-            traced = self.traced_ctx(ctx);
-            &traced
-        } else {
-            ctx
-        };
-        let started = Instant::now();
-        match catch_unwind(AssertUnwindSafe(|| {
-            self.execute_inner(request, shared, ctx)
-        })) {
-            Ok(response) => response,
-            Err(payload) => {
-                let total_micros = started.elapsed().as_micros() as u64;
-                let response = QueryResponse {
-                    id: request.id.clone(),
-                    kind: request.kind,
-                    outcome: Err(ServiceError::JobPanicked(panic_message(payload))),
-                    meta: ResponseMeta {
-                        solve_micros: 0,
-                        total_micros,
-                        cache: CacheStatus::Bypass,
-                        canonical_key: None,
-                        vertices: 0,
-                        trace_id: Some(ctx.trace_id.clone()),
-                    },
-                };
-                self.finish_request(&response, ctx);
-                response
+        let mut timeline = Timeline::new(&self.telemetry, ctx);
+        let job = catch_unwind(AssertUnwindSafe(|| {
+            // Deadlines are checked cooperatively at stage boundaries:
+            // before ingest/recognition and again before the solve, so an
+            // already-expired request never starts the expensive work.
+            if ctx.deadline_expired() {
+                return Err(ServiceError::DeadlineExceeded);
             }
-        }
+            let resolved = self.resolve_request(&request.graph, shared, &mut timeline)?;
+            let (outcome, solve_us) = if ctx.deadline_expired() {
+                (Err(ServiceError::DeadlineExceeded), 0)
+            } else {
+                self.solve(request.kind, &resolved, &mut timeline)
+            };
+            Ok(Solved {
+                vertices: resolved.entry.cotree.num_vertices(),
+                resolved,
+                outcome,
+                solve_us,
+            })
+        }))
+        .unwrap_or_else(|payload| Err(ServiceError::JobPanicked(panic_message(payload))));
+        self.respond(request.id.clone(), request.kind, job, &timeline, ctx)
     }
 
-    fn execute_inner(
+    /// Ends one request (a batch job is one): builds its response, with
+    /// `timeline`'s total, books it into the registry and emits the
+    /// structured slow-request/error log line when warranted.
+    pub(crate) fn respond(
         &self,
-        request: &QueryRequest,
-        shared: Option<&Result<SharedPrep, ServiceError>>,
+        id: Option<String>,
+        kind: QueryKind,
+        job: Result<Solved, ServiceError>,
+        timeline: &Timeline<'_>,
         ctx: &RequestCtx,
     ) -> QueryResponse {
-        let started = Instant::now();
-        let mut clock = self.telemetry.pipeline_clock_ctx(ctx);
-        // Deadlines are checked cooperatively at stage boundaries: before
-        // ingest/recognition and again before the solve, so an
-        // already-expired request never starts the expensive work.
-        let resolved = if ctx.deadline_expired() {
-            Err(ServiceError::DeadlineExceeded)
-        } else {
-            self.resolve_request(&request.graph, shared, &mut clock)
+        let mut meta = ResponseMeta {
+            solve_micros: 0,
+            total_micros: timeline.total_us(),
+            cache: CacheStatus::Bypass,
+            canonical_key: None,
+            vertices: 0,
+            trace_id: Some(ctx.trace_id.clone()),
         };
-        let (outcome, meta) = match resolved {
-            Err(error) => (
-                Err(error),
-                ResponseMeta {
-                    solve_micros: 0,
-                    total_micros: 0,
-                    cache: CacheStatus::Bypass,
-                    canonical_key: None,
-                    vertices: 0,
-                    trace_id: Some(ctx.trace_id.clone()),
-                },
-            ),
-            Ok(resolved) => {
-                let (outcome, solve_micros) = if ctx.deadline_expired() {
-                    (Err(ServiceError::DeadlineExceeded), 0)
-                } else {
-                    self.solve(request.kind, &resolved, &mut clock)
-                };
-                (
-                    outcome,
-                    ResponseMeta {
-                        solve_micros,
-                        total_micros: 0,
-                        cache: resolved.cache,
-                        canonical_key: Some(resolved.entry.key),
-                        vertices: resolved.entry.cotree.num_vertices(),
-                        trace_id: Some(ctx.trace_id.clone()),
-                    },
-                )
-            }
-        };
-        let mut meta = meta;
-        meta.total_micros = started.elapsed().as_micros() as u64;
-        let response = QueryResponse {
-            id: request.id.clone(),
-            kind: request.kind,
-            outcome,
-            meta,
-        };
-        self.finish_request(&response, ctx);
-        response
-    }
-
-    /// Books a completed request into the registry and emits the
-    /// structured slow-request/error log line when warranted.
-    pub(crate) fn finish_request(&self, response: &QueryResponse, ctx: &RequestCtx) {
-        let outcome = match &response.outcome {
+        let outcome = job.and_then(|solved| {
+            meta.solve_micros = solved.solve_us;
+            meta.cache = solved.resolved.cache;
+            meta.canonical_key = Some(solved.resolved.entry.key);
+            meta.vertices = solved.vertices;
+            solved.outcome
+        });
+        let class = match &outcome {
             Ok(_) => Outcome::Ok,
             Err(error) => Outcome::from_error_code(error.code()),
         };
-        if matches!(response.outcome, Err(ServiceError::DeadlineExceeded)) {
+        if matches!(outcome, Err(ServiceError::DeadlineExceeded)) {
             self.telemetry.add(Metric::DeadlineExceeded, 0, 1);
         }
-        let total = response.meta.total_micros;
-        self.telemetry.record_request(response.kind, outcome, total);
-        if self.telemetry.should_log(outcome, total) {
+        let total = meta.total_micros;
+        self.telemetry.record_request(kind, class, total);
+        if self.telemetry.should_log(class, total) {
             crate::log::rate_limited(
                 crate::log::Level::Warn,
                 "slow_request",
                 Some(&ctx.trace_id),
                 &[
-                    ("kind", Json::str(response.kind.as_str())),
-                    ("outcome", Json::str(outcome.as_str())),
+                    ("kind", Json::str(kind.as_str())),
+                    ("outcome", Json::str(class.as_str())),
                     ("total_us", Json::num(total)),
-                    ("cache", Json::str(response.meta.cache.as_str())),
-                    ("vertices", Json::num(response.meta.vertices as u64)),
+                    ("cache", Json::str(meta.cache.as_str())),
+                    ("vertices", Json::num(meta.vertices as u64)),
                 ],
             );
         }
-        if let Some(collector) = &ctx.collector {
-            let outcome_code = match &response.outcome {
-                Ok(_) => "ok",
-                Err(error) => error.code(),
-            };
-            // Errored, shed and deadline-exceeded requests are exactly the
-            // traces an operator goes looking for — tail sampling must
-            // never drop them.
-            let protected = matches!(
-                response.outcome,
-                Err(ServiceError::DeadlineExceeded) | Err(ServiceError::Overloaded { .. })
-            ) || matches!(outcome, Outcome::Internal);
-            self.recorder.commit(
-                &ctx.trace_id,
-                response.kind.as_str(),
-                outcome_code,
-                total,
-                protected,
-                collector.take(),
-            );
+        QueryResponse {
+            id,
+            kind,
+            outcome,
+            meta,
         }
     }
 
@@ -590,49 +576,48 @@ impl QueryEngine {
         &self,
         spec: &GraphSpec,
         shared: Option<&Result<SharedPrep, ServiceError>>,
-        clock: &mut PipelineClock<'_>,
+        timeline: &mut Timeline<'_>,
     ) -> Result<Resolved, ServiceError> {
-        match spec {
-            GraphSpec::Shared => match shared {
-                Some(Ok(prep)) => self.resolve_prepared(prep, clock),
-                Some(Err(error)) => Err(error.clone()),
-                None => Err(ServiceError::SharedGraphMissing),
-            },
-            other => self.resolve_spec(other, clock),
+        match (spec, shared) {
+            (GraphSpec::Shared, Some(Ok(prep))) => self.resolve_prepared(prep, timeline),
+            (GraphSpec::Shared, Some(Err(error))) => Err(error.clone()),
+            _ => {
+                let ingested = ingest_spec(spec)?;
+                timeline.stage(Stage::Ingest);
+                match ingested {
+                    Ingested::Graph(g) => self.resolve_graph(Arc::new(g), timeline),
+                    Ingested::Cotree(t) => self.resolve_cotree(self.cotree_entry(t), timeline),
+                }
+            }
         }
     }
 
     /// Parses the batch's shared graph once; jobs resolve it per query via
     /// [`QueryEngine::resolve_prepared`] so their cache metadata is real.
     /// The one-off parse (and a cotree's canonical pass) is booked as an
-    /// ingest segment of its own.
-    fn prepare_shared(&self, spec: &GraphSpec) -> Result<SharedPrep, ServiceError> {
-        let mut clock = self.telemetry.pipeline_clock();
-        let ingested = match spec {
-            GraphSpec::Shared => return Err(ServiceError::SharedGraphMissing),
-            GraphSpec::EdgeList(text) => ingest::parse(text, GraphFormat::EdgeList)?,
-            GraphSpec::Dimacs(text) => ingest::parse(text, GraphFormat::Dimacs)?,
-            GraphSpec::CotreeTerm(text) => ingest::parse(text, GraphFormat::CotreeTerm)?,
-            GraphSpec::Graph(g) => Ingested::Graph(g.clone()),
-            GraphSpec::Cotree(t) => Ingested::Cotree(t.clone()),
-        };
-        let prep = match ingested {
+    /// ingest segment of the batch's own timeline.
+    fn prepare_shared(
+        &self,
+        spec: &GraphSpec,
+        timeline: &mut Timeline<'_>,
+    ) -> Result<SharedPrep, ServiceError> {
+        let prep = match ingest_spec(spec)? {
             Ingested::Graph(g) => SharedPrep::Graph(Arc::new(g)),
             Ingested::Cotree(t) => SharedPrep::Cotree(self.cotree_entry(t)),
         };
-        clock.mark(Stage::Ingest);
+        timeline.stage(Stage::Ingest);
         Ok(prep)
     }
 
     fn resolve_prepared(
         &self,
         prep: &SharedPrep,
-        clock: &mut PipelineClock<'_>,
+        timeline: &mut Timeline<'_>,
     ) -> Result<Resolved, ServiceError> {
         match prep {
-            SharedPrep::Graph(g) => self.resolve_graph(g.clone(), clock),
+            SharedPrep::Graph(g) => self.resolve_graph(g.clone(), timeline),
             SharedPrep::Cotree(entry) if self.config.use_cache => {
-                self.resolve_cotree(entry.clone(), clock)
+                self.resolve_cotree(entry.clone(), timeline)
             }
             // Without the cache every job solves afresh, as it would alone.
             SharedPrep::Cotree(entry) => self.resolve_cotree(
@@ -641,44 +626,22 @@ impl QueryEngine {
                     entry.key,
                     MemoisedScalars::default(),
                 )),
-                clock,
+                timeline,
             ),
-        }
-    }
-
-    fn resolve_spec(
-        &self,
-        spec: &GraphSpec,
-        clock: &mut PipelineClock<'_>,
-    ) -> Result<Resolved, ServiceError> {
-        let ingested = match spec {
-            GraphSpec::Shared => return Err(ServiceError::SharedGraphMissing),
-            GraphSpec::EdgeList(text) => ingest::parse(text, GraphFormat::EdgeList)?,
-            GraphSpec::Dimacs(text) => ingest::parse(text, GraphFormat::Dimacs)?,
-            GraphSpec::CotreeTerm(text) => ingest::parse(text, GraphFormat::CotreeTerm)?,
-            GraphSpec::Graph(g) => return self.resolve_graph(Arc::new(g.clone()), clock),
-            GraphSpec::Cotree(t) => {
-                return self.resolve_cotree(self.cotree_entry(t.clone()), clock)
-            }
-        };
-        clock.mark(Stage::Ingest);
-        match ingested {
-            Ingested::Graph(g) => self.resolve_graph(Arc::new(g), clock),
-            Ingested::Cotree(t) => self.resolve_cotree(self.cotree_entry(t), clock),
         }
     }
 
     fn resolve_graph(
         &self,
         graph: Arc<Graph>,
-        clock: &mut PipelineClock<'_>,
+        timeline: &mut Timeline<'_>,
     ) -> Result<Resolved, ServiceError> {
         if graph.num_vertices() == 0 {
             return Err(ServiceError::EmptyGraph);
         }
         if !self.config.use_cache {
             let cotree = recognize_certified(&graph);
-            clock.mark(Stage::Recognize);
+            timeline.stage(Stage::Recognize);
             let cotree = cotree?;
             return Ok(Resolved {
                 entry: Arc::new(SolveEntry::new(cotree)),
@@ -688,23 +651,21 @@ impl QueryEngine {
         }
         let fingerprint = graph_fingerprint(&graph);
         if let Some(entry) = self.cache.lookup_graph(fingerprint, &graph) {
-            self.cache_lookup_span(clock, fingerprint, "hit");
-            clock.mark(Stage::CacheLookup);
+            self.lookup_stage(timeline, fingerprint, CacheStatus::Hit);
             return Ok(Resolved {
                 entry,
                 graph: Some(graph),
                 cache: CacheStatus::Hit,
             });
         }
-        self.cache_lookup_span(clock, fingerprint, "miss");
-        clock.mark(Stage::CacheLookup);
+        self.lookup_stage(timeline, fingerprint, CacheStatus::Miss);
         let cotree = recognize_certified(&graph);
-        clock.mark(Stage::Recognize);
+        timeline.stage(Stage::Recognize);
         let cotree = cotree?;
         let entry = self
             .cache
             .insert(Some((fingerprint, graph.clone())), cotree);
-        clock.mark(Stage::CacheLookup);
+        timeline.stage(Stage::CacheLookup);
         Ok(Resolved {
             entry,
             graph: Some(graph),
@@ -731,7 +692,7 @@ impl QueryEngine {
     fn resolve_cotree(
         &self,
         fresh: Arc<SolveEntry>,
-        clock: &mut PipelineClock<'_>,
+        timeline: &mut Timeline<'_>,
     ) -> Result<Resolved, ServiceError> {
         if !self.config.use_cache {
             return Ok(Resolved {
@@ -740,35 +701,44 @@ impl QueryEngine {
                 cache: CacheStatus::Bypass,
             });
         }
-        if let Some(entry) = self.cache.lookup_entry(&fresh) {
-            self.cache_lookup_span(clock, fresh.key, "hit");
-            clock.mark(Stage::CacheLookup);
-            return Ok(Resolved {
-                entry,
-                graph: None,
-                cache: CacheStatus::Hit,
-            });
-        }
-        self.cache_lookup_span(clock, fresh.key, "miss");
-        let entry = self.cache.insert_entry(None, fresh);
-        clock.mark(Stage::CacheLookup);
+        let key = fresh.key;
+        let (entry, cache) = match self.cache.lookup_entry(&fresh) {
+            Some(entry) => (entry, CacheStatus::Hit),
+            None => (self.cache.insert_entry(None, fresh), CacheStatus::Miss),
+        };
+        self.lookup_stage(timeline, key, cache);
         Ok(Resolved {
             entry,
             graph: None,
-            cache: CacheStatus::Miss,
+            cache,
         })
     }
 
+    /// Closes the running `cache_lookup` segment. A traced request also
+    /// gets a `cache:lookup` span over the same interval — so it covers the
+    /// fingerprint or canonical pass, as the stage histogram does — naming
+    /// the shard `hash` falls in and whether it hit.
+    fn lookup_stage(&self, timeline: &mut Timeline<'_>, hash: u64, cache: CacheStatus) {
+        timeline.stage_with(Stage::CacheLookup, "cache:lookup", || {
+            vec![
+                (
+                    "shard".to_string(),
+                    self.cache.shard_index(hash).to_string(),
+                ),
+                ("result".to_string(), cache.as_str().to_string()),
+            ]
+        });
+    }
+
     /// Answers `kind` on a resolved graph, verifying any cover or witness
-    /// before it is returned. Also returns the microseconds spent solving,
-    /// verification excluded (the response's `solve_micros`).
+    /// before it is returned. Also returns the `solve` stage segment in
+    /// microseconds, verification excluded (the response's `solve_us`).
     pub(crate) fn solve(
         &self,
         kind: QueryKind,
         resolved: &Resolved,
-        clock: &mut PipelineClock<'_>,
+        timeline: &mut Timeline<'_>,
     ) -> (Result<Answer, ServiceError>, u64) {
-        let started = Instant::now();
         let entry = &resolved.entry;
         let answer = match kind {
             QueryKind::MinCoverSize => Answer::MinCoverSize {
@@ -790,47 +760,31 @@ impl QueryEngine {
             },
             QueryKind::FullCover => {
                 let cover = sequential_path_cover(&entry.cotree);
-                let solve_micros = end_solve(started, clock);
+                let solve_us = timeline.stage(Stage::Solve);
                 let outcome = self
                     .verify(resolved, &cover)
                     .map(|verified| Answer::FullCover { cover, verified });
-                clock.mark(Stage::Verify);
-                return (outcome, solve_micros);
+                timeline.stage(Stage::Verify);
+                return (outcome, solve_us);
             }
             QueryKind::HamiltonianPath if entry.has_hamiltonian_path() => {
                 let witness = sequential_path_cover(&entry.cotree);
-                let solve_micros = end_solve(started, clock);
+                let solve_us = timeline.stage(Stage::Solve);
                 let outcome = self
                     .verify(resolved, &witness)
                     .map(|_| Answer::HamiltonianPath {
                         exists: true,
                         path: witness.into_paths().into_iter().next(),
                     });
-                clock.mark(Stage::Verify);
-                return (outcome, solve_micros);
+                timeline.stage(Stage::Verify);
+                return (outcome, solve_us);
             }
             QueryKind::HamiltonianPath => Answer::HamiltonianPath {
                 exists: false,
                 path: None,
             },
         };
-        (Ok(answer), end_solve(started, clock))
-    }
-
-    /// Annotates the request trace with one `cache:lookup` span naming the
-    /// shard the key hashed into and whether it hit. The span starts where
-    /// the running `cache_lookup` stage segment started, so it covers the
-    /// fingerprint or canonical pass as the stage histogram does. No-op
-    /// when the request is untraced.
-    fn cache_lookup_span(&self, clock: &PipelineClock<'_>, hash: u64, result: &str) {
-        if let (Some(collector), Some(start_us)) = (clock.collector(), clock.segment_start_us()) {
-            let end = collector.elapsed_us();
-            collector.push(
-                Span::new("cache:lookup", start_us, end.saturating_sub(start_us))
-                    .with_detail("shard", self.cache.shard_index(hash).to_string())
-                    .with_detail("result", result),
-            );
-        }
+        (Ok(answer), timeline.stage(Stage::Solve))
     }
 
     /// Checks a cover before it is returned: every vertex once, every
@@ -862,12 +816,37 @@ impl QueryEngine {
     }
 }
 
-/// Ends the solve segment: books it on the clock and returns its length in
-/// microseconds.
-fn end_solve(started: Instant, clock: &mut PipelineClock<'_>) -> u64 {
-    let micros = started.elapsed().as_micros() as u64;
-    clock.mark(Stage::Solve);
-    micros
+/// How a request answered by `response` ends its trace. Errored, shed and
+/// deadline-exceeded requests are exactly the traces an operator goes
+/// looking for, so tail sampling must keep them.
+pub(crate) fn trace_end(response: &QueryResponse) -> TraceEnd {
+    let error = response.outcome.as_ref().err();
+    let protected = error.is_some_and(|error| {
+        matches!(
+            error,
+            ServiceError::DeadlineExceeded | ServiceError::Overloaded { .. }
+        ) || Outcome::from_error_code(error.code()) == Outcome::Internal
+    });
+    let outcome = error.map_or("ok", ServiceError::code);
+    TraceEnd::new(
+        response.kind.as_str(),
+        outcome,
+        response.meta.total_micros,
+        protected,
+    )
+}
+
+/// Reads a request's graph: parses its text, or clones the graph or cotree
+/// an in-process caller passed.
+fn ingest_spec(spec: &GraphSpec) -> Result<Ingested, ServiceError> {
+    Ok(match spec {
+        GraphSpec::Shared => return Err(ServiceError::SharedGraphMissing),
+        GraphSpec::EdgeList(text) => ingest::parse(text, GraphFormat::EdgeList)?,
+        GraphSpec::Dimacs(text) => ingest::parse(text, GraphFormat::Dimacs)?,
+        GraphSpec::CotreeTerm(text) => ingest::parse(text, GraphFormat::CotreeTerm)?,
+        GraphSpec::Graph(g) => Ingested::Graph(g.clone()),
+        GraphSpec::Cotree(t) => Ingested::Cotree(t.clone()),
+    })
 }
 
 /// Runs the linear-time recogniser, lifting its typed rejection — including
@@ -1263,6 +1242,132 @@ mod tests {
             .unwrap();
         assert!(resp.meta.solve_micros <= solve.dur_us + 1);
         assert!(solve.start_us + solve.dur_us <= verify.start_us + 1);
+    }
+
+    #[test]
+    fn one_clock_reading_feeds_the_histogram_the_span_and_solve_us() {
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(11);
+        let tree = cograph::random_cotree(2000, cograph::CotreeShape::Mixed, &mut rng);
+        let e = engine();
+        let resp = e.execute(&QueryRequest::new(
+            QueryKind::FullCover,
+            GraphSpec::CotreeTerm(tree.to_term()),
+        ));
+        assert!(resp.outcome.is_ok());
+        let trace_id = resp.meta.trace_id.as_deref().expect("trace id echoed");
+        let spans = e.recorder().get(trace_id).expect("trace retained").spans;
+        let report = e.metrics_report();
+        let stages = report.histograms(Metric::StageLatency);
+        for stage in Stage::ALL {
+            let timed = spans.iter().filter(|s| s.name == stage.span_name());
+            let (count, sum) = timed.fold((0, 0), |(n, sum), s| (n + 1, sum + s.dur_us));
+            assert_eq!(stages[stage as usize].count, count, "{stage:?}");
+            assert_eq!(stages[stage as usize].sum, sum, "{stage:?}");
+        }
+        let span = |name: &str| spans.iter().find(|s| s.name == name).expect(name);
+        assert_eq!(resp.meta.solve_micros, span("stage:solve").dur_us);
+        let (lookup, stage) = (span("cache:lookup"), span("stage:cache_lookup"));
+        assert_eq!(
+            (lookup.start_us, lookup.dur_us),
+            (stage.start_us, stage.dur_us)
+        );
+    }
+
+    #[test]
+    fn every_graph_spec_records_one_ingest_segment() {
+        let tree = ingest::parse_cotree_term("(j (u a b) c)").expect("term");
+        for spec in [
+            GraphSpec::EdgeList("0 1\n1 2\n".to_string()),
+            GraphSpec::Dimacs("p edge 2 1\ne 1 2\n".to_string()),
+            GraphSpec::CotreeTerm("(j a b)".to_string()),
+            GraphSpec::Graph(tree.to_graph()),
+            GraphSpec::Cotree(tree.clone()),
+        ] {
+            let e = engine();
+            let resp = e.execute(&QueryRequest::new(QueryKind::MinCoverSize, spec.clone()));
+            assert!(resp.outcome.is_ok(), "{spec:?}");
+            let stages = e.metrics_report().histograms(Metric::StageLatency).to_vec();
+            assert_eq!(stages[Stage::Ingest as usize].count, 1, "{spec:?}");
+        }
+    }
+
+    /// The ids of the recorder's retained traces, newest first.
+    fn retained_ids(e: &QueryEngine) -> Vec<String> {
+        let list = e.recorder().list_json();
+        let Some(Json::Arr(traces)) = list.get("traces") else {
+            panic!("no trace index: {list}");
+        };
+        let id = |t: &Json| t.get("trace_id").and_then(Json::as_str).map(str::to_string);
+        traces.iter().filter_map(id).collect()
+    }
+
+    #[test]
+    fn a_batch_leaves_one_trace_holding_every_jobs_spans() {
+        let e = QueryEngine::new(EngineConfig {
+            threads: 2,
+            ..EngineConfig::default()
+        });
+        let spec = |text: &str| GraphSpec::CotreeTerm(text.to_string());
+        let requests = vec![
+            QueryRequest::new(QueryKind::MinCoverSize, spec("(u (j a b) c)")),
+            QueryRequest::new(QueryKind::FullCover, spec("(j (u a b) (u c d))")),
+            QueryRequest::new(
+                QueryKind::Recognize,
+                GraphSpec::EdgeList("0 1\n1 2\n2 3\n".to_string()),
+            ),
+            QueryRequest::new(QueryKind::MinCoverSize, GraphSpec::EdgeList("0 x".into())),
+            QueryRequest::new(QueryKind::HamiltonianCycle, GraphSpec::Shared),
+        ];
+        let shared = GraphSpec::EdgeList("0 1\n1 2\n0 2\n".to_string());
+        let responses = e.execute_batch(Some(&shared), &requests);
+        let answered = responses.iter().filter(|r| r.outcome.is_ok()).count();
+        assert_eq!(answered, 3);
+        let ids = retained_ids(&e);
+        assert_eq!(ids.len(), 1, "one batch, one trace: {ids:?}");
+        assert_eq!(responses[0].meta.trace_id.as_ref(), Some(&ids[0]));
+        let trace = e.recorder().get(&ids[0]).expect("batch trace");
+        assert_eq!(trace.kind, "batch");
+        // The first failed job in batch order names the outcome.
+        assert_eq!(trace.outcome, "not_a_cograph");
+        assert!(!trace.protected);
+        let count = |name: &str| trace.spans.iter().filter(|s| s.name == name).count();
+        assert_eq!(count("stage:solve"), answered);
+        // Three jobs ingested their own graph, and the batch its shared one.
+        assert_eq!(count("stage:ingest"), 4);
+
+        // A batch any of whose jobs would leave a protected trace is one.
+        let late = RequestCtx::with_trace("late").with_deadline_ms(Some(0));
+        e.execute_batch_ctx(None, &requests[..2], &late);
+        let trace = e.recorder().get("late").expect("late batch trace");
+        assert_eq!(
+            (trace.outcome.as_str(), trace.protected),
+            ("deadline_exceeded", true)
+        );
+        assert_eq!(retained_ids(&e).len(), 2);
+    }
+
+    #[test]
+    fn a_large_batch_caps_its_spans_and_spares_earlier_traces() {
+        let e = QueryEngine::new(EngineConfig {
+            threads: 1,
+            ..EngineConfig::default()
+        });
+        let solo = e.execute(&QueryRequest::new(
+            QueryKind::MinCoverSize,
+            GraphSpec::CotreeTerm("(j a b)".to_string()),
+        ));
+        let solo = solo.meta.trace_id.expect("trace id echoed");
+        let job = QueryRequest::new(
+            QueryKind::MinCoverSize,
+            GraphSpec::CotreeTerm("(j a (u b c))".to_string()),
+        );
+        let ctx = RequestCtx::with_trace("big-batch");
+        e.execute_batch_ctx(None, &vec![job; 2000], &ctx);
+        assert_eq!(retained_ids(&e), ["big-batch".to_string(), solo.clone()]);
+        let trace = e.recorder().get("big-batch").expect("batch trace");
+        assert!(trace.spans.len() <= crate::trace::MAX_TRACE_SPANS);
+        assert!(trace.spans_dropped > 0);
     }
 
     #[test]

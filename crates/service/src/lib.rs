@@ -114,8 +114,8 @@ pub use proto::{ProtoError, MAX_FRAME_LEN, PROTO_VERSION};
 pub use session::{Maintenance, SessionInfo, SessionRegistry, SessionState};
 pub use snapshot::{LoadOutcome, SnapshotError, SNAPSHOT_VERSION};
 pub use telemetry::{
-    Histogram, HistogramSnapshot, Metric, MetricsReport, Outcome, PipelineClock, RequestCtx, Stage,
-    Telemetry, Transport,
+    Histogram, HistogramSnapshot, Metric, MetricsReport, Outcome, RequestCtx, Stage, Telemetry,
+    Timeline, Transport,
 };
 pub use trace::{FinishedTrace, FlightRecorder, Span, SpanCollector, TraceConfig};
 pub use v2::API_VERSION;

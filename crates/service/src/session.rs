@@ -30,11 +30,11 @@
 //! snapshots.
 
 use crate::cache::SolveEntry;
-use crate::engine::{QueryEngine, Resolved};
+use crate::engine::{trace_end, QueryEngine, Resolved, Solved};
 use crate::error::ServiceError;
 use crate::ingest::{self, GraphFormat, Ingested};
-use crate::model::{CacheStatus, GraphSpec, QueryKind, QueryResponse, ResponseMeta};
-use crate::telemetry::{Metric, RequestCtx, Telemetry};
+use crate::model::{CacheStatus, GraphSpec, QueryKind, QueryResponse};
+use crate::telemetry::{Metric, RequestCtx, Telemetry, Timeline};
 use cograph::IncrementalCotree;
 use pcgraph::{Graph, VertexId};
 use std::collections::HashMap;
@@ -488,53 +488,28 @@ impl QueryEngine {
         kind: QueryKind,
         ctx: &RequestCtx,
     ) -> QueryResponse {
-        let started = Instant::now();
-        let outcome_meta = self
-            .session_resolve(handle, ctx)
-            .map(|(resolved, vertices)| {
-                let mut clock = self.telemetry().pipeline_clock_ctx(ctx);
-                let (outcome, solve_micros) = self.solve(kind, &resolved, &mut clock);
-                (outcome, resolved, vertices, solve_micros)
-            });
-        let (outcome, meta) = match outcome_meta {
-            Err(error) => (
-                Err(error),
-                ResponseMeta {
-                    solve_micros: 0,
-                    total_micros: 0,
-                    cache: CacheStatus::Bypass,
-                    canonical_key: None,
-                    vertices: 0,
-                    trace_id: Some(ctx.trace_id.clone()),
-                },
-            ),
-            Ok((outcome, resolved, vertices, solve_micros)) => (
-                outcome,
-                ResponseMeta {
-                    solve_micros,
-                    total_micros: 0,
-                    cache: resolved.cache,
-                    canonical_key: Some(resolved.entry.key),
+        self.traced(ctx, |ctx| {
+            let mut timeline = Timeline::new(self.telemetry(), ctx);
+            let resolved = self.session_resolve(handle, ctx, &mut timeline);
+            let job = resolved.map(|(resolved, vertices)| {
+                let (outcome, solve_us) = self.solve(kind, &resolved, &mut timeline);
+                Solved {
+                    resolved,
                     vertices,
-                    trace_id: Some(ctx.trace_id.clone()),
-                },
-            ),
-        };
-        let mut meta = meta;
-        meta.total_micros = started.elapsed().as_micros() as u64;
-        let response = QueryResponse {
-            id: None,
-            kind,
-            outcome,
-            meta,
-        };
-        self.finish_request(&response, ctx);
-        response
+                    outcome,
+                    solve_us,
+                }
+            });
+            let response = self.respond(None, kind, job, &timeline, ctx);
+            let end = trace_end(&response);
+            (response, Some(end))
+        })
     }
 
     /// Locks the session and lifts its resident cotree into the engine's
     /// solve-side [`Resolved`], building the memoised entry only when a
-    /// mutation invalidated it.
+    /// mutation invalidated it. The lock wait is a `session:lock_wait`
+    /// span; neither it nor the entry build lands in a stage.
     ///
     /// With a deadline on `ctx` the lock wait itself is bounded: the lock
     /// is polled until it is free or the deadline passes, so a query
@@ -544,9 +519,10 @@ impl QueryEngine {
         &self,
         handle: &str,
         ctx: &RequestCtx,
+        timeline: &mut Timeline<'_>,
     ) -> Result<(Resolved, usize), ServiceError> {
         let slot = self.swept_sessions().get(handle)?;
-        let lock_wait = ctx.span_start();
+        timeline.skip();
         let mut session = match ctx.deadline {
             None => slot.lock().unwrap_or_else(|e| e.into_inner()),
             Some(_) => loop {
@@ -557,7 +533,7 @@ impl QueryEngine {
                     }
                     Err(std::sync::TryLockError::WouldBlock) => {
                         if ctx.deadline_expired() {
-                            ctx.finish_span("session:lock_wait", lock_wait);
+                            timeline.span("session:lock_wait");
                             return Err(ServiceError::DeadlineExceeded);
                         }
                         std::thread::sleep(Duration::from_millis(1));
@@ -565,7 +541,7 @@ impl QueryEngine {
                 }
             },
         };
-        ctx.finish_span("session:lock_wait", lock_wait);
+        timeline.span("session:lock_wait");
         session.last_used = Instant::now();
         if session.adjacency.is_empty() {
             return Err(ServiceError::EmptyGraph);
@@ -578,6 +554,7 @@ impl QueryEngine {
         };
         let entry = session.entry.as_ref().expect("entry just ensured").clone();
         let vertices = session.adjacency.len();
+        timeline.skip();
         Ok((
             Resolved {
                 entry,

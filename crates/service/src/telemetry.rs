@@ -21,10 +21,14 @@
 //!
 //! A [`RequestCtx`] carries each request's trace ID — an `X-Request-Id`
 //! header or a `trace_id` proto field, else synthesized at the transport
-//! edge — which is echoed in every response, error body and log line.
+//! edge — which is echoed in every response, error body and log line, and
+//! its span collector when it is traced. Every timing site goes through the
+//! request's [`Timeline`]: one clock reading per segment feeds the stage
+//! histogram, the trace span and the response's `solve_us`.
 
 use crate::json::Json;
 use crate::model::QueryKind;
+use crate::trace::{Span, SpanCollector};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
@@ -169,7 +173,8 @@ impl HistogramSnapshot {
 /// index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// Parsing edge-list / DIMACS / cotree-term input into a graph.
+    /// Parsing edge-list / DIMACS / cotree-term input, or cloning an
+    /// in-process graph or cotree.
     Ingest,
     /// Cograph recognition (cotree construction or P4 rejection).
     Recognize,
@@ -199,6 +204,17 @@ impl Stage {
             Stage::CacheLookup => "cache_lookup",
             Stage::Solve => "solve",
             Stage::Verify => "verify",
+        }
+    }
+
+    /// The name of the stage's trace span.
+    pub fn span_name(self) -> &'static str {
+        match self {
+            Stage::Ingest => "stage:ingest",
+            Stage::Recognize => "stage:recognize",
+            Stage::CacheLookup => "stage:cache_lookup",
+            Stage::Solve => "stage:solve",
+            Stage::Verify => "stage:verify",
         }
     }
 }
@@ -286,10 +302,10 @@ pub struct RequestCtx {
     /// `deadline_ms` envelope field or `X-Deadline-Ms` header; `None` means
     /// the request may run to completion.
     pub deadline: Option<Instant>,
-    /// The request's span sink when the flight recorder is on
-    /// (see [`crate::trace`]); `None` means spans are not being collected
-    /// and instrumented sites skip their clock reads entirely.
-    pub collector: Option<std::sync::Arc<crate::trace::SpanCollector>>,
+    /// The request's trace when the flight recorder is on (see
+    /// [`crate::trace`]): opened by whoever owns the request, which also
+    /// commits it. `None` means no span is built.
+    pub collector: Option<Arc<SpanCollector>>,
 }
 
 // Identity of a request context is its trace ID and deadline; the span
@@ -310,33 +326,6 @@ impl RequestCtx {
             trace_id: trace_id.into(),
             deadline: None,
             collector: None,
-        }
-    }
-
-    /// Attaches (or clears) a span collector; used by the engine at request
-    /// entry when the flight recorder is enabled.
-    pub fn with_collector(
-        mut self,
-        collector: Option<std::sync::Arc<crate::trace::SpanCollector>>,
-    ) -> Self {
-        self.collector = collector;
-        self
-    }
-
-    /// The trace clock's current offset in microseconds, when spans are
-    /// being collected. Instrumented sites pair this with
-    /// [`RequestCtx::finish_span`].
-    pub fn span_start(&self) -> Option<u64> {
-        self.collector
-            .as_ref()
-            .map(|collector| collector.elapsed_us())
-    }
-
-    /// Closes a span opened at `start` (a [`RequestCtx::span_start`]
-    /// reading). A `None` start — tracing off — is a no-op.
-    pub fn finish_span(&self, name: &str, start: Option<u64>) {
-        if let (Some(collector), Some(start_us)) = (self.collector.as_ref(), start) {
-            collector.finish(name, start_us);
         }
     }
 
@@ -377,63 +366,104 @@ impl RequestCtx {
 }
 
 // ---------------------------------------------------------------------------
-// Pipeline clock
+// Request timeline
 // ---------------------------------------------------------------------------
 
-/// A per-request stage stopwatch: each [`mark`](PipelineClock::mark)
-/// attributes the time since the previous mark to one stage. With
-/// telemetry disabled it is a true no-op — no `Instant::now()` calls at
-/// all — which is what the `service_telemetry_overhead` bench compares
-/// against.
+/// One request's clock (one batch job's, in a batch). Its time is cut into
+/// consecutive segments, each closed by one clock reading: a pipeline stage
+/// ([`Timeline::stage`]), whose reading feeds the stage histogram and, when
+/// the request is traced, its `stage:*` span; a trace-only interval
+/// ([`Timeline::span`]: admission and session-lock waits, snapshot
+/// checkpoints); or work that belongs to neither ([`Timeline::skip`]). The
+/// request's total ([`Timeline::total_us`]) comes from the same clock.
 #[derive(Debug)]
-pub struct PipelineClock<'t> {
-    inner: Option<(&'t Telemetry, Instant)>,
-    collector: Option<Arc<crate::trace::SpanCollector>>,
+pub struct Timeline<'r> {
+    telemetry: &'r Telemetry,
+    trace: Option<&'r SpanCollector>,
+    started: Instant,
+    segment: Instant,
 }
 
-impl PipelineClock<'_> {
-    /// Records the segment since the previous mark under `stage` and
-    /// restarts the stopwatch. When a span collector rides the clock the
-    /// same segment is also recorded as a `stage:*` span in the request
-    /// trace.
-    pub fn mark(&mut self, stage: Stage) {
-        if let Some((telemetry, last)) = &mut self.inner {
-            let now = Instant::now();
-            let micros = (now - *last).as_micros() as u64;
-            telemetry.observe(Metric::StageLatency, stage as usize, micros);
-            if let Some(collector) = &self.collector {
-                collector.push(crate::trace::Span::new(
-                    format!("stage:{}", stage.as_str()),
-                    collector.offset_us(*last),
-                    micros,
-                ));
-            }
-            *last = now;
+impl<'r> Timeline<'r> {
+    /// Starts a request's clock. Its spans go to `ctx`'s trace, if any;
+    /// its stage segments to `telemetry`'s histograms, when enabled.
+    pub fn new(telemetry: &'r Telemetry, ctx: &'r RequestCtx) -> Self {
+        let now = Instant::now();
+        Timeline {
+            telemetry,
+            trace: ctx.collector.as_deref(),
+            started: now,
+            segment: now,
         }
     }
 
-    /// The span collector riding this clock, if the request is traced and
-    /// the clock is live. Pipeline internals use it to attach extra child
-    /// spans (cache lookups) without threading the request context
-    /// everywhere.
-    pub fn collector(&self) -> Option<&Arc<crate::trace::SpanCollector>> {
-        self.collector.as_ref()
+    /// Closes the running segment as `stage` and returns its length in
+    /// microseconds: the value its histogram and its span record.
+    pub fn stage(&mut self, stage: Stage) -> u64 {
+        let (start, micros) = self.close();
+        self.telemetry
+            .observe(Metric::StageLatency, stage as usize, micros);
+        self.record(stage.span_name(), start, micros, Vec::new);
+        micros
     }
 
-    /// Where the running segment started on the trace's clock — the start
-    /// the next mark's `stage:*` span will carry — or `None` when the
-    /// request is untraced. A span nested in a stage starts here, so the
-    /// trace times the same interval as the stage histogram.
-    pub fn segment_start_us(&self) -> Option<u64> {
-        let (_, last) = self.inner.as_ref()?;
-        Some(self.collector.as_ref()?.offset_us(*last))
+    /// [`Timeline::stage`], first laying a span `name` over the same
+    /// interval, annotated with `detail` (built only when traced).
+    pub fn stage_with(
+        &mut self,
+        stage: Stage,
+        name: &'static str,
+        detail: impl FnOnce() -> Vec<(String, String)>,
+    ) -> u64 {
+        let (start, micros) = self.close();
+        self.record(name, start, micros, detail);
+        self.telemetry
+            .observe(Metric::StageLatency, stage as usize, micros);
+        self.record(stage.span_name(), start, micros, Vec::new);
+        micros
     }
 
-    /// Restarts the stopwatch without attributing the elapsed segment to
-    /// any stage (used to skip untimed bookkeeping between stages).
-    pub fn reset(&mut self) {
-        if let Some((_, last)) = &mut self.inner {
-            *last = Instant::now();
+    /// Closes the running segment as a trace-only span `name`.
+    pub fn span(&mut self, name: &'static str) {
+        let (start, micros) = self.close();
+        self.record(name, start, micros, Vec::new);
+    }
+
+    /// Starts a new segment without recording the one that ends: work
+    /// between stages that belongs to none of them.
+    pub fn skip(&mut self) {
+        self.segment = Instant::now();
+    }
+
+    /// Microseconds since the timeline started: the request's total, for
+    /// its response, its request histograms and its trace.
+    pub fn total_us(&self) -> u64 {
+        self.started.elapsed().as_micros() as u64
+    }
+
+    /// Reads the clock once: ends the running segment, starts the next, and
+    /// returns the ended segment's start and length.
+    fn close(&mut self) -> (Instant, u64) {
+        let now = Instant::now();
+        let start = std::mem::replace(&mut self.segment, now);
+        (start, now.duration_since(start).as_micros() as u64)
+    }
+
+    /// Pushes a span to the request's trace, if it has one.
+    fn record(
+        &self,
+        name: &'static str,
+        start: Instant,
+        micros: u64,
+        detail: impl FnOnce() -> Vec<(String, String)>,
+    ) {
+        if let Some(trace) = self.trace {
+            trace.push(Span {
+                name,
+                start_us: trace.offset_us(start),
+                dur_us: micros,
+                detail: detail(),
+            });
         }
     }
 }
@@ -702,25 +732,6 @@ impl Telemetry {
             offsets,
             scalars: (0..scalars).map(|_| AtomicU64::new(0)).collect(),
             histograms: (0..histograms).map(|_| Histogram::new()).collect(),
-        }
-    }
-
-    /// Starts a per-request stage stopwatch (no-op when disabled).
-    pub fn pipeline_clock(&self) -> PipelineClock<'_> {
-        PipelineClock {
-            inner: self.enabled.then(|| (self, Instant::now())),
-            collector: None,
-        }
-    }
-
-    /// Like [`pipeline_clock`](Self::pipeline_clock), but also carrying
-    /// the request's span collector (if any) so each stage mark doubles
-    /// as a trace span. Stage spans require telemetry to be live — the
-    /// disabled registry keeps the clock a true no-op.
-    pub fn pipeline_clock_ctx(&self, ctx: &RequestCtx) -> PipelineClock<'_> {
-        PipelineClock {
-            inner: self.enabled.then(|| (self, Instant::now())),
-            collector: self.enabled.then(|| ctx.collector.clone()).flatten(),
         }
     }
 

@@ -2,14 +2,16 @@
 //!
 //! The telemetry registry ([`crate::telemetry`]) answers *how the service is
 //! doing* in aggregate; this module answers *what one specific request did*.
-//! Every request may carry a [`SpanCollector`] on its
-//! [`crate::telemetry::RequestCtx`]: the engine and its subsystems append
-//! child spans (pipeline stages, cache shard lookups, admission and
-//! session-lock waits, snapshot checkpoints) as offsets from the request's
-//! start. Recording is off the hot path — a span is one `Vec` push under an
-//! uncontended lock — and nothing is retained until the request
-//! finishes, when [`crate::engine::QueryEngine`] commits the whole trace to
-//! the [`FlightRecorder`] in one call.
+//! A request whose context ([`crate::telemetry::RequestCtx`]) carries a
+//! [`SpanCollector`] has a trace: its [`crate::telemetry::Timeline`] appends
+//! one child span per segment it closes (pipeline stages, annotated cache
+//! lookups, admission and session-lock waits, snapshot checkpoints) as
+//! offsets from the trace's start, and the jobs of a batch share their
+//! batch's collector. A span is one push under an uncontended lock; a trace
+//! keeps at most [`MAX_TRACE_SPANS`] and counts the rest. Nothing is
+//! retained until the request finishes, when whoever opened its trace — the
+//! request edge, or the engine for a library call — commits it to the
+//! [`FlightRecorder`] in one call, so a request leaves at most one trace.
 //!
 //! The recorder is a bounded ring (default [`DEFAULT_TRACE_CAPACITY`]
 //! traces) with **tail sampling**: traces that errored, were shed as
@@ -40,6 +42,12 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 256;
 /// traces.
 pub const DEFAULT_SLOWEST_KEPT: usize = 16;
 
+/// The most spans one trace keeps: a single request records at most about
+/// eight, a batch about five per job, so this keeps some 50 jobs and a full
+/// ring within a few MB. The rest are counted in
+/// [`FinishedTrace::spans_dropped`].
+pub const MAX_TRACE_SPANS: usize = 256;
+
 /// One completed child span of a request: a named interval measured as
 /// microsecond offsets from the request's root span start.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,22 +55,21 @@ pub struct Span {
     /// What the interval covers (`stage:solve`, `cache:lookup`,
     /// `admission:wait`, ...). Namespaced by a `prefix:` so consumers can
     /// group without parsing free text.
-    pub name: String,
+    pub name: &'static str,
     /// Start offset from the root span, in microseconds.
     pub start_us: u64,
     /// Duration in microseconds.
     pub dur_us: u64,
-    /// Optional key/value annotations (round index, steal count, shard
-    /// index, ...), kept as strings so the span stays allocation-cheap and
-    /// schema-free.
+    /// Optional key/value annotations (shard index, hit or miss, ...), kept
+    /// as strings so the span stays schema-free.
     pub detail: Vec<(String, String)>,
 }
 
 impl Span {
     /// Builds a span with no annotations.
-    pub fn new(name: impl Into<String>, start_us: u64, dur_us: u64) -> Span {
+    pub fn new(name: &'static str, start_us: u64, dur_us: u64) -> Span {
         Span {
-            name: name.into(),
+            name,
             start_us,
             dur_us,
             detail: Vec::new(),
@@ -79,58 +86,49 @@ impl Span {
     /// `detail`).
     pub fn to_json(&self) -> Json {
         let mut fields = vec![
-            ("name".to_string(), Json::str(self.name.clone())),
-            ("start_us".to_string(), Json::num(self.start_us)),
-            ("dur_us".to_string(), Json::num(self.dur_us)),
+            ("name", Json::str(self.name)),
+            ("start_us", Json::num(self.start_us)),
+            ("dur_us", Json::num(self.dur_us)),
         ];
         if !self.detail.is_empty() {
-            fields.push((
-                "detail".to_string(),
-                Json::Obj(
-                    self.detail
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::str(v.clone())))
-                        .collect(),
-                ),
-            ));
+            fields.push(("detail", detail_json(&self.detail)));
         }
-        Json::Obj(fields)
+        Json::obj(fields)
     }
+}
 
-    /// The span as one Chrome trace-event object (`ph:"X"` complete event)
-    /// on the request's one track.
-    fn chrome_event(&self) -> Json {
-        let mut args: Vec<(String, Json)> = self
-            .detail
-            .iter()
-            .map(|(k, v)| (k.clone(), Json::str(v.clone())))
-            .collect();
-        if args.is_empty() {
-            // chrome://tracing tolerates a missing `args`, but Perfetto's
-            // JSON importer is happier with an (empty) object present.
-            args = Vec::new();
-        }
-        Json::obj(vec![
-            ("ph", Json::str("X")),
-            ("ts", Json::num(self.start_us)),
-            ("dur", Json::num(self.dur_us)),
-            ("name", Json::str(self.name.clone())),
-            ("pid", Json::num(1u64)),
-            ("tid", Json::num(1u64)),
-            ("args", Json::Obj(args)),
-        ])
-    }
+/// Annotations as a JSON object of strings.
+fn detail_json(detail: &[(String, String)]) -> Json {
+    let fields = detail
+        .iter()
+        .map(|(k, v)| (k.clone(), Json::str(v.clone())));
+    Json::Obj(fields.collect())
+}
+
+/// One Chrome trace-event object (`ph:"X"` complete event) on the request's
+/// one track. Perfetto's JSON importer wants `args` present, even empty.
+fn chrome_event(name: &str, start_us: u64, dur_us: u64, detail: &[(String, String)]) -> Json {
+    Json::obj(vec![
+        ("ph", Json::str("X")),
+        ("ts", Json::num(start_us)),
+        ("dur", Json::num(dur_us)),
+        ("name", Json::str(name)),
+        ("pid", Json::num(1u64)),
+        ("tid", Json::num(1u64)),
+        ("args", detail_json(detail)),
+    ])
 }
 
 /// Per-request span sink, carried on
 /// [`crate::telemetry::RequestCtx::collector`].
 ///
-/// Created at request entry ([`FlightRecorder::begin`]) and shared by
-/// `Arc` with every subsystem the request touches.
+/// Opened by whoever owns the request ([`FlightRecorder::begin`]) and
+/// shared by `Arc` with every job and subsystem the request touches.
 #[derive(Debug)]
 pub struct SpanCollector {
     started: Instant,
-    spans: Mutex<Vec<Span>>,
+    /// The kept spans and how many were dropped past [`MAX_TRACE_SPANS`].
+    spans: Mutex<(Vec<Span>, u64)>,
 }
 
 impl SpanCollector {
@@ -138,14 +136,8 @@ impl SpanCollector {
     pub fn start() -> Arc<SpanCollector> {
         Arc::new(SpanCollector {
             started: Instant::now(),
-            spans: Mutex::new(Vec::with_capacity(16)),
+            spans: Mutex::new((Vec::with_capacity(16), 0)),
         })
-    }
-
-    /// Microseconds elapsed since the root span opened. Use as the
-    /// `start_us` of a child span about to begin.
-    pub fn elapsed_us(&self) -> u64 {
-        self.started.elapsed().as_micros() as u64
     }
 
     /// Microseconds from the root span's opening to `at` (0 if earlier).
@@ -153,29 +145,57 @@ impl SpanCollector {
         at.saturating_duration_since(self.started).as_micros() as u64
     }
 
-    /// Records a span that started at `start_us` (a prior
-    /// [`SpanCollector::elapsed_us`] reading) and ends now.
-    pub fn finish(&self, name: &str, start_us: u64) {
-        let end = self.elapsed_us();
-        self.push(Span::new(name, start_us, end.saturating_sub(start_us)));
-    }
-
-    /// Records a fully-formed span (used for annotated spans).
+    /// Records a span; past [`MAX_TRACE_SPANS`] it is only counted.
     pub fn push(&self, span: Span) {
         if let Ok(mut spans) = self.spans.lock() {
-            spans.push(span);
+            if spans.0.len() < MAX_TRACE_SPANS {
+                spans.0.push(span);
+            } else {
+                spans.1 += 1;
+            }
         }
     }
 
-    /// Drains the collected spans, ordered by start offset.
-    pub fn take(&self) -> Vec<Span> {
-        let mut spans = self
+    /// Drains the kept spans, ordered by start offset, with the count of
+    /// those dropped past the cap.
+    pub fn take(&self) -> (Vec<Span>, u64) {
+        let (mut spans, dropped) = self
             .spans
             .lock()
             .map(|mut guard| std::mem::take(&mut *guard))
             .unwrap_or_default();
         spans.sort_by_key(|span| span.start_us);
-        spans
+        (spans, dropped)
+    }
+}
+
+/// How a request ended, as its trace records it: what the owner of the
+/// trace commits.
+#[derive(Debug)]
+pub(crate) struct TraceEnd {
+    /// The query kind, or the operation (`batch`, `snapshot`, ...).
+    pub(crate) kind: &'static str,
+    /// `ok`, or the error code (a batch's is its first failed job's).
+    pub(crate) outcome: &'static str,
+    /// The request's total, in microseconds.
+    pub(crate) total_us: u64,
+    /// Whether tail sampling must keep the trace.
+    pub(crate) protected: bool,
+}
+
+impl TraceEnd {
+    pub(crate) fn new(
+        kind: &'static str,
+        outcome: &'static str,
+        total_us: u64,
+        protected: bool,
+    ) -> Self {
+        TraceEnd {
+            kind,
+            outcome,
+            total_us,
+            protected,
+        }
     }
 }
 
@@ -202,26 +222,25 @@ pub struct FinishedTrace {
     pub protected: bool,
     /// The child spans, ordered by start offset.
     pub spans: Vec<Span>,
+    /// Spans recorded past [`MAX_TRACE_SPANS`] and not kept; exported as
+    /// `spans_dropped` only when nonzero.
+    pub spans_dropped: u64,
 }
 
 impl FinishedTrace {
     /// One-line summary object for trace listings.
     pub fn summary_json(&self) -> Json {
-        Json::obj(vec![
-            ("trace_id", Json::str(self.trace_id.clone())),
-            ("kind", Json::str(self.kind.clone())),
-            ("outcome", Json::str(self.outcome.clone())),
-            ("total_us", Json::num(self.total_us)),
-            ("unix_ms", Json::num(self.unix_ms)),
-            ("seq", Json::num(self.seq)),
-            ("protected", Json::Bool(self.protected)),
-            ("spans", Json::num(self.spans.len() as u64)),
-        ])
+        self.json(Json::num(self.spans.len() as u64))
     }
 
     /// The full trace as a JSON object, spans included.
     pub fn to_json(&self) -> Json {
-        Json::obj(vec![
+        self.json(Json::Arr(self.spans.iter().map(Span::to_json).collect()))
+    }
+
+    /// The trace's fields with `spans` (a count or the spans themselves).
+    fn json(&self, spans: Json) -> Json {
+        let mut fields = vec![
             ("trace_id", Json::str(self.trace_id.clone())),
             ("kind", Json::str(self.kind.clone())),
             ("outcome", Json::str(self.outcome.clone())),
@@ -229,22 +248,27 @@ impl FinishedTrace {
             ("unix_ms", Json::num(self.unix_ms)),
             ("seq", Json::num(self.seq)),
             ("protected", Json::Bool(self.protected)),
-            (
-                "spans",
-                Json::Arr(self.spans.iter().map(Span::to_json).collect()),
-            ),
-        ])
+            ("spans", spans),
+        ];
+        if self.spans_dropped > 0 {
+            fields.push(("spans_dropped", Json::num(self.spans_dropped)));
+        }
+        Json::obj(fields)
     }
 
     /// The trace in Chrome trace-event JSON (the `{"traceEvents": [...]}`
     /// shape), loadable in `chrome://tracing` or Perfetto. The root span is
     /// the first event; every event carries `ph` / `ts` / `dur` / `name`.
     pub fn to_chrome_json(&self) -> Json {
-        let root = Span::new(format!("request:{}", self.kind), 0, self.total_us)
-            .with_detail("trace_id", self.trace_id.clone())
-            .with_detail("outcome", self.outcome.clone());
-        let mut events = vec![root.chrome_event()];
-        events.extend(self.spans.iter().map(Span::chrome_event));
+        let root = [
+            ("trace_id".to_string(), self.trace_id.clone()),
+            ("outcome".to_string(), self.outcome.clone()),
+        ];
+        let name = format!("request:{}", self.kind);
+        let mut events = vec![chrome_event(&name, 0, self.total_us, &root)];
+        events.extend(
+            (self.spans.iter()).map(|s| chrome_event(s.name, s.start_us, s.dur_us, &s.detail)),
+        );
         Json::obj(vec![
             ("traceEvents", Json::Arr(events)),
             ("displayTimeUnit", Json::str("ms")),
@@ -256,8 +280,8 @@ impl FinishedTrace {
 /// [`crate::engine::EngineConfig`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceConfig {
-    /// Master switch. Off means no collectors are allocated and the
-    /// request hot path never takes a span timestamp.
+    /// Master switch. Off means no collectors are allocated and no span
+    /// is ever built.
     pub enabled: bool,
     /// Ring capacity in traces.
     pub capacity: usize,
@@ -292,7 +316,8 @@ impl TraceConfig {
 /// The bounded, tail-sampled ring of finished traces.
 ///
 /// All mutation happens in [`FlightRecorder::commit`] — one lock
-/// acquisition per finished request, nothing on the hot path.
+/// acquisition per finished request (a batch is one), nothing on the hot
+/// path.
 #[derive(Debug)]
 pub struct FlightRecorder {
     config: TraceConfig,
@@ -341,7 +366,8 @@ impl FlightRecorder {
 
     /// Commits one finished trace, applying tail sampling and ring
     /// eviction. `protected` marks errored / overloaded /
-    /// deadline-exceeded requests that must always be retained.
+    /// deadline-exceeded requests that must always be retained; `spans`
+    /// is a [`SpanCollector::take`]: the kept spans and the dropped count.
     pub fn commit(
         &self,
         trace_id: &str,
@@ -349,7 +375,7 @@ impl FlightRecorder {
         outcome: &str,
         total_us: u64,
         protected: bool,
-        spans: Vec<Span>,
+        (spans, spans_dropped): (Vec<Span>, u64),
     ) {
         if !self.config.enabled {
             return;
@@ -377,6 +403,7 @@ impl FlightRecorder {
             seq: self.seq.fetch_add(1, Ordering::Relaxed),
             protected,
             spans,
+            spans_dropped,
         };
         ring.push_back(trace);
         while ring.len() > self.config.capacity {
@@ -483,26 +510,51 @@ mod tests {
 
     #[test]
     fn collector_records_ordered_spans() {
-        let collector = SpanCollector::start();
-        let t0 = collector.elapsed_us();
-        collector.finish("stage:ingest", t0);
+        let ctx = crate::telemetry::RequestCtx {
+            collector: Some(SpanCollector::start()),
+            ..crate::telemetry::RequestCtx::with_trace("t")
+        };
+        let collector = ctx.collector.as_ref().unwrap();
+        let telemetry = crate::telemetry::Telemetry::new(true, None);
+        crate::telemetry::Timeline::new(&telemetry, &ctx).span("stage:ingest");
         collector.push(Span::new("stage:solve", 50, 10).with_detail("n", "8"));
         collector.push(Span::new("stage:recognize", 5, 3));
-        let spans = collector.take();
+        let (spans, _) = collector.take();
         assert_eq!(spans.len(), 3);
         assert!(spans.windows(2).all(|w| w[0].start_us <= w[1].start_us));
         assert_eq!(spans[2].detail, vec![("n".to_string(), "8".to_string())]);
         // A second take is empty: commit consumes the collector's spans.
-        assert!(collector.take().is_empty());
+        assert!(collector.take().0.is_empty());
+    }
+
+    #[test]
+    fn a_trace_keeps_at_most_the_cap_and_counts_the_rest() {
+        let collector = SpanCollector::start();
+        for i in 0..MAX_TRACE_SPANS as u64 + 5 {
+            collector.push(Span::new("stage:solve", i, 1));
+        }
+        let recorder = small_recorder(4, 0);
+        recorder.commit("big", "batch", "ok", 9, false, collector.take());
+        let trace = recorder.get("big").expect("retained");
+        assert_eq!(trace.spans.len(), MAX_TRACE_SPANS);
+        assert_eq!(trace.spans_dropped, 5);
+        for json in [trace.summary_json(), trace.to_json()] {
+            assert_eq!(json.get("spans_dropped").and_then(Json::as_u64), Some(5));
+        }
+        // A trace that dropped nothing has no such field at all.
+        recorder.commit("small", "q", "ok", 1, false, (vec![], 0));
+        let small = recorder.get("small").expect("retained");
+        assert!(small.to_json().get("spans_dropped").is_none());
+        assert!(small.summary_json().get("spans_dropped").is_none());
     }
 
     #[test]
     fn ring_evicts_oldest_unprotected_first() {
         let recorder = small_recorder(3, 0);
-        recorder.commit("t-old", "recognize", "ok", 10, false, vec![]);
-        recorder.commit("t-err", "recognize", "internal", 10, true, vec![]);
-        recorder.commit("t-new1", "recognize", "ok", 10, false, vec![]);
-        recorder.commit("t-new2", "recognize", "ok", 10, false, vec![]);
+        recorder.commit("t-old", "recognize", "ok", 10, false, (vec![], 0));
+        recorder.commit("t-err", "recognize", "internal", 10, true, (vec![], 0));
+        recorder.commit("t-new1", "recognize", "ok", 10, false, (vec![], 0));
+        recorder.commit("t-new2", "recognize", "ok", 10, false, (vec![], 0));
         // Capacity 3: t-old (oldest unprotected) is evicted, the protected
         // error trace survives.
         assert_eq!(recorder.len(), 3);
@@ -516,10 +568,10 @@ mod tests {
     fn all_error_traces_survive_a_healthy_flood() {
         let recorder = small_recorder(8, 2);
         for i in 0..4 {
-            recorder.commit(&format!("err-{i}"), "q", "internal", 5, true, vec![]);
+            recorder.commit(&format!("err-{i}"), "q", "internal", 5, true, (vec![], 0));
         }
         for i in 0..100 {
-            recorder.commit(&format!("ok-{i}"), "q", "ok", 1, false, vec![]);
+            recorder.commit(&format!("ok-{i}"), "q", "ok", 1, false, (vec![], 0));
         }
         for i in 0..4 {
             assert!(
@@ -534,11 +586,11 @@ mod tests {
     fn slowest_n_set_is_retained() {
         let recorder = small_recorder(6, 3);
         // Three slow outliers early, then a flood of fast traces.
-        recorder.commit("slow-1", "q", "ok", 900, false, vec![]);
-        recorder.commit("slow-2", "q", "ok", 800, false, vec![]);
-        recorder.commit("slow-3", "q", "ok", 700, false, vec![]);
+        recorder.commit("slow-1", "q", "ok", 900, false, (vec![], 0));
+        recorder.commit("slow-2", "q", "ok", 800, false, (vec![], 0));
+        recorder.commit("slow-3", "q", "ok", 700, false, (vec![], 0));
         for i in 0..50 {
-            recorder.commit(&format!("fast-{i}"), "q", "ok", 1 + i, false, vec![]);
+            recorder.commit(&format!("fast-{i}"), "q", "ok", 1 + i, false, (vec![], 0));
         }
         for id in ["slow-1", "slow-2", "slow-3"] {
             assert!(
@@ -557,10 +609,10 @@ mod tests {
             slowest_kept: 0,
         });
         for i in 0..100 {
-            recorder.commit(&format!("ok-{i}"), "q", "ok", 1, false, vec![]);
+            recorder.commit(&format!("ok-{i}"), "q", "ok", 1, false, (vec![], 0));
         }
         for i in 0..7 {
-            recorder.commit(&format!("err-{i}"), "q", "internal", 1, true, vec![]);
+            recorder.commit(&format!("err-{i}"), "q", "internal", 1, true, (vec![], 0));
         }
         // 1-in-10 of the healthy hundred, plus every error.
         assert_eq!(recorder.len(), 10 + 7);
@@ -573,7 +625,7 @@ mod tests {
     fn disabled_recorder_retains_nothing_and_hands_out_no_collectors() {
         let recorder = FlightRecorder::new(TraceConfig::off());
         assert!(recorder.begin().is_none());
-        recorder.commit("t", "q", "internal", 1, true, vec![]);
+        recorder.commit("t", "q", "internal", 1, true, (vec![], 0));
         assert!(recorder.is_empty());
     }
 
@@ -591,6 +643,7 @@ mod tests {
                 Span::new("stage:solve", 10, 100),
                 Span::new("cache:lookup", 20, 30).with_detail("shard", "0"),
             ],
+            spans_dropped: 0,
         };
         let chrome = trace.to_chrome_json();
         let Some(Json::Arr(events)) = chrome.get("traceEvents") else {
@@ -617,8 +670,8 @@ mod tests {
     #[test]
     fn list_is_newest_first_and_carries_counters() {
         let recorder = small_recorder(4, 0);
-        recorder.commit("a", "q", "ok", 1, false, vec![]);
-        recorder.commit("b", "q", "ok", 2, false, vec![]);
+        recorder.commit("a", "q", "ok", 1, false, (vec![], 0));
+        recorder.commit("b", "q", "ok", 2, false, (vec![], 0));
         let list = recorder.list_json();
         let Some(Json::Arr(traces)) = list.get("traces") else {
             panic!("missing traces: {list}");

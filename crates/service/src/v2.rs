@@ -41,12 +41,13 @@
 //! the one dispatcher — and the verb's row of [`crate::proto::VERBS`]
 //! re-wraps the identical result payload in the legacy reply shape.
 
-use crate::engine::QueryEngine;
+use crate::engine::{trace_end, QueryEngine};
 use crate::error::ServiceError;
 use crate::json::Json;
 use crate::model::{GraphSpec, QueryKind, QueryRequest};
 use crate::proto::{self, Action};
-use crate::telemetry::RequestCtx;
+use crate::telemetry::{RequestCtx, Timeline};
+use crate::trace::TraceEnd;
 use pcgraph::VertexId;
 
 /// The envelope's `api_version` (and the frame tag `pcp2`).
@@ -461,62 +462,81 @@ fn param_edge_array(params: &Json, field: &str) -> Result<Vec<(VertexId, VertexI
 /// Work ops pass the engine's admission gate first; past the
 /// `max_inflight` cap they fail with a recoverable `overloaded` error
 /// (carrying `retry_after_ms`) without touching the pipeline.
+///
+/// A transport request's trace is opened and committed here. Work ops and
+/// snapshots open one before admission, so it holds the admission wait and
+/// a shed request leaves one too; solves, batches, session queries,
+/// snapshots and sheds commit it, and no other op leaves a trace.
 pub fn execute_op(
     engine: &QueryEngine,
     op: Op,
     ctx: &RequestCtx,
 ) -> (Result<Json, OpError>, Action) {
-    // Open the request's root span here — before admission — so the trace
-    // of an admitted request includes its admission wait, and a *shed*
-    // request still leaves a (protected) trace in the flight recorder.
-    let ctx = &engine.traced_ctx(ctx);
-    let _permit = if needs_admission(&op) {
-        let admit_wait = ctx.span_start();
-        match engine.try_admit() {
-            Ok(permit) => {
-                ctx.finish_span("admission:wait", admit_wait);
-                Some(permit)
-            }
-            Err(error) => {
-                ctx.finish_span("admission:wait", admit_wait);
-                if let Some(collector) = &ctx.collector {
-                    engine.recorder().commit(
-                        &ctx.trace_id,
-                        op.name(),
-                        error.code(),
-                        collector.elapsed_us(),
-                        true,
-                        collector.take(),
-                    );
-                }
-                return (Err(OpError::Service(error)), Action::Continue);
-            }
-        }
-    } else {
-        None
-    };
     let action = if matches!(op, Op::Shutdown) {
         Action::Shutdown
     } else {
         Action::Continue
     };
+    let result = if needs_admission(&op) || matches!(op, Op::Snapshot) {
+        engine.traced(ctx, |ctx| run_op(engine, op, ctx))
+    } else {
+        run_op(engine, op, ctx).0
+    };
+    (result, action)
+}
+
+/// [`execute_op`] under `ctx`'s trace, reporting how that trace ends
+/// (`None`: the op leaves no trace).
+fn run_op(
+    engine: &QueryEngine,
+    op: Op,
+    ctx: &RequestCtx,
+) -> (Result<Json, OpError>, Option<TraceEnd>) {
+    let mut timeline = Timeline::new(engine.telemetry(), ctx);
+    let _permit = if needs_admission(&op) {
+        let admitted = engine.try_admit();
+        timeline.span("admission:wait");
+        match admitted {
+            Ok(permit) => Some(permit),
+            Err(error) => {
+                let end = TraceEnd::new(op.name(), error.code(), timeline.total_us(), true);
+                return (Err(OpError::Service(error)), Some(end));
+            }
+        }
+    } else {
+        None
+    };
+    let mut end = None;
     let result = match op {
         Op::Solve {
             target: Target::Inline(graph),
             kind,
             id,
         } => {
-            let request = QueryRequest { id, kind, graph };
-            Ok(engine.execute_ctx(&request, ctx).to_json())
+            let response = engine.execute_ctx(&QueryRequest { id, kind, graph }, ctx);
+            end = Some(trace_end(&response));
+            Ok(response.to_json())
         }
         Op::Solve {
             target: Target::Session(handle),
             kind,
             ..
         }
-        | Op::SessionQuery { handle, kind } => session_query_result(engine, &handle, kind, ctx),
+        | Op::SessionQuery { handle, kind } => {
+            let response = engine.session_query_ctx(&handle, kind, ctx);
+            end = Some(trace_end(&response));
+            // A missing handle fails the operation, not the job: there is
+            // no graph the response could be about.
+            match &response.outcome {
+                Err(error @ ServiceError::SessionNotFound(_)) => {
+                    Err(OpError::Service(error.clone()))
+                }
+                _ => Ok(response.to_json()),
+            }
+        }
         Op::Batch { shared, requests } => {
-            let responses = engine.execute_batch_ctx(shared.as_ref(), &requests, ctx);
+            let (responses, batch) = engine.run_batch(shared.as_ref(), &requests, ctx);
+            end = Some(batch);
             Ok(Json::obj(vec![(
                 "responses",
                 Json::Arr(responses.iter().map(|r| r.to_json()).collect()),
@@ -525,7 +545,6 @@ pub fn execute_op(
         Op::Stats => Ok(proto::stats_payload(engine)),
         Op::Metrics => Ok(proto::metrics_payload(engine)),
         Op::Snapshot => {
-            let checkpoint = ctx.span_start();
             let result = match engine.save_snapshot() {
                 Ok(report) => Ok(proto::snapshot_payload(engine, &report)),
                 Err(error @ crate::snapshot::SnapshotError::NotConfigured) => {
@@ -539,21 +558,14 @@ pub fn execute_op(
                     message: error.to_string(),
                 }),
             };
-            ctx.finish_span("snapshot:checkpoint", checkpoint);
-            if let Some(collector) = &ctx.collector {
-                let (outcome, protected) = match &result {
-                    Ok(_) => ("ok", false),
-                    Err(error) => (error.code(), true),
-                };
-                engine.recorder().commit(
-                    &ctx.trace_id,
-                    "snapshot",
-                    outcome,
-                    collector.elapsed_us(),
-                    protected,
-                    collector.take(),
-                );
-            }
+            timeline.span("snapshot:checkpoint");
+            let outcome = result.as_ref().err().map_or("ok", OpError::code);
+            end = Some(TraceEnd::new(
+                "snapshot",
+                outcome,
+                timeline.total_us(),
+                result.is_err(),
+            ));
             result
         }
         Op::Shutdown => Ok(Json::obj(vec![])),
@@ -592,25 +604,7 @@ pub fn execute_op(
             None => Err(OpError::TraceNotFound { id }),
         },
     };
-    (result, action)
-}
-
-/// Answers a query against a session's resident cotree. Per-job failures
-/// stay inside the response object exactly as they do for inline solves,
-/// but a missing handle is an *operation*-level failure — there is no
-/// graph the response could be about — so it surfaces as the envelope's
-/// (or the v1 shim's) typed error instead.
-fn session_query_result(
-    engine: &QueryEngine,
-    handle: &str,
-    kind: QueryKind,
-    ctx: &RequestCtx,
-) -> Result<Json, OpError> {
-    let response = engine.session_query_ctx(handle, kind, ctx);
-    match &response.outcome {
-        Err(error @ ServiceError::SessionNotFound(_)) => Err(OpError::Service(error.clone())),
-        _ => Ok(response.to_json()),
-    }
+    (result, end)
 }
 
 /// The `result` payload of every session mutation / creation: the handle

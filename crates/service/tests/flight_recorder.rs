@@ -239,3 +239,74 @@ fn accept_time_rejections_carry_trace_ids_on_both_transports() {
     last.shutdown().expect("shutdown");
     handle.join().expect("daemon thread").expect("clean exit");
 }
+
+/// The `stage:solve` spans of a trace object.
+fn solve_spans(trace: &Json) -> usize {
+    let names = span_names(trace);
+    names.iter().filter(|name| *name == "stage:solve").count()
+}
+
+#[test]
+fn a_batch_leaves_one_trace_on_both_transports() {
+    let socket = temp_socket("batch");
+    let mut config = DaemonConfig::new(&socket);
+    config.http_addr = Some("127.0.0.1:0".to_string());
+    config.idle_timeout = Duration::from_secs(10);
+    config.engine.threads = 2;
+    let daemon = Daemon::bind(config).expect("bind");
+    let http_addr = daemon.http_addr().expect("http bound").to_string();
+    let handle = std::thread::spawn(move || daemon.run());
+
+    // Four jobs; the fourth is a P4 and fails recognition.
+    let requests = r#"[{"id":"q1","kind":"min_cover_size","cotree":"(u (j a b) c)"},
+        {"id":"q2","kind":"hamiltonian_path","edge_list":"0 1\n1 2\n0 2"},
+        {"id":"q3","kind":"full_cover","cotree":"(j (u a b) (u c d))"},
+        {"id":"q4","kind":"recognize","edge_list":"0 1\n1 2\n2 3"}]"#;
+
+    // A framed `batch` frame carrying its trace id.
+    let frame = format!(r#"{{"type":"batch","trace_id":"fr-batch","requests":{requests}}}"#);
+    let stream = std::os::unix::net::UnixStream::connect(&socket).expect("raw connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let frame = Json::parse(&frame).expect("batch frame");
+    pcservice::proto::write_frame(&mut writer, &frame).expect("send batch");
+    let reply = pcservice::proto::read_frame(&mut BufReader::new(stream)).expect("batch reply");
+    assert_eq!(reply.get("type").and_then(Json::as_str), Some("batch"));
+
+    // The same batch as `POST /v1/batch`, named by X-Request-Id.
+    let body = format!(r#"{{"requests":{requests}}}"#);
+    let (status, _, _) = raw_http(
+        &http_addr,
+        &format!(
+            "POST /v1/batch HTTP/1.1\r\nHost: t\r\nX-Request-Id: http-batch\r\n\
+             Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+            body.len()
+        ),
+    );
+    assert!(status.contains("200"), "{status}");
+
+    let mut client = pcservice::daemon::connect(&socket).expect("unix connect");
+    let index = client.trace(None, false).expect("trace index");
+    let Some(Json::Arr(summaries)) = index.get("traces") else {
+        panic!("no summaries: {index}");
+    };
+    for id in ["fr-batch", "http-batch"] {
+        let named: Vec<&Json> = summaries
+            .iter()
+            .filter(|s| s.get("trace_id").and_then(Json::as_str) == Some(id))
+            .collect();
+        assert_eq!(named.len(), 1, "{id}: one trace per batch, got {named:?}");
+        assert_eq!(named[0].get("kind").and_then(Json::as_str), Some("batch"));
+        let trace = client.trace(Some(id), false).expect("trace fetch");
+        assert_eq!(solve_spans(&trace), 3, "{id}: one per answered job");
+        assert_eq!(
+            trace.get("outcome").and_then(Json::as_str),
+            Some("not_a_cograph")
+        );
+    }
+
+    client.shutdown().expect("shutdown");
+    handle.join().expect("daemon thread").expect("clean exit");
+}
