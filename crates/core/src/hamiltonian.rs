@@ -15,15 +15,15 @@
 //!   the degenerate two-vertex case.
 
 use crate::pipeline::path_cover;
-use cograph::{path_counts_seq, BinKind, BinaryCotree, Cotree};
+use crate::sequential::unclamped_path_count;
+use cograph::Cotree;
 use pcgraph::{Path, PathCover};
 
 /// `true` when the cograph has a Hamiltonian path (equivalently the minimum
-/// path cover has exactly one path).
+/// path cover has exactly one path): `p(root) = 1` by Lemma 2.4, counted by
+/// one `O(n)` fold over the k-ary cotree (see [`crate::sequential`]).
 pub fn has_hamiltonian_path(cotree: &Cotree) -> bool {
-    let (tree, leaf_counts) = BinaryCotree::leftist_from_cotree(cotree);
-    let p = path_counts_seq(&tree, &leaf_counts);
-    p[tree.root()] == 1
+    unclamped_path_count(cotree) <= 1
 }
 
 /// Returns a Hamiltonian path when one exists.
@@ -39,26 +39,16 @@ pub fn hamiltonian_path(cotree: &Cotree) -> Option<Path> {
 /// `true` when the cograph has a Hamiltonian cycle.
 ///
 /// The decision follows the join recurrence: a cograph with at least three
-/// vertices has a Hamiltonian cycle iff its cotree root is a 1-node and, for
-/// the leftist binarised root with children `v` (heavy) and `w`,
-/// `p(v) <= L(w)`; intuitively the `L(w)` right-side vertices must be able to
-/// close all `p(v)` paths of the left side into a single cycle, which needs
-/// one more bridge than the Hamiltonian-path construction. Verified against
-/// brute force on all small cographs in the tests.
+/// vertices has a Hamiltonian cycle iff its cotree root is a 1-node and, at
+/// the root's last merge in the leftist binarised cotree, with operands `v`
+/// (heavy) and `w`, `p(v) <= L(w)`; intuitively the `L(w)` right-side
+/// vertices must be able to close all `p(v)` paths of the left side into a
+/// single cycle, which needs one more bridge than the Hamiltonian-path
+/// construction. The same `O(n)` fold as [`has_hamiltonian_path`] tests it
+/// at that merge. Verified against brute force on all small cographs in the
+/// tests.
 pub fn has_hamiltonian_cycle(cotree: &Cotree) -> bool {
-    let n = cotree.num_vertices();
-    if n < 3 {
-        return false;
-    }
-    let (tree, leaf_counts) = BinaryCotree::leftist_from_cotree(cotree);
-    let p = path_counts_seq(&tree, &leaf_counts);
-    let root = tree.root();
-    if !matches!(tree.kind(root), BinKind::One) {
-        return false;
-    }
-    let v = tree.left(root);
-    let w = tree.right(root);
-    p[v] <= leaf_counts[w] as i64
+    cotree.num_vertices() >= 3 && unclamped_path_count(cotree) <= 0
 }
 
 /// Brute-force Hamiltonian cycle test (exponential), used as the oracle in

@@ -99,12 +99,12 @@ pub fn path_cover(cotree: &Cotree) -> PathCover {
     run_pipeline(cotree, &mut Engine::Host)
 }
 
-/// Number of paths in a minimum path cover (the quantity of the paper's
-/// Lemma 2.4), computed natively.
+/// Number of paths in a minimum path cover (the quantity `p(root)` of the
+/// paper's Lemma 2.4), computed natively by one `O(n)` fold over the k-ary
+/// cotree that follows its leftist binarisation without building it (see
+/// [`crate::sequential`]).
 pub fn min_path_cover_size(cotree: &Cotree) -> usize {
-    let (tree, leaf_counts) = BinaryCotree::leftist_from_cotree(cotree);
-    let p = path_counts_seq(&tree, &leaf_counts);
-    p[tree.root()] as usize
+    crate::sequential::unclamped_path_count(cotree).max(1) as usize
 }
 
 /// Runs the parallel algorithm on the instrumented PRAM simulator and

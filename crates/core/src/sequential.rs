@@ -1,246 +1,247 @@
-//! The sequential `O(n)`-flavoured minimum path cover algorithm of Lin,
-//! Olariu and Pruesse (the paper's Lemma 2.3), reconstructed from the case
-//! analysis in Section 2.
+//! The sequential minimum path cover algorithm of Lin, Olariu and Pruesse
+//! (the paper's Lemma 2.3) and the path counts of Lemma 2.4, as one
+//! bottom-up fold over the k-ary cotree.
 //!
-//! The cover is built bottom-up over the leftist binarised cotree. Paths are
-//! kept as doubly linked lists over the graph vertices so that bridging and
-//! inserting are constant-time; the per-node path lists are merged
-//! small-into-large. The resulting complexity is `O(n log n)` in the worst
-//! case (the original paper achieves `O(n)` with a more careful list
-//! representation), which experiment E2 confirms is linear for all practical
-//! purposes on the workload families used here.
+//! Both lemmas are stated on the leftist binarised cotree `T_bl`, which
+//! replaces every k-ary node by a left-deep chain of binary nodes with its
+//! label, the side with more leaves on the left. The fold follows that
+//! chain without building it: walking the cotree in post-order, it merges
+//! each node's children in order into an accumulator, and at every merge
+//! the operand with more leaves plays `T_bl`'s left child (the accumulator,
+//! on a tie). These are the merges `BinaryCotree::leftist_from_cotree` lays
+//! out, in the same roles, so the fold yields the binarised tree's cover.
+//!
+//! A path is a chain of successor links over the vertices, and a partial
+//! cover is a linked list of paths. A 0-node merge concatenates two lists in
+//! `O(1)`; a 1-node merge walks only the lighter side and the heavier-side
+//! paths and vertices it places, in `O(L(light))`. A vertex is on the
+//! lighter side of at most `log2 n` merges, so a cover takes `O(n log n)`
+//! time in the worst case (the original paper achieves `O(n)` with a more
+//! careful list representation), in flat arrays with no allocation per node.
 
-use cograph::{BinKind, BinaryCotree, Cotree};
+use cograph::{Cotree, CotreeKind};
 use pcgraph::{Path, PathCover, VertexId};
+
+/// The end of a successor chain or of a list of paths.
+const NIL: u32 = u32::MAX;
 
 /// Computes a minimum path cover of the cograph described by `cotree` with
 /// the sequential bottom-up algorithm.
 pub fn sequential_path_cover(cotree: &Cotree) -> PathCover {
-    let (tree, leaf_counts) = BinaryCotree::leftist_from_cotree(cotree);
-    sequential_path_cover_on(&tree, &leaf_counts)
+    let mut paths = Paths::new(cotree.num_vertices());
+    let root = fold(cotree, List::one, |kind, heavy, light, _| match kind {
+        CotreeKind::Join => paths.join(heavy, light),
+        _ => paths.union(heavy, light),
+    });
+    paths.into_cover(root)
 }
 
-/// Same as [`sequential_path_cover`] but starting from an already-prepared
-/// leftist binarised cotree.
-pub fn sequential_path_cover_on(tree: &BinaryCotree, leaf_counts: &[usize]) -> PathCover {
-    let n = tree.num_vertices();
-    if n == 0 {
-        return PathCover::new();
-    }
-    let mut builder = CoverBuilder::new(n);
-    let mut covers: Vec<Vec<PathHandle>> = vec![Vec::new(); tree.num_nodes()];
-    for u in tree.postorder() {
-        match tree.kind(u) {
-            BinKind::Leaf(v) => covers[u] = vec![builder.singleton(v)],
-            BinKind::Zero => {
-                let mut left = std::mem::take(&mut covers[tree.left(u)]);
-                let mut right = std::mem::take(&mut covers[tree.right(u)]);
-                // Merge the smaller list into the larger one so the total
-                // merging cost stays near-linear.
-                if left.len() < right.len() {
-                    std::mem::swap(&mut left, &mut right);
-                }
-                left.extend(right);
-                covers[u] = left;
-            }
-            BinKind::One => {
-                let left_cover = std::mem::take(&mut covers[tree.left(u)]);
-                let right_cover = std::mem::take(&mut covers[tree.right(u)]);
-                let right_vertices = builder.vertices_of(&right_cover);
-                debug_assert_eq!(right_vertices.len(), leaf_counts[tree.right(u)]);
-                covers[u] = builder.join(left_cover, right_vertices);
-            }
+/// Lemma 2.4 by the same fold, before its last clamp: `p(u) = max(r(u), 1)`
+/// where `r` is 1 at a leaf, `p(heavy) + p(light)` at a 0-node merge and
+/// `p(heavy) - L(light)` at a 1-node merge. `r(root) <= 1` says the graph
+/// has a Hamiltonian path, and `r(root) <= 0` that the root's last merge
+/// joins at least as many lighter-side vertices as there are heavier-side
+/// paths: enough to close them into a Hamiltonian cycle, given at least
+/// three vertices.
+pub(crate) fn unclamped_path_count(cotree: &Cotree) -> i64 {
+    fold(
+        cotree,
+        |_| 1,
+        |kind, heavy: i64, light, leaves| match kind {
+            CotreeKind::Join => heavy.max(1) - leaves as i64,
+            _ => heavy.max(1) + light.max(1),
+        },
+    )
+}
+
+/// Folds `cotree` bottom-up along its leftist binarised chains: a leaf is
+/// `leaf(v)`, and an internal node merges its children in order into an
+/// accumulator by `merge(kind, heavy, light, L(light))`, where `heavy` is
+/// the operand with more leaves, the accumulator on a tie. Iterative, so a
+/// cotree of any height folds on a small stack.
+fn fold<S>(
+    cotree: &Cotree,
+    mut leaf: impl FnMut(VertexId) -> S,
+    mut merge: impl FnMut(CotreeKind, S, S, usize) -> S,
+) -> S {
+    // Open nodes: a node, its next child, and its children merged so far
+    // with their leaf count.
+    let mut open = vec![(cotree.root(), 0, None)];
+    loop {
+        let (node, next, _) = open.last_mut().expect("an open node");
+        if let Some(&child) = cotree.children(*node).get(*next) {
+            *next += 1;
+            open.push((child, 0, None));
+            continue;
         }
+        let (node, _, merged) = open.pop().expect("an open node");
+        let (leaves, value) = match cotree.kind(node) {
+            CotreeKind::Leaf(v) => (1, leaf(v)),
+            _ => merged.expect("internal nodes have children"),
+        };
+        let Some((parent, _, acc)) = open.last_mut() else {
+            return value;
+        };
+        let kind = cotree.kind(*parent);
+        *acc = Some(match acc.take() {
+            None => (leaves, value),
+            Some((seen, acc)) if leaves > seen => (seen + leaves, merge(kind, value, acc, seen)),
+            Some((seen, acc)) => (seen + leaves, merge(kind, acc, value, leaves)),
+        });
     }
-    builder.build_cover(&covers[tree.root()])
 }
 
-/// A path is identified by its head and tail vertex in the linked structure.
+/// A partial cover: the list of `len` paths from path `first` to `last`.
 #[derive(Debug, Clone, Copy)]
-struct PathHandle {
-    head: VertexId,
-    tail: VertexId,
-    len: usize,
+struct List {
+    first: u32,
+    last: u32,
+    len: u32,
 }
 
-/// Doubly linked list representation of all paths under construction.
-struct CoverBuilder {
-    next: Vec<Option<VertexId>>,
-    prev: Vec<Option<VertexId>>,
-    /// Epoch marking of "right side" vertices for the current join, so each
-    /// join costs `O(L(w))` rather than `O(n)`.
-    right_mark: Vec<u64>,
-    epoch: u64,
-}
-
-impl CoverBuilder {
-    fn new(n: usize) -> Self {
-        CoverBuilder {
-            next: vec![None; n],
-            prev: vec![None; n],
-            right_mark: vec![0; n],
-            epoch: 0,
-        }
-    }
-
-    fn singleton(&mut self, v: VertexId) -> PathHandle {
-        PathHandle {
-            head: v,
-            tail: v,
+impl List {
+    /// The list of the one path `h`.
+    fn one(h: u32) -> Self {
+        List {
+            first: h,
+            last: h,
             len: 1,
         }
     }
+}
 
-    /// All vertices covered by the given paths, in path order.
-    fn vertices_of(&self, cover: &[PathHandle]) -> Vec<VertexId> {
-        let mut out = Vec::new();
-        for p in cover {
-            let mut cur = Some(p.head);
-            while let Some(v) = cur {
-                out.push(v);
-                cur = self.next[v as usize];
-            }
+/// Where a path ends, and the path after it in its list.
+#[derive(Debug, Clone, Copy)]
+struct Ends {
+    tail: u32,
+    link: u32,
+}
+
+/// Every path under construction, named by its first vertex: `next[v]` is
+/// the vertex after `v` on its path, and `ends[h]` holds path `h`'s ends.
+struct Paths {
+    next: Vec<u32>,
+    ends: Vec<Ends>,
+    /// The lighter (in `T_bl`, right) side's vertices at a 1-node merge.
+    right: Vec<u32>,
+}
+
+impl Paths {
+    fn new(n: usize) -> Self {
+        Paths {
+            next: vec![NIL; n],
+            ends: (0..n as u32).map(|tail| Ends { tail, link: NIL }).collect(),
+            right: Vec::new(),
         }
-        out
     }
 
-    /// Appends path `b` to path `a` through the bridge vertex `bridge`.
-    fn bridge(&mut self, a: PathHandle, bridge: VertexId, b: PathHandle) -> PathHandle {
-        self.next[a.tail as usize] = Some(bridge);
-        self.prev[bridge as usize] = Some(a.tail);
-        self.next[bridge as usize] = Some(b.head);
-        self.prev[b.head as usize] = Some(bridge);
-        PathHandle {
-            head: a.head,
-            tail: b.tail,
-            len: a.len + b.len + 1,
-        }
-    }
-
-    /// Inserts vertex `x` immediately after `after` on the path `p`.
-    fn insert_after(&mut self, p: &mut PathHandle, after: VertexId, x: VertexId) {
-        let succ = self.next[after as usize];
-        self.next[after as usize] = Some(x);
-        self.prev[x as usize] = Some(after);
-        self.next[x as usize] = succ;
-        match succ {
-            Some(s) => self.prev[s as usize] = Some(x),
-            None => p.tail = x,
-        }
-        p.len += 1;
-    }
-
-    /// Inserts vertex `x` before the head of path `p`.
-    fn insert_front(&mut self, p: &mut PathHandle, x: VertexId) {
-        self.next[x as usize] = Some(p.head);
-        self.prev[p.head as usize] = Some(x);
-        self.prev[x as usize] = None;
-        p.head = x;
-        p.len += 1;
-    }
-
-    /// Implements the 1-node merge: bridge the paths of the left cover with
-    /// vertices from the right side, inserting any leftover right-side
-    /// vertices into the resulting Hamiltonian path (Cases 1 and 2 of the
-    /// paper).
-    fn join(
-        &mut self,
-        left_cover: Vec<PathHandle>,
-        right_vertices: Vec<VertexId>,
-    ) -> Vec<PathHandle> {
-        let p_v = left_cover.len();
-        let l_w = right_vertices.len();
-        self.epoch += 1;
-        let epoch = self.epoch;
-        for &v in &right_vertices {
-            self.right_mark[v as usize] = epoch;
-        }
-        let mut right_iter = right_vertices.into_iter();
-        let mut paths = left_cover.into_iter();
-
-        if p_v > l_w {
-            // Case 1: all right vertices act as bridges; L(w) + 1 paths merge
-            // into one, the rest stay untouched.
-            let mut merged = paths.next().expect("p(v) >= 1");
-            for bridge_vertex in right_iter {
-                let next_path = paths.next().expect("p(v) > L(w) guarantees enough paths");
-                merged = self.bridge(merged, bridge_vertex, next_path);
-            }
-            let mut out = vec![merged];
-            out.extend(paths);
-            out
+    /// The 0-node merge: the list with more paths first (`heavy` on a tie).
+    fn union(&mut self, heavy: List, light: List) -> List {
+        let (a, b) = if light.len > heavy.len {
+            (light, heavy)
         } else {
-            // Case 2: p(v) - 1 bridges merge everything into one path, the
-            // remaining right vertices are inserted between consecutive
-            // left-side vertices (or at the two ends). A vertex is a
-            // left-side vertex exactly when it is not marked as part of this
-            // join's right side.
-            let is_left =
-                |builder: &CoverBuilder, v: VertexId| builder.right_mark[v as usize] != epoch;
-            let mut merged = paths.next().expect("p(v) >= 1");
-            for next_path in paths {
-                let bridge_vertex = right_iter.next().expect("p(v) - 1 <= L(w)");
-                merged = self.bridge(merged, bridge_vertex, next_path);
-            }
-            // Insert the remaining right vertices. Legal slots: before the
-            // head, after any left vertex whose successor is also a left
-            // vertex, and after the tail if the tail is a left vertex.
-            let mut remaining: Vec<VertexId> = right_iter.collect();
-            remaining.reverse(); // pop from the back in original order
-            if let Some(x) = remaining.pop() {
-                self.insert_front(&mut merged, x);
-                let mut cursor = Some(merged.head);
-                while let Some(v) = cursor {
-                    if remaining.is_empty() {
-                        break;
-                    }
-                    cursor = self.next[v as usize];
-                    if !is_left(self, v) {
-                        continue;
-                    }
-                    let slot_ok = match cursor {
-                        Some(s) => is_left(self, s),
-                        None => true,
-                    };
-                    if slot_ok {
-                        let x = remaining.pop().expect("checked non-empty");
-                        self.insert_after(&mut merged, v, x);
-                        // Skip over the vertex just inserted.
-                        cursor = self.next[x as usize];
-                    }
-                }
-                assert!(
-                    remaining.is_empty(),
-                    "the leftist property guarantees enough insertion slots"
-                );
-            }
-            vec![merged]
+            (heavy, light)
+        };
+        self.ends[a.last as usize].link = b.first;
+        List {
+            first: a.first,
+            last: b.last,
+            len: a.len + b.len,
         }
     }
 
-    fn build_cover(&self, handles: &[PathHandle]) -> PathCover {
-        let mut cover = PathCover::new();
-        for h in handles {
-            let mut vertices = Vec::with_capacity(h.len);
-            let mut cur = Some(h.head);
-            while let Some(v) = cur {
-                vertices.push(v);
-                cur = self.next[v as usize];
+    /// The 1-node merge. The lighter side's vertices, path by path, bridge
+    /// consecutive heavier-side paths. Case 1, `p(heavy) > L(light)`: all
+    /// of them bridge, so `L(light) + 1` paths become one and the rest stay.
+    /// Case 2: `p(heavy) - 1` of them merge every path into one, the next
+    /// goes before its head, and the rest go in order between consecutive
+    /// heavier-side vertices and then after its tail; the leftist property
+    /// guarantees the slots.
+    fn join(&mut self, mut heavy: List, light: List) -> List {
+        let Paths { next, ends, right } = self;
+        right.clear();
+        let mut h = light.first;
+        while h != NIL {
+            let mut v = h;
+            while v != NIL {
+                right.push(v);
+                v = next[v as usize];
             }
-            debug_assert_eq!(vertices.len(), h.len);
-            cover.push(Path::new(vertices));
+            h = ends[h as usize].link;
         }
-        cover
+        let mut path = ends[heavy.first as usize];
+        if heavy.len as usize > right.len() {
+            for &bridge in right.iter() {
+                next[path.tail as usize] = bridge;
+                next[bridge as usize] = path.link;
+                path = ends[path.link as usize];
+            }
+            ends[heavy.first as usize] = path;
+            if path.link == NIL {
+                heavy.last = heavy.first;
+            }
+            heavy.len -= right.len() as u32;
+            return heavy;
+        }
+        let (bridges, rest) = right.split_at(heavy.len as usize - 1);
+        let (mut bridges, mut rest) = (bridges.iter(), rest.iter());
+        let front = *rest.next().expect("Case 2 leaves a vertex for the front");
+        next[front as usize] = heavy.first;
+        let mut v = heavy.first;
+        let tail = loop {
+            while v != path.tail {
+                let Some(&x) = rest.next() else { break };
+                let after = next[v as usize];
+                next[v as usize] = x;
+                next[x as usize] = after;
+                v = after;
+            }
+            let Some(&bridge) = bridges.next() else {
+                let Some(&x) = rest.next() else {
+                    break path.tail;
+                };
+                next[path.tail as usize] = x;
+                next[x as usize] = NIL;
+                break x;
+            };
+            next[path.tail as usize] = bridge;
+            next[bridge as usize] = path.link;
+            v = path.link;
+            path = ends[v as usize];
+        };
+        assert!(rest.len() == 0, "the leftist property guarantees the slots");
+        ends[front as usize] = Ends { tail, link: NIL };
+        List::one(front)
+    }
+
+    /// The cover a finished list describes, its paths in list order.
+    fn into_cover(self, list: List) -> PathCover {
+        let mut cover = Vec::with_capacity(list.len as usize);
+        let mut h = list.first;
+        while h != NIL {
+            let (mut path, mut v) = (Vec::new(), h);
+            while v != NIL {
+                path.push(v);
+                v = self.next[v as usize];
+            }
+            cover.push(Path::new(path));
+            h = self.ends[h as usize].link;
+        }
+        PathCover::from_paths(cover)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cograph::{path_counts_seq, random_cotree, CotreeShape};
+    use crate::hamiltonian::{has_hamiltonian_cycle, has_hamiltonian_path};
+    use crate::pipeline::min_path_cover_size;
+    use cograph::generators::random_connected_cotree;
+    use cograph::{path_counts_seq, random_cotree};
+    use cograph::{BinKind, BinaryCotree, CotreeShape};
     use pcgraph::path::brute_force_min_path_cover;
     use pcgraph::verify_path_cover;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     fn check(cotree: &Cotree) {
@@ -338,13 +339,80 @@ mod tests {
     }
 
     #[test]
-    fn empty_cotree_is_not_possible_but_zero_vertex_cover_is_empty() {
-        // The public API takes a cotree, which always has >= 1 vertex; the
-        // internal entry point tolerates a degenerate call through the
-        // builder with n = 0 by returning an empty cover.
-        let t = Cotree::single(0);
-        let (b, l) = BinaryCotree::leftist_from_cotree(&t);
-        let cover = sequential_path_cover_on(&b, &l);
-        assert_eq!(cover.len(), 1);
+    fn fold_counts_match_the_binarised_recurrence() {
+        let mut rng = ChaCha8Rng::seed_from_u64(24);
+        for shape in CotreeShape::ALL {
+            for n in [1usize, 2, 3, 4, 5, 6, 9, 17, 40, 130, 700, 3000] {
+                let draws = if n > 100 { 1 } else { 4 };
+                for draw in 0..2 * draws {
+                    let t = if draw % 2 == 0 {
+                        random_cotree(n, shape, &mut rng)
+                    } else {
+                        random_connected_cotree(n, shape, &mut rng)
+                    };
+                    let (b, l) = BinaryCotree::leftist_from_cotree(&t);
+                    let p = path_counts_seq(&b, &l);
+                    let root = b.root();
+                    let closes = n >= 3
+                        && b.kind(root) == BinKind::One
+                        && p[b.left(root)] <= l[b.right(root)] as i64;
+                    assert_eq!(min_path_cover_size(&t) as i64, p[root], "{shape:?} n={n}");
+                    assert_eq!(has_hamiltonian_path(&t), p[root] == 1, "{shape:?} n={n}");
+                    assert_eq!(has_hamiltonian_cycle(&t), closes, "{shape:?} n={n}");
+                }
+            }
+        }
+    }
+
+    /// FNV-1a over a cover: its path count, then every path's length and
+    /// vertices, so moving one vertex or one path boundary changes it.
+    fn digest(hash: &mut u64, cover: &PathCover) {
+        let mut feed = |bytes: &[u8]| {
+            for &b in bytes {
+                *hash = (*hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        feed(&(cover.len() as u64).to_le_bytes());
+        for path in cover.paths() {
+            feed(&(path.len() as u64).to_le_bytes());
+            for &v in path.vertices() {
+                feed(&v.to_le_bytes());
+            }
+        }
+    }
+
+    #[test]
+    fn covers_are_pinned_byte_for_byte() {
+        let mut rng = ChaCha8Rng::seed_from_u64(2012);
+        let mut digests = Vec::new();
+        for shape in CotreeShape::ALL {
+            let mut hash = 0xcbf2_9ce4_8422_2325;
+            for n in [1usize, 2, 3, 9, 40, 300, 5000] {
+                digest(
+                    &mut hash,
+                    &sequential_path_cover(&random_cotree(n, shape, &mut rng)),
+                );
+            }
+            digests.push(hash);
+        }
+        // The shape of the service benchmark's large graphs: a union of
+        // mixed components of 100 to 220 vertices.
+        let parts: Vec<Cotree> = (0..40)
+            .map(|_| random_cotree(rng.gen_range(100..=220usize), CotreeShape::Mixed, &mut rng))
+            .collect();
+        let mut hash = 0xcbf2_9ce4_8422_2325;
+        digest(&mut hash, &sequential_path_cover(&Cotree::union_of(parts)));
+        digests.push(hash);
+        let hex: Vec<String> = digests.iter().map(|d| format!("{d:#018x}")).collect();
+        assert_eq!(
+            hex,
+            [
+                "0x02119f5721597aab",
+                "0x52dd6d86da106a91",
+                "0xa6d2ce932c0b6db1",
+                "0x48e352707feb405f"
+            ],
+            "balanced, skewed, mixed, union of components"
+        );
     }
 }

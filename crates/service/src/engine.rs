@@ -288,8 +288,11 @@ impl QueryEngine {
         };
         let (out, end) = work(&ctx);
         if let (Some(end), Some(trace)) = (end, &ctx.collector) {
+            // The root span ends now, on the clock its spans are offsets
+            // from, so it ends after every one of them.
+            let total_us = trace.offset_us(Instant::now());
             let (id, kind, outcome) = (&ctx.trace_id, end.kind, end.outcome);
-            (self.recorder).commit(id, kind, outcome, end.total_us, end.protected, trace.take());
+            (self.recorder).commit(id, kind, outcome, total_us, end.protected, trace.take());
         }
         out
     }
@@ -469,7 +472,7 @@ impl QueryEngine {
                 .map(|slot| slot.into_inner().expect("slot filled"))
                 .collect()
         };
-        let mut end = TraceEnd::new("batch", "ok", timeline.total_us(), false);
+        let mut end = TraceEnd::new("batch", "ok", false);
         for job in responses.iter().map(trace_end) {
             if end.outcome == "ok" {
                 end.outcome = job.outcome;
@@ -642,9 +645,11 @@ impl QueryEngine {
         if !self.config.use_cache {
             let cotree = recognize_certified(&graph);
             timeline.stage(Stage::Recognize);
-            let cotree = cotree?;
+            let entry = Arc::new(SolveEntry::new(cotree?));
+            // The key pass is booked where the cache-on path books it.
+            timeline.stage(Stage::CacheLookup);
             return Ok(Resolved {
-                entry: Arc::new(SolveEntry::new(cotree)),
+                entry,
                 graph: Some(graph),
                 cache: CacheStatus::Bypass,
             });
@@ -688,13 +693,16 @@ impl QueryEngine {
     /// Resolves a cotree request wrapped by [`Self::cotree_entry`]: a hit
     /// is confirmed by one walk against `fresh`'s canonical preorder and
     /// hands back the resident entry; a miss makes `fresh` itself resident,
-    /// so the cotree is neither cloned nor hashed again.
+    /// so the cotree is neither cloned nor hashed again. Either way, and
+    /// with the cache off too, the segment since ingest (the canonical pass
+    /// included) closes as `cache_lookup`.
     fn resolve_cotree(
         &self,
         fresh: Arc<SolveEntry>,
         timeline: &mut Timeline<'_>,
     ) -> Result<Resolved, ServiceError> {
         if !self.config.use_cache {
+            timeline.stage(Stage::CacheLookup);
             return Ok(Resolved {
                 entry: fresh,
                 graph: None,
@@ -828,12 +836,7 @@ pub(crate) fn trace_end(response: &QueryResponse) -> TraceEnd {
         ) || Outcome::from_error_code(error.code()) == Outcome::Internal
     });
     let outcome = error.map_or("ok", ServiceError::code);
-    TraceEnd::new(
-        response.kind.as_str(),
-        outcome,
-        response.meta.total_micros,
-        protected,
-    )
+    TraceEnd::new(response.kind.as_str(), outcome, protected)
 }
 
 /// Reads a request's graph: parses its text, or clones the graph or cotree
@@ -1272,6 +1275,28 @@ mod tests {
             (lookup.start_us, lookup.dur_us),
             (stage.start_us, stage.dur_us)
         );
+    }
+
+    #[test]
+    fn without_the_cache_the_key_pass_is_booked_as_a_cache_lookup() {
+        let e = QueryEngine::new(EngineConfig {
+            use_cache: false,
+            ..EngineConfig::default()
+        });
+        let lookups = |e: &QueryEngine| {
+            let stages = e.metrics_report().histograms(Metric::StageLatency).to_vec();
+            stages[Stage::CacheLookup as usize].count
+        };
+        for spec in [
+            GraphSpec::CotreeTerm("(j (u a b) c)".to_string()),
+            GraphSpec::EdgeList("0 1\n1 2\n0 2\n".to_string()),
+        ] {
+            let before = lookups(&e);
+            let resp = e.execute(&QueryRequest::new(QueryKind::FullCover, spec.clone()));
+            assert!(resp.outcome.is_ok(), "{spec:?}");
+            assert_eq!(resp.meta.cache, CacheStatus::Bypass);
+            assert_eq!(lookups(&e) - before, 1, "{spec:?}");
+        }
     }
 
     #[test]

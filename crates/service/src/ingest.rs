@@ -315,8 +315,17 @@ pub fn parse_dimacs(text: &str) -> Result<Graph, IngestError> {
 /// How a term's leaf tokens map onto vertex ids.
 enum LeafMode<'a> {
     /// Leaf names are arbitrary identifiers assigned dense ids in order of
-    /// first appearance (the public ingestion format).
-    Appearance(HashSet<&'a str>),
+    /// first appearance (the public ingestion format). A canonical decimal
+    /// name (see [`canonical_decimal`]) whose value is below the term's
+    /// byte length, as every name of a densely numbered term is, is checked
+    /// against a bitset of that many bits. Any other name goes through a
+    /// set keyed by std's SipHash, so hostile names cannot flood it.
+    Appearance {
+        numeric: Vec<u64>,
+        limit: usize,
+        named: HashSet<&'a str>,
+        seen: VertexId,
+    },
     /// Leaf names *are* numeric vertex labels, used verbatim — the inverse
     /// of [`cograph::Cotree::to_term`], used by the snapshot loader where
     /// the exact labelling must survive the round trip.
@@ -324,16 +333,41 @@ enum LeafMode<'a> {
 }
 
 impl<'a> LeafMode<'a> {
+    /// First-appearance ids for a term of `len` bytes.
+    fn appearance(len: usize) -> Self {
+        LeafMode::Appearance {
+            numeric: vec![0; len.div_ceil(64)],
+            limit: len,
+            named: HashSet::new(),
+            seen: 0,
+        }
+    }
+
     fn resolve(&mut self, name: &'a str, pos: usize) -> Result<VertexId, IngestError> {
+        let duplicate = || IngestError::DuplicateLeaf {
+            name: name.to_string(),
+        };
         match self {
-            LeafMode::Appearance(names) => {
-                let id = names.len() as VertexId;
-                if !names.insert(name) {
-                    return Err(IngestError::DuplicateLeaf {
-                        name: name.to_string(),
-                    });
+            LeafMode::Appearance {
+                numeric,
+                limit,
+                named,
+                seen,
+            } => {
+                let fresh = match canonical_decimal(name).filter(|value| value < limit) {
+                    Some(value) => {
+                        let (word, bit) = (value / 64, 1u64 << (value % 64));
+                        let fresh = numeric[word] & bit == 0;
+                        numeric[word] |= bit;
+                        fresh
+                    }
+                    None => named.insert(name),
+                };
+                if !fresh {
+                    return Err(duplicate());
                 }
-                Ok(id)
+                *seen += 1;
+                Ok(*seen - 1)
             }
             LeafMode::Labelled(seen) => {
                 let id: VertexId = name.parse().map_err(|_| IngestError::BadTerm {
@@ -341,9 +375,7 @@ impl<'a> LeafMode<'a> {
                     message: format!("leaf '{name}' is not a numeric vertex label"),
                 })?;
                 if !seen.insert(id) {
-                    return Err(IngestError::DuplicateLeaf {
-                        name: name.to_string(),
-                    });
+                    return Err(duplicate());
                 }
                 Ok(id)
             }
@@ -351,9 +383,24 @@ impl<'a> LeafMode<'a> {
     }
 }
 
+/// The value of a leaf name in canonical decimal: digits only, at most
+/// nine of them, and no leading zero except in `0` itself. Distinct such
+/// names have distinct values, so the value can stand for the name.
+fn canonical_decimal(name: &str) -> Option<usize> {
+    let digits = name.as_bytes();
+    if digits.is_empty() || digits.len() > 9 || (digits.len() > 1 && digits[0] == b'0') {
+        return None;
+    }
+    digits.iter().try_fold(0usize, |value, &digit| {
+        digit
+            .is_ascii_digit()
+            .then(|| value * 10 + usize::from(digit - b'0'))
+    })
+}
+
 /// Parses the cotree term notation (see module docs).
 pub fn parse_cotree_term(text: &str) -> Result<Cotree, IngestError> {
-    parse_cotree_with(text, LeafMode::Appearance(HashSet::new()))
+    parse_cotree_with(text, LeafMode::appearance(text.len()))
 }
 
 /// Parses a term whose leaves are numeric vertex labels, used verbatim.
@@ -686,6 +733,85 @@ mod tests {
         assert_eq!(
             parse_cotree_term_labelled("").unwrap_err(),
             IngestError::Empty
+        );
+    }
+
+    #[test]
+    fn canonical_decimals_are_digits_without_leading_zeros() {
+        assert_eq!(canonical_decimal("0"), Some(0));
+        assert_eq!(canonical_decimal("907"), Some(907));
+        assert_eq!(canonical_decimal("999999999"), Some(999_999_999));
+        for name in ["1000000000", "01", "00", "", "1a", "-1", "+1", "v1"] {
+            assert_eq!(canonical_decimal(name), None, "{name:?}");
+        }
+    }
+
+    #[test]
+    fn numeric_names_below_the_term_length_take_the_bitset() {
+        let duplicate = |name: &str| {
+            Err(IngestError::DuplicateLeaf {
+                name: name.to_string(),
+            })
+        };
+        // A 7-byte term: `6` (length - 1) takes the bitset; `7` (the
+        // length itself), `06` (a leading zero) and `x` take the set.
+        let mut mode = LeafMode::appearance(7);
+        assert_eq!(mode.resolve("6", 0), Ok(0));
+        assert_eq!(mode.resolve("7", 0), Ok(1));
+        assert_eq!(mode.resolve("06", 0), Ok(2));
+        assert_eq!(mode.resolve("x", 0), Ok(3));
+        let LeafMode::Appearance { numeric, named, .. } = &mode else {
+            unreachable!("built by appearance")
+        };
+        assert_eq!(numeric.as_slice(), [1u64 << 6]);
+        let mut set: Vec<&str> = named.iter().copied().collect();
+        set.sort_unstable();
+        assert_eq!(set, ["06", "7", "x"]);
+        // Duplicates are caught on both paths, and ids keep counting.
+        assert_eq!(mode.resolve("6", 0), duplicate("6"));
+        assert_eq!(mode.resolve("7", 0), duplicate("7"));
+        assert_eq!(mode.resolve("5", 0), Ok(4));
+    }
+
+    #[test]
+    fn numeric_leaf_names_keep_first_appearance_ids() {
+        let duplicate = |name: &str| IngestError::DuplicateLeaf {
+            name: name.to_string(),
+        };
+        // Ids follow appearance, not value, on both sides of the bitset's
+        // bound: `(u 6 0)` and `(u 7 0)` are 7 bytes long.
+        for term in ["(u 6 0)", "(u 7 0)"] {
+            let tree = parse_cotree_term(term).unwrap();
+            assert_eq!(tree.vertices(), [0, 1], "{term}");
+        }
+        assert_eq!(parse_cotree_term("(u 6 6)").unwrap_err(), duplicate("6"));
+        assert_eq!(parse_cotree_term("(u 7 7)").unwrap_err(), duplicate("7"));
+        // A leading zero makes a different name; the same name twice is
+        // still refused.
+        assert_eq!(parse_cotree_term("(u 1 01)").unwrap().num_vertices(), 2);
+        assert_eq!(parse_cotree_term("(u 0 00)").unwrap().num_vertices(), 2);
+        assert_eq!(parse_cotree_term("(u 1 1)").unwrap_err(), duplicate("1"));
+        assert_eq!(parse_cotree_term("(u 01 01)").unwrap_err(), duplicate("01"));
+        // Nine and ten digits: both beyond this term's length, both names.
+        let long = "(u 123456789 1234567890)";
+        assert_eq!(parse_cotree_term(long).unwrap().num_vertices(), 2);
+        for name in ["123456789", "1234567890"] {
+            let twice = format!("(u {name} {name})");
+            assert_eq!(parse_cotree_term(&twice).unwrap_err(), duplicate(name));
+        }
+        // Numeric and named leaves mixed in one term.
+        let tree = parse_cotree_term("(u (j a 0) (j 1 b) a2 10)").unwrap();
+        assert_eq!(tree.vertices(), [0, 1, 2, 3, 4, 5]);
+        let g = tree.to_graph();
+        assert_eq!(g.num_edges(), 2);
+        assert!(g.has_edge(0, 1) && g.has_edge(2, 3));
+        assert_eq!(
+            parse_cotree_term("(u (j a 0) (j 0 b))").unwrap_err(),
+            duplicate("0")
+        );
+        assert_eq!(
+            parse_cotree_term("(u (j a 0) (j 1 a))").unwrap_err(),
+            duplicate("a")
         );
     }
 

@@ -436,7 +436,8 @@ impl<'r> Timeline<'r> {
     }
 
     /// Microseconds since the timeline started: the request's total, for
-    /// its response, its request histograms and its trace.
+    /// its response and its request histograms. (A trace's root span is
+    /// timed on the trace's own clock, which starts before this one.)
     pub fn total_us(&self) -> u64 {
         self.started.elapsed().as_micros() as u64
     }

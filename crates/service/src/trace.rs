@@ -12,6 +12,8 @@
 //! retained until the request finishes, when whoever opened its trace — the
 //! request edge, or the engine for a library call — commits it to the
 //! [`FlightRecorder`] in one call, so a request leaves at most one trace.
+//! The root span ends at that commit, on the collector's clock, so it ends
+//! after every child span.
 //!
 //! The recorder is a bounded ring (default [`DEFAULT_TRACE_CAPACITY`]
 //! traces) with **tail sampling**: traces that errored, were shed as
@@ -177,23 +179,15 @@ pub(crate) struct TraceEnd {
     pub(crate) kind: &'static str,
     /// `ok`, or the error code (a batch's is its first failed job's).
     pub(crate) outcome: &'static str,
-    /// The request's total, in microseconds.
-    pub(crate) total_us: u64,
     /// Whether tail sampling must keep the trace.
     pub(crate) protected: bool,
 }
 
 impl TraceEnd {
-    pub(crate) fn new(
-        kind: &'static str,
-        outcome: &'static str,
-        total_us: u64,
-        protected: bool,
-    ) -> Self {
+    pub(crate) fn new(kind: &'static str, outcome: &'static str, protected: bool) -> Self {
         TraceEnd {
             kind,
             outcome,
-            total_us,
             protected,
         }
     }

@@ -499,7 +499,7 @@ fn run_op(
         match admitted {
             Ok(permit) => Some(permit),
             Err(error) => {
-                let end = TraceEnd::new(op.name(), error.code(), timeline.total_us(), true);
+                let end = TraceEnd::new(op.name(), error.code(), true);
                 return (Err(OpError::Service(error)), Some(end));
             }
         }
@@ -560,12 +560,7 @@ fn run_op(
             };
             timeline.span("snapshot:checkpoint");
             let outcome = result.as_ref().err().map_or("ok", OpError::code);
-            end = Some(TraceEnd::new(
-                "snapshot",
-                outcome,
-                timeline.total_us(),
-                result.is_err(),
-            ));
+            end = Some(TraceEnd::new("snapshot", outcome, result.is_err()));
             result
         }
         Op::Shutdown => Ok(Json::obj(vec![])),

@@ -1,8 +1,8 @@
 //! End-to-end flight recorder: one daemon serving both transports under
 //! fault injection, verifying that a stalled (slow) request is captured
-//! with its pipeline stage spans, that the Chrome trace-event export is
-//! well-formed, and that accept-time overload rejections carry a trace id
-//! in both transport dialects.
+//! with its pipeline stage spans, all ending within the root span, that the
+//! Chrome trace-event export is well-formed, and that accept-time overload
+//! rejections carry a trace id in both transport dialects.
 
 #![cfg(unix)]
 
@@ -59,6 +59,25 @@ fn span_names(trace: &Json) -> Vec<String> {
     }
 }
 
+/// Asserts that no span of `trace` ends after its root span: the root's
+/// total and the spans' offsets are read on one clock.
+fn assert_spans_end_within_the_root(trace: &Json) {
+    let total = trace.get("total_us").and_then(Json::as_u64);
+    let total = total.expect("the root span's total");
+    let Some(Json::Arr(spans)) = trace.get("spans") else {
+        panic!("no spans: {trace}");
+    };
+    assert!(!spans.is_empty(), "{trace}");
+    for span in spans {
+        let field = |key: &str| span.get(key).and_then(Json::as_u64).expect(key);
+        let end = field("start_us") + field("dur_us");
+        assert!(
+            end <= total,
+            "span ends at {end} us, root at {total} us: {trace}"
+        );
+    }
+}
+
 #[test]
 fn stalled_requests_are_captured_with_stage_spans_on_both_transports() {
     let socket = temp_socket("spans");
@@ -104,6 +123,7 @@ fn stalled_requests_are_captured_with_stage_spans_on_both_transports() {
         names.iter().any(|name| name == "cache:lookup"),
         "cache span recorded: {names:?}"
     );
+    assert_spans_end_within_the_root(&trace);
 
     // HTTP transport: the client-supplied X-Request-Id names the trace.
     let body = r#"{"kind":"full_cover","cotree":"(j (u a b) (u c d))"}"#;
@@ -128,6 +148,7 @@ fn stalled_requests_are_captured_with_stage_spans_on_both_transports() {
         names.iter().any(|name| name.starts_with("stage:")),
         "stage spans over http: {names:?}"
     );
+    assert_spans_end_within_the_root(trace);
 
     // The Chrome export is a bare trace-event object with the keys the
     // viewers require on every event.
