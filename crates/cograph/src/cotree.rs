@@ -26,16 +26,21 @@ impl CotreeKind {
 
 /// A rooted k-ary cotree.
 ///
-/// Nodes are stored in an arena; the root is the last-created node of the
-/// top-level constructor used. Leaves carry explicit vertex ids so that a
-/// cotree produced by [`crate::recognition::recognize`] refers to the
-/// original graph's vertices.
+/// Nodes are stored in an arena numbered in post-order: every subtree is
+/// the id range that ends at its root, each node lists its children in
+/// increasing id order, and the root is the last node. Every constructor
+/// ([`Cotree::single`], the combining constructors, [`CotreeBuilder`] and
+/// so the term parsers and the recognisers) produces this layout and
+/// [`Cotree::validate`] checks it, so a bottom-up pass is a loop over
+/// `0..num_nodes()` and a top-down pass a loop over its reverse. Leaves
+/// carry explicit vertex ids so that a cotree produced by
+/// [`crate::recognition::recognize`] refers to the original graph's
+/// vertices.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Cotree {
     kinds: Vec<CotreeKind>,
     children: Vec<Vec<usize>>,
     parent: Vec<usize>,
-    root: usize,
 }
 
 impl Cotree {
@@ -45,7 +50,6 @@ impl Cotree {
             kinds: vec![CotreeKind::Leaf(v)],
             children: vec![Vec::new()],
             parent: vec![NO_NODE],
-            root: 0,
         }
     }
 
@@ -72,81 +76,39 @@ impl Cotree {
         Self::combine(parts, CotreeKind::Join, false)
     }
 
+    /// Replays every part's post-order arena through one builder, then
+    /// adds the new root over the parts' roots.
     fn combine(parts: Vec<Cotree>, kind: CotreeKind, relabel: bool) -> Self {
         assert!(!parts.is_empty(), "cannot combine an empty list of cotrees");
         if parts.len() == 1 {
             return parts.into_iter().next().expect("one part");
         }
-        let mut kinds = Vec::new();
-        let mut children: Vec<Vec<usize>> = Vec::new();
-        let mut parent = Vec::new();
-        let mut top_children = Vec::new();
+        let mut tree = CotreeBuilder::new();
+        let mut arity = 0;
         let mut vertex_offset: VertexId = 0;
-        for part in parts {
-            let node_offset = kinds.len();
-            let part_vertices = part.num_vertices() as VertexId;
-            for (i, k) in part.kinds.iter().enumerate() {
-                kinds.push(match k {
-                    CotreeKind::Leaf(v) => {
-                        CotreeKind::Leaf(if relabel { v + vertex_offset } else { *v })
-                    }
-                    other => *other,
-                });
-                children.push(part.children[i].iter().map(|c| c + node_offset).collect());
-                parent.push(if part.parent[i] == NO_NODE {
-                    NO_NODE
-                } else {
-                    part.parent[i] + node_offset
-                });
-            }
-            let part_root = part.root + node_offset;
+        for part in &parts {
             // Normalisation: a Union child of a Union (or Join child of a
             // Join) is absorbed so labels alternate along every root path,
-            // which is property (5) of the paper's cotree definition.
-            if kinds[part_root] == kind {
-                top_children.extend(children[part_root].clone());
-            } else {
-                top_children.push(part_root);
+            // which is property (5) of the paper's cotree definition. Its
+            // children stay pending and become the new root's.
+            let root = part.root();
+            let absorbed = part.kinds[root] == kind;
+            let copied = if absorbed { root } else { root + 1 };
+            for u in 0..copied {
+                match part.kinds[u] {
+                    CotreeKind::Leaf(v) => tree.leaf(if relabel { v + vertex_offset } else { v }),
+                    inner => tree.node(inner, part.children[u].len()),
+                }
             }
-            vertex_offset += part_vertices;
+            arity += if absorbed {
+                part.children[root].len()
+            } else {
+                1
+            };
+            vertex_offset += part.num_vertices() as VertexId;
         }
-        let new_root = kinds.len();
-        kinds.push(kind);
-        children.push(top_children.clone());
-        parent.push(NO_NODE);
-        for &c in &top_children {
-            parent[c] = new_root;
-        }
-        let tree = Cotree {
-            kinds,
-            children,
-            parent,
-            root: new_root,
-        };
-        tree.compact()
-    }
-
-    /// Assembles a cotree directly from arena parts.
-    ///
-    /// Crate-internal: the incremental recogniser builds its result in one
-    /// pass through this instead of the combining constructors, whose
-    /// copy-on-combine behaviour would cost `O(n · height)`. The caller must
-    /// uphold the structural invariants ([`Cotree::validate`]); they are
-    /// checked in debug builds.
-    pub(crate) fn from_raw_parts(
-        kinds: Vec<CotreeKind>,
-        children: Vec<Vec<usize>>,
-        parent: Vec<usize>,
-        root: usize,
-    ) -> Self {
-        let tree = Cotree {
-            kinds,
-            children,
-            parent,
-            root,
-        };
-        debug_assert_eq!(tree.validate(), Ok(()), "from_raw_parts invariants");
-        tree
+        tree.node(kind, arity);
+        tree.build()
     }
 
     /// Number of edges of the cograph, counted on the cotree without
@@ -156,7 +118,7 @@ impl Cotree {
     pub fn num_edges(&self) -> usize {
         let mut leaves = vec![0usize; self.num_nodes()];
         let mut edges = 0usize;
-        for u in self.postorder() {
+        for u in 0..self.num_nodes() {
             leaves[u] = match self.kinds[u] {
                 CotreeKind::Leaf(_) => 1,
                 kind => {
@@ -174,49 +136,6 @@ impl Cotree {
         edges
     }
 
-    /// Drops nodes that became unreachable during normalisation.
-    fn compact(self) -> Self {
-        let n = self.kinds.len();
-        let mut keep = vec![false; n];
-        let mut stack = vec![self.root];
-        while let Some(v) = stack.pop() {
-            keep[v] = true;
-            stack.extend(self.children[v].iter().copied());
-        }
-        if keep.iter().all(|&k| k) {
-            return self;
-        }
-        let mut remap = vec![NO_NODE; n];
-        let mut next = 0usize;
-        for v in 0..n {
-            if keep[v] {
-                remap[v] = next;
-                next += 1;
-            }
-        }
-        let mut kinds = Vec::with_capacity(next);
-        let mut children = Vec::with_capacity(next);
-        let mut parent = Vec::with_capacity(next);
-        for v in 0..n {
-            if !keep[v] {
-                continue;
-            }
-            kinds.push(self.kinds[v]);
-            children.push(self.children[v].iter().map(|&c| remap[c]).collect());
-            parent.push(if self.parent[v] == NO_NODE || !keep[self.parent[v]] {
-                NO_NODE
-            } else {
-                remap[self.parent[v]]
-            });
-        }
-        Cotree {
-            kinds,
-            children,
-            parent,
-            root: remap[self.root],
-        }
-    }
-
     /// Number of cotree nodes (leaves plus internal nodes).
     pub fn num_nodes(&self) -> usize {
         self.kinds.len()
@@ -227,9 +146,9 @@ impl Cotree {
         self.kinds.iter().filter(|k| k.is_leaf()).count()
     }
 
-    /// The root node index.
+    /// The root node index: the last node of the post-order arena.
     pub fn root(&self) -> usize {
-        self.root
+        self.num_nodes() - 1
     }
 
     /// Kind of node `u`.
@@ -247,30 +166,34 @@ impl Cotree {
         self.parent[u]
     }
 
-    /// The vertex ids carried by the leaves, in left-to-right order.
+    /// The vertex ids carried by the leaves, in left-to-right order (the
+    /// order of their ids).
     pub fn vertices(&self) -> Vec<VertexId> {
-        let mut out = Vec::new();
-        let mut stack = vec![self.root];
-        while let Some(v) = stack.pop() {
-            if let CotreeKind::Leaf(x) = self.kinds[v] {
-                out.push(x);
-            }
-            for &c in self.children[v].iter().rev() {
-                stack.push(c);
-            }
-        }
-        out
+        self.kinds
+            .iter()
+            .filter_map(|&kind| match kind {
+                CotreeKind::Leaf(v) => Some(v),
+                _ => None,
+            })
+            .collect()
     }
 
-    /// Checks the structural invariants of a cotree: every internal node has
-    /// at least two children, labels alternate along root paths, and leaf
-    /// labels are distinct.
+    /// Checks the structural invariants of a cotree: the arena is numbered
+    /// in post-order (read from the last, each node's children are the
+    /// subtrees ending just below it and just below each other, each names
+    /// it as its parent, and the last node is a parentless root over every
+    /// node), every internal node has at least two children, labels
+    /// alternate along root paths, and leaf labels are distinct.
     pub fn validate(&self) -> Result<(), String> {
+        let nodes = self.num_nodes();
         let mut seen = std::collections::BTreeSet::new();
-        for u in 0..self.num_nodes() {
+        // The first id of each node's subtree.
+        let mut first = Vec::with_capacity(nodes);
+        for u in 0..nodes {
+            let kids = &self.children[u];
             match self.kinds[u] {
                 CotreeKind::Leaf(v) => {
-                    if !self.children[u].is_empty() {
+                    if !kids.is_empty() {
                         return Err(format!("leaf {u} has children"));
                     }
                     if !seen.insert(v) {
@@ -278,17 +201,27 @@ impl Cotree {
                     }
                 }
                 kind => {
-                    if self.children[u].len() < 2 {
+                    if kids.len() < 2 {
                         return Err(format!("internal node {u} has fewer than two children"));
                     }
-                    let p = self.parent[u];
-                    if p != NO_NODE && self.kinds[p] == kind {
-                        return Err(format!("labels do not alternate at node {u}"));
+                    if let Some(&c) = kids.iter().find(|&&c| self.kinds.get(c) == Some(&kind)) {
+                        return Err(format!("labels do not alternate at node {c}"));
                     }
                 }
             }
+            let mut end = u;
+            for &c in kids.iter().rev() {
+                if c.checked_add(1) != Some(end) || self.parent[c] != u {
+                    return Err(format!("node {u} is not numbered in post-order"));
+                }
+                end = first[c];
+            }
+            first.push(end);
         }
-        Ok(())
+        match first.last() {
+            Some(0) if self.parent[nodes - 1] == NO_NODE => Ok(()),
+            _ => Err("the last node is not the root of every node".to_string()),
+        }
     }
 
     /// Materialises the cograph: vertex labels must be exactly `0..n`.
@@ -300,11 +233,10 @@ impl Cotree {
     pub fn to_graph(&self) -> Graph {
         let n = self.num_vertices();
         let mut g = Graph::new(n);
-        // Iterative post-order: collect the vertex set of every subtree and
-        // add the cross edges at 1-nodes.
-        let order = self.postorder();
+        // Bottom-up: collect the vertex set of every subtree and add the
+        // cross edges at 1-nodes.
         let mut vertex_sets: Vec<Vec<VertexId>> = vec![Vec::new(); self.num_nodes()];
-        for &u in &order {
+        for u in 0..self.num_nodes() {
             match self.kinds[u] {
                 CotreeKind::Leaf(v) => {
                     assert!(
@@ -359,7 +291,7 @@ impl Cotree {
             Close,
         }
         let mut out = String::new();
-        let mut stack = vec![Step::Node(self.root)];
+        let mut stack = vec![Step::Node(self.root())];
         while let Some(step) = stack.pop() {
             match step {
                 Step::Space => out.push(' '),
@@ -381,54 +313,44 @@ impl Cotree {
         out
     }
 
-    /// Post-order listing of all nodes.
+    /// Post-order listing of all nodes: `0..num_nodes()`, the arena's own
+    /// order.
     pub fn postorder(&self) -> Vec<usize> {
-        let mut order = Vec::with_capacity(self.num_nodes());
-        let mut stack = vec![(self.root, false)];
-        while let Some((u, expanded)) = stack.pop() {
-            if expanded {
-                order.push(u);
-            } else {
-                stack.push((u, true));
-                for &c in self.children[u].iter().rev() {
-                    stack.push((c, false));
-                }
-            }
-        }
-        order
+        (0..self.num_nodes()).collect()
     }
 
     /// Height of the cotree (a single leaf has height 0).
     pub fn height(&self) -> usize {
-        let order = self.postorder();
         let mut h = vec![0usize; self.num_nodes()];
-        for &u in &order {
+        for u in 0..self.num_nodes() {
             h[u] = self.children[u]
                 .iter()
                 .map(|&c| h[c] + 1)
                 .max()
                 .unwrap_or(0);
         }
-        h[self.root]
+        h[self.root()]
     }
 }
 
 /// Builds a [`Cotree`] arena in one pass, children before parents.
 ///
-/// This is the post-order layout the combining constructors
-/// ([`Cotree::union_of`] and friends) produce, without their
-/// copy-on-combine cost of `O(n · height)`. [`CotreeBuilder::leaf`] and
-/// [`CotreeBuilder::node`] return the index of the node they add; `node`
-/// adopts already-built subtrees as its ordered children, and the last node
-/// added is the root. The caller upholds the invariants of
-/// [`Cotree::validate`] (no label equal to its parent's, at least two
-/// children per internal node, distinct leaf labels); they are checked in
-/// debug builds.
+/// Nodes are added in post-order, the arena layout every [`Cotree`] has.
+/// Each finished subtree waits on a pending stack until a node adopts it:
+/// [`CotreeBuilder::node`] with `arity` adopts the last `arity` pending
+/// subtrees as its children, in the order they were built, so a node's
+/// arity is all it needs. [`CotreeBuilder::finish`] wants exactly one
+/// pending subtree, the last node added, which becomes the root. The caller
+/// upholds the other invariants of [`Cotree::validate`] (no label equal to
+/// its parent's, at least two children per internal node, distinct leaf
+/// labels); they are checked in debug builds.
 #[derive(Debug, Default)]
 pub struct CotreeBuilder {
     kinds: Vec<CotreeKind>,
     children: Vec<Vec<usize>>,
     parent: Vec<usize>,
+    /// Roots of the finished subtrees no node has adopted yet, oldest first.
+    pending: Vec<usize>,
 }
 
 impl CotreeBuilder {
@@ -438,27 +360,35 @@ impl CotreeBuilder {
     }
 
     /// Adds a leaf carrying vertex `v`.
-    pub fn leaf(&mut self, v: VertexId) -> usize {
-        self.push(CotreeKind::Leaf(v), Vec::new())
+    pub fn leaf(&mut self, v: VertexId) {
+        self.push(CotreeKind::Leaf(v), Vec::new());
     }
 
-    /// Adds an internal node of `kind` over `children`, each the root of a
-    /// subtree built earlier and not yet adopted.
-    pub fn node(&mut self, kind: CotreeKind, children: Vec<usize>) -> usize {
+    /// Adds an internal node of `kind` whose children are the last `arity`
+    /// pending subtrees.
+    ///
+    /// # Panics
+    /// Panics when fewer than `arity` subtrees are pending.
+    pub fn node(&mut self, kind: CotreeKind, arity: usize) {
         debug_assert!(!kind.is_leaf(), "internal nodes are unions or joins");
+        let first = self
+            .pending
+            .len()
+            .checked_sub(arity)
+            .expect("a node adopts only pending subtrees");
+        let children = self.pending.split_off(first);
         let id = self.kinds.len();
         for &c in &children {
-            debug_assert_eq!(self.parent[c], NO_NODE, "node {c} adopted twice");
             self.parent[c] = id;
         }
-        self.push(kind, children)
+        self.push(kind, children);
     }
 
-    fn push(&mut self, kind: CotreeKind, children: Vec<usize>) -> usize {
+    fn push(&mut self, kind: CotreeKind, children: Vec<usize>) {
+        self.pending.push(self.kinds.len());
         self.kinds.push(kind);
         self.children.push(children);
         self.parent.push(NO_NODE);
-        self.kinds.len() - 1
     }
 
     /// The finished cotree, rooted at the last node added. The arena drops
@@ -466,21 +396,27 @@ impl CotreeBuilder {
     /// long (the service's cache holds parsed trees as they are).
     ///
     /// # Panics
-    /// Panics when no node was added.
-    pub fn finish(mut self) -> Cotree {
-        let root = self
-            .kinds
-            .len()
-            .checked_sub(1)
-            .expect("a cotree has a node");
-        debug_assert!(
-            self.parent[..root].iter().all(|&p| p != NO_NODE),
-            "every node but the root has a parent"
-        );
+    /// Panics unless exactly one subtree is pending: no node was added, or
+    /// some subtree was never adopted.
+    pub fn finish(self) -> Cotree {
+        let tree = self.build();
+        debug_assert_eq!(tree.validate(), Ok(()), "builder invariants");
+        tree
+    }
+
+    /// [`CotreeBuilder::finish`] without the debug check, for the labelled
+    /// combining constructors: their parts' labels may clash, which
+    /// [`Cotree::validate`] reports afterwards.
+    fn build(mut self) -> Cotree {
+        assert_eq!(self.pending.len(), 1, "a cotree is one finished subtree");
         self.kinds.shrink_to_fit();
         self.children.shrink_to_fit();
         self.parent.shrink_to_fit();
-        Cotree::from_raw_parts(self.kinds, self.children, self.parent, root)
+        Cotree {
+            kinds: self.kinds,
+            children: self.children,
+            parent: self.parent,
+        }
     }
 }
 
@@ -612,10 +548,11 @@ mod tests {
             Cotree::single(1),
         ]);
         let mut b = CotreeBuilder::new();
-        let (x, y) = (b.leaf(2), b.leaf(0));
-        let join = b.node(CotreeKind::Join, vec![x, y]);
-        let z = b.leaf(1);
-        b.node(CotreeKind::Union, vec![join, z]);
+        b.leaf(2);
+        b.leaf(0);
+        b.node(CotreeKind::Join, 2);
+        b.leaf(1);
+        b.node(CotreeKind::Union, 2);
         assert_eq!(b.finish(), combined);
     }
 
@@ -623,6 +560,88 @@ mod tests {
     fn validate_rejects_duplicate_labels() {
         let t = Cotree::join_of_labelled(vec![Cotree::single(3), Cotree::single(3)]);
         assert!(t.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_arenas_out_of_post_order() {
+        use CotreeKind::{Join, Leaf, Union};
+        let arena =
+            |kinds: Vec<CotreeKind>, children: Vec<Vec<usize>>, parent: Vec<usize>| Cotree {
+                kinds,
+                children,
+                parent,
+            };
+        // (j 0 (u 1 2)) in post-order passes.
+        let good = arena(
+            vec![Leaf(0), Leaf(1), Leaf(2), Union, Join],
+            vec![vec![], vec![], vec![], vec![1, 2], vec![0, 3]],
+            vec![4, 3, 3, 4, NO_NODE],
+        );
+        assert_eq!(good.validate(), Ok(()));
+        assert_eq!(good.to_term(), "(j 0 (u 1 2))");
+        let rejected = [
+            // The same tree in preorder: the root first.
+            arena(
+                vec![Join, Leaf(0), Union, Leaf(1), Leaf(2)],
+                vec![vec![1, 2], vec![], vec![3, 4], vec![], vec![]],
+                vec![NO_NODE, 0, 0, 2, 2],
+            ),
+            // Children listed against id order.
+            arena(
+                vec![Leaf(0), Leaf(1), Leaf(2), Union, Join],
+                vec![vec![], vec![], vec![], vec![2, 1], vec![0, 3]],
+                vec![4, 3, 3, 4, NO_NODE],
+            ),
+            // A subtree that is not an id range: the union's leaves are
+            // split by the join's other child.
+            arena(
+                vec![Leaf(1), Leaf(0), Leaf(2), Union, Join],
+                vec![vec![], vec![], vec![], vec![0, 2], vec![1, 3]],
+                vec![3, 4, 3, 4, NO_NODE],
+            ),
+            // A parent pointer that disagrees with the children lists.
+            arena(
+                vec![Leaf(0), Leaf(1), Leaf(2), Union, Join],
+                vec![vec![], vec![], vec![], vec![1, 2], vec![0, 3]],
+                vec![4, 4, 3, 4, NO_NODE],
+            ),
+            // A node no one adopts, below a root over the rest.
+            arena(
+                vec![Leaf(0), Leaf(1), Leaf(2), Join],
+                vec![vec![], vec![], vec![], vec![1, 2]],
+                vec![NO_NODE, 3, 3, NO_NODE],
+            ),
+        ];
+        for tree in rejected {
+            assert!(tree.validate().is_err(), "{tree:?}");
+        }
+    }
+
+    #[test]
+    fn builder_adopts_the_last_pending_subtrees() {
+        // (u 0 (j 1 2) 3): the join adopts the two leaves built last, the
+        // union everything still pending.
+        let mut b = CotreeBuilder::new();
+        b.leaf(0);
+        b.leaf(1);
+        b.leaf(2);
+        b.node(CotreeKind::Join, 2);
+        b.leaf(3);
+        b.node(CotreeKind::Union, 3);
+        let t = b.finish();
+        assert_eq!(t.validate(), Ok(()));
+        assert_eq!(t.to_term(), "(u 0 (j 1 2) 3)");
+        assert_eq!(t.children(t.root()), &[0, 3, 4]);
+        assert_eq!(t.postorder(), (0..6).collect::<Vec<_>>());
+    }
+
+    #[test]
+    #[should_panic(expected = "one finished subtree")]
+    fn builder_refuses_unadopted_subtrees() {
+        let mut b = CotreeBuilder::new();
+        b.leaf(0);
+        b.leaf(1);
+        b.finish();
     }
 
     #[test]

@@ -46,7 +46,7 @@
 //! not part of the `O(n + m)` accept-path budget).
 
 use super::{InducedP4, RecognitionError};
-use crate::cotree::{Cotree, CotreeKind, NO_NODE};
+use crate::cotree::{Cotree, CotreeBuilder, CotreeKind};
 use pcgraph::{Graph, VertexId};
 
 /// Sentinel for "no slab node" (`u32` indices; `Slab::new` rejects graphs
@@ -539,32 +539,36 @@ impl Slab {
     }
 
     /// Converts the slab into the crate's arena [`Cotree`] in one DFS.
+    ///
+    /// A node's children are listed last slab sibling first: the stack
+    /// pops them in that order, and each child's subtree is built before
+    /// the next child is popped.
     fn to_cotree(&self) -> Cotree {
-        let n = self.hot.len();
-        let mut kinds = Vec::with_capacity(n);
-        let mut children: Vec<Vec<usize>> = Vec::with_capacity(n);
-        let mut parent = Vec::with_capacity(n);
-        let mut stack = vec![(self.root, NO_NODE)];
-        while let Some((node, parent_idx)) = stack.pop() {
+        let mut tree = CotreeBuilder::new();
+        let mut stack = vec![(self.root, false)];
+        while let Some((node, built_children)) = stack.pop() {
             let nu = node as usize;
-            let idx = kinds.len();
-            kinds.push(match self.hot[nu].tag as u8 {
-                LEAF => CotreeKind::Leaf(self.label[nu]),
-                UNION => CotreeKind::Union,
-                _ => CotreeKind::Join,
-            });
-            children.push(Vec::with_capacity(self.hot[nu].child_count as usize));
-            parent.push(parent_idx);
-            if parent_idx != NO_NODE {
-                children[parent_idx].push(idx);
-            }
-            let mut c = self.first_child[nu];
-            while c != NONE {
-                stack.push((c, idx));
-                c = self.next_sibling[c as usize];
+            match self.hot[nu].tag as u8 {
+                LEAF => tree.leaf(self.label[nu]),
+                tag if built_children => {
+                    let kind = if tag == UNION {
+                        CotreeKind::Union
+                    } else {
+                        CotreeKind::Join
+                    };
+                    tree.node(kind, self.hot[nu].child_count as usize);
+                }
+                _ => {
+                    stack.push((node, true));
+                    let mut c = self.first_child[nu];
+                    while c != NONE {
+                        stack.push((c, false));
+                        c = self.next_sibling[c as usize];
+                    }
+                }
             }
         }
-        Cotree::from_raw_parts(kinds, children, parent, 0)
+        tree.finish()
     }
 
     /// Removes the most recently allocated slab node, which must be

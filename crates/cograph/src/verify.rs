@@ -4,12 +4,16 @@
 //! ancestor of their leaves is a 1-node, so a cover can be checked without
 //! materialising the graph, whose edge set is `Θ(n²)` for dense cographs.
 //! [`Cotree::verify_cover`] answers the adjacency of every consecutive pair
-//! of every path in one offline pass (Tarjan's LCA algorithm over an
-//! explicit stack, with a union-find over the cotree nodes), in time
-//! near-linear in the tree plus the cover.
+//! of every path in one offline pass over the post-order arena (Tarjan's
+//! LCA algorithm with the depth-first walk replaced by the arena's own
+//! order, and a union-find with path halving over the cotree nodes), in
+//! time near-linear in the tree plus the cover.
 
 use crate::cotree::{Cotree, CotreeKind, NO_NODE};
 use pcgraph::{CoverReport, PathCover, VertexId};
+
+/// "No node" in the `u32` arrays of the sweep.
+const NIL: u32 = u32::MAX;
 
 impl Cotree {
     /// Verifies that `cover` is a path cover of the cograph and reports
@@ -21,14 +25,14 @@ impl Cotree {
     /// exactly `0..n`.
     pub fn verify_cover(&self, cover: &PathCover) -> CoverReport {
         let n = self.num_vertices();
-        let mut leaf_of = vec![NO_NODE; n];
+        let mut leaf_of = vec![NIL; n];
         for u in 0..self.num_nodes() {
             if let CotreeKind::Leaf(v) = self.kind(u) {
                 assert!(
                     (v as usize) < n,
                     "verify_cover requires vertex labels 0..n, found {v} with n = {n}"
                 );
-                leaf_of[v as usize] = u;
+                leaf_of[v as usize] = u as u32;
             }
         }
         let mut times_covered = vec![0usize; n];
@@ -67,109 +71,59 @@ impl Cotree {
 
     /// Whether each pair is an edge: two distinct vertices of the tree
     /// whose leaves' lowest common ancestor is a 1-node.
-    fn adjacent_pairs(&self, leaf_of: &[usize], pairs: &[(VertexId, VertexId)]) -> Vec<bool> {
+    ///
+    /// One sweep over the nodes in id order. Each pair is filed under its
+    /// later leaf `y`. When the sweep reaches `y`, every earlier node is
+    /// linked to its parent and no later one is, so the first unlinked
+    /// ancestor of the pair's earlier leaf is its first ancestor whose id
+    /// range reaches `y`: the lowest common ancestor.
+    fn adjacent_pairs(&self, leaf_of: &[u32], pairs: &[(VertexId, VertexId)]) -> Vec<bool> {
         let nodes = self.num_nodes();
-        let leaf = |v: VertexId| leaf_of.get(v as usize).copied().unwrap_or(NO_NODE);
-        let query = |&(a, b): &(VertexId, VertexId)| {
+        assert!(
+            nodes < NIL as usize && pairs.len() < NIL as usize,
+            "node ids and pair indices fit in u32"
+        );
+        let leaf = |v: VertexId| leaf_of.get(v as usize).copied().unwrap_or(NIL);
+        // The pairs of two distinct leaves, as (earlier, later) leaf.
+        let ends = |&(a, b): &(VertexId, VertexId)| {
             let (x, y) = (leaf(a), leaf(b));
-            (x != NO_NODE && y != NO_NODE && x != y).then_some((x, y))
+            (x != NIL && y != NIL && x != y).then(|| (x.min(y), x.max(y)))
         };
-        // Each pair is filed under both of its leaves (CSR layout).
-        let mut start = vec![0usize; nodes + 1];
-        for (x, y) in pairs.iter().filter_map(query) {
-            start[x + 1] += 1;
-            start[y + 1] += 1;
+        let mut start = vec![0u32; nodes + 1];
+        for (_, later) in pairs.iter().filter_map(ends) {
+            start[later as usize + 1] += 1;
         }
         for u in 0..nodes {
             start[u + 1] += start[u];
         }
         let mut fill = start.clone();
-        let mut filed = vec![0usize; start[nodes]];
-        for (i, (x, y)) in pairs
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| Some((i, query(p)?)))
-        {
-            for end in [x, y] {
-                filed[fill[end]] = i;
-                fill[end] += 1;
+        // (pair index, earlier leaf), grouped by later leaf.
+        let mut filed = vec![(0u32, 0u32); start[nodes] as usize];
+        for (i, pair) in pairs.iter().enumerate() {
+            if let Some((earlier, later)) = ends(pair) {
+                let slot = &mut fill[later as usize];
+                filed[*slot as usize] = (i as u32, earlier);
+                *slot += 1;
             }
         }
 
-        // Tarjan's offline LCA: when a leaf finishes, every pair whose other
-        // leaf finished earlier has its LCA at the `ancestor` of that
-        // leaf's set.
         let mut adjacent = vec![false; pairs.len()];
-        let mut sets = DisjointSets::new(nodes);
-        let mut ancestor: Vec<usize> = (0..nodes).collect();
-        let mut finished = vec![false; nodes];
-        let mut stack = vec![(self.root(), 0usize)];
-        while let Some(top) = stack.last_mut() {
-            let (u, next) = *top;
-            if let Some(&child) = self.children(u).get(next) {
-                top.1 += 1;
-                stack.push((child, 0));
-                continue;
-            }
-            stack.pop();
-            if self.kind(u).is_leaf() {
-                finished[u] = true;
-                for &i in &filed[start[u]..start[u + 1]] {
-                    let (x, y) = query(&pairs[i]).expect("only valid pairs are filed");
-                    let other = if x == u { y } else { x };
-                    if finished[other] {
-                        let lca = ancestor[sets.find(other)];
-                        adjacent[i] = self.kind(lca) == CotreeKind::Join;
-                    }
+        let mut link: Vec<u32> = (0..nodes as u32).collect();
+        for u in 0..nodes {
+            for &(i, earlier) in &filed[start[u] as usize..start[u + 1] as usize] {
+                let mut x = earlier as usize;
+                while link[x] as usize != x {
+                    link[x] = link[link[x] as usize];
+                    x = link[x] as usize;
                 }
+                adjacent[i as usize] = self.kind(x) == CotreeKind::Join;
             }
-            if let Some(&(parent, _)) = stack.last() {
-                let root = sets.union(parent, u);
-                ancestor[root] = parent;
+            let parent = self.parent(u);
+            if parent != NO_NODE {
+                link[u] = parent as u32;
             }
         }
         adjacent
-    }
-}
-
-/// Union-find with union by rank and path halving.
-struct DisjointSets {
-    parent: Vec<usize>,
-    rank: Vec<u8>,
-}
-
-impl DisjointSets {
-    fn new(len: usize) -> Self {
-        DisjointSets {
-            parent: (0..len).collect(),
-            rank: vec![0; len],
-        }
-    }
-
-    fn find(&mut self, mut x: usize) -> usize {
-        while self.parent[x] != x {
-            self.parent[x] = self.parent[self.parent[x]];
-            x = self.parent[x];
-        }
-        x
-    }
-
-    /// Merges the sets of `a` and `b`; returns the merged set's root.
-    fn union(&mut self, a: usize, b: usize) -> usize {
-        let (a, b) = (self.find(a), self.find(b));
-        if a == b {
-            return a;
-        }
-        let (hi, lo) = if self.rank[a] >= self.rank[b] {
-            (a, b)
-        } else {
-            (b, a)
-        };
-        self.parent[lo] = hi;
-        if self.rank[hi] == self.rank[lo] {
-            self.rank[hi] += 1;
-        }
-        hi
     }
 }
 

@@ -415,4 +415,42 @@ mod tests {
             "balanced, skewed, mixed, union of components"
         );
     }
+
+    #[test]
+    fn recognised_trees_are_pinned_byte_for_byte() {
+        // The recogniser's export fixes each node's child order, and so the
+        // term and the cover; graphs with shuffled vertex ids make it insert
+        // in an order unrelated to the generating tree.
+        use rand::seq::SliceRandom;
+        let mut rng = ChaCha8Rng::seed_from_u64(1808);
+        let mut digests = Vec::new();
+        for shape in CotreeShape::ALL {
+            let mut hash = 0xcbf2_9ce4_8422_2325;
+            for n in [1usize, 2, 3, 9, 40, 300, 700] {
+                let mut ids: Vec<u32> = (0..n as u32).collect();
+                ids.shuffle(&mut rng);
+                let edges: Vec<(u32, u32)> = random_cotree(n, shape, &mut rng)
+                    .to_graph()
+                    .edges()
+                    .map(|(u, v)| (ids[u as usize], ids[v as usize]))
+                    .collect();
+                let graph = pcgraph::Graph::from_edges(n, &edges).expect("a simple graph");
+                let tree = cograph::try_recognize(&graph).expect("a cograph");
+                for byte in tree.to_term().bytes() {
+                    hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+                }
+                digest(&mut hash, &sequential_path_cover(&tree));
+            }
+            digests.push(format!("{hash:#018x}"));
+        }
+        assert_eq!(
+            digests,
+            [
+                "0xd81f5cc5bdd4312e",
+                "0xeee63bd76ab7a5ca",
+                "0xc10a1b4b9763305c"
+            ],
+            "balanced, skewed, mixed"
+        );
+    }
 }

@@ -125,26 +125,18 @@ pub fn canonical_eq(a: &Cotree, b: &Cotree) -> bool {
 /// `with_order`, the nodes in canonical preorder — each node followed by
 /// its children's subtrees in sorted-hash order (empty otherwise).
 ///
-/// One bottom-up sweep hashes every node, sorting its children through one
-/// reused scratch buffer, and notes where each child's subtree starts in
-/// its parent's span of the preorder; one top-down sweep then places every
-/// node at its parent's position plus that offset. Both sweeps follow one
-/// breadth-first listing (read backwards, it puts children before their
-/// parents), which is cheaper to build than a post-order.
+/// One bottom-up sweep over the post-order arena (`0..n`) hashes every
+/// node, sorting its children through one reused scratch buffer, and notes
+/// where each child's subtree starts in its parent's span of the preorder;
+/// one top-down sweep (`(0..n).rev()`, parents before children) then places
+/// every node at its parent's position plus that offset.
 fn canonical_pass(tree: &Cotree, with_order: bool) -> (u64, Box<[u32]>) {
     let n = tree.num_nodes();
-    let mut top_down = Vec::with_capacity(n);
-    top_down.push(tree.root());
-    let mut next = 0;
-    while let Some(&u) = top_down.get(next) {
-        top_down.extend_from_slice(tree.children(u));
-        next += 1;
-    }
     let mut hash = vec![0u64; n];
     let mut size = vec![1u32; n];
     let mut start = vec![0u32; n];
     let mut kids: Vec<(u64, u32)> = Vec::new();
-    for &u in top_down.iter().rev() {
+    for u in 0..n {
         let mut h = Fnv::new();
         match tree.kind(u) {
             CotreeKind::Leaf(v) => {
@@ -172,7 +164,7 @@ fn canonical_pass(tree: &Cotree, with_order: bool) -> (u64, Box<[u32]>) {
         return (key, Box::default());
     }
     let mut order = vec![0u32; n];
-    for &u in &top_down {
+    for u in (0..n).rev() {
         let parent = tree.parent(u);
         if parent != NO_NODE {
             start[u] += start[parent];
@@ -841,27 +833,36 @@ mod tests {
         );
     }
 
-    /// `tree` rebuilt through [`CotreeBuilder`] with every leaf relabelled
-    /// by `label` and, when `rng` is given, every node's children shuffled.
+    /// `tree` rebuilt through [`cograph::CotreeBuilder`] with every leaf
+    /// relabelled by `label` and, when `rng` is given, every node's children
+    /// shuffled. The builder adopts subtrees in the order they were built,
+    /// so the shuffled orders (drawn node by node in id order) are then
+    /// built depth-first.
     fn rebuilt(
         tree: &Cotree,
         label: impl Fn(u32) -> u32,
-        mut rng: Option<&mut rand_chacha::ChaCha8Rng>,
+        rng: Option<&mut rand_chacha::ChaCha8Rng>,
     ) -> Cotree {
         use rand::seq::SliceRandom;
+        let mut kids: Vec<Vec<usize>> = (0..tree.num_nodes())
+            .map(|u| tree.children(u).to_vec())
+            .collect();
+        if let Some(rng) = rng {
+            for order in kids.iter_mut().filter(|order| !order.is_empty()) {
+                order.shuffle(rng);
+            }
+        }
         let mut builder = cograph::CotreeBuilder::new();
-        let mut built = vec![0usize; tree.num_nodes()];
-        for u in tree.postorder() {
-            built[u] = match tree.kind(u) {
+        let mut stack = vec![(tree.root(), false)];
+        while let Some((u, built_children)) = stack.pop() {
+            match tree.kind(u) {
                 CotreeKind::Leaf(v) => builder.leaf(label(v)),
-                kind => {
-                    let mut kids: Vec<usize> = tree.children(u).iter().map(|&c| built[c]).collect();
-                    if let Some(rng) = rng.as_deref_mut() {
-                        kids.shuffle(rng);
-                    }
-                    builder.node(kind, kids)
+                kind if built_children => builder.node(kind, kids[u].len()),
+                _ => {
+                    stack.push((u, true));
+                    stack.extend(kids[u].iter().rev().map(|&c| (c, false)));
                 }
-            };
+            }
         }
         builder.finish()
     }

@@ -403,7 +403,8 @@ impl HttpBody {
     pub fn render(&self) -> String {
         match self {
             HttpBody::Json(json) => {
-                let mut text = json.to_string();
+                let mut text = String::new();
+                json.write(&mut text);
                 text.push('\n');
                 text
             }

@@ -420,25 +420,24 @@ struct Frame {
     /// Byte position of the `(`.
     open_pos: usize,
     kind: CotreeKind,
-    /// Where this node's children start on the shared child stack.
-    base: usize,
+    /// Pending subtrees in the builder that this node will adopt.
+    arity: usize,
     /// Children as written, before same-label nesting is flattened.
     written: usize,
 }
 
 /// Parses a term in one left-to-right pass over an explicit stack, building
-/// the arena directly in the post-order layout of the combining
-/// constructors: a node is added when its `)` closes, after its children.
-/// A node with the same label as its parent is never added — its children
-/// stay on the shared child stack and so become the parent's (the
-/// normalisation [`Cotree::union_of`] performs by copying). Linear in the
-/// text, whatever the nesting depth.
+/// the post-order arena directly: a node is added when its `)` closes,
+/// adopting the subtrees its children left pending in the
+/// [`CotreeBuilder`]. A node with the same label as its parent is never
+/// added — its children stay pending and so become the parent's (the
+/// normalisation [`Cotree::union_of`] performs). Linear in the text,
+/// whatever the nesting depth.
 fn parse_cotree_with<'a>(text: &'a str, mut mode: LeafMode<'a>) -> Result<Cotree, IngestError> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
     let mut tree = CotreeBuilder::new();
     let mut open: Vec<Frame> = Vec::new();
-    let mut kids: Vec<usize> = Vec::new();
     loop {
         skip_ws(bytes, &mut pos);
         let done = match bytes.get(pos) {
@@ -469,7 +468,7 @@ fn parse_cotree_with<'a>(text: &'a str, mut mode: LeafMode<'a>) -> Result<Cotree
                 open.push(Frame {
                     open_pos,
                     kind,
-                    base: kids.len(),
+                    arity: 0,
                     written: 0,
                 });
                 false
@@ -491,12 +490,12 @@ fn parse_cotree_with<'a>(text: &'a str, mut mode: LeafMode<'a>) -> Result<Cotree
                 match open.last_mut() {
                     Some(parent) if parent.kind == frame.kind => {
                         parent.written += 1;
+                        parent.arity += frame.arity;
                         false
                     }
                     _ => {
-                        let children = kids.split_off(frame.base);
-                        let node = tree.node(frame.kind, children);
-                        adopt(&mut open, &mut kids, node)
+                        tree.node(frame.kind, frame.arity);
+                        adopt(&mut open)
                     }
                 }
             }
@@ -509,8 +508,8 @@ fn parse_cotree_with<'a>(text: &'a str, mut mode: LeafMode<'a>) -> Result<Cotree
                 // The token ends at an ASCII byte or the end of the text, so
                 // it is a whole UTF-8 sequence of `text`.
                 let name = &text[start..pos];
-                let node = tree.leaf(mode.resolve(name, start)?);
-                adopt(&mut open, &mut kids, node)
+                tree.leaf(mode.resolve(name, start)?);
+                adopt(&mut open)
             }
         };
         if done {
@@ -527,13 +526,13 @@ fn parse_cotree_with<'a>(text: &'a str, mut mode: LeafMode<'a>) -> Result<Cotree
     Ok(tree.finish())
 }
 
-/// Hands a finished subtree to the innermost open node; `true` when there
-/// is none, i.e. the subtree is the whole term.
-fn adopt(open: &mut [Frame], kids: &mut Vec<usize>, node: usize) -> bool {
+/// Hands the subtree just finished to the innermost open node; `true` when
+/// there is none, i.e. the subtree is the whole term.
+fn adopt(open: &mut [Frame]) -> bool {
     match open.last_mut() {
         Some(parent) => {
             parent.written += 1;
-            kids.push(node);
+            parent.arity += 1;
             false
         }
         None => true,

@@ -6,6 +6,11 @@
 //! that — a [`Json`] value tree, a strict recursive-descent parser and a
 //! printer with proper string escaping. Object key order is preserved.
 //!
+//! The printer ([`Json::write`], which `Display` delegates to) appends to
+//! one `String`: integers through a digit loop, strings as runs between
+//! escapes, with no formatting machinery per value. The parser copies each
+//! run of unescaped string bytes at once.
+//!
 //! The parser refuses documents nested deeper than [`MAX_DEPTH`] with a
 //! typed [`JsonErrorKind::TooDeep`] error, so a hostile body of nested
 //! brackets costs one bounded pass instead of exhausting the stack of the
@@ -91,6 +96,7 @@ impl Json {
     /// Parses one JSON document from `text` (trailing whitespace allowed).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -102,61 +108,97 @@ impl Json {
         }
         Ok(value)
     }
+
+    /// Appends the compact JSON text of this value to `out` (the text
+    /// `to_string` gives).
+    pub fn write(&self, out: &mut String) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(x) if x.fract() == 0.0 && x.abs() < 2f64.powi(53) => {
+                write_integer(out, *x as i64)
+            }
+            // Rare (ratios and means): the shortest round-trip form.
+            Json::Num(x) => out.push_str(&x.to_string()),
+            Json::Str(s) => write_escaped(out, s),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    item.write(out);
+                }
+                out.push(']');
+            }
+            Json::Obj(fields) => {
+                out.push('{');
+                for (i, (k, v)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_escaped(out, k);
+                    out.push(':');
+                    v.write(out);
+                }
+                out.push('}');
+            }
+        }
+    }
 }
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(x) => {
-                if x.fract() == 0.0 && x.abs() < 2f64.powi(53) {
-                    write!(f, "{}", *x as i64)
-                } else {
-                    write!(f, "{x}")
-                }
-            }
-            Json::Str(s) => write_escaped(f, s),
-            Json::Arr(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{item}")?;
-                }
-                f.write_str("]")
-            }
-            Json::Obj(fields) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write_escaped(f, k)?;
-                    f.write_str(":")?;
-                    write!(f, "{v}")?;
-                }
-                f.write_str("}")
-            }
-        }
+        let mut out = String::new();
+        self.write(&mut out);
+        f.write_str(&out)
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+fn write_integer(out: &mut String, value: i64) {
+    if value < 0 {
+        out.push('-');
+    }
+    let mut rest = value.unsigned_abs();
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
         }
     }
-    f.write_str("\"")
+    out.extend(digits[at..].iter().map(|&d| d as char));
+}
+
+fn write_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    let mut run = 0;
+    let mut control = *b"\\u00__";
+    for (i, byte) in s.bytes().enumerate() {
+        let escape = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => {
+                control[4] = HEX[usize::from(byte >> 4)];
+                control[5] = HEX[usize::from(byte & 0xf)];
+                std::str::from_utf8(&control).expect("ASCII")
+            }
+            _ => continue,
+        };
+        // Escapes sit at ASCII bytes, so every run is a whole UTF-8 slice.
+        out.push_str(&s[run..i]);
+        out.push_str(escape);
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 /// A parse error with the byte offset it occurred at.
@@ -199,6 +241,7 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -268,20 +311,31 @@ impl<'a> Parser<'a> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii slice");
-        text.parse::<f64>().map(Json::Num).map_err(|_| JsonError {
-            pos: start,
-            message: format!("invalid number '{text}'"),
-            kind: JsonErrorKind::Syntax,
-        })
+        let text = &self.text[start..self.pos];
+        // JSON has no infinities: a literal past `f64::MAX` is refused, or it
+        // would print back as `inf`.
+        match text.parse::<f64>() {
+            Ok(x) if x.is_finite() => Ok(Json::Num(x)),
+            _ => Err(JsonError {
+                pos: start,
+                message: format!("invalid number '{text}'"),
+                kind: JsonErrorKind::Syntax,
+            }),
+        }
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let rest = &self.bytes[self.pos..];
-            let Some(&c) = rest.first() else {
+            // A run of bytes that need no decoding ends at an ASCII byte or
+            // the end of the text, so it is a whole UTF-8 slice of `text`.
+            let run = self.pos;
+            while matches!(self.peek(), Some(c) if c >= 0x20 && c != b'"' && c != b'\\') {
+                self.pos += 1;
+            }
+            out.push_str(&self.text[run..self.pos]);
+            let Some(c) = self.peek() else {
                 return Err(self.err("unterminated string"));
             };
             self.pos += 1;
@@ -320,22 +374,7 @@ impl<'a> Parser<'a> {
                         }
                     }
                 }
-                c if c < 0x20 => return Err(self.err("raw control character in string")),
-                c if c < 0x80 => out.push(c as char),
-                _ => {
-                    // Multi-byte UTF-8: re-decode from the byte stream.
-                    let start = self.pos - 1;
-                    let width = utf8_width(c);
-                    let end = start + width;
-                    let slice = self
-                        .bytes
-                        .get(start..end)
-                        .ok_or_else(|| self.err("truncated UTF-8 sequence"))?;
-                    let s = std::str::from_utf8(slice)
-                        .map_err(|_| self.err("invalid UTF-8 sequence"))?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
+                _ => return Err(self.err("raw control character in string")),
             }
         }
     }
@@ -389,14 +428,6 @@ impl<'a> Parser<'a> {
                 _ => return Err(self.err("expected ',' or '}'")),
             }
         }
-    }
-}
-
-fn utf8_width(first: u8) -> usize {
-    match first {
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
     }
 }
 
@@ -466,6 +497,52 @@ mod tests {
             JsonErrorKind::TooDeep
         );
         assert_eq!(Json::parse("[1,").unwrap_err().code(), "bad_json");
+    }
+
+    #[test]
+    fn numbers_past_the_f64_range_are_refused() {
+        let err = Json::parse("[1, 1e999]").unwrap_err();
+        assert_eq!(
+            (err.pos, err.message.as_str()),
+            (4, "invalid number '1e999'")
+        );
+        assert!(Json::parse("-1e999").is_err());
+        assert_eq!(Json::parse("1e308").unwrap(), Json::Num(1e308));
+    }
+
+    #[test]
+    fn printer_output_is_byte_identical_to_the_formatter_it_replaced() {
+        let value = Json::obj(vec![
+            (
+                "ints",
+                Json::Arr(
+                    [0.0, -0.0, 7.0, -42.0, 9007199254740991.0]
+                        .map(Json::Num)
+                        .to_vec(),
+                ),
+            ),
+            (
+                "floats",
+                Json::Arr(
+                    [0.5, -2.25, 1e21, 9007199254740992.0]
+                        .map(Json::Num)
+                        .to_vec(),
+                ),
+            ),
+            ("text", Json::str("a\"b\\c\nd\re\tf\u{1}\u{1f}\u{7f}é✓")),
+            (
+                "nested",
+                Json::obj(vec![("k\n", Json::Null), ("t", Json::Bool(true))]),
+            ),
+        ]);
+        let expected = concat!(
+            r#"{"ints":[0,0,7,-42,9007199254740991],"#,
+            r#""floats":[0.5,-2.25,1000000000000000000000,9007199254740992],"#,
+            r#""text":"a\"b\\c\nd\re\tf\u0001\u001f"#,
+            "\u{7f}é✓\",",
+            r#""nested":{"k\n":null,"t":true}}"#,
+        );
+        assert_eq!(value.to_string(), expected);
     }
 
     #[test]

@@ -201,7 +201,8 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &Json) -> io::Result<()> {
 /// [`crate::v2`] envelope). The dialect is chosen per frame, not per
 /// connection — the server replies in whichever dialect each request used.
 pub fn write_frame_v<W: Write>(w: &mut W, payload: &Json, version: u64) -> io::Result<()> {
-    let body = payload.to_string();
+    let mut body = String::new();
+    payload.write(&mut body);
     if body.len() > MAX_FRAME_LEN {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,

@@ -221,8 +221,8 @@ fn hello_advertises_both_supported_versions() {
     let daemon = Daemon::bind(DaemonConfig::new(&socket)).expect("bind");
     let server = std::thread::spawn(move || daemon.run());
 
-    // Raw handshake, because the framed client::Client swallows the hello
-    // reply after checking only the legacy `proto` field.
+    // Raw handshake: `client::Client::framed` checks only the hello
+    // reply's legacy `proto` field and does not hand the reply on.
     let stream = std::os::unix::net::UnixStream::connect(&socket).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut stream = stream;
