@@ -1,10 +1,10 @@
 //! `pathcover-cli` — command-line front-end of the `pcservice` query engine.
 //!
 //! ```text
-//! pathcover-cli solve <graph|-> [--format F] [--query KIND] [--json] [--no-verify] [--remote SOCK | --remote-http ADDR]
+//! pathcover-cli solve <graph|-> [--format F] [--query KIND] [--json] [--remote SOCK | --remote-http ADDR]
 //! pathcover-cli recognize <graph|-> [--format F] [--json] [--remote SOCK | --remote-http ADDR]
 //! pathcover-cli batch <graph|-|none> <queries.jsonl|-> [--threads N] [--format F] [--human] [--remote SOCK | --remote-http ADDR]
-//! pathcover-cli serve [--socket SOCK] [--http ADDR] [--snapshot PATH [--checkpoint-secs N]] [--threads N] [--cache-capacity N] [--cache-shards N] [--idle-timeout-ms MS] [--slow-ms MS] [--no-verify]
+//! pathcover-cli serve [--socket SOCK] [--http ADDR] [--snapshot PATH [--checkpoint-secs N]] [--threads N] [--cache-capacity N] [--cache-shards N] [--idle-timeout-ms MS] [--slow-ms MS]
 //! pathcover-cli stats (--remote SOCK | --remote-http ADDR) [--json]
 //! pathcover-cli metrics (--remote SOCK | --remote-http ADDR) [--json]
 //! pathcover-cli snapshot save (--remote SOCK | --remote-http ADDR)
@@ -36,9 +36,31 @@ use pcservice::{
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::io::Read;
+use std::io::{Read, Write};
 use std::process::ExitCode;
 use std::time::Instant;
+
+/// `println!` for the CLI's output, through [`stdout_written`]: a reader
+/// that closes stdout ends the process quietly instead of in a panic.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        stdout_written(writeln!(std::io::stdout(), $($arg)*))
+    };
+}
+
+/// Ends the process when a write to stdout failed: quietly with exit code
+/// 141 when its reader has gone (a broken pipe, as in `| head`), which is
+/// what a shell reports for a process killed by `SIGPIPE`; with a message
+/// and exit code 2 on any other failure.
+fn stdout_written(written: std::io::Result<()>) {
+    if let Err(error) = written {
+        if error.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("error: writing stdout: {error}");
+            std::process::exit(2);
+        }
+        std::process::exit(141);
+    }
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -59,7 +81,7 @@ fn main() -> ExitCode {
         "trace" => cmd_trace(rest),
         "shutdown" => cmd_shutdown(rest),
         "--help" | "-h" | "help" => {
-            println!("{USAGE}");
+            out!("{USAGE}");
             Ok(ExitCode::SUCCESS)
         }
         other => Err(format!("unknown command '{other}'\n{USAGE}")),
@@ -76,14 +98,14 @@ fn main() -> ExitCode {
 const USAGE: &str = "pathcover-cli — batched minimum path cover queries on cographs
 
 USAGE:
-    pathcover-cli solve <graph|-> [--format F] [--query KIND] [--json] [--no-verify]
+    pathcover-cli solve <graph|-> [--format F] [--query KIND] [--json]
                         [--remote SOCK | --remote-http ADDR]
     pathcover-cli recognize <graph|-> [--format F] [--json] [--remote SOCK | --remote-http ADDR]
     pathcover-cli batch <graph|-|none> <queries.jsonl|-> [--threads N] [--format F] [--human]
                         [--remote SOCK | --remote-http ADDR]
     pathcover-cli serve [--socket SOCK] [--http ADDR] [--snapshot PATH [--checkpoint-secs N]]
                         [--threads N] [--cache-capacity N] [--cache-shards N]
-                        [--idle-timeout-ms MS] [--slow-ms MS] [--no-verify]
+                        [--idle-timeout-ms MS] [--slow-ms MS]
                         [--max-inflight N] [--max-connections N] [--max-requests-per-conn N]
                         [--drain-timeout-ms MS] [--fault-spec SPEC] [--log-level LEVEL]
     pathcover-cli stats (--remote SOCK | --remote-http ADDR) [--json]
@@ -123,7 +145,7 @@ SERVING:
     Lemma 2.3 solver and are verified before they are returned: against the
     request's graph when it arrived as one, otherwise on the cotree (every
     consecutive pair's lowest common ancestor must be a join), and against
-    the minimum path count. '--no-verify' skips the check.
+    the minimum path count.
 
 RESILIENCE:
     '--max-inflight N' caps concurrently executing work requests (excess is
@@ -177,7 +199,12 @@ SESSIONS (v2 API):
     re-run); 'add-edges'/'remove-edge' mutate existing vertices; 'query' runs
     any QUERY KIND against the resident cotree; 'drop' releases the handle.
     A mutation that would leave a non-cograph is rejected with its induced-P4
-    witness and the session stays at the last good state.";
+    witness and the session stays at the last good state.
+
+EXIT CODES:
+    0 success; 1 a failed solve or any failed batch job; 2 a usage or other
+    error; 141 when the reader closes stdout early (as in '| head'): the
+    command ends quietly, with the code a shell reports for SIGPIPE.";
 
 /// Pull the value of `--flag VALUE` out of `args`, if present.
 fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
@@ -246,7 +273,6 @@ fn cmd_solve(args: &[String], recognize_mode: bool) -> Result<ExitCode, String> 
     let query = take_flag(&mut args, "--query")?;
     let remote = take_remote(&mut args)?;
     let json = take_switch(&mut args, "--json");
-    let no_verify = take_switch(&mut args, "--no-verify");
     let [graph_path] = args.as_slice() else {
         return Err(format!("expected exactly one <graph> argument\n{USAGE}"));
     };
@@ -267,25 +293,18 @@ fn cmd_solve(args: &[String], recognize_mode: bool) -> Result<ExitCode, String> 
     let request = QueryRequest::new(kind, spec);
     let response_json = match remote {
         Some(target) => {
-            if no_verify {
-                return Err("--no-verify is a server-side setting; configure it on 'serve'".into());
-            }
             let mut client = target.connect()?;
             client
                 .solve(&request)
                 .map_err(|e| format!("remote solve: {e}"))?
         }
-        None => {
-            let engine = QueryEngine::new(EngineConfig {
-                verify_covers: !no_verify,
-                ..EngineConfig::default()
-            });
-            engine.execute(&request).to_json()
-        }
+        None => QueryEngine::new(EngineConfig::default())
+            .execute(&request)
+            .to_json(),
     };
     let failed = response_json.get("ok").and_then(Json::as_bool) != Some(true);
     if json {
-        println!("{response_json}");
+        out!("{response_json}");
     } else {
         print_human_json(&response_json);
     }
@@ -324,7 +343,7 @@ fn print_human_json(response: &Json) {
             .and_then(|e| e.get("message"))
             .and_then(Json::as_str)
             .unwrap_or("(no message)");
-        println!("error [{code}]: {message}");
+        out!("error [{code}]: {message}");
         // A not_a_cograph rejection carries its induced-P4 certificate; show
         // it on its own line so scripts scraping human output can grab it.
         if let Some(Json::Arr(p4)) = response.get("error").and_then(|e| e.get("p4")) {
@@ -333,61 +352,61 @@ fn print_human_json(response: &Json) {
                 .map(Json::to_string)
                 .collect::<Vec<_>>()
                 .join(" - ");
-            println!("  induced P4: {path}");
+            out!("  induced P4: {path}");
         }
     } else if let Some(answer) = response.get("answer") {
         let flag = |field: &str| answer.get(field).and_then(Json::as_bool) == Some(true);
         match kind {
             "min_cover_size" => {
                 let size = answer.get("size").and_then(Json::as_u64).unwrap_or(0);
-                println!("minimum path cover size: {size}");
+                out!("minimum path cover size: {size}");
             }
             "full_cover" => {
                 let size = answer.get("size").and_then(Json::as_u64).unwrap_or(0);
                 let verified = if flag("verified") { " (verified)" } else { "" };
-                println!("minimum path cover: {size} path(s){verified}");
+                out!("minimum path cover: {size} path(s){verified}");
                 if let Some(Json::Arr(paths)) = answer.get("paths") {
                     for (i, path) in paths.iter().enumerate() {
-                        println!("  path {}: {}", i + 1, render_path(path));
+                        out!("  path {}: {}", i + 1, render_path(path));
                     }
                 }
             }
             "hamiltonian_path" => {
-                println!(
+                out!(
                     "hamiltonian path: {}",
                     if flag("exists") { "yes" } else { "no" }
                 );
                 if let Some(Json::Arr(paths)) = answer.get("path") {
                     for path in paths {
-                        println!("  witness: {}", render_path(path));
+                        out!("  witness: {}", render_path(path));
                     }
                 }
             }
             "hamiltonian_cycle" => {
-                println!(
+                out!(
                     "hamiltonian cycle: {}",
                     if flag("exists") { "yes" } else { "no" }
                 );
             }
             "recognize" => {
                 let num = |field: &str| answer.get(field).and_then(Json::as_u64).unwrap_or(0);
-                println!("cograph: yes ({} vertices, {} edges)", num("n"), num("m"));
-                println!(
+                out!("cograph: yes ({} vertices, {} edges)", num("n"), num("m"));
+                out!(
                     "  cotree: {} nodes, height {}",
                     num("cotree_nodes"),
                     num("height")
                 );
-                println!(
+                out!(
                     "  term: {}",
                     answer.get("term").and_then(Json::as_str).unwrap_or("?")
                 );
             }
-            other => println!("{other}: {answer}"),
+            other => out!("{other}: {answer}"),
         }
     }
     if let Some(meta) = response.get("meta") {
         let num = |field: &str| meta.get(field).and_then(Json::as_u64).unwrap_or(0);
-        println!(
+        out!(
             "  [{} us solve, {} us total, cache {}{}]",
             num("solve_us"),
             num("total_us"),
@@ -513,10 +532,10 @@ fn cmd_batch(args: &[String]) -> Result<ExitCode, String> {
                 .and_then(Json::as_str)
                 .map(str::to_string)
                 .unwrap_or_else(|| format!("line {line}"));
-            print!("[{id}] ");
+            stdout_written(write!(std::io::stdout(), "[{id}] "));
             print_human_json(response);
         } else {
-            println!("{response}");
+            out!("{response}");
         }
     }
     eprintln!(
@@ -658,7 +677,7 @@ fn cmd_snapshot(args: &[String]) -> Result<ExitCode, String> {
             let report = pcservice::snapshot::inspect(std::path::Path::new(path))
                 .map_err(|e| format!("{path}: {e}"))?;
             if json {
-                println!(
+                out!(
                     "{}",
                     Json::obj(vec![
                         ("version", Json::num(report.version)),
@@ -671,7 +690,7 @@ fn cmd_snapshot(args: &[String]) -> Result<ExitCode, String> {
                     ])
                 );
             } else {
-                println!(
+                out!(
                     "{path}: pcsnap{} — {} entries ({} graph links, {} with memoised answers), \
                      {} vertices total, {} bytes",
                     report.version,
@@ -681,7 +700,7 @@ fn cmd_snapshot(args: &[String]) -> Result<ExitCode, String> {
                     report.total_vertices,
                     report.bytes
                 );
-                println!(
+                out!(
                     "  integrity: checksum ok, all canonical keys verified, \
                      {} entries re-solved and matched",
                     report.scalar_checked
@@ -730,7 +749,7 @@ fn print_session_state(result: &Json) {
         .and_then(Json::as_u64)
         .map(|v| format!(", new vertex {v}"))
         .unwrap_or_default();
-    println!(
+    out!(
         "session {}: {} vertices, {} edges (mutation #{}, cotree {}{new_vertex})",
         result.get("handle").and_then(Json::as_str).unwrap_or("?"),
         num("vertices"),
@@ -866,12 +885,12 @@ fn cmd_session(args: &[String]) -> Result<ExitCode, String> {
         .query_v2(&envelope)
         .map_err(|e| format!("remote session {action}: {e}"))?;
     if json {
-        println!("{reply}");
+        out!("{reply}");
     } else if reply.get("ok").and_then(Json::as_bool) != Some(true) {
         // Operation-level failure: print the typed error (and, for a
         // rejected insertion, its induced-P4 certificate) like solve does.
         let error = reply.get("error").cloned().unwrap_or(Json::Null);
-        println!(
+        out!(
             "error [{}]: {}",
             error
                 .get("code")
@@ -888,13 +907,13 @@ fn cmd_session(args: &[String]) -> Result<ExitCode, String> {
                 .map(Json::to_string)
                 .collect::<Vec<_>>()
                 .join(" - ");
-            println!("  induced P4: {path}");
+            out!("  induced P4: {path}");
         }
     } else {
         let result = reply.get("result").cloned().unwrap_or(Json::Null);
         match action.as_str() {
             "query" => print_human_json(&result),
-            "drop" => println!(
+            "drop" => out!(
                 "session {} dropped",
                 result.get("handle").and_then(Json::as_str).unwrap_or("?")
             ),
@@ -957,7 +976,6 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
             ),
             None => None,
         };
-        let no_verify = take_switch(&mut args, "--no-verify");
         let max_inflight = take_num_flag(&mut args, "--max-inflight", 0)?;
         let max_connections = take_num_flag(&mut args, "--max-connections", 0)?;
         let max_requests_per_conn = take_num_flag(&mut args, "--max-requests-per-conn", 0)?;
@@ -995,7 +1013,6 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
             faults,
             engine: EngineConfig {
                 threads,
-                verify_covers: !no_verify,
                 cache_capacity,
                 cache_shards,
                 slow_log_micros: slow_ms.map(|ms| ms.saturating_mul(1000)),
@@ -1062,11 +1079,11 @@ fn cmd_stats(args: &[String]) -> Result<ExitCode, String> {
     let mut client = remote.connect()?;
     let stats = client.stats().map_err(|e| format!("remote stats: {e}"))?;
     if json {
-        println!("{stats}");
+        out!("{stats}");
         return Ok(ExitCode::SUCCESS);
     }
     let num = |field: &str| stats.get(field).and_then(Json::as_u64).unwrap_or(0);
-    println!(
+    out!(
         "cache: {} hits, {} misses, {} evictions, {} resident across {} shards",
         num("hits"),
         num("misses"),
@@ -1075,14 +1092,14 @@ fn cmd_stats(args: &[String]) -> Result<ExitCode, String> {
         num("shards"),
     );
     if let Some(Json::Num(rate)) = stats.get("hit_rate") {
-        println!("hit rate: {:.1}%", rate * 100.0);
+        out!("hit rate: {:.1}%", rate * 100.0);
     }
-    println!("uptime: {} s", num("uptime_secs"));
+    out!("uptime: {} s", num("uptime_secs"));
     match stats.get("snapshot") {
-        None | Some(Json::Null) => println!("snapshot: not configured"),
+        None | Some(Json::Null) => out!("snapshot: not configured"),
         Some(snapshot) => {
             let snum = |field: &str| snapshot.get(field).and_then(Json::as_u64);
-            println!(
+            out!(
                 "snapshot: {} — {} entries loaded at start, last checkpoint {}",
                 snapshot.get("path").and_then(Json::as_str).unwrap_or("?"),
                 snum("loaded_entries").unwrap_or(0),
@@ -1109,7 +1126,7 @@ fn cmd_stats(args: &[String]) -> Result<ExitCode, String> {
                     }
                 }
             };
-            println!(
+            out!(
                 "  shard {i}: {} hits, {} misses, {} evictions, {} resident, {:.1}% hit rate",
                 num("hits"),
                 num("misses"),
@@ -1127,10 +1144,10 @@ fn cmd_stats(args: &[String]) -> Result<ExitCode, String> {
 fn render_latency_summary(label: &str, summary: &Json) {
     let num = |field: &str| summary.get(field).and_then(Json::as_u64).unwrap_or(0);
     if num("count") == 0 {
-        println!("  {label}: no samples");
+        out!("  {label}: no samples");
         return;
     }
-    println!(
+    out!(
         "  {label}: {} samples, mean {} us, p50 {} us, p90 {} us, p99 {} us",
         num("count"),
         num("mean_us"),
@@ -1153,11 +1170,11 @@ fn cmd_metrics(args: &[String]) -> Result<ExitCode, String> {
         .metrics()
         .map_err(|e| format!("remote metrics: {e}"))?;
     if json {
-        println!("{metrics}");
+        out!("{metrics}");
         return Ok(ExitCode::SUCCESS);
     }
     let num = |field: &str| metrics.get(field).and_then(Json::as_u64).unwrap_or(0);
-    println!(
+    out!(
         "requests: {} total, uptime {} s",
         num("requests_total"),
         num("uptime_secs")
@@ -1177,33 +1194,33 @@ fn cmd_metrics(args: &[String]) -> Result<ExitCode, String> {
                 })
                 .collect();
             if !rendered.is_empty() {
-                println!("  {kind}: {}", rendered.join(", "));
+                out!("  {kind}: {}", rendered.join(", "));
             }
         }
     }
-    println!("pipeline stages:");
+    out!("pipeline stages:");
     if let Some(Json::Obj(stages)) = metrics.get("stages") {
         for (stage, summary) in stages {
             render_latency_summary(stage, summary);
         }
     }
-    println!("request latency by kind:");
+    out!("request latency by kind:");
     if let Some(Json::Obj(kinds)) = metrics.get("request_latency_by_kind") {
         for (kind, summary) in kinds {
             render_latency_summary(kind, summary);
         }
     }
-    println!("request latency by outcome:");
+    out!("request latency by outcome:");
     if let Some(Json::Obj(outcomes)) = metrics.get("request_latency_by_outcome") {
         for (outcome, summary) in outcomes {
             render_latency_summary(outcome, summary);
         }
     }
-    println!("connections:");
+    out!("connections:");
     if let Some(Json::Obj(transports)) = metrics.get("connections") {
         for (transport, gauges) in transports {
             let num = |field: &str| gauges.get(field).and_then(Json::as_u64).unwrap_or(0);
-            println!(
+            out!(
                 "  {transport}: {} accepted, {} active, {} idle timeouts, {} oversize rejects",
                 num("accepted"),
                 num("active"),
@@ -1219,7 +1236,7 @@ fn cmd_metrics(args: &[String]) -> Result<ExitCode, String> {
             .and_then(|c| c.get("count"))
             .and_then(Json::as_u64)
             .unwrap_or(0);
-        println!(
+        out!(
             "snapshot: {} checkpoints, {} failures, last success {}",
             checkpoints,
             num("failures"),
@@ -1231,7 +1248,7 @@ fn cmd_metrics(args: &[String]) -> Result<ExitCode, String> {
     }
     if let Some(cache) = metrics.get("cache") {
         let num = |field: &str| cache.get(field).and_then(Json::as_u64).unwrap_or(0);
-        println!(
+        out!(
             "cache: {} hits, {} misses, {} evictions, {} resident",
             num("hits"),
             num("misses"),
@@ -1241,7 +1258,7 @@ fn cmd_metrics(args: &[String]) -> Result<ExitCode, String> {
     }
     if let Some(version) = metrics.get("version") {
         let field = |name: &str| version.get(name).and_then(Json::as_str).unwrap_or("?");
-        println!(
+        out!(
             "server: {} (proto {}, snapshot {})",
             field("server"),
             field("proto"),
@@ -1255,7 +1272,7 @@ fn cmd_metrics(args: &[String]) -> Result<ExitCode, String> {
 fn print_trace_summary(summary: &Json) {
     let text = |field: &str| summary.get(field).and_then(Json::as_str).unwrap_or("?");
     let num = |field: &str| summary.get(field).and_then(Json::as_u64).unwrap_or(0);
-    println!(
+    out!(
         "{}  {}  {}  {} us  {} spans{}",
         text("trace_id"),
         text("kind"),
@@ -1291,15 +1308,14 @@ fn cmd_trace(args: &[String]) -> Result<ExitCode, String> {
                 .trace(None, false)
                 .map_err(|e| format!("remote trace: {e}"))?;
             if json {
-                println!("{index}");
+                out!("{index}");
                 return Ok(ExitCode::SUCCESS);
             }
             let num = |field: &str| index.get(field).and_then(Json::as_u64).unwrap_or(0);
-            println!(
-                "flight recorder: {} retained (capacity {}), {} sampled out, {} evicted",
+            out!(
+                "flight recorder: {} retained (capacity {}), {} evicted",
                 num("retained"),
                 num("capacity"),
-                num("sampled_out"),
                 num("evicted"),
             );
             if let Some(Json::Arr(traces)) = index.get("traces") {
@@ -1323,12 +1339,12 @@ fn cmd_trace(args: &[String]) -> Result<ExitCode, String> {
                 // --chrome prints the Chrome trace-event export verbatim
                 // (redirect to a file and load it in chrome://tracing or
                 // Perfetto); --json prints the native trace object.
-                println!("{trace}");
+                out!("{trace}");
                 return Ok(ExitCode::SUCCESS);
             }
             let text = |field: &str| trace.get(field).and_then(Json::as_str).unwrap_or("?");
             let num = |field: &str| trace.get(field).and_then(Json::as_u64).unwrap_or(0);
-            println!(
+            out!(
                 "trace {} — {} {} in {} us{}",
                 text("trace_id"),
                 text("kind"),
@@ -1353,7 +1369,7 @@ fn cmd_trace(args: &[String]) -> Result<ExitCode, String> {
                             .collect::<String>(),
                         _ => String::new(),
                     };
-                    println!(
+                    out!(
                         "  {:>9} us  +{:<9} {}{detail}",
                         at("start_us"),
                         at("dur_us"),
@@ -1470,7 +1486,7 @@ fn cmd_bench(args: &[String]) -> Result<ExitCode, String> {
         .collect();
     eprintln!("threads {threads:?} resolve to {resolved:?} (0 = available parallelism)");
     let mut json_lines = Vec::new();
-    println!("batch-size  threads  queries/sec  ms/batch  cache-hit%");
+    out!("batch-size  threads  queries/sec  ms/batch  cache-hit%");
     for &batch in &batches {
         let requests: Vec<QueryRequest> = (0..batch)
             .map(|i| {
@@ -1495,7 +1511,7 @@ fn cmd_bench(args: &[String]) -> Result<ExitCode, String> {
             let stats = engine.cache_stats();
             let qps = batch as f64 / elapsed.as_secs_f64();
             let hit_pct = 100.0 * stats.hits as f64 / (stats.hits + stats.misses).max(1) as f64;
-            println!(
+            out!(
                 "{batch:>10}  {t:>7}  {qps:>11.0}  {:>8.3}  {hit_pct:>9.1}",
                 elapsed.as_secs_f64() * 1e3
             );

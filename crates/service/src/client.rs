@@ -605,7 +605,9 @@ mod tests {
         let server = std::thread::spawn(move || {
             let engine = QueryEngine::default();
             let (conn, _) = listener.accept().expect("accept");
-            http::serve_conn(conn, &engine, &crate::daemon::ShutdownSignal::new());
+            let shutdown = crate::daemon::ShutdownSignal::new();
+            let limits = crate::daemon::Limits::default();
+            crate::daemon::serve_conn::<http::HttpWire, _>(conn, &engine, &shutdown, &limits);
         });
         let stream = connect_tcp(&addr.to_string()).expect("connect");
         assert!(stream.nodelay().expect("socket option"));
@@ -623,13 +625,16 @@ mod tests {
     ) -> (Client, std::thread::JoinHandle<()>) {
         let engine = Arc::clone(engine);
         let shutdown = crate::daemon::ShutdownSignal::new();
-        let faults = crate::faults::Faults::default();
+        let limits = crate::daemon::Limits {
+            request_budget: budget,
+            ..crate::daemon::Limits::default()
+        };
         match dialect {
             Dialect::Framed => {
                 let (ours, theirs) = std::os::unix::net::UnixStream::pair().expect("pair");
                 let server = std::thread::spawn(move || {
-                    crate::daemon::serve_proto_conn_opts(
-                        theirs, &engine, &shutdown, &faults, budget,
+                    crate::daemon::serve_conn::<crate::daemon::Framed, _>(
+                        theirs, &engine, &shutdown, &limits,
                     )
                 });
                 (Client::framed(ours).expect("handshake"), server)
@@ -639,7 +644,9 @@ mod tests {
                 let addr = listener.local_addr().unwrap().to_string();
                 let server = std::thread::spawn(move || {
                     let (conn, _) = listener.accept().expect("accept");
-                    http::serve_conn_opts(conn, &engine, &shutdown, &faults, budget)
+                    crate::daemon::serve_conn::<http::HttpWire, _>(
+                        conn, &engine, &shutdown, &limits,
+                    )
                 });
                 (Client::connect(&addr).expect("handshake"), server)
             }
@@ -696,14 +703,18 @@ mod tests {
             drop(client);
             server.join().expect("server thread");
 
-            // Budget shed: the handshake spends a budget of one.
+            // Budget shed: the handshake spends a budget of one. The shed
+            // carries the envelope's own trace id, as a served reply would.
             let engine = Arc::new(QueryEngine::default());
             let (mut client, server) = served(dialect, &engine, 1);
-            let reply = client.query_v2(&envelope("min_cover_size", None));
-            assert_shed(
-                reply.expect("in-band shed"),
-                &format!("budget, {dialect:?}"),
+            let reply = client.query_v2(&envelope("min_cover_size", Some("body-id-7")));
+            let reply = reply.expect("in-band shed");
+            assert_eq!(
+                reply.get("trace_id").and_then(Json::as_str),
+                Some("body-id-7"),
+                "budget, {dialect:?}: {reply}"
             );
+            assert_shed(reply, &format!("budget, {dialect:?}"));
             drop(client);
             server.join().expect("server thread");
         }

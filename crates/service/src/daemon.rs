@@ -20,11 +20,17 @@
 //!   stream), implemented for unix and TCP sockets, so the accept-loop,
 //!   thread-registry and graceful-shutdown machinery below is written once
 //!   and every future transport (TLS, h2) is a bolt-on;
-//! * **connection lifecycle** — one handler thread per connection, reads
-//!   bounded by an idle timeout after which the connection is dropped;
-//! * **fault isolation** — a malformed frame earns an `error` reply and the
-//!   connection keeps serving; a framing violation closes that connection;
-//!   neither ever stops the daemon;
+//! * **one connection loop** for both transports, over a private
+//!   per-transport wire (the framed one here, the HTTP one in
+//!   [`crate::http`]) that only reads requests and writes answers in each
+//!   request's dialect. The loop owns the policy once: the connection
+//!   gauge, the per-connection request budget, the fault hooks, `overloaded`
+//!   sheds, the refusal of a reply over [`proto::MAX_FRAME_LEN`], idle
+//!   timeouts, keep-alive and shutdown. Every listener serves under one
+//!   set of limits taken from the [`DaemonConfig`];
+//! * **fault isolation** — a malformed request earns an `error` reply; the
+//!   connection keeps serving when its framing survived (a bad frame
+//!   payload), and closes when it did not; neither ever stops the daemon;
 //! * **graceful shutdown** — a `shutdown` request on *any* transport is
 //!   acknowledged, then a shared [`ShutdownSignal`] stops every accept
 //!   loop, open connections are shut down, handler threads are joined and
@@ -32,10 +38,11 @@
 
 use crate::client::Client;
 use crate::engine::{EngineConfig, QueryEngine, DEFAULT_RETRY_AFTER_MS};
+use crate::error::ServiceError;
 use crate::faults::{FaultSpec, Faults};
 use crate::http;
 use crate::json::Json;
-use crate::proto::{self, Dialect, Headers, ProtoError};
+use crate::proto::{self, Action, Dialect, Headers, ProtoError, MAX_FRAME_LEN, PROTO_VERSION};
 use crate::snapshot;
 use crate::telemetry::{Metric, RequestCtx, Transport};
 use crate::v2;
@@ -49,8 +56,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// A served byte stream: what the generic accept loop and the per-protocol
-/// connection handlers need from a socket, beyond `Read + Write`.
+/// A served byte stream: what the accept loop and the connection loop need
+/// from a socket, beyond `Read + Write`.
 pub trait Connection: io::Read + io::Write + Send + Sized + 'static {
     /// A second handle on the same stream (read half / write half / the
     /// registry's shutdown handle).
@@ -185,112 +192,307 @@ impl ShutdownSignal {
     }
 }
 
-/// Per-listener resilience knobs for [`serve_listener`].
-#[derive(Debug, Clone)]
-pub struct ServeOptions {
-    /// Which transport this listener serves (telemetry labels).
-    pub transport: Transport,
-    /// Most concurrently-served connections (`0` = unlimited); an excess
-    /// connection gets the `reject` goodbye instead of a handler thread.
-    pub max_connections: usize,
-    /// How long the teardown waits for in-flight handlers to finish before
+/// The limits every listener of one daemon serves under, taken once from
+/// its [`DaemonConfig`] and shared by both transports' loops.
+#[derive(Debug, Default)]
+pub(crate) struct Limits {
+    /// A connection idle (no complete request read) for this long is closed.
+    pub(crate) idle_timeout: Duration,
+    /// Most concurrently-served connections per listener (`0` = unlimited).
+    pub(crate) max_connections: usize,
+    /// Requests one connection may issue before it is shed and closed
+    /// (`0` = unlimited).
+    pub(crate) request_budget: u64,
+    /// How long the teardown waits for in-flight handlers before
     /// force-closing their connections.
-    pub drain_timeout: Duration,
-    /// The daemon's fault-injection runtime ([`Faults::default`] injects
-    /// nothing); the accept loop consults it for post-accept delays.
-    pub faults: Arc<Faults>,
+    pub(crate) drain_timeout: Duration,
+    /// The fault-injection runtime ([`Faults::default`] injects nothing).
+    pub(crate) faults: Faults,
 }
 
-impl Default for ServeOptions {
-    fn default() -> Self {
-        ServeOptions {
-            transport: Transport::Framed,
-            max_connections: 0,
-            drain_timeout: Duration::from_secs(5),
-            faults: Arc::default(),
+/// Why a [`Wire::read`] gave no request.
+pub(crate) enum Unread<R> {
+    /// The peer closed the connection, or the stream failed; nothing is said.
+    Closed,
+    /// No request arrived within the idle timeout.
+    Idle,
+    /// The bytes were not a request: `reply` says why, under a synthesized
+    /// trace id. A `fatal` defect leaves the stream out of sync, so the
+    /// connection closes after the reply; `oversize` marks a request
+    /// announced over [`proto::MAX_FRAME_LEN`].
+    Defect {
+        reply: R,
+        fatal: bool,
+        oversize: bool,
+    },
+}
+
+/// Whether a failed read is the idle timeout expiring.
+pub(crate) fn timed_out(error: &io::Error) -> bool {
+    matches!(
+        error.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
+
+/// One transport's format under the connection loop, [`serve_conn`], as
+/// [`crate::client`]'s wire is under the client: it reads one request and
+/// writes each answer — a reply, a shed, a protocol defect or the
+/// connection-cap goodbye — in that request's dialect. Every policy is the
+/// loop's. The wires are [`Framed`] here and [`http::HttpWire`].
+pub(crate) trait Wire {
+    /// The transport, for telemetry labels.
+    const TRANSPORT: Transport;
+    /// A request as read off the wire.
+    type Request;
+    /// An answer, ready to encode.
+    type Reply;
+    /// Reads the next request; `writer` is only for interim bytes (HTTP's
+    /// `100 Continue`).
+    fn read<R: BufRead, O: Write>(
+        reader: &mut R,
+        writer: &mut O,
+    ) -> Result<Self::Request, Unread<Self::Reply>>;
+    /// Whether the client asked to keep the connection open.
+    fn keep_alive(_request: &Self::Request) -> bool {
+        true
+    }
+    /// The context a reply built before the request ran carries: the one
+    /// the request edge would build ([`proto::request_ctx`]).
+    fn ctx(request: &Self::Request) -> RequestCtx;
+    /// Serves the request through the request edge.
+    fn serve(engine: &QueryEngine, request: &Self::Request) -> (Self::Reply, RequestCtx, Action);
+    /// An error wire body (`code`, `message`, ...) as the reply to
+    /// `request`, in its dialect, under `ctx`'s trace id; `status` is for
+    /// HTTP.
+    fn error(request: &Self::Request, status: u16, body: Json, ctx: &RequestCtx) -> Self::Reply;
+    /// The reply's encoded body, whose length [`proto::MAX_FRAME_LEN`] caps.
+    fn render(reply: &Self::Reply) -> String;
+    /// Writes a reply around its rendered body and flushes.
+    fn write<O: Write>(
+        writer: &mut O,
+        reply: &Self::Reply,
+        body: &str,
+        keep_alive: bool,
+    ) -> io::Result<()>;
+    /// Writes the connection-cap goodbye, `reply`, to a connection that is
+    /// not served.
+    fn goodbye<C: Connection>(conn: C, reply: &Json);
+}
+
+/// The framed protocol's wire: `pcp1` and `pcp2` frames. The header's
+/// version tag picks each frame's dialect — `pcp1` frames carry the legacy
+/// per-verb messages, `pcp2` frames the [`crate::v2`] envelope — and the
+/// reply is framed with the same tag, so one connection can interleave both.
+pub(crate) struct Framed;
+
+impl Wire for Framed {
+    const TRANSPORT: Transport = Transport::Framed;
+    /// The frame's version tag and its payload, which may not parse.
+    type Request = (u64, Result<Json, ProtoError>);
+    /// A version tag and the payload framed with it.
+    type Reply = (u64, Json);
+
+    fn read<R: BufRead, O: Write>(
+        reader: &mut R,
+        _: &mut O,
+    ) -> Result<Self::Request, Unread<Self::Reply>> {
+        match proto::read_frame_raw(reader) {
+            Ok((version, body)) => Ok((version, Json::parse(&body).map_err(ProtoError::BadJson))),
+            Err(ProtoError::Closed) => Err(Unread::Closed),
+            Err(ProtoError::Io(e)) if timed_out(&e) => Err(Unread::Idle),
+            // A recoverable defect consumed its frame cleanly and the
+            // connection keeps serving; a framing violation closes it.
+            Err(error) => {
+                let reply = proto::error_reply(error.code(), &error.to_string());
+                Err(Unread::Defect {
+                    reply: (
+                        PROTO_VERSION,
+                        proto::attach_trace(reply, &RequestCtx::generate()),
+                    ),
+                    fatal: !error.is_recoverable(),
+                    oversize: matches!(error, ProtoError::FrameTooLarge { .. }),
+                })
+            }
         }
+    }
+
+    fn ctx((_, payload): &Self::Request) -> RequestCtx {
+        let fields = payload.as_ref().unwrap_or(&Json::Null);
+        proto::request_ctx(fields, Headers::default()).unwrap_or_else(|_| RequestCtx::generate())
+    }
+
+    fn serve(engine: &QueryEngine, request: &Self::Request) -> (Self::Reply, RequestCtx, Action) {
+        let (version, payload) = request;
+        let dialect = if *version == v2::API_VERSION {
+            Dialect::Envelope
+        } else {
+            Dialect::Frame
+        };
+        match payload {
+            Ok(payload) => {
+                let reply = proto::serve(engine, dialect, payload, Headers::default());
+                let body = proto::attach_trace(reply.body, &reply.ctx);
+                ((*version, body), reply.ctx, reply.action)
+            }
+            // The frame was consumed cleanly but its payload never parsed:
+            // report in-dialect, under a synthesized trace, and keep serving.
+            Err(error) => {
+                let ctx = RequestCtx::generate();
+                let body = proto::error_body(error.code(), &error.to_string());
+                (Self::error(request, 400, body, &ctx), ctx, Action::Continue)
+            }
+        }
+    }
+
+    fn error(request: &Self::Request, _: u16, body: Json, ctx: &RequestCtx) -> Self::Reply {
+        (request.0, proto::error_in_dialect(request.0, body, ctx))
+    }
+
+    fn render((_, payload): &Self::Reply) -> String {
+        let mut body = String::new();
+        payload.write(&mut body);
+        body
+    }
+
+    fn write<O: Write>(writer: &mut O, reply: &Self::Reply, body: &str, _: bool) -> io::Result<()> {
+        proto::write_frame_body(writer, body, reply.0)
+    }
+
+    fn goodbye<C: Connection>(conn: C, reply: &Json) {
+        let _ = proto::write_frame(&mut BufWriter::new(conn), reply);
     }
 }
 
 /// Synthesizes a trace id for an accept-time rejection (no request was
-/// read, so no `X-Request-Id` header or frame field exists yet), attaches
-/// it to the goodbye body and emits the structured rejection log line. The
-/// id lets a shed client quote something the operator can grep for.
-fn rejection_reply(transport: &str) -> Json {
+/// read, so no `X-Request-Id` header or frame field exists yet), emits the
+/// structured rejection log line and returns the goodbye body carrying the
+/// id, so a shed client can quote something the operator can grep for.
+fn rejection_reply(transport: Transport) -> Json {
     let ctx = RequestCtx::generate();
     crate::log::log(
         crate::log::Level::Warn,
         "conn_rejected",
         Some(&ctx.trace_id),
         &[
-            ("transport", Json::str(transport)),
+            ("transport", Json::str(transport.as_str())),
             ("retry_after_ms", Json::num(DEFAULT_RETRY_AFTER_MS)),
         ],
     );
-    proto::shed_reply(proto::PROTO_VERSION, &ctx)
+    proto::shed_reply(PROTO_VERSION, &ctx)
 }
 
-/// Connection-cap goodbye for the framed transport: one `overloaded`
-/// error frame (carrying a synthesized `trace_id`), then close.
-pub fn reject_proto_conn<C: Connection>(conn: C) {
-    let mut writer = BufWriter::new(conn);
-    let _ = proto::write_frame(&mut writer, &rejection_reply("framed"));
-}
-
-/// Connection-cap goodbye for the HTTP transport: one `503` with a
-/// `Retry-After` header and a synthesized `trace_id` in the error body,
-/// then close.
-pub fn reject_http_conn<C: Connection>(mut conn: C) {
-    let reply = rejection_reply("http");
-    let trace = reply
-        .get("trace_id")
-        .and_then(Json::as_str)
-        .unwrap_or_default()
-        .to_string();
-    let mut body = reply.to_string();
-    body.push('\n');
-    let secs = DEFAULT_RETRY_AFTER_MS.div_ceil(1000).max(1);
-    let _ = write!(
-        conn,
-        "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\nRetry-After: {secs}\r\nX-Request-Id: {trace}\r\n\
-         Connection: close\r\n\r\n{body}",
-        body.len()
-    );
-    let _ = conn.flush();
+/// Serves one connection to completion over wire `W`: the one request loop
+/// of both transports. It owns the policy — the connection gauge, the
+/// request budget, the fault hooks, sheds, the refusal of an oversized
+/// reply, idle timeouts, keep-alive and shutdown — and `W` the format.
+pub(crate) fn serve_conn<W: Wire, C: Connection>(
+    conn: C,
+    engine: &QueryEngine,
+    shutdown: &ShutdownSignal,
+    limits: &Limits,
+) {
+    let Ok(write_half) = conn.try_clone_conn() else {
+        return;
+    };
+    // The guard leaves the active gauge on *every* exit, injected handler
+    // panics included, so chaos runs cannot leak open-connection counts.
+    let telemetry = engine.telemetry();
+    let _connection = telemetry.connection(W::TRANSPORT);
+    let transport = W::TRANSPORT as usize;
+    let mut reader = BufReader::new(conn);
+    let mut writer = BufWriter::new(write_half);
+    let mut served: u64 = 0;
+    while !shutdown.is_triggered() {
+        let request = match W::read(&mut reader, &mut writer) {
+            Ok(request) => request,
+            Err(Unread::Closed) => break,
+            Err(Unread::Idle) => {
+                telemetry.add(Metric::IdleTimeouts, transport, 1);
+                break;
+            }
+            // A defect closes this connection at worst — never the daemon.
+            Err(Unread::Defect {
+                reply,
+                fatal,
+                oversize,
+            }) => {
+                if oversize {
+                    telemetry.add(Metric::OversizeRejects, transport, 1);
+                }
+                let written = W::write(&mut writer, &reply, &W::render(&reply), !fatal);
+                if written.is_err() || fatal {
+                    break;
+                }
+                continue;
+            }
+        };
+        if let Some(stall) = limits.faults.frame_stall() {
+            std::thread::sleep(stall);
+        }
+        if limits.faults.should_panic() {
+            panic!("injected fault: {} handler panic", W::TRANSPORT.as_str());
+        }
+        // Per-connection budget and fault-forced sheds: a typed, recoverable
+        // `overloaded` reply in the request's dialect, before dispatch. A
+        // spent budget also closes the connection after the reply (the
+        // client saw a recoverable error and can reconnect).
+        let budget_spent = limits.request_budget != 0 && served >= limits.request_budget;
+        let (mut reply, ctx, action) = if budget_spent || limits.faults.should_overload() {
+            telemetry.add(Metric::RejectedOverload, 0, 1);
+            let ctx = W::ctx(&request);
+            let retry_after_ms = DEFAULT_RETRY_AFTER_MS;
+            let body = ServiceError::Overloaded { retry_after_ms }.wire_body();
+            (W::error(&request, 503, body, &ctx), ctx, Action::Continue)
+        } else {
+            served += 1;
+            W::serve(engine, &request)
+        };
+        let mut body = W::render(&reply);
+        if body.len() > MAX_FRAME_LEN {
+            // Refused before any byte is written, so the stream stays in
+            // sync: tell the client what happened instead of dying.
+            telemetry.add(Metric::OversizeRejects, transport, 1);
+            let message = format!(
+                "reply of {} bytes exceeds the {MAX_FRAME_LEN} byte cap (split the batch)",
+                body.len()
+            );
+            let refusal = proto::error_body("frame_too_large", &message);
+            reply = W::error(&request, 500, refusal, &ctx);
+            body = W::render(&reply);
+        }
+        let keep_alive = W::keep_alive(&request) && action == Action::Continue && !budget_spent;
+        let written = W::write(&mut writer, &reply, &body, keep_alive);
+        if action == Action::Shutdown {
+            // The acknowledgement is flushed, or the client is gone; either
+            // way the daemon stops: the signal wakes every accept loop.
+            shutdown.trigger();
+            break;
+        }
+        if written.is_err() || !keep_alive {
+            break;
+        }
+    }
 }
 
 /// Serves one listener until the shared signal triggers: the accept loop,
-/// per-connection threads, the live-connection registry and the
-/// drain-then-join teardown, shared by every transport.
-///
-/// `handler` serves one already-accepted connection to completion
-/// ([`serve_proto_conn`] for [`crate::proto`], [`http::serve_conn`] for
-/// [`crate::http`]); a handler panic — injected or organic — is contained
-/// to its connection. `reject` writes the overload goodbye to connections
-/// shed by `options.max_connections` ([`reject_proto_conn`] /
-/// [`reject_http_conn`]).
-pub fn serve_listener<L, H, R>(
+/// per-connection threads running [`serve_conn`] over wire `W`, the
+/// live-connection registry and the drain-then-join teardown, shared by
+/// every transport. A handler panic — injected or organic — is contained to
+/// its connection, and a connection over `limits.max_connections` gets
+/// `W`'s goodbye instead of a thread.
+pub(crate) fn serve_listener<W: Wire, L: Listener>(
     listener: L,
     engine: Arc<QueryEngine>,
     shutdown: Arc<ShutdownSignal>,
-    idle_timeout: Duration,
-    options: ServeOptions,
-    handler: H,
-    reject: R,
-) -> io::Result<()>
-where
-    L: Listener,
-    H: Fn(L::Conn, &QueryEngine, &ShutdownSignal) + Send + Sync + 'static,
-    R: Fn(L::Conn) + Send + 'static,
-{
+    limits: Arc<Limits>,
+) -> io::Result<()> {
     shutdown.register_waker(listener.waker());
     if shutdown.is_triggered() {
         // Triggered between bind and serve: nothing to wake, nothing to do.
         listener.cleanup();
         return Ok(());
     }
-    let handler = Arc::new(handler);
     // Registry of live connections, keyed by a connection id so a handler
     // can deregister itself on exit — otherwise a long-lived daemon would
     // hold one cloned fd per *historical* connection and eventually exhaust
@@ -319,7 +521,7 @@ where
             Err(_) => {
                 engine
                     .telemetry()
-                    .add(Metric::AcceptErrors, options.transport as usize, 1);
+                    .add(Metric::AcceptErrors, W::TRANSPORT as usize, 1);
                 if shutdown.is_triggered() {
                     break;
                 }
@@ -332,19 +534,19 @@ where
             // The accepted connection was (or raced with) a waker poke.
             break;
         }
-        if let Some(delay) = options.faults.accept_delay() {
+        if let Some(delay) = limits.faults.accept_delay() {
             std::thread::sleep(delay);
         }
-        if options.max_connections != 0
-            && connections.lock().expect("connection registry").len() >= options.max_connections
+        if limits.max_connections != 0
+            && connections.lock().expect("connection registry").len() >= limits.max_connections
         {
             // Over the cap: a typed goodbye, not a silent close, so clients
             // back off instead of retrying instantly.
             engine.telemetry().add(Metric::RejectedOverload, 0, 1);
-            reject(conn);
+            W::goodbye(conn, &rejection_reply(W::TRANSPORT));
             continue;
         }
-        let _ = conn.set_conn_read_timeout(Some(idle_timeout));
+        let _ = conn.set_conn_read_timeout(Some(limits.idle_timeout));
         let conn_id = next_id;
         next_id += 1;
         if let Ok(clone) = conn.try_clone_conn() {
@@ -356,14 +558,14 @@ where
         let engine = engine.clone();
         let shutdown = shutdown.clone();
         let registry = connections.clone();
-        let handler = handler.clone();
+        let limits = limits.clone();
         handlers.push(std::thread::spawn(move || {
             // Contain handler panics (fault-injected or organic) to this
             // connection: the registry entry is still removed, the daemon
             // keeps serving, and the telemetry gauges stay balanced (the
-            // handlers decrement them in Drop guards).
+            // loop decrements them in a Drop guard).
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                handler(conn, &engine, &shutdown)
+                serve_conn::<W, _>(conn, &engine, &shutdown, &limits)
             }));
             if outcome.is_err() {
                 crate::log::log(
@@ -386,7 +588,7 @@ where
     // in-flight handlers up to the drain timeout to finish their current
     // requests, then force-close whatever remains so a stuck or idle
     // connection cannot hold shutdown hostage.
-    let deadline = Instant::now() + options.drain_timeout;
+    let deadline = Instant::now() + limits.drain_timeout;
     while handlers.iter().any(|h| !h.is_finished()) && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(10));
     }
@@ -460,14 +662,7 @@ impl DaemonConfig {
         DaemonConfig {
             socket_path: None,
             http_addr: Some(addr.into()),
-            idle_timeout: Duration::from_secs(30),
-            snapshot_path: None,
-            checkpoint_interval: None,
-            max_connections: 0,
-            max_requests_per_conn: 0,
-            drain_timeout: Duration::from_secs(5),
-            faults: FaultSpec::default(),
-            engine: EngineConfig::default(),
+            ..DaemonConfig::new(PathBuf::new())
         }
     }
 }
@@ -476,15 +671,11 @@ impl DaemonConfig {
 pub struct Daemon {
     engine: Arc<QueryEngine>,
     shutdown: Arc<ShutdownSignal>,
-    idle_timeout: Duration,
     unix: Option<UnixTransport>,
     http: Option<TcpTransport>,
     snapshot_load: Option<snapshot::LoadOutcome>,
     checkpoint_interval: Option<Duration>,
-    max_connections: usize,
-    max_requests_per_conn: u64,
-    drain_timeout: Duration,
-    faults: Arc<Faults>,
+    limits: Arc<Limits>,
 }
 
 impl Daemon {
@@ -524,15 +715,17 @@ impl Daemon {
         Ok(Daemon {
             engine,
             shutdown: ShutdownSignal::new(),
-            idle_timeout: config.idle_timeout,
             unix,
             http,
             snapshot_load,
             checkpoint_interval: config.checkpoint_interval,
-            max_connections: config.max_connections,
-            max_requests_per_conn: config.max_requests_per_conn,
-            drain_timeout: config.drain_timeout,
-            faults: Arc::new(Faults::new(config.faults)),
+            limits: Arc::new(Limits {
+                idle_timeout: config.idle_timeout,
+                max_connections: config.max_connections,
+                request_budget: config.max_requests_per_conn,
+                drain_timeout: config.drain_timeout,
+                faults: Faults::new(config.faults),
+            }),
         })
     }
 
@@ -566,15 +759,11 @@ impl Daemon {
         let Daemon {
             engine,
             shutdown,
-            idle_timeout,
             unix,
             http,
             snapshot_load: _,
             checkpoint_interval,
-            max_connections,
-            max_requests_per_conn,
-            drain_timeout,
-            faults,
+            limits,
         } = self;
         // Background checkpointing: persist the warm cache periodically so
         // even a crash (no graceful shutdown) loses at most one interval of
@@ -634,60 +823,14 @@ impl Daemon {
         // With both transports bound the HTTP loop runs on its own thread;
         // either loop's shutdown trigger wakes and stops the other.
         let http_thread = http.map(|listener| {
-            let engine = engine.clone();
-            let shutdown = shutdown.clone();
-            let faults = faults.clone();
-            let handler_faults = faults.clone();
+            let (engine, shutdown, limits) = (engine.clone(), shutdown.clone(), limits.clone());
             std::thread::spawn(move || {
-                serve_listener(
-                    listener,
-                    engine,
-                    shutdown,
-                    idle_timeout,
-                    ServeOptions {
-                        transport: Transport::Http,
-                        max_connections,
-                        drain_timeout,
-                        faults,
-                    },
-                    move |conn, engine: &QueryEngine, shutdown: &ShutdownSignal| {
-                        http::serve_conn_opts(
-                            conn,
-                            engine,
-                            shutdown,
-                            &handler_faults,
-                            max_requests_per_conn,
-                        )
-                    },
-                    reject_http_conn,
-                )
+                serve_listener::<http::HttpWire, _>(listener, engine, shutdown, limits)
             })
         });
         let unix_result = match unix {
             Some(listener) => {
-                let handler_faults = faults.clone();
-                serve_listener(
-                    listener,
-                    engine.clone(),
-                    shutdown.clone(),
-                    idle_timeout,
-                    ServeOptions {
-                        transport: Transport::Framed,
-                        max_connections,
-                        drain_timeout,
-                        faults: faults.clone(),
-                    },
-                    move |conn, engine: &QueryEngine, shutdown: &ShutdownSignal| {
-                        serve_proto_conn_opts(
-                            conn,
-                            engine,
-                            shutdown,
-                            &handler_faults,
-                            max_requests_per_conn,
-                        )
-                    },
-                    reject_proto_conn,
-                )
+                serve_listener::<Framed, _>(listener, engine.clone(), shutdown.clone(), limits)
             }
             None => Ok(()),
         };
@@ -761,166 +904,6 @@ fn bind_unix(path: PathBuf) -> io::Result<UnixTransport> {
     }
     let listener = UnixListener::bind(&path)?;
     Ok(UnixTransport { listener, path })
-}
-
-/// `true` for the read-timeout errors produced by an idle connection.
-fn is_idle_timeout(error: &ProtoError) -> bool {
-    matches!(
-        error,
-        ProtoError::Io(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
-    )
-}
-
-/// Serves one framed-protocol connection to completion: the per-frame loop
-/// with the recoverable-vs-fatal error handling of [`crate::proto`].
-pub fn serve_proto_conn<C: Connection>(conn: C, engine: &QueryEngine, shutdown: &ShutdownSignal) {
-    serve_proto_conn_opts(conn, engine, shutdown, &Faults::default(), 0)
-}
-
-/// [`serve_proto_conn`] with the daemon's resilience knobs: a
-/// fault-injection runtime and a per-connection request budget (`0` =
-/// unlimited; a frame beyond the budget is answered with a recoverable
-/// `overloaded` error and the connection closes).
-pub fn serve_proto_conn_opts<C: Connection>(
-    conn: C,
-    engine: &QueryEngine,
-    shutdown: &ShutdownSignal,
-    faults: &Faults,
-    request_budget: u64,
-) {
-    let Ok(write_half) = conn.try_clone_conn() else {
-        return;
-    };
-    // The guard leaves the active gauge on *every* exit, injected handler
-    // panics included, so chaos runs cannot leak open-connection counts.
-    let telemetry = engine.telemetry();
-    let _connection = telemetry.connection(Transport::Framed);
-    let mut reader = BufReader::new(conn);
-    let mut writer = BufWriter::new(write_half);
-    let mut served: u64 = 0;
-    while !shutdown.is_triggered() {
-        match serve_frame(
-            &mut reader,
-            &mut writer,
-            engine,
-            faults,
-            request_budget,
-            &mut served,
-        ) {
-            Ok(proto::Action::Continue) => {}
-            Ok(proto::Action::Shutdown) => {
-                // Wakes every accept loop (all transports) via the signal's
-                // registered wakers.
-                shutdown.trigger();
-                break;
-            }
-            Err(ProtoError::Closed) => break,
-            Err(error) => {
-                // Idle connections are dropped silently. Any other defect
-                // gets an error frame under a synthesized trace (its payload
-                // never parsed): a recoverable one consumed its frame
-                // cleanly and the connection keeps serving, a framing
-                // violation closes this connection — and only this one.
-                if is_idle_timeout(&error) {
-                    telemetry.add(Metric::IdleTimeouts, Transport::Framed as usize, 1);
-                    break;
-                }
-                if matches!(error, ProtoError::FrameTooLarge { .. }) {
-                    telemetry.add(Metric::OversizeRejects, Transport::Framed as usize, 1);
-                }
-                let reply = proto::error_reply(error.code(), &error.to_string());
-                let reply = proto::attach_trace(reply, &RequestCtx::generate());
-                if proto::write_frame(&mut writer, &reply).is_err() || !error.is_recoverable() {
-                    break;
-                }
-            }
-        }
-    }
-}
-
-/// Serves one frame: read, hand to the request edge, reply. The returned
-/// action is authoritative even when the reply could not be written — a
-/// `shutdown` whose acknowledgement hits a dead client must still stop the
-/// daemon.
-///
-/// The frame header's version tag picks the dialect — `pcp1` frames carry
-/// the legacy per-verb messages, `pcp2` frames the [`crate::v2`] envelope —
-/// and the reply is framed with the same tag, so one connection can
-/// interleave both dialects.
-fn serve_frame<R: BufRead, W: Write>(
-    reader: &mut R,
-    writer: &mut W,
-    engine: &QueryEngine,
-    faults: &Faults,
-    request_budget: u64,
-    served: &mut u64,
-) -> Result<proto::Action, ProtoError> {
-    let (version, body) = proto::read_frame_raw(reader)?;
-    if let Some(stall) = faults.frame_stall() {
-        std::thread::sleep(stall);
-    }
-    if faults.should_panic() {
-        panic!("injected fault: framed handler panic");
-    }
-    let payload = Json::parse(&body).map_err(ProtoError::BadJson);
-    // Per-connection budget and fault-forced sheds: a typed, recoverable
-    // `overloaded` reply in the frame's own dialect, before dispatch. A
-    // spent budget additionally closes the connection (silently, after the
-    // reply — the client saw a recoverable error and can reconnect).
-    let budget_spent = request_budget != 0 && *served >= request_budget;
-    if budget_spent || faults.should_overload() {
-        engine.telemetry().add(Metric::RejectedOverload, 0, 1);
-        let fields = payload.as_ref().unwrap_or(&Json::Null);
-        let ctx = proto::request_ctx(fields, Headers::default())
-            .unwrap_or_else(|_| RequestCtx::generate());
-        proto::write_frame_v(writer, &proto::shed_reply(version, &ctx), version)?;
-        if budget_spent {
-            return Err(ProtoError::Closed);
-        }
-        return Ok(proto::Action::Continue);
-    }
-    *served += 1;
-    let dialect = if version == v2::API_VERSION {
-        Dialect::Envelope
-    } else {
-        Dialect::Frame
-    };
-    let (reply, ctx, action) = match payload {
-        Ok(payload) => {
-            let reply = proto::serve(engine, dialect, &payload, Headers::default());
-            (reply.body, reply.ctx, reply.action)
-        }
-        // The frame was consumed cleanly but its payload never parsed:
-        // report in-dialect, under a synthesized trace, and keep serving.
-        Err(error) => {
-            let ctx = RequestCtx::generate();
-            let body = proto::error_body(error.code(), &error.to_string());
-            (
-                proto::error_in_dialect(version, body, &ctx),
-                ctx,
-                proto::Action::Continue,
-            )
-        }
-    };
-    let written = match proto::write_frame_v(writer, &proto::attach_trace(reply, &ctx), version) {
-        // An oversized reply was refused before any bytes were written:
-        // the stream is still in sync, so tell the client what happened
-        // instead of dying.
-        Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-            let body = proto::error_body("frame_too_large", &e.to_string());
-            proto::write_frame_v(
-                writer,
-                &proto::error_in_dialect(version, body, &ctx),
-                version,
-            )
-        }
-        other => other,
-    };
-    if action == proto::Action::Shutdown {
-        return Ok(action);
-    }
-    written?;
-    Ok(action)
 }
 
 /// Connects to a daemon's unix socket and performs the `hello` handshake:

@@ -20,9 +20,7 @@
 //! memoised minimum. A failure is reported as
 //! [`ServiceError::CoverVerificationFailed`] rather than silently passed on.
 
-use crate::cache::{
-    graph_fingerprint, CacheStats, CotreeCache, MemoisedScalars, ShardStats, SolveEntry,
-};
+use crate::cache::{graph_fingerprint, CacheStats, CotreeCache, ShardStats, SolveEntry};
 use crate::error::ServiceError;
 use crate::ingest::{self, GraphFormat, Ingested};
 use crate::json::Json;
@@ -47,10 +45,6 @@ pub struct EngineConfig {
     /// Worker threads for [`QueryEngine::execute_batch`]; `0` means one per
     /// available CPU.
     pub threads: usize,
-    /// Verify every returned cover / witness path against the graph.
-    pub verify_covers: bool,
-    /// Consult and fill the cotree cache.
-    pub use_cache: bool,
     /// Maximum number of cotrees kept resident (split across the shards).
     pub cache_capacity: usize,
     /// Cotree cache shard count (rounded up to a power of two); `0` means
@@ -91,8 +85,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             threads: 0,
-            verify_covers: true,
-            use_cache: true,
             cache_capacity: 1024,
             cache_shards: 0,
             telemetry: true,
@@ -619,18 +611,7 @@ impl QueryEngine {
     ) -> Result<Resolved, ServiceError> {
         match prep {
             SharedPrep::Graph(g) => self.resolve_graph(g.clone(), timeline),
-            SharedPrep::Cotree(entry) if self.config.use_cache => {
-                self.resolve_cotree(entry.clone(), timeline)
-            }
-            // Without the cache every job solves afresh, as it would alone.
-            SharedPrep::Cotree(entry) => self.resolve_cotree(
-                Arc::new(SolveEntry::from_parts(
-                    entry.cotree.clone(),
-                    entry.key,
-                    MemoisedScalars::default(),
-                )),
-                timeline,
-            ),
+            SharedPrep::Cotree(entry) => self.resolve_cotree(entry.clone(), timeline),
         }
     }
 
@@ -641,18 +622,6 @@ impl QueryEngine {
     ) -> Result<Resolved, ServiceError> {
         if graph.num_vertices() == 0 {
             return Err(ServiceError::EmptyGraph);
-        }
-        if !self.config.use_cache {
-            let cotree = recognize_certified(&graph);
-            timeline.stage(Stage::Recognize);
-            let entry = Arc::new(SolveEntry::new(cotree?));
-            // The key pass is booked where the cache-on path books it.
-            timeline.stage(Stage::CacheLookup);
-            return Ok(Resolved {
-                entry,
-                graph: Some(graph),
-                cache: CacheStatus::Bypass,
-            });
         }
         let fingerprint = graph_fingerprint(&graph);
         if let Some(entry) = self.cache.lookup_graph(fingerprint, &graph) {
@@ -678,37 +647,24 @@ impl QueryEngine {
         })
     }
 
-    /// Wraps a request's cotree for [`Self::resolve_cotree`]. With the
-    /// cache on it is put in full canonical form, so the lookup and, on a
-    /// miss, the new resident entry share one canonical pass; with it off
-    /// only the key the response reports is computed.
+    /// Wraps a request's cotree for [`Self::resolve_cotree`] in full
+    /// canonical form, so the lookup and, on a miss, the new resident entry
+    /// share one canonical pass.
     fn cotree_entry(&self, cotree: Cotree) -> Arc<SolveEntry> {
-        Arc::new(if self.config.use_cache {
-            SolveEntry::with_order(cotree)
-        } else {
-            SolveEntry::new(cotree)
-        })
+        Arc::new(SolveEntry::with_order(cotree))
     }
 
     /// Resolves a cotree request wrapped by [`Self::cotree_entry`]: a hit
     /// is confirmed by one walk against `fresh`'s canonical preorder and
     /// hands back the resident entry; a miss makes `fresh` itself resident,
-    /// so the cotree is neither cloned nor hashed again. Either way, and
-    /// with the cache off too, the segment since ingest (the canonical pass
-    /// included) closes as `cache_lookup`.
+    /// so the cotree is neither cloned nor hashed again. Either way the
+    /// segment since ingest (the canonical pass included) closes as
+    /// `cache_lookup`.
     fn resolve_cotree(
         &self,
         fresh: Arc<SolveEntry>,
         timeline: &mut Timeline<'_>,
     ) -> Result<Resolved, ServiceError> {
-        if !self.config.use_cache {
-            timeline.stage(Stage::CacheLookup);
-            return Ok(Resolved {
-                entry: fresh,
-                graph: None,
-                cache: CacheStatus::Bypass,
-            });
-        }
         let key = fresh.key;
         let (entry, cache) = match self.cache.lookup_entry(&fresh) {
             Some(entry) => (entry, CacheStatus::Hit),
@@ -798,11 +754,8 @@ impl QueryEngine {
     /// Checks a cover before it is returned: every vertex once, every
     /// consecutive pair an edge — of the ingested graph when there is one,
     /// else decided on the cotree — and as few paths as the memoised
-    /// minimum. `Ok(false)` when verification is configured off.
+    /// minimum. A cover that passes is `Ok(true)`, its `verified` flag.
     fn verify(&self, resolved: &Resolved, cover: &PathCover) -> Result<bool, ServiceError> {
-        if !self.config.verify_covers {
-            return Ok(false);
-        }
         let report = match &resolved.graph {
             Some(graph) => verify_path_cover(graph, cover),
             None => resolved.entry.cotree.verify_cover(cover),
@@ -1008,20 +961,6 @@ mod tests {
                 path: None
             })
         );
-    }
-
-    #[test]
-    fn cache_bypass_is_reported() {
-        let config = EngineConfig {
-            use_cache: false,
-            ..EngineConfig::default()
-        };
-        let e = QueryEngine::new(config);
-        let spec = GraphSpec::EdgeList("0 1\n".to_string());
-        let r1 = e.execute(&QueryRequest::new(QueryKind::MinCoverSize, spec.clone()));
-        let r2 = e.execute(&QueryRequest::new(QueryKind::MinCoverSize, spec));
-        assert_eq!(r1.meta.cache, CacheStatus::Bypass);
-        assert_eq!(r2.meta.cache, CacheStatus::Bypass);
     }
 
     #[test]
@@ -1275,28 +1214,6 @@ mod tests {
             (lookup.start_us, lookup.dur_us),
             (stage.start_us, stage.dur_us)
         );
-    }
-
-    #[test]
-    fn without_the_cache_the_key_pass_is_booked_as_a_cache_lookup() {
-        let e = QueryEngine::new(EngineConfig {
-            use_cache: false,
-            ..EngineConfig::default()
-        });
-        let lookups = |e: &QueryEngine| {
-            let stages = e.metrics_report().histograms(Metric::StageLatency).to_vec();
-            stages[Stage::CacheLookup as usize].count
-        };
-        for spec in [
-            GraphSpec::CotreeTerm("(j (u a b) c)".to_string()),
-            GraphSpec::EdgeList("0 1\n1 2\n0 2\n".to_string()),
-        ] {
-            let before = lookups(&e);
-            let resp = e.execute(&QueryRequest::new(QueryKind::FullCover, spec.clone()));
-            assert!(resp.outcome.is_ok(), "{spec:?}");
-            assert_eq!(resp.meta.cache, CacheStatus::Bypass);
-            assert_eq!(lookups(&e) - before, 1, "{spec:?}");
-        }
     }
 
     #[test]

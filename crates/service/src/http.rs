@@ -7,7 +7,11 @@
 //! hands the request to [`proto::serve`] — the same request edge the framed
 //! protocol uses — and the reply payload becomes the response body
 //! verbatim. Both transports therefore answer every request identically by
-//! construction.
+//! construction. Connections are served by the daemon's one connection loop
+//! ([`crate::daemon`]) over this module's wire, which reads one request at a
+//! time and writes each answer as a response; the request budget, sheds,
+//! the reply cap, keep-alive and shutdown are the loop's, shared with the
+//! framed protocol.
 //!
 //! ## Routes
 //!
@@ -54,11 +58,15 @@
 //!   the framed protocol enforces on its frames. The announced
 //!   `Content-Length` is checked *before* any body byte is read or
 //!   buffered, so an oversized declaration costs no allocation.
+//! * **500** — the reply would exceed [`proto::MAX_FRAME_LEN`]: it is
+//!   refused with a `frame_too_large` error in the request's dialect (a v2
+//!   error envelope on `POST /v2/query`), as a frame would be.
 //! * **501** — `Transfer-Encoding` (chunked bodies are not supported).
 //! * **503** — the request was shed (error body `code: "overloaded"`; on
 //!   `POST /v2/query` a v2 error envelope, so the shed stays in-band);
 //!   `retry_after_ms` in the body and the `Retry-After` header (seconds,
-//!   rounded up) carry the retry hint.
+//!   rounded up) carry the retry hint, and the shed carries the trace id the
+//!   request would have had.
 //!
 //! Connections are keep-alive by default (HTTP/1.1 semantics, honouring
 //! `Connection: close` and HTTP/1.0 defaults) and bounded by the daemon's
@@ -90,14 +98,15 @@
 //! [`Client::connect`] opens this transport to a TCP address: the one
 //! client of both transports, used by `pathcover-cli --remote-http`.
 
+#[cfg(unix)]
+use crate::daemon::Unread;
 use crate::engine::QueryEngine;
-use crate::error::ServiceError;
 use crate::json::{Json, JsonErrorKind};
 use crate::proto::{self, MAX_FRAME_LEN, PROTO_VERSION, SERVER_NAME};
-use crate::telemetry::{Metric, RequestCtx, Transport};
+use crate::telemetry::{RequestCtx, Transport};
 use crate::v2;
 use std::fmt;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, Write};
 
 pub use crate::client::Client;
 
@@ -462,9 +471,10 @@ impl HttpResponse {
     }
 
     /// Attaches the trace id to the JSON body (idempotent; the Prometheus
-    /// text body is the one surface left untouched). Every reply path —
-    /// routed, oversize-reject and transport-error — funnels through here,
-    /// so no reply can leave without correlation.
+    /// text body is the one surface left untouched). Routed replies and
+    /// request defects funnel through here; sheds and refused replies get
+    /// theirs from [`proto::error_in_dialect`], so no reply can leave
+    /// without correlation.
     fn attach_trace(&mut self, ctx: &RequestCtx) {
         let body = std::mem::replace(&mut self.body, HttpBody::Text(String::new()));
         self.body = match body {
@@ -711,147 +721,122 @@ fn route(engine: &QueryEngine, request: &HttpRequest) -> (HttpResponse, RequestC
     (response, reply.ctx, reply.action)
 }
 
-/// A `503 Service Unavailable` rejection carrying the standard overload
-/// error body and retry hint — used for faults-forced sheds and exhausted
-/// per-connection budgets (engine-side sheds arrive through [`respond`]).
-fn overloaded_response(retry_after_ms: u64) -> HttpResponse {
-    let error = v2::OpError::Service(ServiceError::Overloaded { retry_after_ms });
-    HttpResponse {
-        retry_after_ms: Some(retry_after_ms),
-        ..HttpResponse::json(503, proto::failure_reply(&error))
+/// HTTP/1.1's wire under the daemon's connection loop
+/// ([`crate::daemon::serve_conn`]): one request per read, keep-alive by
+/// default. A `POST /v2/query` request is answered in the v2 envelope, any
+/// other in the v1 shape; a defect in a request's head or body gets its
+/// status (400, 413, 501) and closes the connection.
+#[cfg(unix)]
+pub(crate) struct HttpWire;
+
+#[cfg(unix)]
+impl crate::daemon::Wire for HttpWire {
+    const TRANSPORT: Transport = Transport::Http;
+    type Request = HttpRequest;
+    /// A response, and whether its body is sent (not to `HEAD`).
+    type Reply = (HttpResponse, bool);
+
+    fn read<R: BufRead, O: Write>(
+        reader: &mut R,
+        writer: &mut O,
+    ) -> Result<HttpRequest, Unread<Self::Reply>> {
+        let error = match read_request(reader, writer) {
+            Ok(Some(request)) => return Ok(request),
+            Ok(None) => return Err(Unread::Closed),
+            Err(HttpError::Io(e)) if crate::daemon::timed_out(&e) => return Err(Unread::Idle),
+            Err(error) => error,
+        };
+        // A raw I/O failure or a mid-request close ends the connection
+        // silently; any other defect gets its status, and then it ends.
+        let Some((status, code)) = error_status(&error) else {
+            return Err(Unread::Closed);
+        };
+        let mut response = HttpResponse::error(status, code, &error.to_string());
+        // No request made it through parsing, so there is no client-supplied
+        // ID — correlate with a fresh one.
+        response.attach_trace(&RequestCtx::generate());
+        Err(Unread::Defect {
+            reply: (response, true),
+            fatal: true,
+            oversize: matches!(error, HttpError::BodyTooLarge { .. }),
+        })
     }
-}
 
-/// Serves one HTTP connection to completion: the keep-alive request loop
-/// with the status-code error mapping. The [`crate::daemon`] accept loop
-/// plugs this in exactly where the framed transport plugs in
-/// `serve_proto_conn`.
-#[cfg(unix)]
-pub fn serve_conn<C: crate::daemon::Connection>(
-    conn: C,
-    engine: &QueryEngine,
-    shutdown: &crate::daemon::ShutdownSignal,
-) {
-    serve_conn_opts(conn, engine, shutdown, &crate::faults::Faults::default(), 0)
-}
+    fn keep_alive(request: &HttpRequest) -> bool {
+        request.keep_alive
+    }
 
-/// [`serve_conn`] with the daemon's resilience knobs: a fault-injection
-/// runtime and a per-connection request budget (`0` = unlimited; a
-/// request beyond the budget is answered `503 overloaded` and the
-/// connection closes).
-#[cfg(unix)]
-pub fn serve_conn_opts<C: crate::daemon::Connection>(
-    conn: C,
-    engine: &QueryEngine,
-    shutdown: &crate::daemon::ShutdownSignal,
-    faults: &crate::faults::Faults,
-    request_budget: u64,
-) {
-    let Ok(write_half) = conn.try_clone_conn() else {
-        return;
-    };
-    // The guard leaves the active gauge on *every* exit, injected handler
-    // panics included, so chaos runs cannot leak open-connection counts.
-    let telemetry = engine.telemetry();
-    let _connection = telemetry.connection(Transport::Http);
-    let mut reader = BufReader::new(conn);
-    let mut writer = io::BufWriter::new(write_half);
-    let mut served: u64 = 0;
-    while !shutdown.is_triggered() {
-        match read_request(&mut reader, &mut writer) {
-            Ok(None) => break,
-            Ok(Some(request)) => {
-                if let Some(stall) = faults.frame_stall() {
-                    std::thread::sleep(stall);
-                }
-                if faults.should_panic() {
-                    panic!("injected fault: http handler panic");
-                }
-                let budget_spent = request_budget != 0 && served >= request_budget;
-                let (mut response, ctx, action) = if budget_spent || faults.should_overload() {
-                    telemetry.add(Metric::RejectedOverload, 0, 1);
-                    let mut response = overloaded_response(crate::engine::DEFAULT_RETRY_AFTER_MS);
-                    let ctx = request.ctx();
-                    if request.path == v2::ROUTE {
-                        // A v2 shed stays in-band: an error envelope, still
-                        // a 503 with Retry-After.
-                        response.body = HttpBody::Json(proto::shed_reply(v2::API_VERSION, &ctx));
-                    }
-                    response.attach_trace(&ctx);
-                    (response, ctx, proto::Action::Continue)
-                } else {
-                    served += 1;
-                    answer(engine, &request)
-                };
-                // One serialization serves both the cap check and the
-                // write. Mirror the framed transport's reply cap: an
-                // oversized reply becomes a small error instead of an
-                // unbounded write.
-                let mut body = response.body.render();
-                if body.len() > MAX_FRAME_LEN {
-                    telemetry.add(Metric::OversizeRejects, Transport::Http as usize, 1);
-                    response = HttpResponse::error(
-                        500,
-                        "frame_too_large",
-                        &format!("reply exceeds the {MAX_FRAME_LEN} byte cap (split the batch)"),
-                    );
-                    response.attach_trace(&ctx);
-                    body = response.body.render();
-                }
-                let keep_alive =
-                    request.keep_alive && action == proto::Action::Continue && !budget_spent;
-                let written = write_response_parts(
-                    &mut writer,
-                    &response,
-                    &body,
-                    keep_alive,
-                    request.method != "HEAD",
-                );
-                if action == proto::Action::Shutdown {
-                    // The acknowledgement is already flushed (or the
-                    // client is gone); either way the daemon stops.
-                    shutdown.trigger();
-                    break;
-                }
-                if written.is_err() || !keep_alive {
-                    break;
-                }
-            }
-            Err(error) => {
-                // Idle timeouts and clean EOFs close silently; framing
-                // defects get a best-effort error response. Either way
-                // this connection is done — and only this connection.
-                match &error {
-                    HttpError::Io(e)
-                        if matches!(
-                            e.kind(),
-                            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                        ) =>
-                    {
-                        telemetry.add(Metric::IdleTimeouts, Transport::Http as usize, 1);
-                    }
-                    HttpError::BodyTooLarge { .. } => {
-                        telemetry.add(Metric::OversizeRejects, Transport::Http as usize, 1);
-                    }
-                    _ => {}
-                }
-                if let Some((status, code)) = error_status(&error) {
-                    let mut response = HttpResponse::error(status, code, &error.to_string());
-                    // No request made it through parsing, so there is no
-                    // client-supplied ID — correlate with a fresh one.
-                    response.attach_trace(&RequestCtx::generate());
-                    let _ = write_response(&mut writer, &response, false);
-                }
-                break;
-            }
-        }
+    /// The header's trace id, else a JSON body's `trace_id` field.
+    fn ctx(request: &HttpRequest) -> RequestCtx {
+        let body = std::str::from_utf8(&request.body).ok();
+        let fields = body.and_then(|text| Json::parse(text).ok());
+        proto::request_ctx(fields.as_ref().unwrap_or(&Json::Null), request.headers())
+            .unwrap_or_else(|_| RequestCtx::generate())
+    }
+
+    fn serve(
+        engine: &QueryEngine,
+        request: &HttpRequest,
+    ) -> (Self::Reply, RequestCtx, proto::Action) {
+        let (response, ctx, action) = answer(engine, request);
+        ((response, request.method != "HEAD"), ctx, action)
+    }
+
+    fn error(request: &HttpRequest, status: u16, body: Json, ctx: &RequestCtx) -> Self::Reply {
+        let version = if request.path == v2::ROUTE {
+            v2::API_VERSION
+        } else {
+            PROTO_VERSION
+        };
+        let response = HttpResponse {
+            // An `overloaded` body carries the retry hint Retry-After echoes.
+            retry_after_ms: body.get("retry_after_ms").and_then(Json::as_u64),
+            ..HttpResponse::json(status, proto::error_in_dialect(version, body, ctx))
+        };
+        (response, request.method != "HEAD")
+    }
+
+    fn render((response, _): &Self::Reply) -> String {
+        response.body.render()
+    }
+
+    fn write<O: Write>(
+        writer: &mut O,
+        (response, send_body): &Self::Reply,
+        body: &str,
+        keep_alive: bool,
+    ) -> io::Result<()> {
+        write_response_parts(writer, response, body, keep_alive, *send_body)
+    }
+
+    /// A `503` with a `Retry-After` header, and the goodbye's trace id in
+    /// an `X-Request-Id` header as well as in the body.
+    fn goodbye<C: crate::daemon::Connection>(mut conn: C, reply: &Json) {
+        let trace = reply
+            .get("trace_id")
+            .and_then(Json::as_str)
+            .unwrap_or_default();
+        let mut body = reply.to_string();
+        body.push('\n');
+        let secs = crate::engine::DEFAULT_RETRY_AFTER_MS.div_ceil(1000).max(1);
+        let _ = write!(
+            conn,
+            "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+             Content-Length: {}\r\nRetry-After: {secs}\r\nX-Request-Id: {trace}\r\n\
+             Connection: close\r\n\r\n{body}",
+            body.len()
+        );
+        let _ = conn.flush();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::daemon::{serve_conn, Limits, Wire};
     use crate::model::{GraphSpec, QueryKind, QueryRequest};
+    use crate::telemetry::Metric;
+    use std::io::BufReader;
 
     /// Parses request bytes, discarding interim writes (100-continue).
     fn parse(bytes: &[u8]) -> Result<Option<HttpRequest>, HttpError> {
@@ -1421,7 +1406,13 @@ mod tests {
         // The Retry-After header is serialized in whole seconds, rounded
         // up, and never understates the millisecond hint.
         let mut bytes = Vec::new();
-        write_response(&mut bytes, &overloaded_response(100), false).unwrap();
+        let shed = crate::error::ServiceError::Overloaded {
+            retry_after_ms: 100,
+        }
+        .wire_body();
+        let request = parse(b"POST /v1/solve HTTP/1.1\r\n\r\n").unwrap().unwrap();
+        let (response, _) = HttpWire::error(&request, 503, shed, &RequestCtx::generate());
+        write_response(&mut bytes, &response, false).unwrap();
         let text = String::from_utf8(bytes).unwrap();
         assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
         assert!(text.contains("Retry-After: 1\r\n"), "{text}");
@@ -1480,13 +1471,11 @@ mod tests {
             let engine = QueryEngine::default();
             let (conn, _) = listener.accept().expect("accept");
             // Budget of one: the connect-time healthz probe spends it.
-            serve_conn_opts(
-                conn,
-                &engine,
-                &server_shutdown,
-                &crate::faults::Faults::default(),
-                1,
-            );
+            let limits = Limits {
+                request_budget: 1,
+                ..Limits::default()
+            };
+            serve_conn::<HttpWire, _>(conn, &engine, &server_shutdown, &limits);
             engine.metrics_report().values(Metric::RejectedOverload)[0]
         });
         let mut client = Client::connect(&addr.to_string()).expect("connect");
@@ -1524,7 +1513,7 @@ mod tests {
         let server = std::thread::spawn(move || {
             let engine = QueryEngine::default();
             let (conn, _) = listener.accept().expect("accept");
-            serve_conn(conn, &engine, &server_shutdown);
+            serve_conn::<HttpWire, _>(conn, &engine, &server_shutdown, &Limits::default());
         });
 
         let mut client = Client::connect(&addr.to_string()).expect("connect");

@@ -42,7 +42,10 @@
 //! and `POST /v2/query` for the envelope); [`client`] is the one client of
 //! both; and [`daemon`] runs a long-lived shared engine behind a unix
 //! domain socket, a TCP socket, or both at once, so the cotree cache
-//! amortises across client processes and transports. [`session`] adds
+//! amortises across client processes and transports. One connection loop
+//! in [`daemon`] serves both transports, over a per-transport wire that
+//! only reads requests and writes answers; the budgets, sheds, reply cap,
+//! timeouts and shutdown are the loop's, written once. [`session`] adds
 //! daemon-resident graph handles on top: mutate a resident graph
 //! edge-by-edge and query its incrementally-maintained cotree (insertions
 //! never re-run full recognition; an illegal one is refused with its

@@ -212,6 +212,12 @@ pub fn write_frame_v<W: Write>(w: &mut W, payload: &Json, version: u64) -> io::R
             ),
         ));
     }
+    write_frame_body(w, &body, version)
+}
+
+/// Writes one frame around an encoded payload and flushes. The caller has
+/// held the payload to [`MAX_FRAME_LEN`].
+pub(crate) fn write_frame_body<W: Write>(w: &mut W, body: &str, version: u64) -> io::Result<()> {
     write!(w, "pcp{version} {}\n{body}\n", body.len())?;
     w.flush()
 }

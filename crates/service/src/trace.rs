@@ -16,12 +16,12 @@
 //! after every child span.
 //!
 //! The recorder is a bounded ring (default [`DEFAULT_TRACE_CAPACITY`]
-//! traces) with **tail sampling**: traces that errored, were shed as
-//! overloaded, or exceeded their deadline are always kept ("protected"),
-//! the rolling slowest-N are kept, and the remaining traffic is sampled one
-//! in [`TraceConfig::sample_every`]. Eviction prefers the oldest
-//! unprotected, not-currently-slowest entry, so a burst of healthy traffic
-//! cannot flush the evidence of an incident out of the buffer.
+//! traces) that takes every committed trace and is **tail-sampled at
+//! eviction**: traces that errored, were shed as overloaded, or exceeded
+//! their deadline are always kept ("protected"), and so are the rolling
+//! slowest-N. Eviction takes the oldest unprotected, not-currently-slowest
+//! entry, so a burst of healthy traffic cannot flush the evidence of an
+//! incident out of the buffer.
 //!
 //! Traces export three ways: JSON summaries ([`FlightRecorder::list_json`]),
 //! one full trace ([`FinishedTrace::to_json`]), and Chrome trace-event JSON
@@ -279,10 +279,7 @@ pub struct TraceConfig {
     pub enabled: bool,
     /// Ring capacity in traces.
     pub capacity: usize,
-    /// Keep one in this many unprotected, not-slowest traces (1 keeps
-    /// every trace the ring has room for; 10 keeps every tenth).
-    pub sample_every: u64,
-    /// Size of the rolling slowest-N set retained regardless of sampling.
+    /// Size of the rolling slowest-N set eviction spares.
     pub slowest_kept: usize,
 }
 
@@ -291,7 +288,6 @@ impl Default for TraceConfig {
         TraceConfig {
             enabled: true,
             capacity: DEFAULT_TRACE_CAPACITY,
-            sample_every: 1,
             slowest_kept: DEFAULT_SLOWEST_KEPT,
         }
     }
@@ -316,8 +312,6 @@ impl TraceConfig {
 pub struct FlightRecorder {
     config: TraceConfig,
     seq: AtomicU64,
-    sample_counter: AtomicU64,
-    sampled_out: AtomicU64,
     evicted: AtomicU64,
     inner: Mutex<VecDeque<FinishedTrace>>,
 }
@@ -327,12 +321,9 @@ impl FlightRecorder {
     /// to 1 so `commit` never divides the ring away.
     pub fn new(mut config: TraceConfig) -> FlightRecorder {
         config.capacity = config.capacity.max(1);
-        config.sample_every = config.sample_every.max(1);
         FlightRecorder {
             config,
             seq: AtomicU64::new(0),
-            sample_counter: AtomicU64::new(0),
-            sampled_out: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
             inner: Mutex::new(VecDeque::new()),
         }
@@ -358,10 +349,10 @@ impl FlightRecorder {
         }
     }
 
-    /// Commits one finished trace, applying tail sampling and ring
-    /// eviction. `protected` marks errored / overloaded /
-    /// deadline-exceeded requests that must always be retained; `spans`
-    /// is a [`SpanCollector::take`]: the kept spans and the dropped count.
+    /// Commits one finished trace, evicting one when the ring is full.
+    /// `protected` marks errored / overloaded / deadline-exceeded requests
+    /// that must always be retained; `spans` is a [`SpanCollector::take`]:
+    /// the kept spans and the dropped count.
     pub fn commit(
         &self,
         trace_id: &str,
@@ -381,13 +372,6 @@ impl FlightRecorder {
         let Ok(mut ring) = self.inner.lock() else {
             return;
         };
-        if !protected && !self.qualifies_as_slow(&ring, total_us) {
-            let tick = self.sample_counter.fetch_add(1, Ordering::Relaxed);
-            if tick % self.config.sample_every != 0 {
-                self.sampled_out.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-        }
         let trace = FinishedTrace {
             trace_id: trace_id.to_string(),
             kind: kind.to_string(),
@@ -406,21 +390,8 @@ impl FlightRecorder {
         }
     }
 
-    /// Whether a duration lands in the current slowest-N set (always true
-    /// while the set is not yet full).
-    fn qualifies_as_slow(&self, ring: &VecDeque<FinishedTrace>, total_us: u64) -> bool {
-        let n = self.config.slowest_kept;
-        if n == 0 {
-            return false;
-        }
-        if ring.len() < n {
-            return true;
-        }
-        total_us >= self.slowest_threshold(ring)
-    }
-
-    /// The N-th largest total among retained traces (the floor a new trace
-    /// must meet to displace the slowest-N set).
+    /// The N-th largest total among retained traces: the floor of the
+    /// slowest-N set.
     fn slowest_threshold(&self, ring: &VecDeque<FinishedTrace>) -> u64 {
         let n = self.config.slowest_kept.min(ring.len());
         if n == 0 {
@@ -462,8 +433,10 @@ impl FlightRecorder {
 
     /// Summaries of every retained trace, newest first, wrapped with
     /// recorder counters:
-    /// `{"traces": [...], "retained": N, "capacity": C, "sampled_out": S,
-    /// "evicted": E, "enabled": bool}`.
+    /// `{"traces": [...], "retained": N, "capacity": C, "sampled_out": 0,
+    /// "evicted": E, "enabled": bool}` (`sampled_out` is always 0: every
+    /// committed trace is retained until evicted; the key stays for
+    /// readers of the index).
     pub fn list_json(&self) -> Json {
         let summaries = self
             .inner
@@ -478,10 +451,7 @@ impl FlightRecorder {
         Json::obj(vec![
             ("retained", Json::num(summaries.len() as u64)),
             ("capacity", Json::num(self.config.capacity as u64)),
-            (
-                "sampled_out",
-                Json::num(self.sampled_out.load(Ordering::Relaxed)),
-            ),
+            ("sampled_out", Json::num(0)),
             ("evicted", Json::num(self.evicted.load(Ordering::Relaxed))),
             ("enabled", Json::Bool(self.config.enabled)),
             ("traces", Json::Arr(summaries)),
@@ -497,7 +467,6 @@ mod tests {
         FlightRecorder::new(TraceConfig {
             enabled: true,
             capacity,
-            sample_every: 1,
             slowest_kept: slowest,
         })
     }
@@ -591,27 +560,6 @@ mod tests {
                 recorder.get(id).is_some(),
                 "slowest-N member {id} must survive the flood"
             );
-        }
-    }
-
-    #[test]
-    fn sampling_drops_the_configured_fraction_but_never_errors() {
-        let recorder = FlightRecorder::new(TraceConfig {
-            enabled: true,
-            capacity: 1000,
-            sample_every: 10,
-            slowest_kept: 0,
-        });
-        for i in 0..100 {
-            recorder.commit(&format!("ok-{i}"), "q", "ok", 1, false, (vec![], 0));
-        }
-        for i in 0..7 {
-            recorder.commit(&format!("err-{i}"), "q", "internal", 1, true, (vec![], 0));
-        }
-        // 1-in-10 of the healthy hundred, plus every error.
-        assert_eq!(recorder.len(), 10 + 7);
-        for i in 0..7 {
-            assert!(recorder.get(&format!("err-{i}")).is_some());
         }
     }
 

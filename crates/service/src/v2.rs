@@ -178,8 +178,8 @@ pub enum OpError {
         /// The human-readable message.
         message: String,
     },
-    /// A `trace_get` miss: the id was never retained, was sampled out, or
-    /// has been evicted from the ring.
+    /// A `trace_get` miss: the id was never retained, or has been evicted
+    /// from the ring.
     TraceNotFound {
         /// The requested trace id.
         id: String,
