@@ -54,20 +54,8 @@ fn e1_lower_bound(sizes: &[usize]) {
             n.to_string(),
             outcome.cover.len().to_string(),
             or.to_string(),
-            outcome
-                .metrics
-                .as_ref()
-                .expect("sim metrics")
-                .steps
-                .to_string(),
-            format!(
-                "{:.1}",
-                outcome
-                    .metrics
-                    .as_ref()
-                    .expect("sim metrics")
-                    .steps_per_log(n)
-            ),
+            outcome.metrics.steps.to_string(),
+            format!("{:.1}", outcome.metrics.steps_per_log(n)),
         ]);
     }
     print_table("E1 - lower-bound reduction (Theorem 2.2)", &t);
@@ -130,7 +118,7 @@ fn e3_path_counts(sizes: &[usize]) {
                 format!("{:.1}", m.steps_per_log(n)),
                 m.work.to_string(),
                 format!("{:.1}", m.work_per_item(n)),
-                m.violations.len().to_string(),
+                m.violation_total.to_string(),
             ]);
         }
     }
@@ -147,62 +135,30 @@ fn e4_full_pipeline(sizes: &[usize]) {
         "steps/log2(n)",
         "work",
         "work/n",
-        "EREW read conflicts",
-        "write conflicts",
+        "EREW violations",
+        "outside bracket matching",
     ]);
     for family in CotreeFamily::ALL {
         for &n in sizes {
             let cotree = Workload::new(family, n, DEFAULT_SEED).cotree();
             let outcome = pram_path_cover(&cotree, PramConfig::default());
-            let reads = outcome
-                .metrics
-                .as_ref()
-                .expect("sim metrics")
-                .violations
+            let m = &outcome.metrics;
+            let matching: u64 = m
+                .phase_report()
                 .iter()
-                .filter(|v| v.kind == pram::ViolationKind::ConcurrentRead)
-                .count();
-            let writes = outcome
-                .metrics
-                .as_ref()
-                .expect("sim metrics")
-                .violations
-                .len()
-                - reads;
+                .filter(|p| p.name.contains("bracket matching"))
+                .map(|p| p.violations)
+                .sum();
             t.add_row(vec![
                 family.name().to_string(),
                 n.to_string(),
                 outcome.cover.len().to_string(),
-                outcome
-                    .metrics
-                    .as_ref()
-                    .expect("sim metrics")
-                    .steps
-                    .to_string(),
-                format!(
-                    "{:.1}",
-                    outcome
-                        .metrics
-                        .as_ref()
-                        .expect("sim metrics")
-                        .steps_per_log(n)
-                ),
-                outcome
-                    .metrics
-                    .as_ref()
-                    .expect("sim metrics")
-                    .work
-                    .to_string(),
-                format!(
-                    "{:.1}",
-                    outcome
-                        .metrics
-                        .as_ref()
-                        .expect("sim metrics")
-                        .work_per_item(n)
-                ),
-                reads.to_string(),
-                writes.to_string(),
+                m.steps.to_string(),
+                format!("{:.1}", m.steps_per_log(n)),
+                m.work.to_string(),
+                format!("{:.1}", m.work_per_item(n)),
+                m.violation_total.to_string(),
+                (m.violation_total - matching).to_string(),
             ]);
         }
     }
@@ -225,30 +181,30 @@ fn e5_baselines(sizes: &[usize], quick: bool) {
             let ours = pram_path_cover(&cotree, PramConfig::default());
             let mut rows = vec![(
                 "this paper (optimal)",
-                ours.metrics.as_ref().expect("sim metrics").steps,
-                ours.metrics.as_ref().expect("sim metrics").work,
+                ours.metrics.steps,
+                ours.metrics.work,
                 ours.processors,
             )];
             let naive = naive_parallel_cover(&cotree);
             rows.push((
                 "naive bottom-up",
-                naive.metrics.as_ref().expect("sim metrics").steps,
-                naive.metrics.as_ref().expect("sim metrics").work,
+                naive.metrics.steps,
+                naive.metrics.work,
                 naive.processors,
             ));
             let lin = lin_etal_cover(&cotree);
             rows.push((
                 "Lin et al. [18]",
-                lin.metrics.as_ref().expect("sim metrics").steps,
-                lin.metrics.as_ref().expect("sim metrics").work,
+                lin.metrics.steps,
+                lin.metrics.work,
                 lin.processors,
             ));
             if n <= if quick { 1 << 10 } else { 1 << 12 } {
                 let ap = adhar_peng_like_cover(&cotree);
                 rows.push((
                     "Adhar-Peng-like [2]",
-                    ap.metrics.as_ref().expect("sim metrics").steps,
-                    ap.metrics.as_ref().expect("sim metrics").work,
+                    ap.metrics.steps,
+                    ap.metrics.work,
                     ap.processors,
                 ));
             }
@@ -294,21 +250,14 @@ fn e6_processor_sweep(n: usize) {
         );
         t.add_row(vec![
             p.to_string(),
-            outcome
-                .metrics
-                .as_ref()
-                .expect("sim metrics")
-                .steps
-                .to_string(),
+            outcome.metrics.steps.to_string(),
             format!(
                 "{:.2}",
-                base.metrics.as_ref().expect("sim metrics").steps as f64
-                    / outcome.metrics.as_ref().expect("sim metrics").steps as f64
+                base.metrics.steps as f64 / outcome.metrics.steps as f64
             ),
             format!(
                 "{:.2}",
-                (p as u64 * outcome.metrics.as_ref().expect("sim metrics").steps) as f64
-                    / outcome.metrics.as_ref().expect("sim metrics").work as f64
+                (p as u64 * outcome.metrics.steps) as f64 / outcome.metrics.work as f64
             ),
         ]);
         p *= 4;
@@ -336,20 +285,8 @@ fn e7_hamiltonian(sizes: &[usize]) {
             n.to_string(),
             (outcome.cover.len() == 1).to_string(),
             has_hamiltonian_cycle(&cotree).to_string(),
-            outcome
-                .metrics
-                .as_ref()
-                .expect("sim metrics")
-                .steps
-                .to_string(),
-            format!(
-                "{:.1}",
-                outcome
-                    .metrics
-                    .as_ref()
-                    .expect("sim metrics")
-                    .steps_per_log(n)
-            ),
+            outcome.metrics.steps.to_string(),
+            format!("{:.1}", outcome.metrics.steps_per_log(n)),
         ]);
     }
     print_table("E7 - Hamiltonian path / cycle decisions", &t);
@@ -380,7 +317,7 @@ fn e8_primitives(sizes: &[usize]) {
             m.metrics().steps.to_string(),
             format!("{:.1}", m.metrics().steps_per_log(n)),
             format!("{:.1}", m.metrics().work_per_item(n)),
-            m.metrics().violations.len().to_string(),
+            m.metrics().violation_total.to_string(),
         ]);
         // list ranking
         let mut order: Vec<usize> = (0..n).collect();
@@ -399,29 +336,27 @@ fn e8_primitives(sizes: &[usize]) {
             m.metrics().steps.to_string(),
             format!("{:.1}", m.metrics().steps_per_log(n)),
             format!("{:.1}", m.metrics().work_per_item(n)),
-            m.metrics().violations.len().to_string(),
+            m.metrics().violation_total.to_string(),
         ]);
         // bracket matching
-        let kinds: Vec<i64> = (0..n)
+        let kinds: Vec<BracketKind> = (0..n)
             .map(|_| {
                 if rng.gen_bool(0.5) {
                     BracketKind::Open
                 } else {
                     BracketKind::Close
                 }
-                .to_word()
             })
             .collect();
         let mut m = pram::Pram::new(Mode::Crew, pram::optimal_processors(n));
-        let h = m.alloc_from(&kinds);
-        let _ = parprims::brackets::match_brackets_pram(&mut m, h);
+        let _ = parprims::brackets::match_brackets_pram(&mut m, &kinds);
         t.add_row(vec![
             "bracket matching (CREW)".into(),
             n.to_string(),
             m.metrics().steps.to_string(),
             format!("{:.1}", m.metrics().steps_per_log(n)),
             format!("{:.1}", m.metrics().work_per_item(n)),
-            m.metrics().violations.len().to_string(),
+            m.metrics().violation_total.to_string(),
         ]);
         // euler tour numberings
         let cotree = Workload::new(CotreeFamily::Balanced, n, DEFAULT_SEED).cotree();
@@ -435,7 +370,7 @@ fn e8_primitives(sizes: &[usize]) {
             m.metrics().steps.to_string(),
             format!("{:.1}", m.metrics().steps_per_log(n)),
             format!("{:.1}", m.metrics().work_per_item(n)),
-            m.metrics().violations.len().to_string(),
+            m.metrics().violation_total.to_string(),
         ]);
     }
     print_table("E8 - primitive toolbox (Lemmas 5.1 / 5.2)", &t);

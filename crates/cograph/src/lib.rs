@@ -41,7 +41,7 @@ mod verify;
 pub use binary::{BinKind, BinaryCotree, NONE};
 pub use cotree::{Cotree, CotreeBuilder, CotreeKind};
 pub use generators::{random_cotree, CotreeShape};
-pub use pathcount::{path_counts_exec, path_counts_pram, path_counts_seq};
+pub use pathcount::{path_counts_pram, path_counts_seq};
 pub use recognition::{
     is_cograph, recognize, try_recognize, IllegalInsertion, IncrementalCotree, InducedP4,
     RecognitionError,

@@ -15,7 +15,7 @@
 //! computation whose complexity Lemma 2.4 claims, and experiment E3 measures.
 
 use crate::binary::{BinKind, BinaryCotree};
-use parprims::{evaluate_tree_exec, Exec, NodeOp};
+use parprims::{evaluate_tree_pram, NodeOp};
 use pram::Pram;
 
 /// Sequential evaluation of the `p(u)` recurrence for every node.
@@ -40,15 +40,6 @@ pub fn path_counts_seq(t: &BinaryCotree, leaf_counts: &[usize]) -> Vec<i64> {
 /// known, so every node operation is a max-plus affine function and the
 /// contraction of `parprims::contraction` applies directly.
 pub fn path_counts_pram(pram: &mut Pram, t: &BinaryCotree, leaf_counts: &[usize]) -> Vec<i64> {
-    let mut exec = Exec::sim(pram);
-    path_counts_exec(&mut exec, t, leaf_counts)
-}
-
-/// Backend-generic evaluation of the `p(u)` recurrence via tree contraction.
-///
-/// Runs on either the metered PRAM simulator or the real-cores pool backend;
-/// see [`path_counts_pram`] for the algorithmic background.
-pub fn path_counts_exec(exec: &mut Exec<'_>, t: &BinaryCotree, leaf_counts: &[usize]) -> Vec<i64> {
     let n = t.num_nodes();
     let tree = t.to_rooted_tree();
     let mut ops = vec![NodeOp::Add; n];
@@ -65,7 +56,7 @@ pub fn path_counts_exec(exec: &mut Exec<'_>, t: &BinaryCotree, leaf_counts: &[us
             }
         }
     }
-    evaluate_tree_exec(exec, &tree, &ops, &leaf_values)
+    evaluate_tree_pram(pram, &tree, &ops, &leaf_values)
 }
 
 #[cfg(test)]

@@ -73,16 +73,12 @@ pub fn naive_parallel_cover(cotree: &Cotree) -> PramOutcome {
         machine.parallel_for(involved.max(1), |ctx, i| ctx.write(xs, i, 1));
         let _ = exclusive_scan_pram(&mut machine, xs, ScanOp::Sum, 0);
         // O(1) splice work per merged vertex.
-        let splice = machine.alloc(level.len());
-        machine.parallel_for(level.len(), |ctx, i| {
-            ctx.charge(3);
-            ctx.write(splice, i, 1);
-        });
+        machine.charge_round(level.len(), 4);
     }
 
     PramOutcome {
         cover: sequential_path_cover(cotree),
-        metrics: Some(machine.into_metrics()),
+        metrics: machine.into_metrics(),
         processors,
     }
 }
@@ -113,7 +109,7 @@ pub fn lin_etal_cover(cotree: &Cotree) -> PramOutcome {
 
     PramOutcome {
         cover: sequential_path_cover(cotree),
-        metrics: Some(machine.into_metrics()),
+        metrics: machine.into_metrics(),
         processors,
     }
 }
@@ -143,7 +139,7 @@ pub fn adhar_peng_like_cover(cotree: &Cotree) -> PramOutcome {
 
     PramOutcome {
         cover: sequential_path_cover(cotree),
-        metrics: Some(machine.into_metrics()),
+        metrics: machine.into_metrics(),
         processors,
     }
 }
@@ -170,7 +166,7 @@ mod tests {
         ] {
             assert!(verify_path_cover(&g, &outcome.cover).is_valid());
             assert_eq!(outcome.cover.len(), expected);
-            assert!(outcome.metrics.expect("baselines always meter").steps > 0);
+            assert!(outcome.metrics.steps > 0);
         }
     }
 
@@ -182,19 +178,9 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let small = random_cotree(512, CotreeShape::Skewed, &mut rng);
         let large = random_cotree(2048, CotreeShape::Skewed, &mut rng);
-        let naive_steps = |t: &Cotree| {
-            naive_parallel_cover(t)
-                .metrics
-                .expect("baselines always meter")
-                .steps as f64
-        };
+        let naive_steps = |t: &Cotree| naive_parallel_cover(t).metrics.steps as f64;
         let naive_growth = naive_steps(&large) / naive_steps(&small);
-        let sim_steps = |t: &Cotree| {
-            pram_path_cover(t, PramConfig::default())
-                .metrics
-                .expect("sim backend reports metrics")
-                .steps as f64
-        };
+        let sim_steps = |t: &Cotree| pram_path_cover(t, PramConfig::default()).metrics.steps as f64;
         let ours_growth = sim_steps(&large) / sim_steps(&small);
         assert!(naive_growth > 2.5, "naive growth {naive_growth}");
         assert!(ours_growth < 1.5, "ours growth {ours_growth}");
@@ -211,8 +197,6 @@ mod tests {
         let reporting = |o: &PramOutcome, n: usize| {
             let steps: u64 = o
                 .metrics
-                .as_ref()
-                .expect("baselines always meter")
                 .phase_report()
                 .iter()
                 .filter(|p| p.name != "path counts")
@@ -225,7 +209,6 @@ mod tests {
         let ours = |t: &Cotree, n: usize| {
             pram_path_cover(t, PramConfig::default())
                 .metrics
-                .expect("sim backend reports metrics")
                 .steps_per_log(n)
         };
         let ours_growth = ours(&large, 1 << 12) / ours(&small, 1 << 8);
@@ -240,8 +223,8 @@ mod tests {
         let t = random_cotree(n, CotreeShape::Balanced, &mut rng);
         let theirs = adhar_peng_like_cover(&t);
         let ours = pram_path_cover(&t, PramConfig::default());
-        let ours_work = ours.metrics.expect("sim backend reports metrics").work;
-        let theirs_work = theirs.metrics.expect("baselines always meter").work;
+        let ours_work = ours.metrics.work;
+        let theirs_work = theirs.metrics.work;
         assert!(theirs_work > (n * n) as u64);
         assert!(
             theirs_work > 2 * ours_work,

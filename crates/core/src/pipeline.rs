@@ -14,7 +14,7 @@
 //! One code path serves two execution substrates, selected by [`Engine`]:
 //!
 //! * `Engine::Host` runs every primitive with plain sequential code — this is
-//!   the "fast native" entry point [`path_cover`];
+//!   the entry point [`path_cover`];
 //! * `Engine::Pram` runs the heavy primitives (leaf counts via the Euler
 //!   tour, path counts via tree contraction, bracket matching, inorder
 //!   numbering of the path trees) on the instrumented PRAM simulator and
@@ -26,46 +26,24 @@
 //!   spelled out in the `parprims` crate docs and its `brackets` module.
 
 use cograph::{classify_vertices, BinKind, BinaryCotree, Cotree, ReducedCotree, VertexRole};
-use cograph::{path_counts_exec, path_counts_seq};
-use parpool::Pool;
-use parprims::brackets::{match_brackets_on_exec, match_brackets_seq, BracketKind};
-use parprims::euler::{euler_numbers_seq, euler_tour_numbers_exec};
-use parprims::exec::Exec;
+use cograph::{path_counts_pram, path_counts_seq};
+use parprims::brackets::{match_brackets_pram, match_brackets_seq, BracketKind};
+use parprims::euler::{euler_numbers_seq, euler_tour_numbers};
 use parprims::tree::{RootedTree, NONE};
 use pcgraph::{Path, PathCover, VertexId};
 use pram::{Metrics, Mode, Pram};
 
-/// Which substrate executes the parallel primitives of a metered/parallel
-/// run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// The instrumented PRAM simulator: sequential, but measures synchronous
-    /// steps, work and the access discipline. The only source of step/work
-    /// metrics.
-    #[default]
-    Sim,
-    /// The real-cores work-stealing pool: runs each PRAM round across OS
-    /// threads for wall-clock speed. Produces no step metrics.
-    Pool,
-}
-
 /// Configuration of the PRAM-metered execution.
 #[derive(Debug, Clone, Copy)]
 pub struct PramConfig {
-    /// The PRAM variant to check the access discipline against (simulator
-    /// backend only).
+    /// The PRAM variant to check the access discipline against.
     pub mode: Mode,
     /// Number of simulated processors; `None` selects the paper's
-    /// `n / log2 n`. Simulator backend only.
+    /// `n / log2 n`.
     pub processors: Option<usize>,
     /// Panic on the first access-discipline violation instead of recording
-    /// it. Simulator backend only.
+    /// it.
     pub strict: bool,
-    /// Execution substrate for the parallel primitives.
-    pub backend: Backend,
-    /// OS threads for the pool backend; `None` or `Some(0)` resolves to the
-    /// machine's available parallelism. Ignored by the simulator backend.
-    pub threads: Option<usize>,
 }
 
 impl Default for PramConfig {
@@ -74,8 +52,6 @@ impl Default for PramConfig {
             mode: Mode::Erew,
             processors: None,
             strict: false,
-            backend: Backend::Sim,
-            threads: None,
         }
     }
 }
@@ -85,16 +61,16 @@ impl Default for PramConfig {
 pub struct PramOutcome {
     /// The minimum path cover found.
     pub cover: PathCover,
-    /// Step/work/conflict counters of the simulated execution. `None` for
-    /// the pool backend — only the simulator measures PRAM steps.
-    pub metrics: Option<Metrics>,
-    /// Number of processors: simulated processors for [`Backend::Sim`], OS
-    /// threads for [`Backend::Pool`].
+    /// Step/work/conflict counters of the simulated execution.
+    pub metrics: Metrics,
+    /// Number of simulated processors.
     pub processors: usize,
 }
 
-/// Computes a minimum path cover with the parallel algorithm, executed
-/// natively (no simulation); the fastest way to get the answer.
+/// Computes a minimum path cover with the paper's parallel algorithm,
+/// executed natively (no simulation). [`crate::sequential_path_cover`]
+/// returns a cover of the same size about 25 times faster; this entry point
+/// exists to run the eight steps themselves.
 pub fn path_cover(cotree: &Cotree) -> PathCover {
     run_pipeline(cotree, &mut Engine::Host)
 }
@@ -110,44 +86,28 @@ pub fn min_path_cover_size(cotree: &Cotree) -> usize {
 /// Runs the parallel algorithm on the instrumented PRAM simulator and
 /// returns the cover together with the measured metrics.
 pub fn pram_path_cover(cotree: &Cotree, config: PramConfig) -> PramOutcome {
-    match config.backend {
-        Backend::Sim => {
-            let n = cotree.num_vertices();
-            let processors = config
-                .processors
-                .unwrap_or_else(|| pram::optimal_processors(n));
-            let mut machine = if config.strict {
-                Pram::strict(config.mode, processors)
-            } else {
-                Pram::new(config.mode, processors)
-            };
-            let cover = run_pipeline(cotree, &mut Engine::Pram(&mut machine));
-            PramOutcome {
-                cover,
-                metrics: Some(machine.into_metrics()),
-                processors,
-            }
-        }
-        Backend::Pool => {
-            let threads = parpool::resolve_threads(config.threads);
-            let mut pool = Pool::new(threads);
-            let cover = pool_path_cover(cotree, &mut pool);
-            PramOutcome {
-                cover,
-                metrics: None,
-                processors: threads,
-            }
-        }
+    let n = cotree.num_vertices();
+    let processors = config
+        .processors
+        .unwrap_or_else(|| pram::optimal_processors(n));
+    let mut machine = if config.strict {
+        Pram::strict(config.mode, processors)
+    } else {
+        Pram::new(config.mode, processors)
+    };
+    let cover = run_pipeline(cotree, &mut Engine::Pram(&mut machine));
+    PramOutcome {
+        cover,
+        metrics: machine.into_metrics(),
+        processors,
     }
 }
 
-/// Runs the parallel algorithm on an existing work-stealing [`Pool`] — the
-/// entry point for long-lived services that reuse one pool across solves.
-///
-/// The structural decisions are identical to the other substrates, so the
-/// cover matches [`path_cover`] and [`pram_path_cover`] exactly.
-pub fn pool_path_cover(cotree: &Cotree, pool: &mut Pool) -> PathCover {
-    run_pipeline(cotree, &mut Engine::Pool(pool))
+/// Returns [`path_cover`]'s cover; the pool is not used. Kept because the
+/// benchmark's traced replay (`perfbench`) still names it; the replay never
+/// calls it, because the engine's `parallel_min_vertices` is `0`.
+pub fn pool_path_cover(cotree: &Cotree, _pool: &mut parpool::Pool) -> PathCover {
+    path_cover(cotree)
 }
 
 /// Execution substrate for the pipeline.
@@ -156,8 +116,6 @@ pub enum Engine<'a> {
     Host,
     /// Instrumented execution on the PRAM simulator.
     Pram(&'a mut Pram),
-    /// Real-cores execution on the work-stealing pool.
-    Pool(&'a mut Pool),
 }
 
 impl Engine<'_> {
@@ -169,18 +127,10 @@ impl Engine<'_> {
 
     /// Charges `m` virtual processors performing `ops` shared-memory accesses
     /// each — used for the per-element glue steps whose data movement is done
-    /// host-side. Metering exists only on the simulator; the host and pool
-    /// substrates skip it.
+    /// host-side. Metering exists only on the simulator; the host skips it.
     fn charge(&mut self, m: usize, ops: u64) {
-        if m == 0 {
-            return;
-        }
         if let Engine::Pram(p) = self {
-            let scratch = p.alloc(m);
-            p.parallel_for(m, |ctx, i| {
-                ctx.charge(ops.saturating_sub(1));
-                ctx.write(scratch, i, 1);
-            });
+            p.charge_round(m, ops);
         }
     }
 
@@ -192,12 +142,10 @@ impl Engine<'_> {
                 (l, p)
             }
             Engine::Pram(pram) => {
-                let mut exec = Exec::sim(pram);
-                leaf_and_path_counts_exec(&mut exec, tree)
-            }
-            Engine::Pool(pool) => {
-                let mut exec = Exec::pool(pool);
-                leaf_and_path_counts_exec(&mut exec, tree)
+                let rooted = tree.to_rooted_tree();
+                let l = euler_tour_numbers(pram, &rooted, None).leaf_count;
+                let p = path_counts_pram(pram, tree, &l);
+                (l, p)
             }
         }
     }
@@ -205,31 +153,16 @@ impl Engine<'_> {
     fn match_brackets(&mut self, kinds: &[BracketKind]) -> Vec<Option<usize>> {
         match self {
             Engine::Host => match_brackets_seq(kinds),
-            Engine::Pram(pram) => match_brackets_on_exec(&mut Exec::sim(pram), kinds),
-            Engine::Pool(pool) => match_brackets_on_exec(&mut Exec::pool(pool), kinds),
+            Engine::Pram(pram) => match_brackets_pram(pram, kinds),
         }
     }
 
     fn inorder(&mut self, tree: &RootedTree, left_child: &[usize]) -> Vec<usize> {
         match self {
             Engine::Host => euler_numbers_seq(tree, Some(left_child)).inorder,
-            Engine::Pram(pram) => {
-                euler_tour_numbers_exec(&mut Exec::sim(pram), tree, Some(left_child)).inorder
-            }
-            Engine::Pool(pool) => {
-                euler_tour_numbers_exec(&mut Exec::pool(pool), tree, Some(left_child)).inorder
-            }
+            Engine::Pram(pram) => euler_tour_numbers(pram, tree, Some(left_child)).inorder,
         }
     }
-}
-
-/// Shared backend-generic body of [`Engine::leaf_and_path_counts`].
-fn leaf_and_path_counts_exec(exec: &mut Exec<'_>, tree: &BinaryCotree) -> (Vec<usize>, Vec<i64>) {
-    let rooted = tree.to_rooted_tree();
-    let numbers = euler_tour_numbers_exec(exec, &rooted, None);
-    let l = numbers.leaf_count;
-    let p = path_counts_exec(exec, tree, &l);
-    (l, p)
 }
 
 /// One bracket of the sequence `B(R)`, annotated with the node of the
@@ -929,44 +862,12 @@ mod tests {
                 assert_eq!(outcome.cover.len(), native.len(), "{shape:?} n={n}");
                 let g = t.to_graph();
                 assert!(verify_path_cover(&g, &outcome.cover).is_valid());
-                let metrics = outcome
-                    .metrics
-                    .as_ref()
-                    .expect("sim backend reports metrics");
+                let metrics = &outcome.metrics;
                 assert!(metrics.steps > 0);
                 assert!(metrics.work > 0);
                 assert!(outcome.processors >= 1);
             }
         }
-    }
-
-    #[test]
-    fn pool_backend_agrees_with_native_and_reports_no_metrics() {
-        let mut rng = ChaCha8Rng::seed_from_u64(808);
-        for threads in [1usize, 4] {
-            let mut pool = Pool::new(threads);
-            for shape in CotreeShape::ALL {
-                for n in [2usize, 9, 40, 137] {
-                    let t = random_cotree(n, shape, &mut rng);
-                    let native = path_cover(&t);
-                    let pooled = pool_path_cover(&t, &mut pool);
-                    assert_eq!(pooled, native, "{shape:?} n={n} threads={threads}");
-                }
-            }
-        }
-        // The convenience entry point resolves threads and drops metrics.
-        let t = random_cotree(64, CotreeShape::Mixed, &mut rng);
-        let outcome = pram_path_cover(
-            &t,
-            PramConfig {
-                backend: Backend::Pool,
-                threads: Some(2),
-                ..PramConfig::default()
-            },
-        );
-        assert!(outcome.metrics.is_none());
-        assert_eq!(outcome.processors, 2);
-        assert_eq!(outcome.cover.len(), path_cover(&t).len());
     }
 
     #[test]
@@ -977,7 +878,7 @@ mod tests {
             let n = 1usize << exp;
             let t = random_cotree(n, CotreeShape::Balanced, &mut rng);
             let outcome = pram_path_cover(&t, PramConfig::default());
-            let metrics = outcome.metrics.expect("sim backend reports metrics");
+            let metrics = outcome.metrics;
             stats.push((metrics.steps_per_log(n), metrics.work_per_item(n)));
         }
         let (s0, w0) = stats[0];
@@ -991,10 +892,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(505);
         let t = random_cotree(64, CotreeShape::Mixed, &mut rng);
         let outcome = pram_path_cover(&t, PramConfig::default());
-        let phases = outcome
-            .metrics
-            .expect("sim backend reports metrics")
-            .phase_report();
+        let phases = outcome.metrics.phase_report();
         assert!(
             phases.len() >= 5,
             "expected per-step phases, got {phases:?}"

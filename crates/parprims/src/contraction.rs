@@ -21,8 +21,7 @@
 //! replaying the recorded rake events in reverse then yields the value of
 //! every internal node. Total: `O(log n)` steps, `O(n)` work, EREW.
 
-use crate::euler::euler_tour_numbers_exec;
-use crate::exec::Exec;
+use crate::euler::euler_tour_numbers;
 use crate::tree::{RootedTree, NONE};
 use pram::Pram;
 
@@ -181,18 +180,6 @@ pub fn evaluate_tree_pram(
     ops: &[NodeOp],
     leaf_values: &[i64],
 ) -> Vec<i64> {
-    let mut exec = Exec::sim(pram);
-    evaluate_tree_exec(&mut exec, tree, ops, leaf_values)
-}
-
-/// Evaluates every node of a strictly binary expression tree on any [`Exec`]
-/// backend; see [`evaluate_tree_pram`] for the algorithm description.
-pub fn evaluate_tree_exec(
-    exec: &mut Exec<'_>,
-    tree: &RootedTree,
-    ops: &[NodeOp],
-    leaf_values: &[i64],
-) -> Vec<i64> {
     let n = tree.len();
     if n == 1 {
         return vec![leaf_values[tree.root()]];
@@ -207,8 +194,8 @@ pub fn evaluate_tree_exec(
         }
     }
 
-    // Leaf numbering left-to-right from the Euler tour (backend-metered).
-    let numbers = euler_tour_numbers_exec(exec, tree, None);
+    // Leaf numbering left-to-right from the Euler tour (simulator-metered).
+    let numbers = euler_tour_numbers(pram, tree, None);
     let mut leaves: Vec<usize> = (0..n).filter(|&v| tree.is_leaf(v)).collect();
     leaves.sort_by_key(|&v| numbers.inorder[v]);
 
@@ -261,7 +248,7 @@ pub fn evaluate_tree_exec(
             // Each rake is O(1) shared-memory traffic on a real PRAM; charge
             // the simulator accordingly (reads of parent/sibling state plus
             // writes of the recomposed function and relinked pointers).
-            exec.account(rakes.len(), 8);
+            pram.charge_round(rakes.len(), 9);
             for leaf in rakes {
                 let p = parent[leaf];
                 let sibling = if child[p][0] == leaf {
@@ -344,7 +331,7 @@ pub fn evaluate_tree_exec(
     // Expansion: replay rounds in reverse; every removed parent's value
     // becomes computable from its (still known) surviving child.
     for round in events.iter().rev() {
-        exec.account(round.len(), 6);
+        pram.charge_round(round.len(), 7);
         for ev in round.iter().rev() {
             let sib_value = ev.sibling_fn.apply(value[ev.sibling]);
             let (left, right) = if ev.leaf_was_left {

@@ -15,9 +15,8 @@
 //! `parent(v) -> v` has id `v` and the *retreat* edge `v -> parent(v)` has id
 //! `n + v`. The root contributes no edges; its two slots stay unused.
 
-use crate::exec::Exec;
-use crate::ranking::{list_rank_exec, NONE_WORD};
-use crate::scan::{prefix_sums_exec, ScanOp};
+use crate::ranking::{list_rank_blocked, NONE_WORD};
+use crate::scan::{prefix_sums_pram, ScanOp};
 use crate::tree::{RootedTree, NONE};
 use pram::Pram;
 
@@ -58,17 +57,6 @@ pub struct EulerNumbers {
 /// right).
 pub fn euler_tour_numbers(
     pram: &mut Pram,
-    tree: &RootedTree,
-    left_child: Option<&[usize]>,
-) -> EulerNumbers {
-    let mut exec = Exec::sim(pram);
-    euler_tour_numbers_exec(&mut exec, tree, left_child)
-}
-
-/// Computes the Euler-tour numberings of `tree` on any [`Exec`] backend; see
-/// [`euler_tour_numbers`] for the `left_child` convention.
-pub fn euler_tour_numbers_exec(
-    exec: &mut Exec<'_>,
     tree: &RootedTree,
     left_child: Option<&[usize]>,
 ) -> EulerNumbers {
@@ -122,17 +110,17 @@ pub fn euler_tour_numbers_exec(
             is_left_w[lc] = 1;
         }
     }
-    let parent_h = exec.alloc_from(&parent_w);
-    let first_child_h = exec.alloc_from(&first_child_w);
-    let next_sibling_h = exec.alloc_from(&next_sibling_w);
-    let is_leaf_h = exec.alloc_from(&is_leaf_w);
-    let left_child_h = exec.alloc_from(&left_child_w);
-    let is_left_h = exec.alloc_from(&is_left_w);
+    let parent_h = pram.alloc_from(&parent_w);
+    let first_child_h = pram.alloc_from(&first_child_w);
+    let next_sibling_h = pram.alloc_from(&next_sibling_w);
+    let is_leaf_h = pram.alloc_from(&is_leaf_w);
+    let left_child_h = pram.alloc_from(&left_child_w);
+    let is_left_h = pram.alloc_from(&is_left_w);
 
     // Successor array over edge ids. Advance edge of v: id v; retreat edge:
     // id n + v. The root's two ids stay isolated.
-    let succ = exec.alloc_from(&vec![NONE_WORD; 2 * n]);
-    exec.parallel_for(n, move |ctx, v| {
+    let succ = pram.alloc_from(&vec![NONE_WORD; 2 * n]);
+    pram.parallel_for(n, |ctx, v| {
         if v == root {
             return;
         }
@@ -158,9 +146,9 @@ pub fn euler_tour_numbers_exec(
     // Rank the tour list; position = tour_len - 1 - rank for edges on the
     // tour. Isolated (root) ids keep meaningless ranks and are ignored.
     let tour_len = 2 * (n - 1);
-    let rank = list_rank_exec(exec, succ, 0);
-    let pos = exec.alloc(2 * n);
-    exec.parallel_for(n, move |ctx, v| {
+    let rank = list_rank_blocked(pram, succ, 0);
+    let pos = pram.alloc(2 * n);
+    pram.parallel_for(n, |ctx, v| {
         if v == root {
             return;
         }
@@ -171,12 +159,12 @@ pub fn euler_tour_numbers_exec(
     });
 
     // Weight arrays over tour positions. Each edge writes its own cell.
-    let w_pre = exec.alloc(tour_len);
-    let w_post = exec.alloc(tour_len);
-    let w_in = exec.alloc(tour_len);
-    let w_depth = exec.alloc(tour_len);
-    let w_leaf = exec.alloc(tour_len);
-    exec.parallel_for(n, move |ctx, v| {
+    let w_pre = pram.alloc(tour_len);
+    let w_post = pram.alloc(tour_len);
+    let w_in = pram.alloc(tour_len);
+    let w_depth = pram.alloc(tour_len);
+    let w_leaf = pram.alloc(tour_len);
+    pram.parallel_for(n, |ctx, v| {
         if v == root {
             return;
         }
@@ -208,20 +196,20 @@ pub fn euler_tour_numbers_exec(
         }
     });
 
-    let s_pre = prefix_sums_exec(exec, w_pre, ScanOp::Sum, 0);
-    let s_post = prefix_sums_exec(exec, w_post, ScanOp::Sum, 0);
-    let s_in = prefix_sums_exec(exec, w_in, ScanOp::Sum, 0);
-    let s_depth = prefix_sums_exec(exec, w_depth, ScanOp::Sum, 0);
-    let s_leaf = prefix_sums_exec(exec, w_leaf, ScanOp::Sum, 0);
+    let s_pre = prefix_sums_pram(pram, w_pre, ScanOp::Sum, 0);
+    let s_post = prefix_sums_pram(pram, w_post, ScanOp::Sum, 0);
+    let s_in = prefix_sums_pram(pram, w_in, ScanOp::Sum, 0);
+    let s_depth = prefix_sums_pram(pram, w_depth, ScanOp::Sum, 0);
+    let s_leaf = prefix_sums_pram(pram, w_leaf, ScanOp::Sum, 0);
 
     // Per-node readouts. Each node reads only cells at its own edges'
     // positions, which are distinct across nodes.
-    let out_pre = exec.alloc(n);
-    let out_post = exec.alloc(n);
-    let out_depth = exec.alloc(n);
-    let out_size = exec.alloc(n);
-    let out_leaf = exec.alloc(n);
-    exec.parallel_for(n, move |ctx, v| {
+    let out_pre = pram.alloc(n);
+    let out_post = pram.alloc(n);
+    let out_depth = pram.alloc(n);
+    let out_size = pram.alloc(n);
+    let out_leaf = pram.alloc(n);
+    pram.parallel_for(n, |ctx, v| {
         if v == root {
             // Root values follow directly from totals.
             ctx.write(out_pre, v, 0);
@@ -247,16 +235,16 @@ pub fn euler_tour_numbers_exec(
         ctx.write(out_leaf, v, leaves_in + own);
     });
     // Root leaf count and inorder need the totals / root's own weights.
-    let total_leaves = exec.peek(s_leaf, tour_len - 1) + if tree.is_leaf(root) { 1 } else { 0 };
-    exec.poke(out_leaf, root, total_leaves);
+    let total_leaves = pram.peek(s_leaf, tour_len - 1) + if tree.is_leaf(root) { 1 } else { 0 };
+    pram.poke(out_leaf, root, total_leaves);
 
     // Inorder: every non-root node reads the inorder prefix at its moment.
     // The root's moment is either the retreat edge of its designated left
     // child (if any) or position "before the whole tour" (only possible when
     // the root has no left child, i.e. all children are right-ish), in which
     // case it precedes everything and gets inorder 0 after shifting.
-    let out_in_nonroot = exec.alloc(n);
-    exec.parallel_for(n, move |ctx, v| {
+    let out_in_nonroot = pram.alloc(n);
+    pram.parallel_for(n, |ctx, v| {
         if v == root {
             return;
         }
@@ -274,19 +262,19 @@ pub fn euler_tour_numbers_exec(
         if root_left == NONE_WORD {
             0
         } else {
-            exec.peek(s_in, exec.peek(pos, n + root_left as usize) as usize)
+            pram.peek(s_in, pram.peek(pos, n + root_left as usize) as usize)
         }
     };
 
     // Host-side assembly of the result (pure readback).
-    let pre = exec.snapshot(out_pre);
-    let post = exec.snapshot(out_post);
-    let depth = exec.snapshot(out_depth);
-    let size = exec.snapshot(out_size);
-    let leaf = exec.snapshot(out_leaf);
-    let mut inorder_raw = exec.snapshot(out_in_nonroot);
+    let pre = pram.snapshot(out_pre);
+    let post = pram.snapshot(out_post);
+    let depth = pram.snapshot(out_depth);
+    let size = pram.snapshot(out_size);
+    let leaf = pram.snapshot(out_leaf);
+    let mut inorder_raw = pram.snapshot(out_in_nonroot);
     inorder_raw[root] = root_in;
-    let pos_snapshot = exec.snapshot(pos);
+    let pos_snapshot = pram.snapshot(pos);
 
     // Every node's inorder moment carries weight 1 at a distinct tour
     // position, so the raw values are a permutation of 1..=n — except when

@@ -22,11 +22,7 @@
 //! Elements that are not part of any list (successor pointing to themselves
 //! is not allowed; use `NONE_WORD`) simply keep whatever rank falls out; the
 //! callers in this workspace always rank every live element.
-//!
-//! Both algorithms are written against the backend-independent [`Exec`]
-//! machine; the `list_rank_*` entry points taking a [`Pram`] are wrappers.
 
-use crate::exec::{Exec, Handle};
 use crate::scan::effective_block;
 use pram::{ArrayHandle, Pram};
 
@@ -62,16 +58,16 @@ pub fn list_rank_seq(succ: &[i64]) -> Vec<i64> {
     rank
 }
 
-/// Pointer-jumping (Wyllie) list ranking on any [`Exec`] backend.
-pub fn list_rank_wyllie_exec(exec: &mut Exec<'_>, succ: Handle) -> Handle {
+/// Pointer-jumping (Wyllie) list ranking on the PRAM simulator.
+pub fn list_rank_wyllie(pram: &mut Pram, succ: ArrayHandle) -> ArrayHandle {
     let n = succ.len();
-    let rank = exec.alloc(n);
+    let rank = pram.alloc(n);
     if n == 0 {
         return rank;
     }
     // Working copies so the input successor array is left untouched.
-    let nxt = exec.alloc(n);
-    exec.parallel_for(n, move |ctx, i| {
+    let nxt = pram.alloc(n);
+    pram.parallel_for(n, |ctx, i| {
         let s = ctx.read(succ, i);
         ctx.write(nxt, i, s);
         ctx.write(rank, i, if s == NONE_WORD { 0 } else { 1 });
@@ -81,15 +77,15 @@ pub fn list_rank_wyllie_exec(exec: &mut Exec<'_>, succ: Handle) -> Handle {
     for _ in 0..rounds {
         // Mirror copies so that reading a successor's fields never collides
         // with the successor reading its own fields (EREW discipline).
-        let nxt_mirror = exec.alloc(n);
-        let rank_mirror = exec.alloc(n);
-        exec.parallel_for(n, move |ctx, i| {
+        let nxt_mirror = pram.alloc(n);
+        let rank_mirror = pram.alloc(n);
+        pram.parallel_for(n, |ctx, i| {
             let s = ctx.read(nxt, i);
             let r = ctx.read(rank, i);
             ctx.write(nxt_mirror, i, s);
             ctx.write(rank_mirror, i, r);
         });
-        exec.parallel_for(n, move |ctx, i| {
+        pram.parallel_for(n, |ctx, i| {
             let s = ctx.read(nxt, i);
             if s != NONE_WORD {
                 let r = ctx.read(rank, i);
@@ -103,28 +99,20 @@ pub fn list_rank_wyllie_exec(exec: &mut Exec<'_>, succ: Handle) -> Handle {
     rank
 }
 
-/// Pointer-jumping (Wyllie) list ranking on the PRAM simulator.
-pub fn list_rank_wyllie(pram: &mut Pram, succ: ArrayHandle) -> ArrayHandle {
-    let mut exec = Exec::sim(pram);
-    let succ = exec.adopt(succ);
-    let rank = list_rank_wyllie_exec(&mut exec, succ);
-    exec.sim_handle(rank)
-}
-
-/// Blocked two-level list ranking on any [`Exec`] backend (see module docs).
+/// Blocked two-level list ranking on the PRAM simulator (see module docs).
 ///
 /// `stride = 0` selects the default `log2 n`.
-pub fn list_rank_exec(exec: &mut Exec<'_>, succ: Handle, stride: usize) -> Handle {
+pub fn list_rank_blocked(pram: &mut Pram, succ: ArrayHandle, stride: usize) -> ArrayHandle {
     let n = succ.len();
-    let rank = exec.alloc(n);
+    let rank = pram.alloc(n);
     if n == 0 {
         return rank;
     }
     let stride = effective_block(n, stride);
 
     // Heads: elements that are nobody's successor.
-    let has_pred = exec.alloc(n);
-    exec.parallel_for(n, move |ctx, i| {
+    let has_pred = pram.alloc(n);
+    pram.parallel_for(n, |ctx, i| {
         let s = ctx.read(succ, i);
         if s != NONE_WORD {
             ctx.write(has_pred, s as usize, 1);
@@ -132,8 +120,8 @@ pub fn list_rank_exec(exec: &mut Exec<'_>, succ: Handle, stride: usize) -> Handl
     });
 
     // Splitters: every `stride`-th array position plus every head.
-    let is_splitter = exec.alloc(n);
-    exec.parallel_for(n, move |ctx, i| {
+    let is_splitter = pram.alloc(n);
+    pram.parallel_for(n, |ctx, i| {
         let head = ctx.read(has_pred, i) == 0;
         let marked = head || i % stride == 0;
         ctx.write(is_splitter, i, if marked { 1 } else { 0 });
@@ -141,11 +129,11 @@ pub fn list_rank_exec(exec: &mut Exec<'_>, succ: Handle, stride: usize) -> Handl
 
     // Dense splitter ids via a prefix sum.
     let splitter_prefix =
-        crate::scan::prefix_sums_exec(exec, is_splitter, crate::scan::ScanOp::Sum, 0);
-    let num_splitters = exec.peek(splitter_prefix, n - 1) as usize;
+        crate::scan::prefix_sums_pram(pram, is_splitter, crate::scan::ScanOp::Sum, 0);
+    let num_splitters = pram.peek(splitter_prefix, n - 1) as usize;
     // splitter_of[dense id] = element index
-    let splitter_of = exec.alloc(num_splitters.max(1));
-    exec.parallel_for(n, move |ctx, i| {
+    let splitter_of = pram.alloc(num_splitters.max(1));
+    pram.parallel_for(n, |ctx, i| {
         if ctx.read(is_splitter, i) == 1 {
             let id = ctx.read(splitter_prefix, i) - 1;
             ctx.write(splitter_of, id as usize, i as i64);
@@ -154,10 +142,10 @@ pub fn list_rank_exec(exec: &mut Exec<'_>, succ: Handle, stride: usize) -> Handl
 
     // Walk phase: each splitter walks its sublist until the next splitter,
     // recording per-element local offsets and its sublist metadata.
-    let local_offset = exec.alloc(n); // offset of element within its sublist
-    let sublist_len = exec.alloc(num_splitters.max(1));
-    let next_splitter = exec.alloc(num_splitters.max(1)); // dense id or NONE
-    exec.parallel_for(num_splitters, move |ctx, sid| {
+    let local_offset = pram.alloc(n); // offset of element within its sublist
+    let sublist_len = pram.alloc(num_splitters.max(1));
+    let next_splitter = pram.alloc(num_splitters.max(1)); // dense id or NONE
+    pram.parallel_for(num_splitters, |ctx, sid| {
         let start = ctx.read(splitter_of, sid) as usize;
         let mut cur = start;
         let mut offset: i64 = 0;
@@ -184,9 +172,9 @@ pub fn list_rank_exec(exec: &mut Exec<'_>, succ: Handle, stride: usize) -> Handl
     // Rank the reduced splitter list by weighted pointer jumping:
     // after convergence, `after[s]` holds the number of elements in sublists
     // strictly after `s`.
-    let after = exec.alloc(num_splitters.max(1));
-    let red_next = exec.alloc(num_splitters.max(1));
-    exec.parallel_for(num_splitters, move |ctx, sid| {
+    let after = pram.alloc(num_splitters.max(1));
+    let red_next = pram.alloc(num_splitters.max(1));
+    pram.parallel_for(num_splitters, |ctx, sid| {
         let nxt = ctx.read(next_splitter, sid);
         ctx.write(red_next, sid, nxt);
         let w = if nxt == NONE_WORD {
@@ -198,15 +186,15 @@ pub fn list_rank_exec(exec: &mut Exec<'_>, succ: Handle, stride: usize) -> Handl
     });
     let rounds = (usize::BITS - num_splitters.max(1).leading_zeros()) as usize;
     for _ in 0..rounds {
-        let next_mirror = exec.alloc(num_splitters.max(1));
-        let after_mirror = exec.alloc(num_splitters.max(1));
-        exec.parallel_for(num_splitters, move |ctx, sid| {
+        let next_mirror = pram.alloc(num_splitters.max(1));
+        let after_mirror = pram.alloc(num_splitters.max(1));
+        pram.parallel_for(num_splitters, |ctx, sid| {
             let s = ctx.read(red_next, sid);
             let a = ctx.read(after, sid);
             ctx.write(next_mirror, sid, s);
             ctx.write(after_mirror, sid, a);
         });
-        exec.parallel_for(num_splitters, move |ctx, sid| {
+        pram.parallel_for(num_splitters, |ctx, sid| {
             let s = ctx.read(red_next, sid);
             if s != NONE_WORD {
                 let a = ctx.read(after, sid);
@@ -220,7 +208,7 @@ pub fn list_rank_exec(exec: &mut Exec<'_>, succ: Handle, stride: usize) -> Handl
 
     // Distribution walk: every splitter re-walks its sublist and writes the
     // final ranks: rank(x) = after(s) + (len(s) - 1 - local_offset(x)).
-    exec.parallel_for(num_splitters, move |ctx, sid| {
+    pram.parallel_for(num_splitters, |ctx, sid| {
         let start = ctx.read(splitter_of, sid) as usize;
         let len = ctx.read(sublist_len, sid);
         let tail_after = ctx.read(after, sid);
@@ -241,15 +229,6 @@ pub fn list_rank_exec(exec: &mut Exec<'_>, succ: Handle, stride: usize) -> Handl
         }
     });
     rank
-}
-
-/// Blocked two-level list ranking on the PRAM simulator (wrapper over
-/// [`list_rank_exec`]).
-pub fn list_rank_blocked(pram: &mut Pram, succ: ArrayHandle, stride: usize) -> ArrayHandle {
-    let mut exec = Exec::sim(pram);
-    let succ = exec.adopt(succ);
-    let rank = list_rank_exec(&mut exec, succ, stride);
-    exec.sim_handle(rank)
 }
 
 #[cfg(test)]
@@ -312,23 +291,6 @@ mod tests {
             let r = list_rank_blocked(&mut pram, h, 0);
             assert_eq!(pram.snapshot(r), list_rank_seq(&succ), "n={n}");
             assert!(pram.metrics().is_clean());
-        }
-    }
-
-    #[test]
-    fn pool_blocked_matches_sequential() {
-        let mut rng = ChaCha8Rng::seed_from_u64(29);
-        for threads in [1usize, 4] {
-            let mut pool = parpool::Pool::new(threads);
-            for n in [1usize, 5, 128, 700] {
-                let mut order: Vec<usize> = (0..n).collect();
-                order.shuffle(&mut rng);
-                let succ = succ_from_order(&order);
-                let mut exec = Exec::pool(&mut pool);
-                let h = exec.alloc_from(&succ);
-                let r = list_rank_exec(&mut exec, h, 0);
-                assert_eq!(exec.snapshot(r), list_rank_seq(&succ), "n={n} t={threads}");
-            }
         }
     }
 

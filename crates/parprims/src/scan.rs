@@ -9,11 +9,6 @@
 //! phase 2 touches each tree cell exactly once per direction, so the whole
 //! scan is EREW-clean. Total: `O(b + log p)` steps and `O(n)` work.
 //!
-//! All scans are written against the backend-independent [`Exec`] machine;
-//! the `*_pram` entry points are thin wrappers that keep the historical
-//! simulator-only signatures.
-
-use crate::exec::{Exec, Handle};
 use pram::{ArrayHandle, Pram};
 
 /// Associative operators supported by the scans.
@@ -73,15 +68,20 @@ pub fn prefix_sums_seq(input: &[i64], op: ScanOp) -> Vec<i64> {
     out
 }
 
-/// Work-optimal inclusive scan on any [`Exec`] backend.
+/// Work-optimal inclusive scan on the PRAM simulator.
 ///
 /// Reads `input`, writes and returns a freshly allocated array of the same
 /// length holding the inclusive scan. `block` is the block size of the
 /// work-optimal scheme; callers aiming for the paper's bounds pass
 /// `log2(n)`; `0` selects that default.
-pub fn prefix_sums_exec(exec: &mut Exec<'_>, input: Handle, op: ScanOp, block: usize) -> Handle {
+pub fn prefix_sums_pram(
+    pram: &mut Pram,
+    input: ArrayHandle,
+    op: ScanOp,
+    block: usize,
+) -> ArrayHandle {
     let n = input.len();
-    let output = exec.alloc(n);
+    let output = pram.alloc(n);
     if n == 0 {
         return output;
     }
@@ -89,8 +89,8 @@ pub fn prefix_sums_exec(exec: &mut Exec<'_>, input: Handle, op: ScanOp, block: u
     let num_blocks = n.div_ceil(block);
 
     // Phase 1: per-block sequential reduction into `sums`.
-    let sums = exec.alloc(num_blocks);
-    exec.parallel_for(num_blocks, move |ctx, b| {
+    let sums = pram.alloc(num_blocks);
+    pram.parallel_for(num_blocks, |ctx, b| {
         let start = b * block;
         let end = (start + block).min(n);
         let mut acc = op.identity();
@@ -101,10 +101,10 @@ pub fn prefix_sums_exec(exec: &mut Exec<'_>, input: Handle, op: ScanOp, block: u
     });
 
     // Phase 2: balanced-tree scan of the block sums (exclusive).
-    let offsets = tree_exclusive_scan(exec, sums, op);
+    let offsets = tree_exclusive_scan(pram, sums, op);
 
     // Phase 3: per-block rescan seeded with the block offset.
-    exec.parallel_for(num_blocks, move |ctx, b| {
+    pram.parallel_for(num_blocks, |ctx, b| {
         let start = b * block;
         let end = (start + block).min(n);
         let mut acc = ctx.read(offsets, b);
@@ -116,30 +116,21 @@ pub fn prefix_sums_exec(exec: &mut Exec<'_>, input: Handle, op: ScanOp, block: u
     output
 }
 
-/// Work-optimal inclusive scan on the PRAM simulator (wrapper over
-/// [`prefix_sums_exec`]).
-pub fn prefix_sums_pram(
+/// Exclusive scan: element `i` of the result combines elements `0..i` of the
+/// input (the identity for `i = 0`).
+pub fn exclusive_scan_pram(
     pram: &mut Pram,
     input: ArrayHandle,
     op: ScanOp,
     block: usize,
 ) -> ArrayHandle {
-    let mut exec = Exec::sim(pram);
-    let input = exec.adopt(input);
-    let out = prefix_sums_exec(&mut exec, input, op, block);
-    exec.sim_handle(out)
-}
-
-/// Exclusive scan: element `i` of the result combines elements `0..i` of the
-/// input (the identity for `i = 0`).
-pub fn exclusive_scan_exec(exec: &mut Exec<'_>, input: Handle, op: ScanOp, block: usize) -> Handle {
     let n = input.len();
-    let inclusive = prefix_sums_exec(exec, input, op, block);
-    let output = exec.alloc(n);
+    let inclusive = prefix_sums_pram(pram, input, op, block);
+    let output = pram.alloc(n);
     if n == 0 {
         return output;
     }
-    exec.parallel_for(n, move |ctx, i| {
+    pram.parallel_for(n, |ctx, i| {
         let v = if i == 0 {
             op.identity()
         } else {
@@ -150,31 +141,17 @@ pub fn exclusive_scan_exec(exec: &mut Exec<'_>, input: Handle, op: ScanOp, block
     output
 }
 
-/// Exclusive scan on the PRAM simulator (wrapper over
-/// [`exclusive_scan_exec`]).
-pub fn exclusive_scan_pram(
-    pram: &mut Pram,
-    input: ArrayHandle,
-    op: ScanOp,
-    block: usize,
-) -> ArrayHandle {
-    let mut exec = Exec::sim(pram);
-    let input = exec.adopt(input);
-    let out = exclusive_scan_exec(&mut exec, input, op, block);
-    exec.sim_handle(out)
-}
-
 /// The non-blocked balanced-tree scan (up-sweep / down-sweep), exposed for
 /// the ablation benchmark comparing it against the work-optimal blocked
 /// version: `O(log n)` steps but `O(n log n)`-ish work when charged per
 /// round over all elements.
-pub fn tree_scan_exec(exec: &mut Exec<'_>, input: Handle, op: ScanOp) -> Handle {
+pub fn tree_scan_pram(pram: &mut Pram, input: ArrayHandle, op: ScanOp) -> ArrayHandle {
     let n = input.len();
-    let output = exec.alloc(n);
+    let output = pram.alloc(n);
     if n == 0 {
         return output;
     }
-    exec.parallel_for(n, move |ctx, i| {
+    pram.parallel_for(n, |ctx, i| {
         let v = ctx.read(input, i);
         ctx.write(output, i, v);
     });
@@ -182,12 +159,12 @@ pub fn tree_scan_exec(exec: &mut Exec<'_>, input: Handle, op: ScanOp) -> Handle 
     // round reads a private copy to stay exclusive.
     let mut stride = 1usize;
     while stride < n {
-        let shifted = exec.alloc(n);
-        exec.parallel_for(n, move |ctx, i| {
+        let shifted = pram.alloc(n);
+        pram.parallel_for(n, |ctx, i| {
             let v = ctx.read(output, i);
             ctx.write(shifted, i, v);
         });
-        exec.parallel_for(n, move |ctx, i| {
+        pram.parallel_for(n, |ctx, i| {
             if i >= stride {
                 let a = ctx.read(shifted, i - stride);
                 let b = ctx.read(output, i);
@@ -199,23 +176,14 @@ pub fn tree_scan_exec(exec: &mut Exec<'_>, input: Handle, op: ScanOp) -> Handle 
     output
 }
 
-/// Balanced-tree scan on the PRAM simulator (wrapper over
-/// [`tree_scan_exec`]).
-pub fn tree_scan_pram(pram: &mut Pram, input: ArrayHandle, op: ScanOp) -> ArrayHandle {
-    let mut exec = Exec::sim(pram);
-    let input = exec.adopt(input);
-    let out = tree_scan_exec(&mut exec, input, op);
-    exec.sim_handle(out)
-}
-
 /// Exclusive balanced-tree scan over `input`, used internally for the block
 /// sums of the work-optimal scan. Returns a new array `off` with
 /// `off[0] = identity` and `off[i] = op(input[0..i])`.
-fn tree_exclusive_scan(exec: &mut Exec<'_>, input: Handle, op: ScanOp) -> Handle {
+fn tree_exclusive_scan(pram: &mut Pram, input: ArrayHandle, op: ScanOp) -> ArrayHandle {
     let n = input.len();
-    let inclusive = tree_scan_exec(exec, input, op);
-    let out = exec.alloc(n);
-    exec.parallel_for(n, move |ctx, i| {
+    let inclusive = tree_scan_pram(pram, input, op);
+    let out = pram.alloc(n);
+    pram.parallel_for(n, |ctx, i| {
         let v = if i == 0 {
             op.identity()
         } else {
@@ -278,24 +246,6 @@ mod tests {
             let (got, metrics) = run_pram_scan(&data, op, 0);
             assert_eq!(got, prefix_sums_seq(&data, op), "{op:?}");
             assert!(metrics.is_clean());
-        }
-    }
-
-    #[test]
-    fn pool_scan_matches_sequential() {
-        let data: Vec<i64> = (0..1000).map(|i| (i * 53 % 211) - 100).collect();
-        for threads in [1usize, 4] {
-            let mut pool = parpool::Pool::new(threads);
-            let mut exec = Exec::pool(&mut pool);
-            let input = exec.alloc_from(&data);
-            for op in [ScanOp::Sum, ScanOp::Max, ScanOp::Min, ScanOp::CopyLast] {
-                let out = prefix_sums_exec(&mut exec, input, op, 0);
-                assert_eq!(
-                    exec.snapshot(out),
-                    prefix_sums_seq(&data, op),
-                    "{op:?} t={threads}"
-                );
-            }
         }
     }
 

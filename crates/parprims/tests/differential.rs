@@ -1,23 +1,19 @@
-//! Differential suite: every parprims kernel, both [`Exec`] backends.
+//! Differential suite: every parprims kernel on the simulator against its
+//! sequential reference.
 //!
 //! Each workload is generated from a fixed seed, evaluated by the sequential
-//! reference, then executed through the PRAM-simulator backend and through the
-//! real-cores pool backend at every thread count in `PC_POOL_THREADS`
-//! (comma-separated; defaults to `1,2,4`). All three must agree bit for bit —
-//! the pool's double-buffered rounds are required to preserve the simulator's
-//! read-before-write semantics exactly, not merely approximately.
+//! reference, then executed on a permissive EREW [`Pram`]; the two must agree
+//! bit for bit.
 //!
 //! The suite runs well over 200 seeded workloads in total (the final test
-//! asserts the count), satisfying the coverage floor set for the pool backend.
+//! asserts the count).
 
-use parpool::Pool;
-use parprims::brackets::{match_brackets_on_exec, match_brackets_seq, BracketKind};
-use parprims::contraction::{evaluate_tree_exec, evaluate_tree_seq, NodeOp};
-use parprims::euler::{euler_numbers_seq, euler_tour_numbers_exec, EulerNumbers};
-use parprims::exec::Exec;
-use parprims::ranking::{list_rank_exec, list_rank_seq, list_rank_wyllie_exec, NONE_WORD};
+use parprims::brackets::{match_brackets_pram, match_brackets_seq, BracketKind};
+use parprims::contraction::{evaluate_tree_pram, evaluate_tree_seq, NodeOp};
+use parprims::euler::{euler_numbers_seq, euler_tour_numbers, EulerNumbers};
+use parprims::ranking::{list_rank_blocked, list_rank_seq, list_rank_wyllie, NONE_WORD};
 use parprims::scan::{
-    exclusive_scan_exec, prefix_sums_exec, prefix_sums_seq, tree_scan_exec, ScanOp,
+    exclusive_scan_pram, prefix_sums_pram, prefix_sums_seq, tree_scan_pram, ScanOp,
 };
 use parprims::tree::{RootedTree, NONE};
 use pram::{Mode, Pram};
@@ -25,58 +21,22 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::fmt::Debug;
 
-/// Thread counts the pool backend is exercised at.
-fn pool_thread_counts() -> Vec<usize> {
-    match std::env::var("PC_POOL_THREADS") {
-        Ok(spec) => {
-            let counts: Vec<usize> = spec
-                .split(',')
-                .filter_map(|t| t.trim().parse().ok())
-                .filter(|&t| t >= 1)
-                .collect();
-            assert!(!counts.is_empty(), "PC_POOL_THREADS='{spec}' parsed empty");
-            counts
-        }
-        Err(_) => vec![1, 2, 4],
-    }
-}
-
-/// One pool per thread count, reused across all workloads of a test.
-struct Backends {
-    pools: Vec<(usize, Pool)>,
+/// Counts the workloads a test ran.
+#[derive(Default)]
+struct Suite {
     workloads: usize,
 }
 
-impl Backends {
-    fn new() -> Self {
-        Backends {
-            pools: pool_thread_counts()
-                .into_iter()
-                .map(|t| (t, Pool::new(t)))
-                .collect(),
-            workloads: 0,
-        }
-    }
-
-    /// Runs `f` on the simulator and on every pool; all runs must reproduce
-    /// `expected` exactly.
+impl Suite {
+    /// Runs `f` on a fresh simulator; it must reproduce `expected` exactly.
     fn check<T, F>(&mut self, label: &str, expected: &T, f: F)
     where
         T: PartialEq + Debug,
-        F: Fn(&mut Exec<'_>) -> T,
+        F: Fn(&mut Pram) -> T,
     {
         let mut pram = Pram::new(Mode::Erew, 16);
-        let mut sim = Exec::sim(&mut pram);
-        let got = f(&mut sim);
-        assert_eq!(&got, expected, "sim backend diverges on {label}");
-        for (threads, pool) in &mut self.pools {
-            let mut exec = Exec::pool(pool);
-            let got = f(&mut exec);
-            assert_eq!(
-                &got, expected,
-                "pool backend ({threads} threads) diverges on {label}"
-            );
-        }
+        let got = f(&mut pram);
+        assert_eq!(&got, expected, "simulator diverges on {label}");
         self.workloads += 1;
     }
 }
@@ -88,6 +48,29 @@ fn random_tree(n: usize, rng: &mut ChaCha8Rng) -> RootedTree {
         *slot = rng.gen_range(0..v);
     }
     RootedTree::from_parents(parent)
+}
+
+/// Sequential oracle for the tour positions the sequential numberings do
+/// not define: a depth-first walk in child order numbers each non-root
+/// node's advance edge on entry and its retreat edge on exit.
+fn tour_positions_seq(tree: &RootedTree) -> (Vec<usize>, Vec<usize>) {
+    let n = tree.len();
+    let root = tree.root();
+    let (mut advance, mut retreat) = (vec![usize::MAX; n], vec![usize::MAX; n]);
+    let mut next = 0;
+    let mut stack = vec![(root, false)];
+    while let Some((v, done)) = stack.pop() {
+        let slot = if done { &mut retreat } else { &mut advance };
+        if v != root {
+            slot[v] = next;
+            next += 1;
+        }
+        if !done {
+            stack.push((v, true));
+            stack.extend(tree.children(v).iter().rev().map(|&c| (c, false)));
+        }
+    }
+    (advance, retreat)
 }
 
 /// Random balanced bracket sequence with `pairs` matched pairs.
@@ -117,7 +100,7 @@ const CONTRACTION_WORKLOADS: usize = 40;
 
 #[test]
 fn scans_agree_across_backends() {
-    let mut backends = Backends::new();
+    let mut suite = Suite::default();
     // Inclusive scans: 6 sizes x 5 seeds x 2 ops.
     for (i, &n) in [1usize, 2, 3, 17, 64, 257].iter().enumerate() {
         for seed in 0..5u64 {
@@ -126,10 +109,10 @@ fn scans_agree_across_backends() {
                 let input: Vec<i64> = (0..n).map(|_| rng.gen_range(-50..50)).collect();
                 let block = [1, 3, 8][seed as usize % 3];
                 let expected = prefix_sums_seq(&input, op);
-                backends.check(&format!("prefix_sums n={n} {op:?}"), &expected, |exec| {
-                    let xs = exec.alloc_from(&input);
-                    let out = prefix_sums_exec(exec, xs, op, block);
-                    exec.snapshot(out)
+                suite.check(&format!("prefix_sums n={n} {op:?}"), &expected, |pram| {
+                    let xs = pram.alloc_from(&input);
+                    let out = prefix_sums_pram(pram, xs, op, block);
+                    pram.snapshot(out)
                 });
             }
         }
@@ -140,26 +123,26 @@ fn scans_agree_across_backends() {
             let mut rng = ChaCha8Rng::seed_from_u64(2000 + 7 * seed + n as u64);
             let input: Vec<i64> = (0..n).map(|_| rng.gen_range(-9..9)).collect();
             let inclusive = prefix_sums_seq(&input, ScanOp::Sum);
-            backends.check(&format!("tree_scan n={n}"), &inclusive, |exec| {
-                let xs = exec.alloc_from(&input);
-                let out = tree_scan_exec(exec, xs, ScanOp::Sum);
-                exec.snapshot(out)
+            suite.check(&format!("tree_scan n={n}"), &inclusive, |pram| {
+                let xs = pram.alloc_from(&input);
+                let out = tree_scan_pram(pram, xs, ScanOp::Sum);
+                pram.snapshot(out)
             });
             let mut exclusive = vec![0i64; n];
             exclusive[1..].copy_from_slice(&inclusive[..n - 1]);
-            backends.check(&format!("exclusive_scan n={n}"), &exclusive, |exec| {
-                let xs = exec.alloc_from(&input);
-                let out = exclusive_scan_exec(exec, xs, ScanOp::Sum, 4);
-                exec.snapshot(out)
+            suite.check(&format!("exclusive_scan n={n}"), &exclusive, |pram| {
+                let xs = pram.alloc_from(&input);
+                let out = exclusive_scan_pram(pram, xs, ScanOp::Sum, 4);
+                pram.snapshot(out)
             });
         }
     }
-    assert_eq!(backends.workloads, SCAN_WORKLOADS);
+    assert_eq!(suite.workloads, SCAN_WORKLOADS);
 }
 
 #[test]
 fn list_ranking_agrees_across_backends() {
-    let mut backends = Backends::new();
+    let mut suite = Suite::default();
     // 5 sizes x 4 seeds x 2 algorithms.
     for &n in &[1usize, 2, 9, 33, 120] {
         for seed in 0..4u64 {
@@ -177,67 +160,60 @@ fn list_ranking_agrees_across_backends() {
             }
             let expected = list_rank_seq(&succ);
             let stride = [2usize, 8][seed as usize % 2];
-            backends.check(&format!("list_rank n={n} seed={seed}"), &expected, |exec| {
-                let xs = exec.alloc_from(&succ);
-                let rank = list_rank_exec(exec, xs, stride);
-                exec.snapshot(rank)
+            suite.check(&format!("list_rank n={n} seed={seed}"), &expected, |pram| {
+                let xs = pram.alloc_from(&succ);
+                let rank = list_rank_blocked(pram, xs, stride);
+                pram.snapshot(rank)
             });
-            backends.check(&format!("wyllie n={n} seed={seed}"), &expected, |exec| {
-                let xs = exec.alloc_from(&succ);
-                let rank = list_rank_wyllie_exec(exec, xs);
-                exec.snapshot(rank)
+            suite.check(&format!("wyllie n={n} seed={seed}"), &expected, |pram| {
+                let xs = pram.alloc_from(&succ);
+                let rank = list_rank_wyllie(pram, xs);
+                pram.snapshot(rank)
             });
         }
     }
-    assert_eq!(backends.workloads, RANK_WORKLOADS);
+    assert_eq!(suite.workloads, RANK_WORKLOADS);
 }
 
 #[test]
 fn euler_tours_agree_across_backends() {
-    let mut backends = Backends::new();
+    let mut suite = Suite::default();
     // 6 sizes x 7 seeds.
     for &n in &[1usize, 2, 3, 10, 40, 150] {
         for seed in 0..7u64 {
             let mut rng = ChaCha8Rng::seed_from_u64(4000 + 17 * seed + n as u64);
             let tree = random_tree(n, &mut rng);
-            // The sequential oracle defines the six traversal numberings but
-            // not the tour positions (advance/retreat), which only the PRAM
-            // algorithm produces — validate those by sim/pool agreement.
-            let seq = euler_numbers_seq(&tree, None);
-            let mut pram = Pram::new(Mode::Erew, 16);
-            let mut sim = Exec::sim(&mut pram);
-            let expected: EulerNumbers = euler_tour_numbers_exec(&mut sim, &tree, None);
-            assert_eq!(expected.preorder, seq.preorder, "preorder n={n}");
-            assert_eq!(expected.postorder, seq.postorder, "postorder n={n}");
-            assert_eq!(expected.inorder, seq.inorder, "inorder n={n}");
-            assert_eq!(expected.depth, seq.depth, "depth n={n}");
-            assert_eq!(expected.subtree_size, seq.subtree_size, "size n={n}");
-            assert_eq!(expected.leaf_count, seq.leaf_count, "leaves n={n}");
-            backends.check(&format!("euler n={n} seed={seed}"), &expected, |exec| {
-                euler_tour_numbers_exec(exec, &tree, None)
+            let (advance_pos, retreat_pos) = tour_positions_seq(&tree);
+            let expected = EulerNumbers {
+                advance_pos,
+                retreat_pos,
+                ..euler_numbers_seq(&tree, None)
+            };
+            suite.check(&format!("euler n={n} seed={seed}"), &expected, |pram| {
+                euler_tour_numbers(pram, &tree, None)
             });
         }
     }
-    assert_eq!(backends.workloads, EULER_WORKLOADS);
+    assert_eq!(suite.workloads, EULER_WORKLOADS);
 }
 
 #[test]
 fn bracket_matching_agrees_across_backends() {
-    let mut backends = Backends::new();
+    let mut suite = Suite::default();
     // 5 sizes x 8 seeds.
     for &pairs in &[1usize, 2, 5, 20, 80] {
         for seed in 0..8u64 {
             let mut rng = ChaCha8Rng::seed_from_u64(5000 + 19 * seed + pairs as u64);
             let kinds = random_brackets(pairs, &mut rng);
             let expected = match_brackets_seq(&kinds);
-            backends.check(
+            suite.check(
                 &format!("brackets pairs={pairs} seed={seed}"),
                 &expected,
-                |exec| match_brackets_on_exec(exec, &kinds),
+                |pram| match_brackets_pram(pram, &kinds),
             );
         }
     }
-    assert_eq!(backends.workloads, BRACKET_WORKLOADS);
+    assert_eq!(suite.workloads, BRACKET_WORKLOADS);
 }
 
 /// Random strictly binary expression tree with `leaves` leaves, built by
@@ -277,21 +253,21 @@ fn random_expression(leaves: usize, rng: &mut ChaCha8Rng) -> (RootedTree, Vec<No
 
 #[test]
 fn tree_contraction_agrees_across_backends() {
-    let mut backends = Backends::new();
+    let mut suite = Suite::default();
     // 5 sizes x 8 seeds.
     for &leaves in &[1usize, 3, 11, 47, 160] {
         for seed in 0..8u64 {
             let mut rng = ChaCha8Rng::seed_from_u64(6000 + 23 * seed + leaves as u64);
             let (tree, ops, leaf_values) = random_expression(leaves, &mut rng);
             let expected = evaluate_tree_seq(&tree, &ops, &leaf_values);
-            backends.check(
+            suite.check(
                 &format!("contraction leaves={leaves} seed={seed}"),
                 &expected,
-                |exec| evaluate_tree_exec(exec, &tree, &ops, &leaf_values),
+                |pram| evaluate_tree_pram(pram, &tree, &ops, &leaf_values),
             );
         }
     }
-    assert_eq!(backends.workloads, CONTRACTION_WORKLOADS);
+    assert_eq!(suite.workloads, CONTRACTION_WORKLOADS);
 }
 
 #[test]

@@ -114,11 +114,11 @@ impl Pram {
     }
 
     /// Records a named phase boundary; [`Metrics::phase_report`] later splits
-    /// the step/work counters at these marks.
+    /// the step, work and violation counters at these marks.
     pub fn phase(&mut self, name: &str) {
-        self.metrics
-            .phase_marks
-            .push((name.to_string(), self.metrics.steps, self.metrics.work));
+        let m = &mut self.metrics;
+        m.phase_marks
+            .push((name.to_string(), m.steps, m.work, m.violation_total));
     }
 
     /// Allocates a zero-initialised region of `len` cells.
@@ -241,6 +241,22 @@ impl Pram {
         self.scratch_writes = writes;
     }
 
+    /// Charges `m` virtual processors `ops` instructions each, without
+    /// computing anything: one round in which every processor is charged
+    /// `ops - 1` operations and writes one cell of a fresh scratch array.
+    /// Kernels use it for per-element glue whose data movement happens
+    /// host-side. `m = 0` costs nothing.
+    pub fn charge_round(&mut self, m: usize, ops: u64) {
+        if m == 0 {
+            return;
+        }
+        let scratch = self.alloc(m);
+        self.parallel_for(m, |ctx, i| {
+            ctx.charge(ops.saturating_sub(1));
+            ctx.write(scratch, i, 1);
+        });
+    }
+
     fn detect_conflicts(&mut self, step_index: u64, reads: &mut [ReadOp], writes: &mut [WriteOp]) {
         let mut violations: Vec<Violation> = Vec::new();
 
@@ -314,14 +330,12 @@ impl Pram {
                 );
             }
         }
-        // Cap the retained violations so a massively faulty run does not
-        // exhaust memory; the count is what the experiments report.
-        const KEEP: usize = 1024;
-        for v in violations {
-            if self.metrics.violations.len() < KEEP {
-                self.metrics.violations.push(v);
-            }
-        }
+        // Count every violation, but keep only a sample of them.
+        self.metrics.violation_total += violations.len() as u64;
+        let room = Metrics::VIOLATION_SAMPLE.saturating_sub(self.metrics.violations.len());
+        self.metrics
+            .violations
+            .extend(violations.into_iter().take(room));
     }
 }
 
@@ -461,6 +475,20 @@ mod tests {
             .violations
             .iter()
             .any(|v| v.kind == ViolationKind::ConcurrentRead));
+    }
+
+    #[test]
+    fn violations_past_the_sample_are_counted() {
+        let mut pram = Pram::new(Mode::Erew, 4);
+        let cell = pram.alloc(1);
+        let m = Metrics::VIOLATION_SAMPLE + 100;
+        pram.parallel_for(m, |ctx, _| {
+            ctx.read(cell, 0);
+        });
+        // Each adjacent pair of the m readers is one concurrent read.
+        assert_eq!(pram.metrics().violation_total, m as u64 - 1);
+        assert_eq!(pram.metrics().violations.len(), Metrics::VIOLATION_SAMPLE);
+        assert!(!pram.metrics().is_clean());
     }
 
     #[test]

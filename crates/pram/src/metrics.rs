@@ -40,6 +40,8 @@ pub struct PhaseReport {
     pub steps: u64,
     /// Work (processor-instructions) spent in the phase.
     pub work: u64,
+    /// Access-discipline violations detected in the phase.
+    pub violations: u64,
 }
 
 /// Aggregate counters for one simulated execution.
@@ -63,16 +65,25 @@ pub struct Metrics {
     pub cells_allocated: usize,
     /// High-water mark of allocated cells.
     pub peak_cells: usize,
-    /// Every detected violation of the access discipline.
+    /// A sample of the detected violations of the access discipline: the
+    /// first [`Metrics::VIOLATION_SAMPLE`], in detection order.
     pub violations: Vec<Violation>,
-    /// Phase boundaries: (label, steps at boundary, work at boundary).
-    pub(crate) phase_marks: Vec<(String, u64, u64)>,
+    /// Number of detected violations, including those past the sample.
+    pub violation_total: u64,
+    /// Phase boundaries: (label, steps, work and violation total at the
+    /// boundary).
+    pub(crate) phase_marks: Vec<(String, u64, u64, u64)>,
 }
 
 impl Metrics {
-    /// `true` when no access-discipline violation was recorded.
+    /// How many violations [`Metrics::violations`] keeps, so a massively
+    /// faulty run does not exhaust memory; [`Metrics::violation_total`]
+    /// counts them all.
+    pub const VIOLATION_SAMPLE: usize = 1024;
+
+    /// `true` when no access-discipline violation was detected.
     pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
+        self.violation_total == 0
     }
 
     /// Work divided by input size — the quantity that must stay bounded for a
@@ -100,33 +111,30 @@ impl Metrics {
     /// execution); anything before the first mark is reported as
     /// `(preamble)`.
     pub fn phase_report(&self) -> Vec<PhaseReport> {
+        let end = (self.steps, self.work, self.violation_total);
         let mut out = Vec::new();
-        let first = self.phase_marks.first();
-        if let Some((_, steps, work)) = first {
-            if *steps > 0 || *work > 0 {
-                out.push(PhaseReport {
-                    name: "(preamble)".to_string(),
-                    steps: *steps,
-                    work: *work,
-                });
-            }
-        } else if self.steps > 0 || self.work > 0 {
+        let (steps, work, violations) = self
+            .phase_marks
+            .first()
+            .map_or(end, |&(_, s, w, v)| (s, w, v));
+        if steps > 0 || work > 0 {
             out.push(PhaseReport {
                 name: "(preamble)".to_string(),
-                steps: self.steps,
-                work: self.work,
+                steps,
+                work,
+                violations,
             });
         }
-        for (i, (name, steps, work)) in self.phase_marks.iter().enumerate() {
-            let (end_steps, end_work) = self
+        for (i, (name, steps, work, violations)) in self.phase_marks.iter().enumerate() {
+            let (end_steps, end_work, end_violations) = self
                 .phase_marks
                 .get(i + 1)
-                .map(|(_, s, w)| (*s, *w))
-                .unwrap_or((self.steps, self.work));
+                .map_or(end, |&(_, s, w, v)| (s, w, v));
             out.push(PhaseReport {
                 name: name.clone(),
                 steps: end_steps - steps,
                 work: end_work - work,
+                violations: end_violations - violations,
             });
         }
         out
@@ -136,11 +144,7 @@ impl Metrics {
     pub fn summary(&self, mode: Mode, processors: usize) -> String {
         format!(
             "{mode} p={processors}: steps={} work={} reads={} writes={} violations={}",
-            self.steps,
-            self.work,
-            self.reads,
-            self.writes,
-            self.violations.len()
+            self.steps, self.work, self.reads, self.writes, self.violation_total
         )
     }
 }
@@ -167,7 +171,8 @@ mod tests {
         let m = Metrics {
             steps: 10,
             work: 100,
-            phase_marks: vec![("a".into(), 4, 40), ("b".into(), 9, 90)],
+            violation_total: 5,
+            phase_marks: vec![("a".into(), 4, 40, 1), ("b".into(), 9, 90, 3)],
             ..Default::default()
         };
         let report = m.phase_report();
@@ -177,7 +182,8 @@ mod tests {
             PhaseReport {
                 name: "(preamble)".into(),
                 steps: 4,
-                work: 40
+                work: 40,
+                violations: 1,
             }
         );
         assert_eq!(
@@ -185,7 +191,8 @@ mod tests {
             PhaseReport {
                 name: "a".into(),
                 steps: 5,
-                work: 50
+                work: 50,
+                violations: 2,
             }
         );
         assert_eq!(
@@ -193,7 +200,8 @@ mod tests {
             PhaseReport {
                 name: "b".into(),
                 steps: 1,
-                work: 10
+                work: 10,
+                violations: 2,
             }
         );
     }

@@ -782,15 +782,26 @@ impl crate::daemon::Wire for HttpWire {
         ((response, request.method != "HEAD"), ctx, action)
     }
 
+    /// A shed or a refused reply; on a `/v1` route it carries the same
+    /// deprecation markers as [`answer`] gives every served reply, with
+    /// `meta` before `trace_id` as in the 400 refusals.
     fn error(request: &HttpRequest, status: u16, body: Json, ctx: &RequestCtx) -> Self::Reply {
         let version = if request.path == v2::ROUTE {
             v2::API_VERSION
         } else {
             PROTO_VERSION
         };
+        // An `overloaded` body carries the retry hint Retry-After echoes.
+        let retry_after_ms = body.get("retry_after_ms").and_then(Json::as_u64);
+        let deprecated = request.path.starts_with("/v1/");
+        let body = if deprecated {
+            attach_api_version(body, 1)
+        } else {
+            body
+        };
         let response = HttpResponse {
-            // An `overloaded` body carries the retry hint Retry-After echoes.
-            retry_after_ms: body.get("retry_after_ms").and_then(Json::as_u64),
+            retry_after_ms,
+            deprecated,
             ..HttpResponse::json(status, proto::error_in_dialect(version, body, ctx))
         };
         (response, request.method != "HEAD")
@@ -1411,11 +1422,25 @@ mod tests {
         }
         .wire_body();
         let request = parse(b"POST /v1/solve HTTP/1.1\r\n\r\n").unwrap().unwrap();
-        let (response, _) = HttpWire::error(&request, 503, shed, &RequestCtx::generate());
+        let ctx = RequestCtx::generate();
+        let (response, _) = HttpWire::error(&request, 503, shed.clone(), &ctx);
         write_response(&mut bytes, &response, false).unwrap();
         let text = String::from_utf8(bytes).unwrap();
         assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
         assert!(text.contains("Retry-After: 1\r\n"), "{text}");
+        // Like every other /v1 reply, the shed is marked deprecated: the
+        // header, and `meta.api_version` ahead of the trace id.
+        assert!(text.contains("Deprecation: true\r\n"), "{text}");
+        let marked = format!(
+            r#""meta":{{"api_version":1}},"trace_id":"{}"}}"#,
+            ctx.trace_id
+        );
+        assert!(text.contains(&marked), "{text}");
+        // Off the /v1 routes a shed carries neither marker.
+        let request = parse(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap().unwrap();
+        let (response, _) = HttpWire::error(&request, 503, shed, &ctx);
+        assert!(!response.deprecated);
+        assert!(response.body.as_json().unwrap().get("meta").is_none());
     }
 
     /// Satellite: an oversized *declared* Content-Length is refused at

@@ -258,19 +258,18 @@ pub fn save(cache: &CotreeCache, path: &Path) -> Result<SaveReport, SnapshotErro
         // fingerprint must be the one of the graph the cotree materialises.
         // Links fed through the raw cache API with foreign fingerprints
         // (impossible via the engine) are dropped, keeping the invariant
-        // that a file written by `save` always verifies on load.
-        let reloadable: Vec<u64> = match linkable_graph(&entry.cotree) {
-            Some(graph) => {
-                let real = graph_fingerprint(&graph);
-                exported
-                    .fingerprints
-                    .iter()
-                    .copied()
-                    .filter(|&fp| fp == real)
-                    .collect()
-            }
-            None => Vec::new(),
-        };
+        // that a file written by `save` always verifies on load. Entries
+        // without links never materialise their graph.
+        let real = (!exported.fingerprints.is_empty())
+            .then(|| linkable_graph(&entry.cotree))
+            .flatten()
+            .map(|graph| graph_fingerprint(&graph));
+        let reloadable: Vec<u64> = exported
+            .fingerprints
+            .iter()
+            .copied()
+            .filter(|&fp| Some(fp) == real)
+            .collect();
         if !exported.canonical && reloadable.is_empty() {
             // Reachable neither by key nor by a reloadable link: a restart
             // could never serve it, so persisting it is pure noise.

@@ -72,19 +72,11 @@ fn main() {
             mode: Mode::Erew,
             processors: None,
             strict: false,
-            ..PramConfig::default()
         },
     );
     println!(
         "PRAM schedule computation: {} steps, {} work, {} EREW violations",
-        outcome.metrics.as_ref().expect("sim metrics").steps,
-        outcome.metrics.as_ref().expect("sim metrics").work,
-        outcome
-            .metrics
-            .as_ref()
-            .expect("sim metrics")
-            .violations
-            .len()
+        outcome.metrics.steps, outcome.metrics.work, outcome.metrics.violation_total
     );
     assert_eq!(outcome.cover.len(), cover.len());
 }

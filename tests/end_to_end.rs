@@ -78,7 +78,6 @@ fn pram_and_native_agree_across_modes() {
                 mode,
                 processors: None,
                 strict: false,
-                ..PramConfig::default()
             },
         );
         assert_eq!(outcome.cover.len(), native.len(), "{mode}");

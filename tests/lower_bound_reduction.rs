@@ -48,7 +48,7 @@ fn upper_bound_step_counts_sit_on_a_logarithmic_curve() {
         let bits: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.2)).collect();
         let cotree = or_instance_cotree(&bits);
         let outcome = pram_path_cover(&cotree, PramConfig::default());
-        steps.push(outcome.metrics.as_ref().expect("sim metrics").steps as f64);
+        steps.push(outcome.metrics.steps as f64);
     }
     // 16x more input must cost far less than 16x more steps.
     assert!(steps[1] / steps[0] < 4.0, "{steps:?}");

@@ -5,7 +5,7 @@
 use cograph::{random_cotree, BinaryCotree, CotreeShape};
 use parprims::scan::{prefix_sums_pram, ScanOp};
 use pathcover::prelude::*;
-use pram::{Mode, Pram, ViolationKind};
+use pram::{Metrics, Mode, Pram, ViolationKind};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -34,13 +34,9 @@ fn full_pipeline_reports_conflict_counts() {
             mode: Mode::Crew,
             processors: None,
             strict: false,
-            ..PramConfig::default()
         },
     );
-    assert!(
-        crew.metrics.as_ref().expect("sim metrics").is_clean(),
-        "CREW run reported violations"
-    );
+    assert!(crew.metrics.is_clean(), "CREW run reported violations");
     // Under EREW accounting the only tolerated conflicts are the concurrent
     // *reads* of the tournament tree in the bracket-matching extraction
     // phase (the documented approximation); no concurrent writes ever.
@@ -50,16 +46,33 @@ fn full_pipeline_reports_conflict_counts() {
             mode: Mode::Erew,
             processors: None,
             strict: false,
-            ..PramConfig::default()
         },
     );
     assert!(erew
         .metrics
-        .as_ref()
-        .expect("sim metrics")
         .violations
         .iter()
         .all(|v| v.kind == ViolationKind::ConcurrentRead));
+}
+
+#[test]
+fn every_violation_is_counted_past_the_sample() {
+    // The quickstart example's cotree: the EREW run makes more violations
+    // than the sample keeps, all of them in the bracket-matching step.
+    let mut rng = ChaCha8Rng::seed_from_u64(42);
+    let cotree = random_cotree(200, CotreeShape::Mixed, &mut rng);
+    let m = pram_path_cover(&cotree, PramConfig::default()).metrics;
+    assert_eq!(m.violation_total, 1092);
+    assert_eq!(m.violations.len(), Metrics::VIOLATION_SAMPLE);
+    assert_eq!(Metrics::VIOLATION_SAMPLE, 1024);
+    assert!(!m.is_clean());
+    let per_phase: Vec<(String, u64)> = m
+        .phase_report()
+        .into_iter()
+        .filter(|p| p.violations > 0)
+        .map(|p| (p.name, p.violations))
+        .collect();
+    assert_eq!(per_phase, [("step 5: bracket matching".to_string(), 1092)]);
 }
 
 #[test]
@@ -88,15 +101,14 @@ fn processor_sweep_respects_brents_principle() {
                 mode: Mode::Erew,
                 processors: Some(p),
                 strict: false,
-                ..PramConfig::default()
             },
         );
         if let Some(prev) = prev_steps {
             assert!(
-                outcome.metrics.as_ref().expect("sim metrics").steps <= prev,
+                outcome.metrics.steps <= prev,
                 "more processors must not be slower"
             );
         }
-        prev_steps = Some(outcome.metrics.as_ref().expect("sim metrics").steps);
+        prev_steps = Some(outcome.metrics.steps);
     }
 }
