@@ -227,47 +227,50 @@ impl Cotree {
     /// Materialises the cograph: vertex labels must be exactly `0..n`.
     ///
     /// Two vertices are adjacent iff their lowest common ancestor in the
-    /// cotree is a 1-node; equivalently the graph is built bottom-up by
-    /// unioning at 0-nodes and joining at 1-nodes, which is what this method
-    /// does.
+    /// cotree is a 1-node. In the post-order arena a subtree's leaves are a
+    /// contiguous run of the leaves listed in id order, so each child `b` of
+    /// a 1-node `u` is joined to one run: that of its earlier siblings, from
+    /// `u`'s first leaf to `b`'s. [`Graph::from_edge_iter`] takes the edges
+    /// in that order and sorts each neighbour list once.
+    ///
+    /// # Panics
+    /// Panics on a leaf label outside `0..n`, and on a label repeated under
+    /// a 1-node (a self loop or a duplicate edge) — both invalid cotrees.
     pub fn to_graph(&self) -> Graph {
         let n = self.num_vertices();
-        let mut g = Graph::new(n);
-        // Bottom-up: collect the vertex set of every subtree and add the
-        // cross edges at 1-nodes.
-        let mut vertex_sets: Vec<Vec<VertexId>> = vec![Vec::new(); self.num_nodes()];
+        // `labels` lists the leaves in id order; node `u`'s leaves are
+        // `labels[span[u].0..span[u].1]`.
+        let mut labels: Vec<VertexId> = Vec::with_capacity(n);
+        let mut span = vec![(0, 0); self.num_nodes()];
         for u in 0..self.num_nodes() {
-            match self.kinds[u] {
+            let first = match self.kinds[u] {
                 CotreeKind::Leaf(v) => {
                     assert!(
                         (v as usize) < n,
                         "to_graph requires vertex labels 0..n, found {v} with n = {n}"
                     );
-                    vertex_sets[u] = vec![v];
+                    labels.push(v);
+                    labels.len() - 1
                 }
-                CotreeKind::Union | CotreeKind::Join => {
-                    let kids = &self.children[u];
-                    if self.kinds[u] == CotreeKind::Join {
-                        for (i, &a) in kids.iter().enumerate() {
-                            for &b in kids.iter().skip(i + 1) {
-                                for &x in &vertex_sets[a] {
-                                    for &y in &vertex_sets[b] {
-                                        g.add_edge(x, y).expect("join edges are fresh");
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    let mut combined = Vec::new();
-                    for &c in kids {
-                        combined.extend_from_slice(&vertex_sets[c]);
-                    }
-                    vertex_sets[u] = combined;
-                }
-            }
+                _ => span[self.children[u][0]].0,
+            };
+            span[u] = (first, labels.len());
         }
-        g.finalize();
-        g
+        let (labels, span) = (&labels, &span);
+        let edges = (0..self.num_nodes())
+            .filter(|&u| self.kinds[u] == CotreeKind::Join)
+            .flat_map(|u| {
+                let earlier = span[u].0;
+                self.children[u][1..]
+                    .iter()
+                    .map(move |&b| (&labels[earlier..span[b].0], &labels[span[b].0..span[b].1]))
+            })
+            .flat_map(|(earlier, run)| {
+                earlier
+                    .iter()
+                    .flat_map(move |&x| run.iter().map(move |&y| (x, y)))
+            });
+        Graph::from_edge_iter(n, edges).expect("a valid cotree's join edges are simple")
     }
 
     /// Renders the cotree in term notation — `(u ...)` for a 0-node,
@@ -474,6 +477,18 @@ mod tests {
         ]);
         let g = t.to_graph();
         assert_eq!(g.num_edges(), 6);
+    }
+
+    #[test]
+    fn to_graph_panics_on_a_repeated_label_under_a_join() {
+        let loop_tree = Cotree::join_of_labelled(vec![Cotree::single(0), Cotree::single(0)]);
+        let edge = || Cotree::join_of_labelled(vec![Cotree::single(0), Cotree::single(1)]);
+        let twice = Cotree::union_of_labelled(vec![edge(), edge()]);
+        for tree in [loop_tree, twice] {
+            assert!(tree.validate().is_err());
+            let built = std::panic::catch_unwind(|| tree.to_graph());
+            assert!(built.is_err(), "{}", tree.to_term());
+        }
     }
 
     #[test]

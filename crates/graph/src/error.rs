@@ -24,8 +24,6 @@ pub enum GraphError {
         /// The other endpoint.
         v: u32,
     },
-    /// A path cover failed verification; the report carries the details.
-    InvalidCover(String),
 }
 
 impl fmt::Display for GraphError {
@@ -39,7 +37,6 @@ impl fmt::Display for GraphError {
             }
             GraphError::SelfLoop { vertex } => write!(f, "self loop on vertex {vertex}"),
             GraphError::DuplicateEdge { u, v } => write!(f, "duplicate edge ({u}, {v})"),
-            GraphError::InvalidCover(msg) => write!(f, "invalid path cover: {msg}"),
         }
     }
 }
@@ -59,8 +56,6 @@ mod tests {
         assert!(e.to_string().contains("self loop"));
         let e = GraphError::DuplicateEdge { u: 1, v: 2 };
         assert!(e.to_string().contains("duplicate"));
-        let e = GraphError::InvalidCover("missing vertex".into());
-        assert!(e.to_string().contains("missing vertex"));
     }
 
     #[test]

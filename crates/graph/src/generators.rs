@@ -54,34 +54,6 @@ pub fn star_graph(k: usize) -> Graph {
     g
 }
 
-/// The complete bipartite graph `K_{a,b}`.
-pub fn complete_bipartite(a: usize, b: usize) -> Graph {
-    let mut g = Graph::new(a + b);
-    for u in 0..a {
-        for v in 0..b {
-            g.add_edge(u as VertexId, (a + v) as VertexId)
-                .expect("bipartite edges are simple");
-        }
-    }
-    g.finalize();
-    g
-}
-
-/// An Erdős–Rényi `G(n, p)` random graph.
-pub fn erdos_renyi<R: Rng>(n: usize, p: f64, rng: &mut R) -> Graph {
-    let mut g = Graph::new(n);
-    for u in 0..n {
-        for v in (u + 1)..n {
-            if rng.gen_bool(p.clamp(0.0, 1.0)) {
-                g.add_edge(u as VertexId, v as VertexId)
-                    .expect("ER edges are simple");
-            }
-        }
-    }
-    g.finalize();
-    g
-}
-
 /// A disjoint union of `k` cliques whose sizes are drawn uniformly from
 /// `1..=max_size`. Cluster graphs are cographs, which makes this a convenient
 /// positive workload for the recognition tests.
@@ -153,31 +125,6 @@ mod tests {
         assert_eq!(g.num_vertices(), 6);
         assert_eq!(g.degree(0), 5);
         assert!((1..=5).all(|v| g.degree(v as u32) == 1));
-    }
-
-    #[test]
-    fn complete_bipartite_shape() {
-        let g = complete_bipartite(2, 3);
-        assert_eq!(g.num_vertices(), 5);
-        assert_eq!(g.num_edges(), 6);
-        assert!(!g.has_edge(0, 1));
-        assert!(g.has_edge(0, 2));
-    }
-
-    #[test]
-    fn erdos_renyi_extremes() {
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let g0 = erdos_renyi(10, 0.0, &mut rng);
-        assert_eq!(g0.num_edges(), 0);
-        let g1 = erdos_renyi(10, 1.0, &mut rng);
-        assert_eq!(g1.num_edges(), 45);
-    }
-
-    #[test]
-    fn erdos_renyi_is_deterministic_for_a_seed() {
-        let mut r1 = ChaCha8Rng::seed_from_u64(42);
-        let mut r2 = ChaCha8Rng::seed_from_u64(42);
-        assert_eq!(erdos_renyi(20, 0.3, &mut r1), erdos_renyi(20, 0.3, &mut r2));
     }
 
     #[test]

@@ -49,12 +49,49 @@ impl Graph {
     /// Returns an error on out-of-range endpoints, self loops or duplicate
     /// edges.
     pub fn from_edges(n: usize, edges: &[(VertexId, VertexId)]) -> Result<Self, GraphError> {
-        let mut g = Graph::new(n);
-        for &(u, v) in edges {
-            g.add_edge(u, v)?;
+        Graph::from_edge_iter(n, edges.iter().copied())
+    }
+
+    /// [`Graph::from_edges`] over any iterator of edges, in any order: each
+    /// edge is appended to both endpoints' lists and every list is sorted
+    /// once at the end, where [`Graph::add_edge`] would search a list for a
+    /// duplicate per edge. A duplicate edge is found in the sorted lists and
+    /// reported as `(u, v)` with `u < v`.
+    pub fn from_edge_iter(
+        n: usize,
+        edges: impl IntoIterator<Item = (VertexId, VertexId)>,
+    ) -> Result<Self, GraphError> {
+        let mut adj = vec![Vec::new(); n];
+        let mut m = 0;
+        for (u, v) in edges {
+            if let Some(vertex) = [u, v].into_iter().find(|&w| w as usize >= n) {
+                return Err(GraphError::VertexOutOfRange { vertex, n });
+            }
+            if u == v {
+                return Err(GraphError::SelfLoop { vertex: u });
+            }
+            adj[u as usize].push(v);
+            adj[v as usize].push(u);
+            m += 1;
         }
-        g.finalize();
-        Ok(g)
+        for (u, list) in adj.iter_mut().enumerate() {
+            // A merge sort: a list appended as a few ascending runs (a sorted
+            // edge list, or a cotree's join edges labelled in leaf order)
+            // sorts in little more than one pass.
+            list.sort();
+            if let Some(pair) = list.windows(2).find(|pair| pair[0] == pair[1]) {
+                let (u, v) = (u as VertexId, pair[0]);
+                return Err(GraphError::DuplicateEdge {
+                    u: u.min(v),
+                    v: u.max(v),
+                });
+            }
+        }
+        Ok(Graph {
+            adj,
+            m,
+            sorted: true,
+        })
     }
 
     /// Number of vertices.
@@ -210,18 +247,6 @@ impl Graph {
         }
         self.connected_components().1 == 1
     }
-
-    /// Returns the adjacency matrix as a vector of row bitsets, used by the
-    /// CRCW baseline that models an O(n^2)-processor algorithm.
-    pub fn adjacency_matrix(&self) -> Vec<Vec<bool>> {
-        let n = self.num_vertices();
-        let mut rows = vec![vec![false; n]; n];
-        for (u, v) in self.edges() {
-            rows[u as usize][v as usize] = true;
-            rows[v as usize][u as usize] = true;
-        }
-        rows
-    }
 }
 
 #[cfg(test)]
@@ -254,6 +279,10 @@ mod tests {
     fn rejects_self_loop() {
         let mut g = Graph::new(3);
         assert_eq!(g.add_edge(1, 1), Err(GraphError::SelfLoop { vertex: 1 }));
+        assert_eq!(
+            Graph::from_edges(3, &[(0, 1), (2, 2)]),
+            Err(GraphError::SelfLoop { vertex: 2 })
+        );
     }
 
     #[test]
@@ -267,6 +296,10 @@ mod tests {
             g.add_edge(5, 0),
             Err(GraphError::VertexOutOfRange { vertex: 5, n: 3 })
         ));
+        assert_eq!(
+            Graph::from_edges(3, &[(0, 1), (2, 5)]),
+            Err(GraphError::VertexOutOfRange { vertex: 5, n: 3 })
+        );
     }
 
     #[test]
@@ -277,6 +310,22 @@ mod tests {
             g.add_edge(1, 0),
             Err(GraphError::DuplicateEdge { u: 1, v: 0 })
         );
+        // `from_edges` finds a duplicate in the sorted lists: `u < v`.
+        assert_eq!(
+            Graph::from_edges(4, &[(2, 1), (0, 3), (1, 2)]),
+            Err(GraphError::DuplicateEdge { u: 1, v: 2 })
+        );
+    }
+
+    #[test]
+    fn from_edges_matches_edge_by_edge_insertion() {
+        let edges = [(3, 0), (1, 4), (0, 1), (4, 3), (2, 0), (1, 3)];
+        let mut g = Graph::new(5);
+        for &(u, v) in &edges {
+            g.add_edge(u, v).unwrap();
+        }
+        g.finalize();
+        assert_eq!(Graph::from_edges(5, &edges).unwrap(), g);
     }
 
     #[test]
@@ -303,18 +352,6 @@ mod tests {
     #[test]
     fn single_vertex_is_connected() {
         assert!(Graph::new(1).is_connected());
-    }
-
-    #[test]
-    fn adjacency_matrix_is_symmetric() {
-        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
-        let m = g.adjacency_matrix();
-        for (u, row) in m.iter().enumerate() {
-            for (v, &cell) in row.iter().enumerate() {
-                assert_eq!(cell, m[v][u]);
-                assert_eq!(cell, g.has_edge(u as u32, v as u32));
-            }
-        }
     }
 
     #[test]

@@ -5,13 +5,11 @@
 //!
 //! * [`Graph`] — a simple undirected graph stored as adjacency lists, with
 //!   adjacency queries backed by sorted neighbour lists.
-//! * [`CsrGraph`] — an immutable compressed-sparse-row view used by the
-//!   benchmark harness for cache-friendly traversals.
 //! * [`Path`], [`PathCover`] — the objects the path-cover algorithms produce,
 //!   together with [`verify_path_cover`], the oracle every test and benchmark
 //!   uses to certify a cover against the underlying graph.
-//! * [`ops`] — graph operators (complement, disjoint union, join, induced
-//!   subgraph) matching the recursive definition of cographs.
+//! * [`ops`] — graph operators (complement, disjoint union, join, relabel)
+//!   matching the recursive definition of cographs.
 //! * [`generators`] — deterministic pseudo-random workload generators.
 //!
 //! The crate is deliberately free of any cograph- or PRAM-specific knowledge;
@@ -20,14 +18,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod csr;
 pub mod error;
 pub mod generators;
 pub mod graph;
 pub mod ops;
 pub mod path;
 
-pub use csr::CsrGraph;
 pub use error::GraphError;
 pub use graph::{Graph, VertexId};
 pub use path::{verify_path_cover, CoverReport, Path, PathCover};

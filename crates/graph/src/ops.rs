@@ -58,24 +58,6 @@ pub fn join(a: &Graph, b: &Graph) -> Graph {
     out
 }
 
-/// Subgraph of `g` induced by `keep`, with vertices renumbered `0..keep.len()`
-/// in the order given. Returns the mapping `new -> old` alongside the graph.
-pub fn induced_subgraph(g: &Graph, keep: &[VertexId]) -> (Graph, Vec<VertexId>) {
-    let mut old_to_new = vec![u32::MAX; g.num_vertices()];
-    for (new, &old) in keep.iter().enumerate() {
-        old_to_new[old as usize] = new as VertexId;
-    }
-    let mut out = Graph::new(keep.len());
-    for (u, v) in g.edges() {
-        let (nu, nv) = (old_to_new[u as usize], old_to_new[v as usize]);
-        if nu != u32::MAX && nv != u32::MAX {
-            out.add_edge(nu, nv).expect("induced edges are fresh");
-        }
-    }
-    out.finalize();
-    (out, keep.to_vec())
-}
-
 /// Relabels the vertices of `g` according to `perm`, where `perm[old] = new`.
 /// `perm` must be a permutation of `0..n`.
 pub fn relabel(g: &Graph, perm: &[VertexId]) -> Graph {
@@ -144,22 +126,6 @@ mod tests {
         let lhs = join(&a, &b);
         let rhs = complement(&disjoint_union(&complement(&a), &complement(&b)));
         assert_eq!(lhs, rhs);
-    }
-
-    #[test]
-    fn induced_subgraph_keeps_internal_edges() {
-        let g = generators::complete_graph(5);
-        let (sub, map) = induced_subgraph(&g, &[1, 3, 4]);
-        assert_eq!(sub.num_vertices(), 3);
-        assert_eq!(sub.num_edges(), 3);
-        assert_eq!(map, vec![1, 3, 4]);
-    }
-
-    #[test]
-    fn induced_subgraph_drops_external_edges() {
-        let g = generators::path_graph(5); // 0-1-2-3-4
-        let (sub, _) = induced_subgraph(&g, &[0, 2, 4]);
-        assert_eq!(sub.num_edges(), 0);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! produces a [`PathCover`], and every test certifies it with
 //! [`verify_path_cover`].
 
-use crate::error::GraphError;
 use crate::graph::{Graph, VertexId};
 use serde::{Deserialize, Serialize};
 
@@ -54,11 +53,6 @@ impl Path {
     /// Last vertex, if any.
     pub fn last(&self) -> Option<VertexId> {
         self.vertices.last().copied()
-    }
-
-    /// Consumes the path and returns its vertex sequence.
-    pub fn into_vertices(self) -> Vec<VertexId> {
-        self.vertices
     }
 
     /// Checks that every consecutive pair of vertices is an edge of `g` and
@@ -125,12 +119,6 @@ impl PathCover {
     /// Total number of vertices across all paths.
     pub fn total_vertices(&self) -> usize {
         self.paths.iter().map(Path::len).sum()
-    }
-
-    /// `true` when the cover consists of a single path (i.e. certifies a
-    /// Hamiltonian path when it verifies against the graph).
-    pub fn is_hamiltonian_path(&self) -> bool {
-        self.paths.len() == 1
     }
 
     /// Consumes the cover and returns its paths.
@@ -220,19 +208,6 @@ pub fn verify_path_cover(g: &Graph, cover: &PathCover) -> CoverReport {
         duplicated,
         non_edges,
         out_of_range,
-    }
-}
-
-/// Convenience wrapper returning an error describing the first defect.
-pub fn check_path_cover(g: &Graph, cover: &PathCover) -> Result<(), GraphError> {
-    let report = verify_path_cover(g, cover);
-    if report.is_valid() {
-        Ok(())
-    } else {
-        Err(GraphError::InvalidCover(format!(
-            "missing={:?} duplicated={:?} non_edges={:?} out_of_range={:?}",
-            report.missing, report.duplicated, report.non_edges, report.out_of_range
-        )))
     }
 }
 
@@ -338,7 +313,6 @@ mod tests {
         assert!(report.is_valid(), "{report:?}");
         assert_eq!(report.num_paths, 2);
         assert_eq!(report.covered, 5);
-        assert!(check_path_cover(&g, &cover).is_ok());
     }
 
     #[test]
@@ -348,7 +322,6 @@ mod tests {
         let report = verify_path_cover(&g, &cover);
         assert!(!report.is_valid());
         assert_eq!(report.missing, vec![2]);
-        assert!(check_path_cover(&g, &cover).is_err());
     }
 
     #[test]
@@ -393,7 +366,7 @@ mod tests {
     #[test]
     fn cover_metadata() {
         let cover = PathCover::from_paths(vec![Path::new(vec![0, 1, 2])]);
-        assert!(cover.is_hamiltonian_path());
+        assert_eq!(cover.len(), 1);
         assert_eq!(cover.total_vertices(), 3);
         let vs: Vec<_> = cover.vertices().collect();
         assert_eq!(vs, vec![0, 1, 2]);

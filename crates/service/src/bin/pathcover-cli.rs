@@ -11,7 +11,6 @@
 //! pathcover-cli snapshot inspect FILE [--json]
 //! pathcover-cli session <create|add-vertex|add-edges|remove-edge|query|drop> ... (--remote SOCK | --remote-http ADDR)
 //! pathcover-cli shutdown (--remote SOCK | --remote-http ADDR)
-//! pathcover-cli bench [--batches 1,64,4096] [--threads 1,2,4,8] [--n 64] [--json FILE]
 //! ```
 //!
 //! `<graph|->` is a file path or `-` for stdin. Formats are sniffed from
@@ -34,8 +33,6 @@ use pcservice::{
     CacheStatus, EngineConfig, GraphFormat, GraphSpec, Json, QueryEngine, QueryKind, QueryRequest,
     QueryResponse,
 };
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use std::io::{Read, Write};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -72,7 +69,6 @@ fn main() -> ExitCode {
         "solve" => cmd_solve(rest, false),
         "recognize" => cmd_solve(rest, true),
         "batch" => cmd_batch(rest),
-        "bench" => cmd_bench(rest),
         "serve" => cmd_serve(rest),
         "stats" => cmd_stats(rest),
         "metrics" => cmd_metrics(rest),
@@ -122,7 +118,6 @@ USAGE:
     pathcover-cli session query HANDLE [--query KIND] (--remote ... | --remote-http ...) [--json]
     pathcover-cli session drop HANDLE (--remote ... | --remote-http ...) [--json]
     pathcover-cli shutdown (--remote SOCK | --remote-http ADDR)
-    pathcover-cli bench [--batches 1,64,4096] [--threads 1,2,4,8] [--n 64] [--json FILE]
 
 FORMATS (sniffed from content when --format is omitted):
     edge-list   '<u> <v>' per line, 0-based; a lone id declares a vertex; # comments
@@ -178,17 +173,17 @@ OBSERVABILITY:
 PARALLEL EXECUTION:
     '--threads N' on 'batch' and 'serve' sets how many worker threads a
     batch fans out across; 0 or unset means one per available CPU. Each
-    solve runs on one thread: the sequential solver beats the paper's
-    parallel pipeline on the work-stealing pool at every measured size, so
-    the pool is the reproduction backend of the library, not a serving
-    route.
+    solve runs on one thread with the sequential solver. The paper's
+    parallel pipeline runs only on the library's PRAM simulator, which
+    measures its steps and work; it is not a serving route.
 
 PERSISTENCE:
-    '--snapshot PATH' makes restarts warm: the cache is saved to PATH on
-    shutdown (and every --checkpoint-secs N while serving) and reloaded —
-    after integrity verification; corrupt files are quarantined to
-    PATH.corrupt — on the next serve. 'snapshot save' checkpoints a running
-    daemon now; 'snapshot inspect FILE' verifies a snapshot offline.
+    '--snapshot PATH' makes restarts warm: the cache's cotrees, graph links
+    and LRU order are saved to PATH on shutdown (and every
+    --checkpoint-secs N while serving) and reloaded on the next serve, which
+    recomputes every key and answer from the cotrees; a file that fails its
+    checks is quarantined to PATH.corrupt. 'snapshot save' checkpoints a
+    running daemon now; 'snapshot inspect FILE' checks a snapshot offline.
 
 SESSIONS (v2 API):
     'session' verbs talk the versioned v2 envelope (POST /v2/query over
@@ -671,9 +666,8 @@ fn cmd_snapshot(args: &[String]) -> Result<ExitCode, String> {
                     "'snapshot inspect' needs exactly one FILE\n{USAGE}"
                 ));
             };
-            // Inspection runs the loader's full verification (checksum,
-            // canonical keys, links, scalar re-solve) against the
-            // file without touching any cache.
+            // Inspection runs the loader's checks (checksum, header, terms,
+            // link labels) against the file without touching any cache.
             let report = pcservice::snapshot::inspect(std::path::Path::new(path))
                 .map_err(|e| format!("{path}: {e}"))?;
             if json {
@@ -684,26 +678,18 @@ fn cmd_snapshot(args: &[String]) -> Result<ExitCode, String> {
                         ("entries", Json::num(report.entries as u64)),
                         ("links", Json::num(report.links as u64)),
                         ("total_vertices", Json::num(report.total_vertices as u64)),
-                        ("memoised", Json::num(report.memoised as u64)),
-                        ("scalar_checked", Json::num(report.scalar_checked as u64)),
                         ("bytes", Json::num(report.bytes)),
                     ])
                 );
             } else {
                 out!(
-                    "{path}: pcsnap{} — {} entries ({} graph links, {} with memoised answers), \
+                    "{path}: pcsnap{} — {} entries ({} graph links), \
                      {} vertices total, {} bytes",
                     report.version,
                     report.entries,
                     report.links,
-                    report.memoised,
                     report.total_vertices,
                     report.bytes
-                );
-                out!(
-                    "  integrity: checksum ok, all canonical keys verified, \
-                     {} entries re-solved and matched",
-                    report.scalar_checked
                 );
             }
             Ok(ExitCode::SUCCESS)
@@ -1434,97 +1420,5 @@ fn cmd_shutdown(args: &[String]) -> Result<ExitCode, String> {
         RemoteTarget::Http(addr) => format!("http://{addr}"),
     };
     eprintln!("daemon on {endpoint} acknowledged shutdown");
-    Ok(ExitCode::SUCCESS)
-}
-
-fn parse_list(text: &str, flag: &str) -> Result<Vec<usize>, String> {
-    text.split(',')
-        .map(|t| {
-            t.trim()
-                .parse::<usize>()
-                .map_err(|_| format!("{flag}: '{t}' is not a number"))
-        })
-        .collect()
-}
-
-fn cmd_bench(args: &[String]) -> Result<ExitCode, String> {
-    let mut args = args.to_vec();
-    let batches = match take_flag(&mut args, "--batches")? {
-        Some(text) => parse_list(&text, "--batches")?,
-        None => vec![1, 64, 4096],
-    };
-    let threads = match take_flag(&mut args, "--threads")? {
-        Some(text) => parse_list(&text, "--threads")?,
-        None => vec![1, 2, 4, 8],
-    };
-    let n = take_num_flag(&mut args, "--n", 64)?;
-    let json_out = take_flag(&mut args, "--json")?;
-    if !args.is_empty() {
-        return Err(format!("unexpected arguments: {args:?}"));
-    }
-
-    // A pool of distinct cotrees; batches cycle through it, so large batches
-    // exercise the cache the way repeated production traffic would.
-    const POOL: usize = 32;
-    let pool: Vec<GraphSpec> = (0..POOL)
-        .map(|i| {
-            let mut rng = ChaCha8Rng::seed_from_u64(i as u64);
-            let tree = cograph::random_cotree(n, cograph::CotreeShape::Mixed, &mut rng);
-            GraphSpec::Graph(tree.to_graph())
-        })
-        .collect();
-
-    let resolved: Vec<usize> = threads
-        .iter()
-        .map(|&threads| {
-            EngineConfig {
-                threads,
-                ..EngineConfig::default()
-            }
-            .resolved_threads()
-        })
-        .collect();
-    eprintln!("threads {threads:?} resolve to {resolved:?} (0 = available parallelism)");
-    let mut json_lines = Vec::new();
-    out!("batch-size  threads  queries/sec  ms/batch  cache-hit%");
-    for &batch in &batches {
-        let requests: Vec<QueryRequest> = (0..batch)
-            .map(|i| {
-                let kind = QueryKind::ALL[i % QueryKind::ALL.len()];
-                QueryRequest::new(kind, pool[i % POOL].clone())
-            })
-            .collect();
-        for &t in &threads {
-            let engine = QueryEngine::new(EngineConfig {
-                threads: t,
-                ..EngineConfig::default()
-            });
-            // Warm-up round fills the cache; timed round measures serving.
-            engine.execute_batch(None, &requests);
-            let started = Instant::now();
-            let responses = engine.execute_batch(None, &requests);
-            let elapsed = started.elapsed();
-            let failures = responses.iter().filter(|r| r.outcome.is_err()).count();
-            if failures > 0 {
-                return Err(format!("{failures} bench queries failed"));
-            }
-            let stats = engine.cache_stats();
-            let qps = batch as f64 / elapsed.as_secs_f64();
-            let hit_pct = 100.0 * stats.hits as f64 / (stats.hits + stats.misses).max(1) as f64;
-            out!(
-                "{batch:>10}  {t:>7}  {qps:>11.0}  {:>8.3}  {hit_pct:>9.1}",
-                elapsed.as_secs_f64() * 1e3
-            );
-            json_lines.push(format!(
-                "{{\"batch\":{batch},\"threads\":{t},\"n\":{n},\"qps\":{qps:.1},\"ms_per_batch\":{:.3},\"cache_hit_pct\":{hit_pct:.1}}}",
-                elapsed.as_secs_f64() * 1e3
-            ));
-        }
-    }
-    if let Some(path) = json_out {
-        std::fs::write(&path, json_lines.join("\n") + "\n")
-            .map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote {} measurements to {path}", json_lines.len());
-    }
     Ok(ExitCode::SUCCESS)
 }

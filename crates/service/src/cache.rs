@@ -201,24 +201,11 @@ pub struct SolveEntry {
     ham_cycle: OnceLock<bool>,
 }
 
-/// The scalar answers a [`SolveEntry`] has memoised so far — `None` means
-/// "not computed yet". This is what a snapshot persists per entry so a
-/// warm-started daemon answers without re-running the solvers.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemoisedScalars {
-    /// Minimum path-cover size, if computed.
-    pub min_cover_size: Option<usize>,
-    /// Hamiltonian-path decision, if computed.
-    pub ham_path: Option<bool>,
-    /// Hamiltonian-cycle decision, if computed.
-    pub ham_cycle: Option<bool>,
-}
-
 impl SolveEntry {
     /// Wraps a cotree (computing its canonical key).
     pub fn new(cotree: Cotree) -> Self {
         let key = canonical_key(&cotree);
-        SolveEntry::from_parts(cotree, key, MemoisedScalars::default())
+        SolveEntry::keyed(cotree, key, OnceLock::new())
     }
 
     /// Wraps a cotree with its canonical key *and* preorder, from one
@@ -226,42 +213,17 @@ impl SolveEntry {
     /// as the lookup probe and, on a miss, becomes the resident entry.
     pub(crate) fn with_order(cotree: Cotree) -> Self {
         let (key, order) = canonical_pass(&cotree, true);
-        SolveEntry {
-            order: OnceLock::from(order),
-            ..SolveEntry::from_parts(cotree, key, MemoisedScalars::default())
-        }
+        SolveEntry::keyed(cotree, key, OnceLock::from(order))
     }
 
-    /// Rebuilds an entry from snapshot parts: the cotree, the canonical key
-    /// the snapshot parser recomputed for it, and the memo slots persisted
-    /// by a previous process.
-    pub(crate) fn from_parts(cotree: Cotree, key: u64, scalars: MemoisedScalars) -> Self {
-        let entry = SolveEntry {
+    fn keyed(cotree: Cotree, key: u64, order: OnceLock<Box<[u32]>>) -> Self {
+        SolveEntry {
             key,
             cotree,
-            order: OnceLock::new(),
+            order,
             min_size: OnceLock::new(),
             ham_path: OnceLock::new(),
             ham_cycle: OnceLock::new(),
-        };
-        if let Some(size) = scalars.min_cover_size {
-            let _ = entry.min_size.set(size);
-        }
-        if let Some(path) = scalars.ham_path {
-            let _ = entry.ham_path.set(path);
-        }
-        if let Some(cycle) = scalars.ham_cycle {
-            let _ = entry.ham_cycle.set(cycle);
-        }
-        entry
-    }
-
-    /// The scalars memoised so far (the snapshot writer's view).
-    pub fn memoised_scalars(&self) -> MemoisedScalars {
-        MemoisedScalars {
-            min_cover_size: self.min_size.get().copied(),
-            ham_path: self.ham_path.get().copied(),
-            ham_cycle: self.ham_cycle.get().copied(),
         }
     }
 
@@ -480,18 +442,14 @@ impl Shard {
     }
 }
 
-/// One resident entry as exported by [`CotreeCache::export`], with the
-/// graph-fingerprint links that point at it.
+/// One resident entry as exported by [`CotreeCache::export`], and whether
+/// a graph link points at it.
 #[derive(Debug, Clone)]
 pub struct ExportedEntry {
-    /// The resident entry (cotree + memoised scalars).
+    /// The resident entry.
     pub entry: Arc<SolveEntry>,
-    /// Fingerprints of ingested graphs linked to this entry. In a cache fed
-    /// by the engine there is at most one (canonically equal cotrees
-    /// describe one labelled graph, and a labelled graph has one
-    /// fingerprint), but the order and multiplicity of whatever is resident
-    /// are preserved.
-    pub fingerprints: Vec<u64>,
+    /// Whether the fingerprint map links an ingested graph to this entry.
+    pub linked: bool,
     /// Whether the entry is resident in the canonical (key-indexed) map.
     /// `false` for entries reachable only through a graph link — importing
     /// those back into the canonical map would evict genuinely warm
@@ -627,9 +585,9 @@ impl CotreeCache {
         self.insert_entry(graph, Arc::new(entry))
     }
 
-    /// Inserts a prebuilt entry — the snapshot import path, which must keep
-    /// the entry's memoised scalars instead of rebuilding it from the bare
-    /// cotree. Same residency and collision semantics as [`Self::insert`];
+    /// Inserts a prebuilt entry (the snapshot import path, and the engine's
+    /// insert of a probe it already hashed), keeping whatever the entry has
+    /// memoised. Same residency and collision semantics as [`Self::insert`];
     /// hit/miss counters are untouched (an import is not a lookup).
     pub fn insert_entry(
         &self,
@@ -677,7 +635,7 @@ impl CotreeCache {
                 index.insert(Arc::as_ptr(entry), out.len());
                 out.push(ExportedEntry {
                     entry: entry.clone(),
-                    fingerprints: Vec::new(),
+                    linked: false,
                     canonical: true,
                 });
             }
@@ -686,14 +644,14 @@ impl CotreeCache {
         // released: the residency re-probe below must take a *different*
         // shard's lock, and holding two shard locks at once would let two
         // concurrent exports (checkpoint thread + save-now) deadlock.
-        let mut links: Vec<(u64, Arc<SolveEntry>)> = Vec::new();
+        let mut links: Vec<Arc<SolveEntry>> = Vec::new();
         for shard in &self.shards {
             let shard = shard.lock().expect("cache shard mutex");
-            for (fp, (_, entry)) in shard.by_graph.iter_lru() {
-                links.push((fp, entry.clone()));
+            for (_, (_, entry)) in shard.by_graph.iter_lru() {
+                links.push(entry.clone());
             }
         }
-        for (fp, entry) in links {
+        for entry in links {
             let slot = match index.get(&Arc::as_ptr(&entry)) {
                 Some(&slot) => slot,
                 None => {
@@ -710,13 +668,13 @@ impl CotreeCache {
                     index.insert(Arc::as_ptr(&entry), out.len());
                     out.push(ExportedEntry {
                         entry: entry.clone(),
-                        fingerprints: Vec::new(),
+                        linked: false,
                         canonical,
                     });
                     out.len() - 1
                 }
             };
-            out[slot].fingerprints.push(fp);
+            out[slot].linked = true;
         }
         out
     }
@@ -805,9 +763,9 @@ mod tests {
 
     #[test]
     fn canonical_keys_are_pinned() {
-        // Keys travel as `meta.canonical_key` and sit inside every `pcsnap1`
-        // file: any drift quarantines existing snapshots, so these values
-        // are fixed.
+        // Keys travel in every response's `meta.key`, so these values are
+        // fixed. (Snapshots do not depend on them: the loader recomputes
+        // every key.)
         use crate::ingest::parse_cotree_term_labelled;
         use rand::SeedableRng;
         let hex = |tree: &Cotree| format!("{:016x}", canonical_key(tree));
@@ -1316,24 +1274,6 @@ mod tests {
     }
 
     #[test]
-    fn memoised_scalars_round_trip_through_parts() {
-        let tree = parse_cotree_term("(j (u a b) c)").unwrap();
-        let entry = SolveEntry::new(tree.clone());
-        assert_eq!(entry.memoised_scalars(), MemoisedScalars::default());
-        entry.min_cover_size();
-        entry.has_hamiltonian_path();
-        let scalars = entry.memoised_scalars();
-        assert_eq!(scalars.min_cover_size, Some(min_path_cover_size(&tree)));
-        assert_eq!(scalars.ham_path, Some(has_hamiltonian_path(&tree)));
-        assert_eq!(scalars.ham_cycle, None, "cycle was never asked for");
-
-        let rebuilt = SolveEntry::from_parts(tree.clone(), canonical_key(&tree), scalars);
-        assert_eq!(rebuilt.memoised_scalars(), scalars);
-        assert_eq!(rebuilt.min_cover_size(), entry.min_cover_size());
-        assert_eq!(rebuilt.key, entry.key);
-    }
-
-    #[test]
     fn export_lists_entries_in_lru_order_with_links() {
         // Single shard so the order is fully determined.
         let cache = CotreeCache::with_shards(8, 1);
@@ -1357,8 +1297,8 @@ mod tests {
             ],
             "least recently used first, touched entry last"
         );
-        let links: Vec<&[u64]> = exported.iter().map(|e| e.fingerprints.as_slice()).collect();
-        assert_eq!(links, vec![&[fp1][..], &[][..], &[][..]]);
+        let linked: Vec<bool> = exported.iter().map(|e| e.linked).collect();
+        assert_eq!(linked, [true, false, false]);
         assert!(exported.iter().all(|e| e.canonical));
     }
 
@@ -1381,7 +1321,7 @@ mod tests {
             .iter()
             .find(|e| e.entry.key == canonical_key(&t0))
             .expect("link-only entry must be exported");
-        assert_eq!(link_only.fingerprints, [fp0]);
+        assert!(link_only.linked);
         assert!(
             !link_only.canonical,
             "evicted entry must be marked link-only so import does not \
@@ -1412,7 +1352,7 @@ mod tests {
         entry.min_cover_size();
         let resident = cache.insert_entry(None, entry.clone());
         assert!(Arc::ptr_eq(&resident, &entry));
-        assert_eq!(resident.memoised_scalars().min_cover_size, Some(1));
+        assert_eq!(resident.min_size.get(), Some(&1));
         // Imports are not lookups: no hit/miss distortion.
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (0, 0));

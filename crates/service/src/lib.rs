@@ -50,14 +50,16 @@
 //! edge-by-edge and query its incrementally-maintained cotree (insertions
 //! never re-run full recognition; an illegal one is refused with its
 //! induced-`P_4` witness and the session keeps its last good state).
-//! [`snapshot`] makes the cache survive the process itself: a verified,
-//! checksummed on-disk format (`pcsnap1`) saved on shutdown and on a
-//! background checkpoint interval, reloaded — after integrity verification,
-//! with corrupt files quarantined — when the daemon starts, so restarts
-//! begin warm.
+//! [`snapshot`] makes the cache survive the process itself: a checksummed
+//! on-disk format (`pcsnap2`) holding each resident cotree, its graph-link
+//! flags and the LRU order, saved on shutdown and on a background
+//! checkpoint interval and reloaded when the daemon starts, so restarts
+//! begin warm. Keys, fingerprints and answers are recomputed from the
+//! cotrees, never read from disk; a file that fails its checks is
+//! quarantined.
 //!
 //! The `pathcover-cli` binary in this crate exposes the engine on the
-//! command line (`solve`, `batch`, `bench`, `recognize`, plus a `session`
+//! command line (`solve`, `batch`, `recognize`, plus a `session`
 //! noun that drives the v2 envelope) reading files or stdin and emitting
 //! human-readable text or JSON lines; `serve` starts the daemon
 //! (`--socket` and/or `--http`) and `--remote <socket>` /
@@ -99,8 +101,8 @@ pub mod trace;
 pub mod v2;
 
 pub use cache::{
-    canonical_eq, canonical_key, graph_fingerprint, CacheStats, CotreeCache, MemoisedScalars,
-    ShardStats, SolveEntry, DEFAULT_SHARDS,
+    canonical_eq, canonical_key, graph_fingerprint, CacheStats, CotreeCache, ShardStats,
+    SolveEntry, DEFAULT_SHARDS,
 };
 #[cfg(unix)]
 pub use daemon::{Daemon, DaemonConfig, ShutdownSignal};

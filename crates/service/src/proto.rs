@@ -972,8 +972,8 @@ pub fn stats_payload(engine: &QueryEngine) -> Json {
 /// object per resident handle (`handle` / `vertices` / `edges` /
 /// `mutations` / `idle_secs`). Collecting it sweeps the idle-TTL reaper
 /// first, so stats never report already-expired handles. Sessions are
-/// daemon-resident state, deliberately *excluded* from `pcsnap1` cache
-/// snapshots — this block is where operators see them instead.
+/// daemon-resident state, deliberately *excluded* from cache snapshots
+/// ([`crate::snapshot`]) — this block is where operators see them instead.
 pub fn sessions_payload(engine: &QueryEngine) -> Json {
     let infos = engine.session_stats();
     Json::obj(vec![

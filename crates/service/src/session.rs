@@ -26,8 +26,8 @@
 //! cap ([`crate::EngineConfig::max_sessions`]), and an idle-TTL sweep run
 //! opportunistically on registry traffic
 //! ([`crate::EngineConfig::session_idle_ttl`]). Sessions are surfaced in
-//! stats and telemetry but are deliberately *not* persisted into `pcsnap1`
-//! snapshots.
+//! stats and telemetry but are deliberately *not* persisted into cache
+//! snapshots ([`crate::snapshot`]).
 
 use crate::cache::SolveEntry;
 use crate::engine::{trace_end, QueryEngine, Resolved, Solved};
