@@ -19,6 +19,11 @@
 //!   appended as the last four vertices, so the incremental recogniser pays
 //!   for almost the whole graph before rejecting on the tail and extracting
 //!   a certificate.
+//! * `fast_reject/mixed_n1500_seed1` — a dense near-cograph (`m ≈ 877k`,
+//!   7.4 MB as an edge list): the seed-1 mixed cograph on 1500 vertices
+//!   with random vertex pairs toggled until it stops being one. The
+//!   refusal's witness is read off the failing prefix's cotree in `O(n)`,
+//!   so rejecting costs about what deciding (`is_cograph`) does.
 //!
 //! The `reference/skewed` series stops at n = 1024 inside the main group;
 //! the n = 4096 point takes minutes per execution, so it lives in the
@@ -34,8 +39,9 @@ use cograph::recognition::{fast, reference};
 use cograph::CotreeShape;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pcgraph::Graph;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::collections::BTreeSet;
 
 const SIZES: [usize; 4] = [64, 256, 1024, 4096];
 
@@ -59,6 +65,29 @@ fn near_cograph(n: usize, seed: u64) -> Graph {
     let t = (n - 4) as u32;
     edges.extend([(t, t + 1), (t + 1, t + 2), (t + 2, t + 3)]);
     Graph::from_edges(n, &edges).expect("tail edges are fresh")
+}
+
+/// The mixed cograph of `seed` with vertex pairs drawn from the same
+/// generator toggled (`u = v` skipped) until it is no longer a cograph.
+fn toggled_near_cograph(n: usize, seed: u64) -> Graph {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let tree = cograph::random_cotree(n, CotreeShape::Mixed, &mut rng);
+    let mut edges: BTreeSet<(u32, u32)> = tree.to_graph().edges().collect();
+    loop {
+        let (u, v) = (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
+        if u == v {
+            continue;
+        }
+        let pair = (u.min(v), u.max(v));
+        if !edges.remove(&pair) {
+            edges.insert(pair);
+        }
+        let list: Vec<(u32, u32)> = edges.iter().copied().collect();
+        let g = Graph::from_edges(n, &list).expect("toggled pairs are simple");
+        if !cograph::is_cograph(&g) {
+            return g;
+        }
+    }
 }
 
 fn bench(c: &mut Criterion) {
@@ -95,6 +124,12 @@ fn bench(c: &mut Criterion) {
             |b, g| b.iter(|| reference::recognize(g).is_none()),
         );
     }
+    let toggled = toggled_near_cograph(1500, 1);
+    group.bench_with_input(
+        BenchmarkId::new("fast_reject", "mixed_n1500_seed1"),
+        &toggled,
+        |b, g| b.iter(|| fast::recognize(g).expect_err("toggled pairs")),
+    );
     group.finish();
 }
 

@@ -16,7 +16,8 @@
 //!   need no materialisation;
 //! * [`recognition`] — building the cotree of an arbitrary graph in
 //!   `O(n + m)` by incremental insertion ([`recognition::fast`]), with an
-//!   induced-`P_4` certificate on rejection; the textbook
+//!   induced-`P_4` certificate read off the cotree in `O(n)` on rejection,
+//!   and the growable [`IncrementalCotree`]; the textbook
 //!   complement-reducibility decomposition survives as
 //!   [`recognition::reference`], the differential-testing oracle;
 //! * [`generators`] — deterministic random cotree families (balanced, skewed,
@@ -43,7 +44,6 @@ pub use cotree::{Cotree, CotreeBuilder, CotreeKind};
 pub use generators::{random_cotree, CotreeShape};
 pub use pathcount::{path_counts_pram, path_counts_seq};
 pub use recognition::{
-    is_cograph, recognize, try_recognize, IllegalInsertion, IncrementalCotree, InducedP4,
-    RecognitionError,
+    is_cograph, recognize, try_recognize, IncrementalCotree, InducedP4, RecognitionError,
 };
 pub use reduce::{classify_vertices, ReducedCotree, VertexRole};

@@ -6,7 +6,8 @@
 //!   recognition: vertices are inserted one at a time into a growing mutable
 //!   cotree, each insertion driven by a marking pass over `O(d(x))` nodes,
 //!   for `O(n + m)` total. On failure it does not just say "no": it returns
-//!   a concrete induced `P_4` as a certificate ([`InducedP4`]).
+//!   a concrete induced `P_4` as a certificate ([`InducedP4`]), read off
+//!   the cotree of the prefix before the failing vertex in `O(n)`.
 //! * [`reference`](mod@reference) — the textbook component/co-component decomposition
 //!   (a graph is a cograph iff every induced subgraph on two or more
 //!   vertices is disconnected or has a disconnected complement). It is
@@ -31,7 +32,7 @@
 pub mod fast;
 pub mod reference;
 
-pub use fast::{IllegalInsertion, IncrementalCotree};
+pub use fast::IncrementalCotree;
 
 use crate::cotree::Cotree;
 use pcgraph::{Graph, VertexId};

@@ -41,12 +41,12 @@
 //! Splicing children during an insertion is `O(1)` per child moved.
 //!
 //! On a failed insertion the prefix graph is a cograph but `G[0..=x]` is
-//! not, so an induced `P_4` through `x` exists; `find_p4_through` finds
-//! one by a direct neighbourhood search (reject path only — this search is
-//! not part of the `O(n + m)` accept-path budget).
+//! not, so an induced `P_4` through `x` exists. `find_p4` reads one off the
+//! prefix's cotree in one `O(n)` sweep of its post-order arena whatever the
+//! edge count, no more than recognising the prefix cost.
 
 use super::{InducedP4, RecognitionError};
-use crate::cotree::{Cotree, CotreeBuilder, CotreeKind};
+use crate::cotree::{Cotree, CotreeBuilder, CotreeKind, NO_NODE};
 use pcgraph::{Graph, VertexId};
 
 /// Sentinel for "no slab node" (`u32` indices; `Slab::new` rejects graphs
@@ -585,26 +585,77 @@ impl Slab {
         self.prev_sibling.pop();
         self.label.pop();
     }
-}
 
-/// A vertex insertion was rejected: the grown graph would contain an
-/// induced `P_4` and is therefore not a cograph. The tree is unchanged.
-///
-/// The certificate itself is not carried here — the slab does not retain
-/// the graph. Callers that kept the adjacency (as the serving layer's
-/// sessions do) obtain the witness by running
-/// [`recognize`](crate::recognition::try_recognize) on the grown graph,
-/// whose final insertion fails identically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IllegalInsertion;
-
-impl std::fmt::Display for IllegalInsertion {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "vertex insertion would create an induced P4")
+    /// The induced `P_4` that refused inserting vertex `x` next to
+    /// `neighbors`, read off the cotree of the prefix this slab holds.
+    fn refusal(&self, x: VertexId, neighbors: impl IntoIterator<Item = VertexId>) -> InducedP4 {
+        let mut adjacent = vec![false; x as usize];
+        neighbors
+            .into_iter()
+            .for_each(|v| adjacent[v as usize] = true);
+        find_p4(&self.to_cotree(), x, &adjacent)
+            .expect("a refused insertion has an induced P4 through the new vertex")
     }
 }
 
-impl std::error::Error for IllegalInsertion {}
+/// The induced `P_4` through a new vertex `x` that the cotree `tree` cannot
+/// absorb, or `None` when `x` inserts legally; `adjacent[v]` says whether
+/// the vertex labelled `v` is a neighbour of `x`.
+///
+/// Call a node *mixed* when some but not all of its leaves are neighbours
+/// of `x`. The insertion fails exactly when an internal node `u` has a
+/// mixed child `m` and another child `c` that is not all neighbours (`u` a
+/// join) or holds a neighbour (`u` a union). Otherwise the mixed nodes form
+/// one root path and `x` attaches at its lowest node: the legality the
+/// marking pass checks. Two different children of `m` hold a neighbour `p`
+/// and a non-neighbour `q`, and `c` gives `r`: a non-neighbour under a join
+/// `u`, a neighbour under a union `u`. Labels alternate, so `m` is a union
+/// under a join `u`, which yields `x – p – r – q`, and a join under a union
+/// `u`, which yields `r – x – p – q`.
+///
+/// One sweep counts each node's leaves off and on `N(x)`, and the vertices
+/// are picked from their subtrees' contiguous id ranges: `O(n)`, no graph.
+fn find_p4(tree: &Cotree, x: VertexId, adjacent: &[bool]) -> Option<InducedP4> {
+    let nodes = tree.num_nodes();
+    // Per node: the first id of its subtree and its leaves off and on N(x).
+    let (mut first, mut count) = (vec![0; nodes], vec![[0usize; 2]; nodes]);
+    for u in 0..nodes {
+        let kids = tree.children(u);
+        first[u] = kids.first().map_or(u, |&k| first[k]);
+        count[u] = match tree.kind(u) {
+            CotreeKind::Leaf(v) => [!adjacent[v as usize], adjacent[v as usize]].map(usize::from),
+            _ => [0, 1].map(|side| kids.iter().map(|&k| count[k][side]).sum()),
+        };
+    }
+    // A child of `w` other than `skip` holding a vertex on `side` of N(x).
+    let child = |w: usize, skip: usize, side: bool| {
+        let mut kids = tree.children(w).iter().copied();
+        kids.find(|&k| k != skip && count[k][usize::from(side)] > 0)
+    };
+    let (join, m, c) = (0..nodes).find_map(|u| {
+        let join = tree.kind(u) == CotreeKind::Join;
+        let mut kids = tree.children(u).iter().copied();
+        let m = kids.find(|&k| count[k][0] > 0 && count[k][1] > 0)?;
+        Some((join, m, child(u, m, !join)?))
+    })?;
+    // `a` holds a neighbour and `b` a non-neighbour. When only `b` holds a
+    // neighbour, every other child of `m` holds non-neighbours only.
+    let b = child(m, NO_NODE, false)?;
+    let (a, b) = match child(m, b, true) {
+        Some(a) => (a, b),
+        None => (b, child(m, b, false)?),
+    };
+    // The first vertex on `side` of N(x) in the id range of `w`'s subtree.
+    let pick = |w: usize, side: bool| {
+        (first[w]..=w).find_map(|y| match tree.kind(y) {
+            CotreeKind::Leaf(v) if adjacent[v as usize] == side => Some(v),
+            _ => None,
+        })
+    };
+    let (p, q, r) = (pick(a, true)?, pick(b, false)?, pick(c, !join)?);
+    let path = if join { [x, p, r, q] } else { [r, x, p, q] };
+    Some(InducedP4 { path })
+}
 
 /// A growable cotree maintained by incremental insertion: the serving-layer
 /// face of the recogniser's slab.
@@ -641,23 +692,42 @@ impl IncrementalCotree {
     /// certificate) when `g` is not a cograph. This is the rebuild path for
     /// mutations the insertion pass cannot absorb (edge updates).
     pub fn from_graph(g: &Graph) -> Result<IncrementalCotree, RecognitionError> {
-        if g.num_vertices() == 0 {
-            return Err(RecognitionError::EmptyGraph);
-        }
-        match run(g) {
-            Ok(slab) => Ok(IncrementalCotree {
-                // Batch leaves sit at their vertex ids.
-                leaf_of: (0..g.num_vertices() as u32).collect(),
-                slab,
-                scratch: Vec::new(),
-            }),
-            Err(x) => {
-                let witness = find_p4_through(g, x)
-                    .expect("insertion failed, so an induced P4 through x exists");
-                debug_assert!(witness.verify(g));
-                Err(RecognitionError::InducedP4(witness))
+        Ok(IncrementalCotree {
+            slab: build(g)?,
+            // Batch leaves sit at their vertex ids.
+            leaf_of: (0..g.num_vertices() as u32).collect(),
+            scratch: Vec::new(),
+        })
+    }
+
+    /// Builds the tree of the cograph `tree` describes straight from its
+    /// post-order arena in `O(n)`: no graph is materialised or recognised.
+    /// `None` unless the leaves carry each label of `0..n` once.
+    pub fn from_cotree(tree: &Cotree) -> Option<IncrementalCotree> {
+        let n = tree.num_vertices();
+        let (mut slab, mut seen) = (Slab::new(n), vec![false; n]);
+        // Leaf `v` is slab node `v` as in the batch layout, internal nodes
+        // follow in post-order; `attach` prepends and `to_cotree` reverses,
+        // so the arena's child order survives the round trip.
+        let mut node = Vec::with_capacity(tree.num_nodes());
+        for u in 0..tree.num_nodes() {
+            let s = match tree.kind(u) {
+                CotreeKind::Leaf(v) if !std::mem::replace(seen.get_mut(v as usize)?, true) => v,
+                CotreeKind::Leaf(_) => return None,
+                CotreeKind::Union => slab.alloc(UNION, 0),
+                CotreeKind::Join => slab.alloc(JOIN, 0),
+            };
+            for &c in tree.children(u) {
+                slab.attach(node[c], s);
             }
+            node.push(s);
         }
+        slab.root = node[tree.root()];
+        Some(IncrementalCotree {
+            slab,
+            leaf_of: (0..n as u32).collect(),
+            scratch: Vec::new(),
+        })
     }
 
     /// Number of vertices inserted so far.
@@ -667,8 +737,9 @@ impl IncrementalCotree {
 
     /// Inserts a new vertex adjacent to exactly `neighbors` and returns its
     /// id (vertex ids are dense: the new id is [`num_vertices`] before the
-    /// call). One `O(d)` marking pass on acceptance; on rejection the tree
-    /// is left unchanged and the handle remains usable.
+    /// call). One `O(d)` marking pass on acceptance. On rejection the tree
+    /// is left unchanged, the handle remains usable, and the error is an
+    /// induced `P_4` through the new vertex, read off the tree in `O(n)`.
     ///
     /// # Panics
     ///
@@ -676,7 +747,7 @@ impl IncrementalCotree {
     /// duplicate ids panic. Callers at trust boundaries validate first.
     ///
     /// [`num_vertices`]: IncrementalCotree::num_vertices
-    pub fn try_add_vertex(&mut self, neighbors: &[VertexId]) -> Result<VertexId, IllegalInsertion> {
+    pub fn try_add_vertex(&mut self, neighbors: &[VertexId]) -> Result<VertexId, InducedP4> {
         let id = self.leaf_of.len();
         assert!(
             id < (u32::MAX / 2) as usize,
@@ -709,7 +780,7 @@ impl IncrementalCotree {
             Ok(id as VertexId)
         } else {
             self.slab.pop_last();
-            Err(IllegalInsertion)
+            Err(self.slab.refusal(id as VertexId, neighbors.iter().copied()))
         }
     }
 
@@ -740,10 +811,27 @@ impl std::fmt::Debug for IncrementalCotree {
     }
 }
 
-/// Runs the incremental insertion over all vertices of `g`. On failure
-/// returns the vertex whose insertion failed (the prefix `0..x` is a
-/// cograph, `0..=x` is not).
-fn run(g: &Graph) -> Result<Slab, VertexId> {
+/// Inserts the vertices of `g` in id order: the slab of the whole graph,
+/// or the typed rejection whose witness [`Slab::refusal`] reads off the
+/// prefix before the first vertex whose insertion fails.
+fn build(g: &Graph) -> Result<Slab, RecognitionError> {
+    let (slab, x) = run(g);
+    match g.num_vertices() {
+        0 => Err(RecognitionError::EmptyGraph),
+        n if x == n => Ok(slab),
+        _ => {
+            let x = x as VertexId;
+            let witness = slab.refusal(x, g.neighbors(x).iter().copied().filter(|&y| y < x));
+            debug_assert!(witness.verify(g));
+            Err(RecognitionError::InducedP4(witness))
+        }
+    }
+}
+
+/// Runs the incremental insertion over `g` until a vertex fails: returns
+/// the slab and the number of vertices it holds, all `n` or the failing
+/// `x` (the prefix `0..x` is a cograph, `0..=x` is not).
+fn run(g: &Graph) -> (Slab, usize) {
     // Vertices are inserted in id order, so with sorted adjacency lists the
     // already-inserted neighbours of x are exactly a list prefix, found by
     // one binary search instead of a scan over the whole list.
@@ -767,83 +855,31 @@ fn run(g: &Graph) -> Result<Slab, VertexId> {
         // Leaves are pre-allocated at their vertex ids, so the neighbour ids
         // are already the neighbour leaf indices.
         if !slab.insert(x as u32, prefix, x) {
-            return Err(x as VertexId);
+            return (slab, x);
         }
     }
-    Ok(slab)
+    (slab, n)
 }
 
 /// Builds the cotree of `g` with the incremental recogniser, or returns the
 /// typed rejection carrying an induced-`P_4` certificate.
 pub fn recognize(g: &Graph) -> Result<Cotree, RecognitionError> {
-    if g.num_vertices() == 0 {
-        return Err(RecognitionError::EmptyGraph);
-    }
-    match run(g) {
-        Ok(slab) => Ok(slab.to_cotree()),
-        Err(x) => {
-            let witness =
-                find_p4_through(g, x).expect("insertion failed, so an induced P4 through x exists");
-            debug_assert!(witness.verify(g));
-            Err(RecognitionError::InducedP4(witness))
-        }
-    }
+    build(g).map(|slab| slab.to_cotree())
 }
 
 /// Decision-only version of [`recognize`]: same insertion loop, but neither
 /// the final [`Cotree`] arena nor a witness is materialised.
 pub fn is_cograph(g: &Graph) -> bool {
-    g.num_vertices() > 0 && run(g).is_ok()
-}
-
-/// Finds an induced `P_4` through `x` in `G[0..=x]`, given that `G[0..x]`
-/// is a cograph (so every `P_4` of the prefix graph contains `x`).
-///
-/// Direct neighbourhood search over the two placements of `x` (endpoint and
-/// inner vertex; the other two are reversals). Worst case `O(m · Δ)` with a
-/// binary-search factor — super-linear, and only on the reject path: a
-/// crafted dense near-cograph costs far more to *reject with certificate*
-/// than to accept. Callers exposed to untrusted input should budget for
-/// that asymmetry (the service isolates it per job); deriving the witness
-/// from the `O(d)` marked-chain state that proved the insertion illegal
-/// would close the gap and is noted as a follow-on in ROADMAP.md.
-fn find_p4_through(g: &Graph, x: VertexId) -> Option<InducedP4> {
-    let in_prefix = |v: VertexId| v < x; // neighbours of x with id < x
-                                         // Inner placement: a - x - b - c with a, b ∈ N(x), c ∉ N(x).
-    for &b in g.neighbors(x).iter().filter(|&&b| in_prefix(b)) {
-        for &c in g.neighbors(b).iter().filter(|&&c| in_prefix(c)) {
-            if g.has_edge(x, c) {
-                continue;
-            }
-            for &a in g.neighbors(x).iter().filter(|&&a| in_prefix(a)) {
-                if a != b && a != c && !g.has_edge(a, b) && !g.has_edge(a, c) {
-                    return Some(InducedP4 { path: [a, x, b, c] });
-                }
-            }
-        }
-    }
-    // Endpoint placement: x - a - b - c with a ∈ N(x), b, c ∉ N(x).
-    for &a in g.neighbors(x).iter().filter(|&&a| in_prefix(a)) {
-        for &b in g.neighbors(a).iter().filter(|&&b| in_prefix(b)) {
-            if g.has_edge(x, b) {
-                continue;
-            }
-            for &c in g.neighbors(b).iter().filter(|&&c| in_prefix(c)) {
-                if c != a && !g.has_edge(x, c) && !g.has_edge(a, c) {
-                    return Some(InducedP4 { path: [x, a, b, c] });
-                }
-            }
-        }
-    }
-    None
+    g.num_vertices() > 0 && run(g).1 == g.num_vertices()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators::{random_cotree, CotreeShape};
+    use crate::recognition::reference;
     use pcgraph::generators;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     #[test]
@@ -956,13 +992,14 @@ mod tests {
     #[test]
     fn rejected_insertion_preserves_last_good_state() {
         // Grow a P3, attempt the insertion that would complete a P4, and
-        // check the handle still answers for the P3 and accepts a later
-        // legal vertex.
+        // check the refusal names that P4 while the handle still answers
+        // for the P3 and accepts a later legal vertex.
         let mut tree = IncrementalCotree::new();
         tree.try_add_vertex(&[]).unwrap();
         tree.try_add_vertex(&[0]).unwrap();
         tree.try_add_vertex(&[1]).unwrap();
-        assert_eq!(tree.try_add_vertex(&[2]), Err(IllegalInsertion));
+        let refused = tree.try_add_vertex(&[2]);
+        assert_eq!(refused, Err(InducedP4 { path: [3, 2, 1, 0] }));
         assert_eq!(tree.num_vertices(), 3);
         assert_eq!(tree.to_cotree().to_graph(), generators::path_graph(3));
         // A dominating vertex is always legal.
@@ -971,6 +1008,75 @@ mod tests {
         let grown = tree.to_cotree().to_graph();
         let expected = Graph::from_edges(4, &[(0, 1), (1, 2), (0, 3), (1, 3), (2, 3)]).unwrap();
         assert_eq!(grown, expected);
+    }
+
+    #[test]
+    fn refusals_match_the_reference_and_certify_themselves() {
+        // Random cographs of every shape, grown by one vertex with a random
+        // neighbourhood of every density: the insertion is refused exactly
+        // when the reference recogniser rejects the candidate graph, every
+        // refusal's witness is an induced P4 of the candidate, and a refusal
+        // leaves the tree as it was. Trees built from the graph and straight
+        // from the cotree take turns.
+        let mut rng = ChaCha8Rng::seed_from_u64(24);
+        let (mut accepted, mut refused) = (0, 0);
+        for shape in CotreeShape::ALL {
+            for n in 1..=40usize {
+                for density in [0.0, 0.05, 0.2, 0.4, 0.6, 0.8, 0.95, 1.0] {
+                    let cotree = random_cotree(n, shape, &mut rng);
+                    let g = cotree.to_graph();
+                    let mut tree = if rng.gen_bool(0.5) {
+                        IncrementalCotree::from_graph(&g).expect("a cograph")
+                    } else {
+                        IncrementalCotree::from_cotree(&cotree).expect("labels 0..n")
+                    };
+                    let before = tree.to_cotree().to_term();
+                    let x = n as VertexId;
+                    let neighbors: Vec<VertexId> =
+                        (0..x).filter(|_| rng.gen_bool(density)).collect();
+                    let mut edges: Vec<(VertexId, VertexId)> = g.edges().collect();
+                    edges.extend(neighbors.iter().map(|&v| (v, x)));
+                    let candidate = Graph::from_edges(n + 1, &edges).unwrap();
+                    let verdict = reference::recognize(&candidate).is_some();
+                    let context = format!("{shape:?} n={n} N(x)={neighbors:?}");
+                    match tree.try_add_vertex(&neighbors) {
+                        Ok(id) => {
+                            assert!(verdict, "{context}: accepted, reference rejects");
+                            assert_eq!(id, x, "{context}");
+                            assert_eq!(tree.to_cotree().to_graph(), candidate, "{context}");
+                            accepted += 1;
+                        }
+                        Err(witness) => {
+                            assert!(!verdict, "{context}: refused, reference accepts");
+                            assert!(witness.verify(&candidate), "{context}: {witness}");
+                            assert_eq!(tree.to_cotree().to_term(), before, "{context}");
+                            refused += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            accepted > 200 && refused > 200,
+            "{accepted} accepted, {refused} refused"
+        );
+    }
+
+    #[test]
+    fn from_cotree_keeps_the_arena_and_refuses_other_labels() {
+        let mut rng = ChaCha8Rng::seed_from_u64(43);
+        for shape in CotreeShape::ALL {
+            for n in [1usize, 2, 7, 40] {
+                let cotree = random_cotree(n, shape, &mut rng);
+                let tree = IncrementalCotree::from_cotree(&cotree).expect("labels 0..n");
+                assert_eq!(tree.num_vertices(), n);
+                assert_eq!(tree.to_cotree(), cotree, "{shape:?} n={n}");
+            }
+        }
+        let labelled = |a, b| Cotree::union_of_labelled(vec![Cotree::single(a), Cotree::single(b)]);
+        assert!(IncrementalCotree::from_cotree(&labelled(0, 2)).is_none());
+        assert!(IncrementalCotree::from_cotree(&labelled(1, 1)).is_none());
+        assert!(IncrementalCotree::from_cotree(&labelled(1, 0)).is_some());
     }
 
     #[test]

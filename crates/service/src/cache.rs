@@ -68,22 +68,27 @@ pub const DEFAULT_SHARDS: usize = 8;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// FNV-1a: the hash of cache keys, snapshot checksums and log rate slots.
 #[derive(Clone, Copy)]
-struct Fnv(u64);
+pub(crate) struct Fnv(u64);
 
 impl Fnv {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Fnv(FNV_OFFSET)
     }
 
-    fn write_u64(&mut self, value: u64) {
-        for byte in value.to_le_bytes() {
-            self.0 ^= byte as u64;
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
+    pub(crate) fn write(mut self, bytes: &[u8]) -> Self {
+        for &byte in bytes {
+            self.0 = (self.0 ^ byte as u64).wrapping_mul(FNV_PRIME);
         }
+        self
     }
 
-    fn finish(self) -> u64 {
+    fn write_u64(&mut self, value: u64) {
+        *self = self.write(&value.to_le_bytes());
+    }
+
+    pub(crate) fn finish(self) -> u64 {
         self.0
     }
 }

@@ -794,7 +794,7 @@ pub(crate) fn trace_end(response: &QueryResponse) -> TraceEnd {
 
 /// Reads a request's graph: parses its text, or clones the graph or cotree
 /// an in-process caller passed.
-fn ingest_spec(spec: &GraphSpec) -> Result<Ingested, ServiceError> {
+pub(crate) fn ingest_spec(spec: &GraphSpec) -> Result<Ingested, ServiceError> {
     Ok(match spec {
         GraphSpec::Shared => return Err(ServiceError::SharedGraphMissing),
         GraphSpec::EdgeList(text) => ingest::parse(text, GraphFormat::EdgeList)?,

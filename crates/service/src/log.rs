@@ -17,6 +17,7 @@
 //! within a 100 ms window on a monotonic clock (the engine's
 //! `slow_request` line included) so a failure loop cannot flood stderr.
 
+use crate::cache::Fnv;
 use crate::json::Json;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -184,13 +185,8 @@ pub fn rate_limited(
 }
 
 fn hash_event(event: &str) -> usize {
-    // FNV-1a, tiny and deterministic; collisions just share a rate slot.
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in event.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash as usize
+    // Deterministic; collisions just share a rate slot.
+    Fnv::new().write(event.as_bytes()).finish() as usize
 }
 
 #[cfg(test)]

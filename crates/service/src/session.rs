@@ -1,18 +1,20 @@
 //! Daemon-resident graph sessions: handles whose cotree grows in place.
 //!
 //! A one-shot request ships a whole graph and pays O(m) ingestion plus
-//! recognition every time. A *session* keeps the graph — and, crucially,
-//! its cotree — resident in the daemon, so steady-state traffic is O(1)
+//! recognition every time. A *session* keeps the graph resident in the
+//! daemon as its cotree and an edge count, so steady-state traffic is O(1)
 //! per request:
 //!
+//! * `session_create` builds a cotree seed's tree straight from its arena
+//!   in O(n); any other graph pays one recognition.
 //! * `session_add_vertex` runs `recognition::fast`'s incremental
 //!   insertion pass ([`cograph::IncrementalCotree::try_add_vertex`]) — one
 //!   O(d) marking pass, no re-recognition of the existing graph. An
-//!   illegal insertion is rejected with the certified induced-`P_4`
-//!   witness and leaves the session at its last-good state.
+//!   illegal insertion is rejected with the induced-`P_4` witness the tree
+//!   yields in O(n), and leaves the session at its last-good state.
 //! * `session_add_edges` / `session_remove_edge` mutate edges between
-//!   existing vertices, which the insertion pass cannot absorb; they fall
-//!   back to rebuild-from-scratch and are tagged as such
+//!   existing vertices, which the insertion pass cannot absorb: they read
+//!   the graph off the tree, rebuild from scratch and are tagged as such
 //!   ([`Maintenance::Rebuild`]). A rebuild that finds an induced `P_4`
 //!   also leaves the session untouched.
 //! * `session_query` answers every [`QueryKind`] against the resident
@@ -30,9 +32,9 @@
 //! snapshots ([`crate::snapshot`]).
 
 use crate::cache::SolveEntry;
-use crate::engine::{trace_end, QueryEngine, Resolved, Solved};
+use crate::engine::{ingest_spec, trace_end, QueryEngine, Resolved, Solved};
 use crate::error::ServiceError;
-use crate::ingest::{self, GraphFormat, Ingested};
+use crate::ingest::Ingested;
 use crate::model::{CacheStatus, GraphSpec, QueryKind, QueryResponse};
 use crate::telemetry::{Metric, RequestCtx, Telemetry, Timeline};
 use cograph::IncrementalCotree;
@@ -97,13 +99,11 @@ pub struct SessionInfo {
     pub idle_secs: u64,
 }
 
-/// One resident graph: sorted adjacency (the source of truth for edge
-/// queries and rebuilds), the incrementally maintained cotree, and the
-/// lazily built solve entry whose memoised scalars a mutation invalidates.
+/// One resident graph: its cotree (the only copy of the graph), its edge
+/// count, and the lazily built solve entry that a mutation invalidates.
 struct Session {
-    adjacency: Vec<Vec<VertexId>>,
-    num_edges: usize,
     tree: IncrementalCotree,
+    num_edges: usize,
     /// Memoised answers for the current graph; `None` right after a
     /// mutation (the only state a mutation invalidates).
     entry: Option<Arc<SolveEntry>>,
@@ -112,54 +112,44 @@ struct Session {
 }
 
 impl Session {
-    fn empty() -> Session {
+    fn new(tree: IncrementalCotree, num_edges: usize) -> Session {
         Session {
-            adjacency: Vec::new(),
-            num_edges: 0,
-            tree: IncrementalCotree::new(),
+            tree,
+            num_edges,
             entry: None,
             mutations: 0,
             last_used: Instant::now(),
+        }
+    }
+
+    /// Seeds a session from a request's graph: a cotree straight from its
+    /// arena in O(n), anything else by one recognition.
+    fn seed(spec: &GraphSpec) -> Result<Session, ServiceError> {
+        if matches!(spec, GraphSpec::Shared) {
+            return Err(ServiceError::BadRequest(
+                "session_create cannot use the shared batch graph".to_string(),
+            ));
+        }
+        match ingest_spec(spec)? {
+            Ingested::Graph(g) => Session::from_graph(&g),
+            Ingested::Cotree(t) => IncrementalCotree::from_cotree(&t)
+                .map(|tree| Session::new(tree, t.num_edges()))
+                .ok_or_else(|| ServiceError::BadRequest("cotree labels must be 0..n".to_string())),
         }
     }
 
     fn from_graph(g: &Graph) -> Result<Session, ServiceError> {
         let tree = IncrementalCotree::from_graph(g)
             .map_err(|e| ServiceError::from_recognition(e, g.num_vertices()))?;
-        let mut adjacency = vec![Vec::new(); g.num_vertices()];
-        for (u, v) in g.edges() {
-            adjacency[u as usize].push(v);
-            adjacency[v as usize].push(u);
-        }
-        for list in &mut adjacency {
-            list.sort_unstable();
-        }
-        Ok(Session {
-            adjacency,
-            num_edges: g.num_edges(),
-            tree,
-            entry: None,
-            mutations: 0,
-            last_used: Instant::now(),
-        })
+        Ok(Session::new(tree, g.num_edges()))
     }
 
-    fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        self.adjacency[u as usize].binary_search(&v).is_ok()
-    }
-
-    /// The current edge set as `(u, v)` pairs with `u < v`.
-    fn edge_list(&self) -> Vec<(VertexId, VertexId)> {
-        let mut edges = Vec::with_capacity(self.num_edges);
-        for (u, nbrs) in self.adjacency.iter().enumerate() {
-            let u = u as VertexId;
-            for &v in nbrs {
-                if u < v {
-                    edges.push((u, v));
-                }
-            }
+    /// The current graph, read off the cotree in O(n + m).
+    fn graph(&self) -> Graph {
+        match self.tree.num_vertices() {
+            0 => Graph::new(0),
+            _ => self.tree.to_cotree().to_graph(),
         }
-        edges
     }
 
     /// Marks the graph changed: the memoised scalars are exactly the state
@@ -253,27 +243,6 @@ impl Default for SessionRegistry {
     }
 }
 
-/// Lowers a [`GraphSpec`] to a concrete graph for session seeding; cotree
-/// inputs are materialised.
-fn graph_from_spec(spec: &GraphSpec) -> Result<Graph, ServiceError> {
-    let ingested = match spec {
-        GraphSpec::Shared => {
-            return Err(ServiceError::BadRequest(
-                "session_create cannot use the shared batch graph".to_string(),
-            ))
-        }
-        GraphSpec::EdgeList(text) => ingest::parse(text, GraphFormat::EdgeList)?,
-        GraphSpec::Dimacs(text) => ingest::parse(text, GraphFormat::Dimacs)?,
-        GraphSpec::CotreeTerm(text) => ingest::parse(text, GraphFormat::CotreeTerm)?,
-        GraphSpec::Graph(g) => return Ok(g.clone()),
-        GraphSpec::Cotree(t) => return Ok(t.to_graph()),
-    };
-    Ok(match ingested {
-        Ingested::Graph(g) => g,
-        Ingested::Cotree(t) => t.to_graph(),
-    })
-}
-
 impl QueryEngine {
     /// Runs the opportunistic idle sweep, then hands back the registry.
     fn swept_sessions(&self) -> &SessionRegistry {
@@ -282,31 +251,25 @@ impl QueryEngine {
         &self.sessions
     }
 
-    /// Creates a session, optionally seeded with an inline graph (which
-    /// pays one full recognition, tagged as a rebuild). An empty session
+    /// Creates a session, optionally seeded with an inline graph (a rebuild:
+    /// O(n) for a cotree, one recognition otherwise). An empty session
     /// grows from zero vertices via `session_add_vertex`.
     pub fn session_create(
         &self,
         initial: Option<&GraphSpec>,
     ) -> Result<SessionState, ServiceError> {
         let registry = self.swept_sessions();
-        let session = match initial {
-            None => Session::empty(),
+        let (session, maintenance) = match initial {
+            None => (Session::new(IncrementalCotree::new(), 0), Maintenance::Noop),
             Some(spec) => {
-                let graph = graph_from_spec(spec)?;
-                let session = Session::from_graph(&graph)?;
+                let session = Session::seed(spec)?;
                 self.telemetry().add(Metric::SessionRecognizeRebuild, 0, 1);
-                session
+                (session, Maintenance::Rebuild)
             }
-        };
-        let maintenance = if initial.is_some() {
-            Maintenance::Rebuild
-        } else {
-            Maintenance::Noop
         };
         let state = SessionState {
             handle: registry.new_handle(),
-            vertices: session.adjacency.len(),
+            vertices: session.tree.num_vertices(),
             edges: session.num_edges,
             mutations: 0,
             maintenance,
@@ -328,7 +291,7 @@ impl QueryEngine {
     /// Inserts a new vertex adjacent to exactly `neighbors`, maintaining
     /// the cotree via the incremental O(d) insertion pass. On an illegal
     /// insertion the session is untouched and the error carries the
-    /// certified induced-`P_4` of the would-be graph.
+    /// induced `P_4` of the would-be graph, read off the tree in O(n).
     pub fn session_add_vertex(
         &self,
         handle: &str,
@@ -337,16 +300,10 @@ impl QueryEngine {
         let slot = self.swept_sessions().get(handle)?;
         let mut session = slot.lock().unwrap_or_else(|e| e.into_inner());
         session.last_used = Instant::now();
-        let n = session.adjacency.len();
+        let n = session.tree.num_vertices();
         validate_neighbors(neighbors, n)?;
         match session.tree.try_add_vertex(neighbors) {
             Ok(id) => {
-                let mut sorted = neighbors.to_vec();
-                sorted.sort_unstable();
-                for &u in &sorted {
-                    session.adjacency[u as usize].push(id);
-                }
-                session.adjacency.push(sorted);
                 session.num_edges += neighbors.len();
                 session.invalidate();
                 self.telemetry().add(Metric::SessionMutations, 0, 1);
@@ -354,29 +311,24 @@ impl QueryEngine {
                     .add(Metric::SessionRecognizeIncremental, 0, 1);
                 Ok(SessionState {
                     handle: handle.to_string(),
-                    vertices: session.adjacency.len(),
+                    vertices: n + 1,
                     edges: session.num_edges,
                     mutations: session.mutations,
                     maintenance: Maintenance::Incremental,
                     new_vertex: Some(id),
                 })
             }
-            Err(_) => {
-                // Re-run batch recognition on the candidate graph purely to
-                // extract the certificate; the session itself is untouched.
-                let mut edges = session.edge_list();
-                edges.extend(neighbors.iter().map(|&u| (u, n as VertexId)));
-                let candidate =
-                    Graph::from_edges(n + 1, &edges).expect("validated edges build a graph");
-                Err(certified_rejection(&candidate))
-            }
+            Err(witness) => Err(ServiceError::NotACograph {
+                vertices: n + 1,
+                witness: witness.vertices(),
+            }),
         }
     }
 
     /// Adds edges between existing vertices. Already-present edges are
     /// skipped (idempotent); if any edge is new the cotree is rebuilt from
-    /// scratch. A rebuild that finds an induced `P_4` leaves the session
-    /// at its last-good state.
+    /// the graph read off it plus the new edges. A rebuild that finds an
+    /// induced `P_4` leaves the session at its last-good state.
     pub fn session_add_edges(
         &self,
         handle: &str,
@@ -385,17 +337,18 @@ impl QueryEngine {
         let slot = self.swept_sessions().get(handle)?;
         let mut session = slot.lock().unwrap_or_else(|e| e.into_inner());
         session.last_used = Instant::now();
-        let n = session.adjacency.len();
+        let n = session.tree.num_vertices();
         for &(u, v) in edges {
             validate_edge(u, v, n)?;
         }
-        let mut fresh: Vec<(VertexId, VertexId)> = Vec::new();
-        for &(u, v) in edges {
-            let (u, v) = (u.min(v), u.max(v));
-            if !session.has_edge(u, v) && !fresh.contains(&(u, v)) {
-                fresh.push((u, v));
-            }
-        }
+        let graph = session.graph();
+        let mut fresh: Vec<(VertexId, VertexId)> = edges
+            .iter()
+            .map(|&(u, v)| (u.min(v), u.max(v)))
+            .filter(|&(u, v)| !graph.has_edge(u, v))
+            .collect();
+        fresh.sort_unstable();
+        fresh.dedup();
         if fresh.is_empty() {
             return Ok(SessionState {
                 handle: handle.to_string(),
@@ -406,8 +359,7 @@ impl QueryEngine {
                 new_vertex: None,
             });
         }
-        let mut all = session.edge_list();
-        all.extend(fresh.iter().copied());
+        let all = graph.edges().chain(fresh).collect();
         self.session_rebuild(&mut session, handle, n, all)
     }
 
@@ -425,19 +377,16 @@ impl QueryEngine {
         let slot = self.swept_sessions().get(handle)?;
         let mut session = slot.lock().unwrap_or_else(|e| e.into_inner());
         session.last_used = Instant::now();
-        let n = session.adjacency.len();
+        let n = session.tree.num_vertices();
         validate_edge(u, v, n)?;
-        if !session.has_edge(u, v) {
+        let graph = session.graph();
+        if !graph.has_edge(u, v) {
             return Err(ServiceError::InvalidVertex(format!(
                 "edge {u}-{v} is not in the session graph"
             )));
         }
         let (u, v) = (u.min(v), u.max(v));
-        let all: Vec<(VertexId, VertexId)> = session
-            .edge_list()
-            .into_iter()
-            .filter(|&e| e != (u, v))
-            .collect();
+        let all = graph.edges().filter(|&e| e != (u, v)).collect();
         self.session_rebuild(&mut session, handle, n, all)
     }
 
@@ -543,7 +492,8 @@ impl QueryEngine {
         };
         timeline.span("session:lock_wait");
         session.last_used = Instant::now();
-        if session.adjacency.is_empty() {
+        let vertices = session.tree.num_vertices();
+        if vertices == 0 {
             return Err(ServiceError::EmptyGraph);
         }
         let cache = if session.entry.is_some() {
@@ -553,7 +503,6 @@ impl QueryEngine {
             CacheStatus::Miss
         };
         let entry = session.entry.as_ref().expect("entry just ensured").clone();
-        let vertices = session.adjacency.len();
         timeline.skip();
         Ok((
             Resolved {
@@ -592,7 +541,7 @@ impl QueryEngine {
                 let session = slot.lock().unwrap_or_else(|e| e.into_inner());
                 SessionInfo {
                     handle,
-                    vertices: session.adjacency.len(),
+                    vertices: session.tree.num_vertices(),
                     edges: session.num_edges,
                     mutations: session.mutations,
                     idle_secs: session.last_used.elapsed().as_secs(),
@@ -605,19 +554,22 @@ impl QueryEngine {
 }
 
 /// `session_add_vertex` boundary validation: neighbours must name existing
-/// vertices, each at most once.
+/// vertices, each at most once. One pass over a bitset of the `n` ids.
 fn validate_neighbors(neighbors: &[VertexId], n: usize) -> Result<(), ServiceError> {
-    for (i, &u) in neighbors.iter().enumerate() {
+    let mut seen = vec![0u64; n.div_ceil(64)];
+    for &u in neighbors {
         if (u as usize) >= n {
             return Err(ServiceError::InvalidVertex(format!(
                 "neighbor {u} out of range (session has {n} vertices)"
             )));
         }
-        if neighbors[..i].contains(&u) {
+        let (word, bit) = (u as usize / 64, 1u64 << (u % 64));
+        if seen[word] & bit != 0 {
             return Err(ServiceError::InvalidVertex(format!(
                 "neighbor {u} listed more than once"
             )));
         }
+        seen[word] |= bit;
     }
     Ok(())
 }
@@ -634,19 +586,6 @@ fn validate_edge(u: VertexId, v: VertexId, n: usize) -> Result<(), ServiceError>
         return Err(ServiceError::InvalidVertex(format!("self-loop {u}-{v}")));
     }
     Ok(())
-}
-
-/// Extracts the certified rejection for a graph the incremental pass
-/// refused. The batch recogniser inserts vertices in the same id order the
-/// session grew in, so it must fail on the same insertion and yield an
-/// induced-`P_4` witness.
-fn certified_rejection(candidate: &Graph) -> ServiceError {
-    match cograph::try_recognize(candidate) {
-        Err(e) => ServiceError::from_recognition(e, candidate.num_vertices()),
-        Ok(_) => ServiceError::JobPanicked(
-            "incremental insertion rejected a graph batch recognition accepts".to_string(),
-        ),
-    }
 }
 
 #[cfg(test)]
@@ -726,6 +665,76 @@ mod tests {
         let s = e.session_add_vertex(&h, &[0, 1, 2]).expect("join vertex");
         assert_eq!(s.vertices, 4);
         assert_eq!(s.edges, 5);
+    }
+
+    #[test]
+    fn cotree_seeds_agree_with_their_edge_list_twins() {
+        use cograph::{random_cotree, CotreeShape};
+        use rand::{Rng, SeedableRng};
+        // What two cotrees of one graph agree on: all but the child order,
+        // which picks among equally good covers, paths and terms.
+        let facts = |response: QueryResponse| match response.outcome.expect("a cograph") {
+            Answer::FullCover { cover, verified } => format!("cover {} {verified}", cover.len()),
+            Answer::HamiltonianPath { exists, .. } => format!("path {exists}"),
+            Answer::Recognized {
+                is_cograph,
+                vertices,
+                edges,
+                cotree_nodes,
+                height,
+                ..
+            } => format!("{is_cograph} {vertices} {edges} {cotree_nodes} {height}"),
+            other => format!("{other:?}"),
+        };
+        let e = engine();
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(11);
+        for shape in CotreeShape::ALL {
+            for n in [1usize, 2, 9, 33] {
+                let tree = random_cotree(n, shape, &mut rng);
+                let g = tree.to_graph();
+                let mut text: String = g.edges().map(|(u, v)| format!("{u} {v}\n")).collect();
+                text += &format!("{}\n", n - 1);
+                let seeded = e.session_create(Some(&GraphSpec::Cotree(tree))).unwrap();
+                let twin = e.session_create(Some(&GraphSpec::EdgeList(text))).unwrap();
+                let context = format!("{shape:?} n={n}");
+                assert_eq!(seeded.vertices, twin.vertices, "{context}");
+                assert_eq!(seeded.edges, twin.edges, "{context}");
+                assert_eq!(seeded.edges, g.num_edges(), "{context}");
+                assert_eq!(seeded.maintenance, Maintenance::Rebuild, "{context}");
+                let (a, b) = (&seeded.handle, &twin.handle);
+                let mut vertices = n;
+                for step in 0..4 {
+                    for kind in QueryKind::ALL {
+                        let (x, y) = (e.session_query(a, kind), e.session_query(b, kind));
+                        assert_eq!(x.meta.canonical_key, y.meta.canonical_key, "{context}");
+                        assert_eq!(facts(x), facts(y), "{context} {kind:?} step {step}");
+                    }
+                    let neighbors: Vec<VertexId> = (0..vertices as VertexId)
+                        .filter(|_| rng.gen_bool(0.5))
+                        .collect();
+                    let (x, y) = (
+                        e.session_add_vertex(a, &neighbors),
+                        e.session_add_vertex(b, &neighbors),
+                    );
+                    assert_eq!(x.is_ok(), y.is_ok(), "{context} N(x)={neighbors:?}");
+                    if let (Ok(x), Ok(y)) = (x, y) {
+                        assert_eq!((x.vertices, x.edges), (y.vertices, y.edges), "{context}");
+                        vertices = x.vertices;
+                    }
+                }
+            }
+        }
+        let labelled = cograph::Cotree::union_of_labelled(vec![
+            cograph::Cotree::single(0),
+            cograph::Cotree::single(2),
+        ]);
+        for spec in [GraphSpec::Cotree(labelled), GraphSpec::Shared] {
+            let refused = e.session_create(Some(&spec));
+            assert!(
+                matches!(refused, Err(ServiceError::BadRequest(_))),
+                "{refused:?}"
+            );
+        }
     }
 
     #[test]

@@ -55,7 +55,7 @@
 //! it, then renames it over the target — a crash mid-checkpoint leaves the
 //! previous snapshot intact, never a half-written one.
 
-use crate::cache::{graph_fingerprint, CotreeCache, SolveEntry};
+use crate::cache::{graph_fingerprint, CotreeCache, Fnv, SolveEntry};
 use crate::ingest::parse_cotree_term_labelled;
 use crate::json::Json;
 use cograph::Cotree;
@@ -70,20 +70,12 @@ use std::sync::Arc;
 /// `pcsnap1` files still load.
 pub const SNAPSHOT_VERSION: u64 = 2;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 /// FNV-1a over a byte slice — the per-file checksum of the `pcsum` footer.
 ///
 /// Public so tests can re-seal a deliberately edited file and exercise
 /// what the loader makes of its content rather than the checksum.
 pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &byte in bytes {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
+    Fnv::new().write(bytes).finish()
 }
 
 /// Everything that can go wrong saving, loading or inspecting a snapshot.
